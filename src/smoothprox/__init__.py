@@ -5,75 +5,100 @@ is an overlapping group lasso or graph-guided fusion penalty, by smoothing
 the structured term and running accelerated proximal gradient with an l1
 prox.  Includes a subgradient (forward-backward) baseline, a multi-output
 extension, synthetic experiment generators, and a CLI.
+
+Submodules load on first use of one of their names (PEP 562), so importing
+the package, or ``smoothprox.cli``, does not load numpy: the CLI's
+``--threads`` must set the BLAS thread variables before numpy loads.
 """
 
-from .fobos import FobosConfig, default_c, penalty_subgradient, solve_fobos
-from .losses import (
-    Dataset,
-    LogisticLoss,
-    LossEvaluation,
-    SquaredLoss,
-    logistic_loss,
-    logistic_loss_lipschitz,
-    squared_loss,
-    squared_loss_lipschitz,
-)
-from .multivariate import (
-    MultiProblem,
-    SmoothedMatrixPenalty,
-    multi_alpha_star,
-    multi_penalty_value,
-    solve_multivariate,
-)
-from .penalties import (
-    CouplingMatrix,
-    GraphPenaltySpec,
-    GroupPenaltySpec,
-    StructureError,
-    build_coupling,
-    build_graph_coupling,
-    build_group_coupling,
-    coupling_apply,
-    coupling_apply_transpose,
-    penalty_from_json,
-    penalty_to_json,
-    penalty_value,
-    penalty_value_graph,
-    penalty_value_group,
-)
-from .simulate import (
-    GraphSimSpec,
-    OverlapSimSpec,
-    gen_graph_instance,
-    gen_overlap_instance,
-    overlap_groups,
-    overlap_true_beta,
-    threshold_correlation_graph,
-)
-from .smoothing import (
-    SmoothedPenalty,
-    alpha_star_graph,
-    alpha_star_group,
-    coupling_norm,
-    coupling_norm_graph_bound,
-    coupling_norm_group,
-    dual_domain_bound,
-    select_mu,
-    smoothed_penalty,
-    spectral_norm_power_iteration,
-)
-from .solver import (
-    Problem,
-    SolverConfig,
-    SolverError,
-    SolverState,
-    Trace,
-    fista_step,
-    iteration_bound,
-    regularization_path,
-    soft_threshold,
-    solve,
-    total_lipschitz,
-)
+import importlib
 
+_EXPORTS = {
+    "fobos": ("FobosConfig", "default_c", "penalty_subgradient", "solve_fobos"),
+    "losses": (
+        "Dataset",
+        "LogisticLoss",
+        "LossEvaluation",
+        "SquaredLoss",
+        "logistic_loss",
+        "logistic_loss_lipschitz",
+        "squared_loss",
+        "squared_loss_lipschitz",
+    ),
+    "multivariate": (
+        "MultiProblem",
+        "SmoothedMatrixPenalty",
+        "multi_alpha_star",
+        "multi_penalty_value",
+        "solve_multivariate",
+    ),
+    "penalties": (
+        "CouplingMatrix",
+        "GraphPenaltySpec",
+        "GroupPenaltySpec",
+        "StructureError",
+        "build_coupling",
+        "build_graph_coupling",
+        "build_group_coupling",
+        "coupling_apply",
+        "coupling_apply_transpose",
+        "penalty_from_json",
+        "penalty_to_json",
+        "penalty_value",
+        "penalty_value_graph",
+        "penalty_value_group",
+    ),
+    "simulate": (
+        "GraphSimSpec",
+        "OverlapSimSpec",
+        "gen_graph_instance",
+        "gen_overlap_instance",
+        "overlap_groups",
+        "overlap_true_beta",
+        "threshold_correlation_graph",
+    ),
+    "smoothing": (
+        "SmoothedPenalty",
+        "alpha_star_graph",
+        "alpha_star_group",
+        "coupling_norm",
+        "coupling_norm_graph_bound",
+        "coupling_norm_group",
+        "dual_domain_bound",
+        "select_mu",
+        "smoothed_penalty",
+        "spectral_norm_power_iteration",
+    ),
+    "solver": (
+        "Problem",
+        "SolverConfig",
+        "SolverError",
+        "SolverState",
+        "Trace",
+        "fista_step",
+        "iteration_bound",
+        "regularization_path",
+        "soft_threshold",
+        "solve",
+        "total_lipschitz",
+    ),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = set(_EXPORTS) | {"cli"}
+
+__all__ = sorted(_ORIGIN)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_ORIGIN[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

@@ -16,13 +16,14 @@ from pathlib import Path
 
 
 def _set_threads(n):
+    """Set the BLAS thread variables; they act only if numpy is not loaded yet."""
     for var in (
         "OMP_NUM_THREADS",
         "OPENBLAS_NUM_THREADS",
         "MKL_NUM_THREADS",
         "NUMEXPR_NUM_THREADS",
     ):
-        os.environ.setdefault(var, str(n))
+        os.environ[var] = str(n)
 
 
 def _load_matrix(path):

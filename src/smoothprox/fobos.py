@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .penalties import (
-    GraphPenaltySpec,
-    GroupPenaltySpec,
-    StructureError,
-    build_coupling,
-    penalty_value,
-)
+from .penalties import build_coupling
 from .solver import Problem, SolverError, Trace, soft_threshold
 
 
@@ -48,42 +42,40 @@ def default_c(N, J, K=None) -> float:
 def penalty_subgradient(spec, beta) -> np.ndarray:
     """A subgradient of the exact structured penalty at beta.
 
-    Group case: per-group gamma * w_g * beta_g / ||beta_g|| with the zero
-    block at the kink.  Graph case: C^T sign(C beta) with sign(0) = 0.  Both
-    choices pick the minimal-norm element on the flat faces.
+    ``C^T u`` with ``u`` the blockwise unit direction of ``C beta``: per group
+    gamma * w_g * beta_g / ||beta_g||, and C^T sign(C beta) on a graph, with
+    the zero block at a kink.  Both pick the minimal-norm element on the
+    flat faces.
     """
     beta = np.asarray(beta, dtype=float)
-    if isinstance(spec, GroupPenaltySpec):
-        spec.validate_against(beta.shape[0])
-        sg = np.zeros_like(beta)
-        for g, w in zip(spec.groups, spec.weights):
-            idx = np.asarray(g, dtype=np.int64)
-            norm = np.linalg.norm(beta[idx])
-            if norm > 0:
-                sg[idx] += spec.gamma * w * beta[idx] / norm
-        return sg
-    if isinstance(spec, GraphPenaltySpec):
-        coupling = build_coupling(spec)
-        return coupling.matrix.T @ np.sign(coupling.matrix @ beta)
-    raise StructureError(f"unknown penalty spec type {type(spec).__name__}")
+    return build_coupling(spec, num_features=beta.shape[0]).value_and_subgradient(beta)[1]
 
 
 def solve_fobos(problem: Problem, config: FobosConfig, beta0=None):
     """Run the subgradient baseline; returns ``(beta_best, trace)``.
 
     ``beta_best`` is the iterate with the best objective seen, since the
-    plain iterates do not decrease monotonically.
+    plain iterates do not decrease monotonically.  The objective at an
+    iterate and the step direction from it share one loss product and one
+    ``C beta``.
     """
     J = problem.num_features
     beta = np.zeros(J) if beta0 is None else np.asarray(beta0, dtype=float).copy()
     lam = config.lam
-    has_penalty = problem.penalty is not None and problem.penalty.gamma != 0.0
+    loss = problem.loss
+    coupling = None
+    if problem.penalty is not None and problem.penalty.gamma != 0.0:
+        coupling = build_coupling(problem.penalty, num_features=J)
 
-    def objective(b):
-        val = problem.loss.value(b) + lam * float(np.abs(b).sum())
-        if has_penalty:
-            val += penalty_value(problem.penalty, b)
-        return val
+    def objective_and_direction(b):
+        p = loss.product(b)
+        f = loss.value_from(b, p) + lam * float(np.abs(b).sum())
+        direction = loss.gradient_from(p)
+        if coupling is not None:
+            value, subgradient = coupling.value_and_subgradient(b)
+            f += value
+            direction = direction + subgradient
+        return f, direction
 
     trace = Trace(
         header={
@@ -95,31 +87,18 @@ def solve_fobos(problem: Problem, config: FobosConfig, beta0=None):
             "f_smooth_field": "best_objective",
         }
     )
-    # graph subgradients reuse one incidence matrix across iterations
-    graph_coupling = None
-    if has_penalty and isinstance(problem.penalty, GraphPenaltySpec):
-        graph_coupling = build_coupling(problem.penalty)
-
-    def subgradient(b):
-        if graph_coupling is not None:
-            return graph_coupling.matrix.T @ np.sign(graph_coupling.matrix @ b)
-        return penalty_subgradient(problem.penalty, b)
-
-    best_f = objective(beta)
+    best_f, direction = objective_and_direction(beta)
     best_beta = beta.copy()
     f_prev = None
     start = time.perf_counter()
     status = "max_iter"
     for t in range(1, config.max_iter + 1):
         step = config.c / np.sqrt(t)
-        direction = problem.loss.gradient(beta)
-        if has_penalty:
-            direction = direction + subgradient(beta)
         if not np.all(np.isfinite(direction)):
             trace.status = "error"
             raise SolverError(f"non-finite subgradient at iteration {t}")
         beta = soft_threshold(beta - step * direction, step * lam)
-        f = objective(beta)
+        f, direction = objective_and_direction(beta)
         if not np.isfinite(f):
             trace.status = "error"
             raise SolverError(f"non-finite objective at iteration {t}")

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import expit
 
 #: Precompute X^T X automatically up to this many features.
 PRECOMPUTE_MAX_FEATURES = 4096
@@ -53,6 +54,16 @@ class Dataset:
         return self.X.shape[1]
 
 
+def power_iteration_starts(J):
+    """Deterministic power-iteration starts, tried in turn while the iterate
+    vanishes: all-ones, alternating signs, then a seeded Gaussian."""
+    return [
+        np.ones(J) / np.sqrt(J),
+        (-1.0) ** np.arange(J) / np.sqrt(J),
+        np.random.default_rng(0).standard_normal(J),
+    ]
+
+
 def gram_lipschitz(X, tol=1e-6, max_iter=1000) -> float:
     """Largest eigenvalue of X^T X via power iteration.
 
@@ -60,14 +71,18 @@ def gram_lipschitz(X, tol=1e-6, max_iter=1000) -> float:
     the iteration has not converged, with a warning.
     """
     X = np.asarray(X, dtype=float)
-    J = X.shape[1]
-    v = np.ones(J) / np.sqrt(J)
+    starts = power_iteration_starts(X.shape[1])
+    v = starts.pop(0)
     last = np.inf
     for _ in range(max_iter):
         w = X.T @ (X @ v)
         norm = np.linalg.norm(w)
         if norm == 0.0:
-            return 0.0
+            # the start lies in the null space of X (X @ 1 = 0 for one)
+            if not starts:
+                return 0.0
+            v = starts.pop(0)
+            continue
         v = w / norm
         if abs(norm - last) <= tol * max(1.0, norm):
             return float(norm)
@@ -81,52 +96,72 @@ def gram_lipschitz(X, tol=1e-6, max_iter=1000) -> float:
     return frob
 
 
-class SquaredLoss:
-    """g(beta) = 0.5 * ||y - X beta||^2 with gradient X^T (X beta - y)."""
-
-    def __init__(self, data: Dataset, precompute=None):
-        self.data = data
-        if precompute is None:
-            precompute = data.num_features <= PRECOMPUTE_MAX_FEATURES
-        self.precompute = bool(precompute)
-        if self.precompute:
-            self._XtX = data.X.T @ data.X
-            self._Xty = data.X.T @ data.y
-            self._yty = float(data.y @ data.y)
-        self._lipschitz = None
-
-    @property
-    def num_features(self):
-        return self.data.num_features
+class _ProductLoss:
+    """A loss whose value and gradient are read off one linear product of the
+    iterate, ``product(beta)``; a solver can then form the product at a linear
+    combination of iterates from theirs, without another pass."""
 
     def value(self, beta) -> float:
         beta = np.asarray(beta, dtype=float)
-        if self.precompute:
-            return float(
-                0.5 * (beta @ (self._XtX @ beta)) - beta @ self._Xty + 0.5 * self._yty
-            )
-        r = self.data.X @ beta - self.data.y
-        return float(0.5 * (r @ r))
+        return self.value_from(beta, self.product(beta))
 
     def gradient(self, beta) -> np.ndarray:
-        beta = np.asarray(beta, dtype=float)
-        if self.precompute:
-            return self._XtX @ beta - self._Xty
-        return self.data.X.T @ (self.data.X @ beta - self.data.y)
+        return self.gradient_from(self.product(np.asarray(beta, dtype=float)))
 
     def evaluate(self, beta) -> LossEvaluation:
         return LossEvaluation(self.value(beta), self.gradient(beta))
 
+
+class SquaredLoss(_ProductLoss):
+    """g(beta) = 0.5 * ||y - X beta||^2 with gradient X^T (X beta - y).
+
+    The product is ``X^T X beta`` with the Gram precompute, ``X beta``
+    without.  The response may be an N x K matrix, with J x K iterates.
+    """
+
+    def __init__(self, data: Dataset, precompute=None):
+        self.data = data
+        self._setup(data.X, data.y, precompute)
+
+    def _setup(self, X, y, precompute):
+        self.X, self.y = X, y
+        if precompute is None:
+            precompute = X.shape[1] <= PRECOMPUTE_MAX_FEATURES
+        self.precompute = bool(precompute)
+        if self.precompute:
+            self._XtX = X.T @ X
+            self._Xty = X.T @ y
+            self._yty = float(np.vdot(y, y))
+        self._lipschitz = None
+
+    @property
+    def num_features(self):
+        return self.X.shape[1]
+
+    def product(self, beta) -> np.ndarray:
+        return self._XtX @ beta if self.precompute else self.X @ beta
+
+    def value_from(self, beta, p) -> float:
+        """Loss value at beta, given ``p = product(beta)``."""
+        if self.precompute:
+            return float(0.5 * np.vdot(beta, p) - np.vdot(beta, self._Xty) + 0.5 * self._yty)
+        r = p - self.y
+        return float(0.5 * np.vdot(r, r))
+
+    def gradient_from(self, p) -> np.ndarray:
+        """Gradient at the point whose product is ``p``."""
+        return p - self._Xty if self.precompute else self.X.T @ (p - self.y)
+
     def lipschitz(self) -> float:
         if self._lipschitz is None:
-            self._lipschitz = gram_lipschitz(self.data.X)
+            self._lipschitz = gram_lipschitz(self.X)
         return self._lipschitz
 
 
-class LogisticLoss:
+class LogisticLoss(_ProductLoss):
     """g(beta) = sum_i log(1 + exp(-y_i x_i^T beta)) for labels in {-1, +1}.
 
-    Values are computed with log1p/exp in an overflow-safe form; the
+    Values and gradients use logaddexp and expit, safe from overflow; the
     gradient-Lipschitz bound is lambda_max(X^T X) / 4.
     """
 
@@ -141,22 +176,18 @@ class LogisticLoss:
     def num_features(self):
         return self.data.num_features
 
-    def value(self, beta) -> float:
-        margins = self.data.y * (self.data.X @ np.asarray(beta, dtype=float))
-        return float(np.sum(np.logaddexp(0.0, -margins)))
+    def product(self, beta) -> np.ndarray:
+        return self.data.X @ beta
 
-    def gradient(self, beta) -> np.ndarray:
-        X, y = self.data.X, self.data.y
-        margins = y * (X @ np.asarray(beta, dtype=float))
-        # sigma(-m) computed stably for both signs of m
-        sig = np.empty_like(margins)
-        pos = margins >= 0
-        sig[pos] = np.exp(-margins[pos]) / (1.0 + np.exp(-margins[pos]))
-        sig[~pos] = 1.0 / (1.0 + np.exp(margins[~pos]))
-        return -X.T @ (y * sig)
+    def value_from(self, beta, p) -> float:
+        """Loss value at beta, given ``p = product(beta) = X beta``."""
+        return float(np.sum(np.logaddexp(0.0, -(self.data.y * p))))
 
-    def evaluate(self, beta) -> LossEvaluation:
-        return LossEvaluation(self.value(beta), self.gradient(beta))
+    def gradient_from(self, p) -> np.ndarray:
+        """Gradient at the point whose product is ``p``."""
+        y = self.data.y
+        # -(X^T v), not -X.T @ v, which would negate a copy of all of X
+        return -(self.data.X.T @ (y * expit(-(y * p))))
 
     def lipschitz(self) -> float:
         if self._lipschitz is None:

@@ -16,20 +16,14 @@ gradient Lipschitz constant reuses the vector-case coupling norm.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import PRECOMPUTE_MAX_FEATURES, gram_lipschitz
-from .penalties import (
-    GraphPenaltySpec,
-    GroupPenaltySpec,
-    StructureError,
-    build_coupling,
-)
-from .smoothing import coupling_norm, dual_domain_bound, select_mu
-from .solver import SolverConfig, SolverError, Trace, soft_threshold, total_lipschitz
+from .losses import SquaredLoss
+from .penalties import GraphPenaltySpec, GroupPenaltySpec, StructureError
+from .smoothing import smoothed_penalty
+from .solver import SolverConfig, _fista
 
 
 @dataclass(frozen=True)
@@ -104,172 +98,41 @@ def multi_penalty_value(problem: MultiProblem, B) -> float:
 class SmoothedMatrixPenalty:
     """Smoothed output-side penalty over J x K coefficient matrices.
 
-    The auxiliary matrix A lives in (coupling rows) x J; each column is the
-    vector-case auxiliary variable for one input dimension, so the dual
-    bound is J * (vector-case bound).
+    ``bind(K)`` returns the SmoothedPenalty on the output-side coupling; its
+    auxiliary matrix lives in (coupling rows) x J, one vector-case auxiliary
+    variable per input, so the dual bound is J * (vector-case bound).
     """
 
     def __init__(self, spec, num_inputs, mu):
         if mu <= 0:
             raise ValueError("mu must be positive")
-        self.spec = spec
-        self.mu = float(mu)
-        self.num_inputs = int(num_inputs)
-        self.kind = "group" if isinstance(spec, GroupPenaltySpec) else "graph"
-        self.coupling = None
+        self.spec, self.num_inputs, self.mu = spec, int(num_inputs), float(mu)
 
     def bind(self, num_outputs):
-        """Finalize the coupling once the output count is known."""
-        self.coupling = build_coupling(self.spec, num_features=num_outputs) \
-            if self.kind == "group" else build_coupling(self.spec)
-        if self.kind == "group":
-            blocks = self.coupling.row_blocks
-            self._block_starts = np.array([b[0] for b in blocks], dtype=np.int64)
-            self._block_sizes = np.array([b[1] - b[0] for b in blocks], dtype=np.int64)
-        self.D = self.num_inputs * dual_domain_bound(self.spec)
-        return self
-
-    def alpha_star(self, B) -> np.ndarray:
-        """Blockwise projection of (C B^T) / mu onto the dual feasible set."""
-        M = (self.coupling.matrix @ np.asarray(B, dtype=float).T) / self.mu
-        if self.kind == "graph":
-            return np.clip(M, -1.0, 1.0)
-        sq = np.add.reduceat(M * M, self._block_starts, axis=0)
-        scale = 1.0 / np.maximum(1.0, np.sqrt(sq))
-        return M * np.repeat(scale, self._block_sizes, axis=0)
-
-    def value(self, B) -> float:
-        M = self.coupling.matrix @ np.asarray(B, dtype=float).T
-        A = self.alpha_star(B)
-        return float(np.sum(M * A) - 0.5 * self.mu * np.sum(A * A))
-
-    def gradient(self, B) -> np.ndarray:
-        A = self.alpha_star(B)
-        return (self.coupling.matrix.T @ A).T
+        return smoothed_penalty(self.spec, self.mu, num_outputs, self.num_inputs)
 
 
 def multi_alpha_star(problem: MultiProblem, mu, B) -> np.ndarray:
     pen = SmoothedMatrixPenalty(problem.penalty, problem.num_features, mu)
-    pen.bind(problem.num_outputs)
-    return pen.alpha_star(B)
+    return pen.bind(problem.num_outputs).alpha_star(B)
 
 
-class _FrobeniusLoss:
+class _FrobeniusLoss(SquaredLoss):
     """0.5 * ||Y - X B||_F^2 with optional Gram precompute."""
 
     def __init__(self, X, Y, precompute=None):
-        self.X = X
-        self.Y = Y
-        if precompute is None:
-            precompute = X.shape[1] <= PRECOMPUTE_MAX_FEATURES
-        self.precompute = bool(precompute)
-        if self.precompute:
-            self._XtX = X.T @ X
-            self._XtY = X.T @ Y
-            self._yty = float(np.sum(Y * Y))
-        self._lipschitz = None
-
-    def value(self, B) -> float:
-        if self.precompute:
-            return float(
-                0.5 * np.sum(B * (self._XtX @ B)) - np.sum(B * self._XtY)
-                + 0.5 * self._yty
-            )
-        R = self.X @ B - self.Y
-        return float(0.5 * np.sum(R * R))
-
-    def gradient(self, B) -> np.ndarray:
-        if self.precompute:
-            return self._XtX @ B - self._XtY
-        return self.X.T @ (self.X @ B - self.Y)
-
-    def lipschitz(self) -> float:
-        if self._lipschitz is None:
-            self._lipschitz = gram_lipschitz(self.X)
-        return self._lipschitz
+        self._setup(X, Y, precompute)
 
 
 def solve_multivariate(problem: MultiProblem, config: SolverConfig, B0=None):
     """Smoothing proximal gradient over the coefficient matrix.
 
-    Same iteration, prox and stopping rules as the vector solver, with
-    matrix-shaped iterates.  Returns ``(B, trace)``.
+    The vector solver's loop, run on matrix-shaped iterates.  Returns
+    ``(B, trace)``.
     """
     J, K = problem.num_features, problem.num_outputs
     B = np.zeros((J, K)) if B0 is None else np.asarray(B0, dtype=float).copy()
     if B.shape != (J, K):
         raise StructureError(f"B0 has shape {B.shape}, expected ({J}, {K})")
-
     loss = _FrobeniusLoss(problem.X, problem.Y)
-    loss_L = loss.lipschitz()
-    lam = config.lam
-
-    pen = None
-    mu = None
-    if problem.penalty is not None and problem.penalty.gamma != 0.0:
-        D_vec = dual_domain_bound(problem.penalty)
-        if config.mu is not None:
-            mu = config.mu
-        else:
-            # the dual set replicates per input, so D scales by J
-            mu = select_mu(config.epsilon, J * D_vec)
-        pen = SmoothedMatrixPenalty(problem.penalty, J, mu).bind(K)
-        norm_c = coupling_norm(problem.penalty, exact_graph=config.exact_graph_norm)
-        L = total_lipschitz(loss_L, norm_c, mu)
-    else:
-        L = loss_L
-    if L <= 0:
-        raise SolverError("non-positive Lipschitz constant; nothing to optimize")
-
-    def exact_objective(Bc, loss_value):
-        val = loss_value + lam * float(np.abs(Bc).sum())
-        if problem.penalty is not None and problem.penalty.gamma != 0.0:
-            val += multi_penalty_value(problem, Bc)
-        return val
-
-    trace = Trace(
-        header={
-            "mu": mu,
-            "epsilon": config.epsilon,
-            "L": L,
-            "lam": lam,
-            "max_iter": config.max_iter,
-            "rel_tol": config.rel_tol,
-            "shape": [J, K],
-        }
-    )
-    W = B.copy()
-    theta = 1.0
-    f_prev = None
-    start = time.perf_counter()
-    status = "max_iter"
-    for t in range(config.max_iter):
-        grad = loss.gradient(W)
-        if pen is not None:
-            grad = grad + pen.gradient(W)
-        if not np.all(np.isfinite(grad)):
-            trace.status = "error"
-            raise SolverError(f"non-finite gradient at iteration {t}")
-        B_next = soft_threshold(W - grad / L, lam / L)
-        theta_next = 2.0 / (t + 3.0)
-        W = B_next + (1.0 - theta) / theta * theta_next * (B_next - B)
-        B = B_next
-        theta = theta_next
-        loss_val = loss.value(B)
-        f = exact_objective(B, loss_val)
-        if not np.isfinite(f):
-            trace.status = "error"
-            raise SolverError(f"non-finite objective at iteration {t + 1}")
-        if config.record_trace:
-            f_smooth = loss_val + lam * float(np.abs(B).sum())
-            if pen is not None:
-                f_smooth += pen.value(B)
-            trace.record(t + 1, f, f_smooth, time.perf_counter() - start)
-        if f_prev is not None:
-            if abs(f - f_prev) / max(1.0, abs(f_prev)) < config.rel_tol:
-                status = "converged"
-                break
-        f_prev = f
-    trace.status = status
-    trace.final_nnz = int(np.count_nonzero(B))
-    return B, trace
+    return _fista(loss, problem.penalty, config, B, K, num_inputs=J, header={"shape": [J, K]})

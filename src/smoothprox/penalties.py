@@ -129,6 +129,50 @@ class CouplingMatrix:
     matrix: sp.csr_matrix
     row_blocks: tuple | None = None
 
+    def __post_init__(self):
+        blocks = self.row_blocks or ()
+        object.__setattr__(self, "_starts", np.array([a for a, _ in blocks], dtype=np.int64))
+        object.__setattr__(self, "_sizes", np.array([b - a for a, b in blocks], dtype=np.int64))
+
+    def apply(self, beta) -> np.ndarray:
+        """``C beta``, or ``C B^T`` for a J x K matrix (one column per input)."""
+        return self.matrix @ np.asarray(beta, dtype=float).T
+
+    def apply_transpose(self, alpha) -> np.ndarray:
+        """``C^T alpha``, shaped like the iterate."""
+        return (self.matrix.T @ alpha).T
+
+    def block_norms(self, z, out=None) -> np.ndarray:
+        """l2 norm of each row block of ``z = C beta`` along axis 0 (of each
+        row when there are no blocks); the exact penalty is their sum.
+        ``out=z`` overwrites z instead of allocating a copy of it."""
+        if self.row_blocks is None:
+            return np.abs(z, out=out)
+        return np.sqrt(np.add.reduceat(np.square(z, out=out), self._starts, axis=0))
+
+    def divide_blocks(self, z, norms) -> np.ndarray:
+        """Divide each row block of ``z`` by its entry of ``norms``, in place."""
+        z /= norms if self.row_blocks is None else np.repeat(norms, self._sizes, axis=0)
+        return z
+
+    def project_unit(self, z) -> np.ndarray:
+        """Project each row block of ``z`` onto the unit l2 ball, in place
+        (clipping to [-1, 1] when each row is its own block)."""
+        if self.row_blocks is None:
+            return np.clip(z, -1.0, 1.0, out=z)
+        norms = self.block_norms(z)
+        return self.divide_blocks(z, np.maximum(norms, 1.0, out=norms))
+
+    def value_and_subgradient(self, beta):
+        """The exact penalty (block norms of ``C beta``, summed) and the
+        subgradient ``C^T u``, ``u`` the blockwise unit direction of
+        ``C beta`` (zero on a zero block), from one ``C beta``."""
+        z = self.apply(beta)
+        norms = self.block_norms(z)
+        value = float(norms.sum())
+        norms[norms == 0.0] = 1.0  # the block of z is zero there
+        return value, self.apply_transpose(self.divide_blocks(z, norms))
+
     @property
     def rows(self):
         return self.matrix.shape[0]

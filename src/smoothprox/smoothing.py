@@ -15,14 +15,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .losses import power_iteration_starts
 from .penalties import (
     CouplingMatrix,
     GraphPenaltySpec,
     GroupPenaltySpec,
     StructureError,
     build_coupling,
-    coupling_apply,
-    coupling_apply_transpose,
 )
 
 #: Lower clamp on the smoothness parameter; avoids 1/mu blow-ups when a tiny
@@ -60,17 +59,19 @@ def select_mu(epsilon=None, D=None) -> float:
     return max(epsilon / (2.0 * D), MU_FLOOR)
 
 
-def _project_group_blocks(z, block_sizes, block_starts):
-    """Scale each contiguous block of z onto the unit l2 ball."""
-    sq = np.add.reduceat(z * z, block_starts)
-    norms = np.sqrt(sq)
-    scale = 1.0 / np.maximum(1.0, norms)
-    return z * np.repeat(scale, block_sizes)
-
-
 @dataclass(frozen=True)
 class SmoothedPenalty:
-    """Smoothed penalty bound to a coupling matrix and a smoothness mu."""
+    """Smoothed penalty bound to a coupling matrix and a smoothness mu.
+
+    Takes a 1-d beta, or a J x K matrix B whose rows each carry one copy of
+    the output-side penalty (``C B^T``, blocks reduced along axis 0).
+
+    ``C B^T`` is the largest array of a solver iteration, so the methods
+    below work on it in place.  With two or three live copies of it, glibc
+    malloc hands the freed pages back to the system and faults them in again
+    on the next iteration; on the multi-output graph design (435 x 200) that
+    made each iteration three times slower.
+    """
 
     coupling: CouplingMatrix
     mu: float
@@ -84,37 +85,44 @@ class SmoothedPenalty:
             raise ValueError(f"unknown penalty kind {self.kind!r}")
         if self.kind == "group" and self.coupling.row_blocks is None:
             raise StructureError("group smoothing requires row blocks")
-        starts = None
-        sizes = None
-        if self.kind == "group":
-            blocks = self.coupling.row_blocks
-            starts = np.array([b[0] for b in blocks], dtype=np.int64)
-            sizes = np.array([b[1] - b[0] for b in blocks], dtype=np.int64)
-        object.__setattr__(self, "_block_starts", starts)
-        object.__setattr__(self, "_block_sizes", sizes)
 
     def alpha_star(self, beta) -> np.ndarray:
-        """Closed-form maximizer of the smoothed dual problem at beta."""
-        z = coupling_apply(self.coupling, beta) / self.mu
-        if self.kind == "group":
-            return _project_group_blocks(z, self._block_sizes, self._block_starts)
-        return np.clip(z, -1.0, 1.0)
+        """Closed-form maximizer of the smoothed dual problem at beta: the
+        blockwise projection of C beta / mu onto the unit balls."""
+        z = self.coupling.apply(beta)
+        z /= self.mu
+        return self.coupling.project_unit(z)
+
+    def values(self, beta):
+        """``(f0, f_mu)``, the exact and the smoothed penalty, from one ``C beta``.
+
+        With block norms n and c = min(n, mu), f0 = sum n and
+        f_mu = sum c^2 / (2 mu) + sum (n - c): per block n^2 / (2 mu) inside
+        the ball, n - mu/2 outside.
+        """
+        z = self.coupling.apply(beta)
+        n = self.coupling.block_norms(z, out=z)
+        f0 = float(n.sum())
+        c = np.minimum(n, self.mu, out=n)
+        return f0, float(np.vdot(c, c)) / (2.0 * self.mu) + (f0 - float(c.sum()))
 
     def value(self, beta) -> float:
-        alpha = self.alpha_star(beta)
-        cb = coupling_apply(self.coupling, beta)
-        return float(alpha @ cb - 0.5 * self.mu * (alpha @ alpha))
+        return self.values(beta)[1]
 
     def gradient(self, beta) -> np.ndarray:
-        return coupling_apply_transpose(self.coupling, self.alpha_star(beta))
+        return self.coupling.apply_transpose(self.alpha_star(beta))
 
 
-def smoothed_penalty(spec, mu, num_features=None) -> SmoothedPenalty:
-    """Build a SmoothedPenalty from a penalty spec."""
+def smoothed_penalty(spec, mu, num_features=None, num_inputs=1) -> SmoothedPenalty:
+    """Build a SmoothedPenalty from a penalty spec.
+
+    For J x K matrix iterates pass ``num_features=K`` and ``num_inputs=J``:
+    the dual set holds one copy per input, so D is J times the vector bound.
+    """
     coupling = build_coupling(spec, num_features=num_features)
     kind = "group" if isinstance(spec, GroupPenaltySpec) else "graph"
     return SmoothedPenalty(
-        coupling=coupling, mu=mu, D=dual_domain_bound(spec), kind=kind
+        coupling=coupling, mu=mu, D=num_inputs * dual_domain_bound(spec), kind=kind
     )
 
 
@@ -192,13 +200,8 @@ def spectral_norm_power_iteration(
     if C.shape[0] == 0 or C.nnz == 0:
         return SpectralEstimate(0.0, 0, True)
     J = C.shape[1]
-    # the all-ones start lies in the nullspace of difference operators, so
-    # fall back through a fixed sequence of deterministic start vectors
-    starts = [
-        np.ones(J) / np.sqrt(J),
-        (-1.0) ** np.arange(J) / np.sqrt(J),
-        np.random.default_rng(0).standard_normal(J),
-    ]
+    # the all-ones start lies in the nullspace of difference operators
+    starts = power_iteration_starts(J)
     v = starts.pop(0)
     last = np.inf
     for it in range(1, max_iter + 1):

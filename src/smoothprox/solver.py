@@ -17,7 +17,6 @@ from typing import Callable
 import numpy as np
 
 from .losses import Dataset, LogisticLoss, SquaredLoss
-from .penalties import penalty_value
 from .smoothing import coupling_norm, dual_domain_bound, select_mu, smoothed_penalty
 
 
@@ -136,6 +135,7 @@ class SolverState:
     w: np.ndarray
     theta: float
     L: float
+    momentum: float = 0.0  # m in w = beta + m * (beta - beta_prev)
 
 
 def fista_step(state: SolverState, grad_fn: Callable, lam: float) -> SolverState:
@@ -152,25 +152,66 @@ def fista_step(state: SolverState, grad_fn: Callable, lam: float) -> SolverState
     momentum = (1.0 - state.theta) / state.theta * theta_next
     w_next = beta_next + momentum * (beta_next - state.beta)
     return SolverState(
-        t=state.t + 1, beta=beta_next, w=w_next, theta=theta_next, L=state.L
+        t=state.t + 1, beta=beta_next, w=w_next, theta=theta_next, L=state.L,
+        momentum=momentum,
     )
 
 
-def _resolve_smoothing(problem, config):
-    """Build the smoothed penalty (or None) and the step-size constant."""
-    penalty = problem.penalty
-    loss_L = problem.loss.lipschitz()
-    if penalty is None or penalty.gamma == 0.0:
-        # no structured term: plain FISTA on the loss with the l1 prox
-        return None, loss_L, None
-    D = dual_domain_bound(penalty)
-    if config.mu is not None:
-        mu = config.mu
-    else:
-        mu = select_mu(config.epsilon, D)
-    norm_c = coupling_norm(penalty, exact_graph=config.exact_graph_norm)
-    pen = smoothed_penalty(penalty, mu, num_features=problem.num_features)
-    return pen, total_lipschitz(loss_L, norm_c, mu), mu
+def _fista(loss, penalty, config, beta, num_features, num_inputs=1, header=None):
+    """The smoothing proximal gradient loop, for a 1-d beta or a J x K matrix.
+
+    Each iteration makes one loss product, at the new iterate; the product at
+    the momentum point ``w = beta + m (beta - beta_prev)`` is the same
+    combination of the last two products.  The loss value, the exact penalty
+    and the smoothed penalty at the new iterate come from that product and one
+    ``C beta``; the smoothed gradient at ``w`` costs ``C w`` and ``C^T alpha``.
+    Returns ``(beta, trace)``.
+    """
+    pen, L, mu = None, loss.lipschitz(), None
+    if penalty is not None and penalty.gamma != 0.0:
+        # the dual set holds one copy per input, so D scales with num_inputs
+        D = num_inputs * dual_domain_bound(penalty)
+        mu = config.mu if config.mu is not None else select_mu(config.epsilon, D)
+        pen = smoothed_penalty(penalty, mu, num_features, num_inputs)
+        L = total_lipschitz(L, coupling_norm(penalty, exact_graph=config.exact_graph_norm), mu)
+    if L <= 0:
+        raise SolverError("non-positive Lipschitz constant; nothing to optimize")
+    lam = config.lam
+    trace = Trace(header={
+        "mu": mu, "epsilon": config.epsilon, "L": L, "lam": lam,
+        "max_iter": config.max_iter, "rel_tol": config.rel_tol, **(header or {}),
+    })
+
+    def smooth_gradient(w):
+        g = loss.gradient_from(p_w)  # p_w is the loss product at w
+        return g if pen is None else g + pen.gradient(w)
+
+    state = SolverState(t=0, beta=beta, w=beta, theta=1.0, L=L)
+    p = p_w = loss.product(beta)
+    f_prev = None
+    start = time.perf_counter()
+    status = "max_iter"
+    for _ in range(config.max_iter):
+        state = fista_step(state, smooth_gradient, lam)
+        p_next = loss.product(state.beta)
+        p_w = p_next + state.momentum * (p_next - p)
+        p = p_next
+        loss_l1 = loss.value_from(state.beta, p) + lam * float(np.abs(state.beta).sum())
+        f0, f_mu = pen.values(state.beta) if pen is not None else (0.0, 0.0)
+        f = loss_l1 + f0
+        if not np.isfinite(f):
+            trace.status = "error"
+            raise SolverError(f"non-finite objective at iteration {state.t}")
+        if config.record_trace:
+            trace.record(state.t, f, loss_l1 + f_mu, time.perf_counter() - start)
+        if f_prev is not None:
+            if abs(f - f_prev) / max(1.0, abs(f_prev)) < config.rel_tol:
+                status = "converged"
+                break
+        f_prev = f
+    trace.status = status
+    trace.final_nnz = int(np.count_nonzero(state.beta))
+    return state.beta, trace
 
 
 def solve(problem: Problem, config: SolverConfig, beta0=None):
@@ -183,58 +224,7 @@ def solve(problem: Problem, config: SolverConfig, beta0=None):
     beta = np.zeros(J) if beta0 is None else np.asarray(beta0, dtype=float).copy()
     if beta.shape != (J,):
         raise ValueError(f"beta0 has shape {beta.shape}, expected ({J},)")
-
-    pen, L, mu = _resolve_smoothing(problem, config)
-    if L <= 0:
-        raise SolverError("non-positive Lipschitz constant; nothing to optimize")
-    lam = config.lam
-
-    def grad_fn(w):
-        g = problem.loss.gradient(w)
-        if pen is not None:
-            g = g + pen.gradient(w)
-        return g
-
-    def exact_objective(b, loss_value):
-        val = loss_value + lam * float(np.abs(b).sum())
-        if problem.penalty is not None and problem.penalty.gamma != 0.0:
-            val += penalty_value(problem.penalty, b)
-        return val
-
-    trace = Trace(
-        header={
-            "mu": mu,
-            "epsilon": config.epsilon,
-            "L": L,
-            "lam": lam,
-            "max_iter": config.max_iter,
-            "rel_tol": config.rel_tol,
-        }
-    )
-    state = SolverState(t=0, beta=beta, w=beta.copy(), theta=1.0, L=L)
-    f_prev = None
-    start = time.perf_counter()
-    status = "max_iter"
-    for _ in range(config.max_iter):
-        state = fista_step(state, grad_fn, lam)
-        loss_val = problem.loss.value(state.beta)
-        f = exact_objective(state.beta, loss_val)
-        if not np.isfinite(f):
-            trace.status = "error"
-            raise SolverError(f"non-finite objective at iteration {state.t}")
-        if config.record_trace:
-            f_smooth = loss_val + lam * float(np.abs(state.beta).sum())
-            if pen is not None:
-                f_smooth += pen.value(state.beta)
-            trace.record(state.t, f, f_smooth, time.perf_counter() - start)
-        if f_prev is not None:
-            if abs(f - f_prev) / max(1.0, abs(f_prev)) < config.rel_tol:
-                status = "converged"
-                break
-        f_prev = f
-    trace.status = status
-    trace.final_nnz = int(np.count_nonzero(state.beta))
-    return state.beta, trace
+    return _fista(problem.loss, problem.penalty, config, beta, J)
 
 
 def regularization_path(problem: Problem, lambdas, config: SolverConfig):

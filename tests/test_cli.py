@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import smoothprox
 from smoothprox import GroupPenaltySpec, penalty_to_json
 from smoothprox.cli import cli_main
 
@@ -195,3 +200,24 @@ class TestPathCommand:
             ]
         )
         assert rc == 1
+
+
+def test_threads_set_before_numpy_loads(tmp_path):
+    """``--threads`` sets the BLAS variables, and nothing loads numpy earlier."""
+    code = (
+        "import os, sys\n"
+        "from smoothprox.cli import cli_main\n"
+        "assert 'numpy' not in sys.modules, 'importing the CLI loaded numpy'\n"
+        "rc = cli_main(['--threads', '2', 'simulate', 'overlap', '--spec', sys.argv[1], '--out-dir', sys.argv[2]])\n"
+        "print(rc, 'numpy' in sys.modules, os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])\n"
+    )
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"num_groups": 2, "group_size": 5, "overlap": 1, "num_samples": 10}))
+    src = str(Path(smoothprox.__file__).resolve().parent.parent)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(spec), str(tmp_path / "instance")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.split()[-4:] == ["0", "True", "2", "2"]

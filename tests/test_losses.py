@@ -1,15 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from smoothprox import (
     Dataset,
     LogisticLoss,
+    Problem,
+    SolverConfig,
     SquaredLoss,
     logistic_loss,
     logistic_loss_lipschitz,
     squared_loss,
+    solve,
     squared_loss_lipschitz,
 )
+from smoothprox.losses import gram_lipschitz
 from conftest import central_difference_gradient
 
 
@@ -153,3 +159,30 @@ class TestLogisticLipschitz:
         assert logistic_loss_lipschitz(data) == pytest.approx(
             0.25 * squared_loss_lipschitz(data), rel=1e-12
         )
+
+
+class TestGramLipschitz:
+    def test_all_ones_start_in_null_space(self):
+        # X @ 1 = 0, so the all-ones power-iteration start vanishes at once
+        X = np.array([[1.0, -1.0], [2.0, -2.0], [0.5, -0.5]])
+        assert gram_lipschitz(X) == pytest.approx(10.5, rel=1e-9)
+        beta, trace = solve(
+            Problem.least_squares(X, np.array([1.0, 2.0, 0.5])), SolverConfig(lam=0.1, rel_tol=1e-12)
+        )
+        assert trace.status == "converged"
+        # the minimum-l1 lasso solution splits the fit 1 = beta_0 - beta_1
+        assert beta[0] - beta[1] == pytest.approx(1.0 - 0.1 / 5.25, rel=1e-6)
+
+
+def test_logistic_gradient_does_not_copy_design(rng):
+    X = rng.standard_normal((2000, 500))
+    y = np.where(rng.random(2000) < 0.5, -1.0, 1.0)
+    loss = LogisticLoss(Dataset(X, y))
+    beta = 0.01 * rng.standard_normal(500)
+    tracemalloc.start()
+    try:
+        loss.gradient(beta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < X.nbytes / 2
