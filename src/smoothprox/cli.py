@@ -233,11 +233,10 @@ def _cmd_path(args):
     penalty = _load_penalty(args.penalty, args.gamma) if args.penalty else None
     lambdas = [float(s) for s in args.lambdas.split(",") if s.strip()]
     problem = Problem.least_squares(X, y[:, 0], penalty)
-    config = SolverConfig(lam=lambdas[0], mu=args.mu,
-                          max_iter=args.max_iter, rel_tol=args.rel_tol)
+    config = SolverConfig(mu=args.mu, max_iter=args.max_iter, rel_tol=args.rel_tol)
+    results = regularization_path(problem, lambdas, config)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    results = regularization_path(problem, lambdas, config)
     summary = []
     for i, (lam, beta, trace) in enumerate(results):
         _save_matrix(out / f"beta_{i:03d}.csv", beta[:, None])

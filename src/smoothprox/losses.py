@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg.blas import dsymv
 from scipy.special import expit
 
 #: Precompute X^T X automatically up to this many features.
@@ -54,46 +55,62 @@ class Dataset:
         return self.X.shape[1]
 
 
-def power_iteration_starts(J):
-    """Deterministic power-iteration starts, tried in turn while the iterate
-    vanishes: all-ones, alternating signs, then a seeded Gaussian."""
-    return [
+class SpectralEstimate(NamedTuple):
+    value: float
+    iterations: int
+    converged: bool
+
+
+def power_iteration(matvec, J, tol, max_iter) -> SpectralEstimate:
+    """Largest eigenvalue of a symmetric positive semi-definite J x J operator
+    ``v -> matvec(v)``, flagged as approximate unless its relative change
+    falls to ``tol`` within ``max_iter`` steps.
+
+    While the iterate vanishes it moves on to the next deterministic start:
+    all-ones (in the null space of a difference operator, or of X when
+    X @ 1 = 0), alternating signs, then a seeded Gaussian.
+    """
+    starts = [
         np.ones(J) / np.sqrt(J),
         (-1.0) ** np.arange(J) / np.sqrt(J),
         np.random.default_rng(0).standard_normal(J),
     ]
-
-
-def gram_lipschitz(X, tol=1e-6, max_iter=1000) -> float:
-    """Largest eigenvalue of X^T X via power iteration.
-
-    Falls back to the (always valid) squared Frobenius norm upper bound if
-    the iteration has not converged, with a warning.
-    """
-    X = np.asarray(X, dtype=float)
-    starts = power_iteration_starts(X.shape[1])
     v = starts.pop(0)
     last = np.inf
-    for _ in range(max_iter):
-        w = X.T @ (X @ v)
+    for it in range(1, max_iter + 1):
+        w = matvec(v)
         norm = np.linalg.norm(w)
         if norm == 0.0:
-            # the start lies in the null space of X (X @ 1 = 0 for one)
             if not starts:
-                return 0.0
+                return SpectralEstimate(0.0, it, True)
             v = starts.pop(0)
             continue
         v = w / norm
         if abs(norm - last) <= tol * max(1.0, norm):
-            return float(norm)
+            return SpectralEstimate(float(norm), it, True)
         last = norm
-    frob = float(np.sum(X * X))
+    return SpectralEstimate(float(last), max_iter, False)
+
+
+def _gram_eigenvalue(matvec, X, tol=1e-6, max_iter=1000) -> float:
+    """Largest eigenvalue of X^T X (``matvec(v) = X^T X v``), or the always
+    valid squared Frobenius norm bound, with a warning, if not converged."""
+    est = power_iteration(matvec, X.shape[1], tol, max_iter)
+    if est.converged:
+        return est.value
     warnings.warn(
         "power iteration for the gradient Lipschitz constant did not "
         "converge; using the Frobenius upper bound",
         RuntimeWarning,
     )
-    return frob
+    return float(np.sum(X * X))
+
+
+def gram_lipschitz(X, tol=1e-6, max_iter=1000) -> float:
+    """Largest eigenvalue of X^T X via power iteration through X (two passes
+    per step), or the squared Frobenius norm if it has not converged."""
+    X = np.asarray(X, dtype=float)
+    return _gram_eigenvalue(lambda v: X.T @ (X @ v), X, tol, max_iter)
 
 
 class _ProductLoss:
@@ -129,7 +146,9 @@ class SquaredLoss(_ProductLoss):
             precompute = X.shape[1] <= PRECOMPUTE_MAX_FEATURES
         self.precompute = bool(precompute)
         if self.precompute:
-            self._XtX = X.T @ X
+            # numpy forms X^T X exactly symmetric, so this is the same matrix,
+            # F-ordered: dsymv copies a C-ordered one before reading it
+            self._XtX = (X.T @ X).T
             self._Xty = X.T @ y
             self._yty = float(np.vdot(y, y))
         self._lipschitz = None
@@ -139,7 +158,13 @@ class SquaredLoss(_ProductLoss):
         return self.X.shape[1]
 
     def product(self, beta) -> np.ndarray:
-        return self._XtX @ beta if self.precompute else self.X @ beta
+        if not self.precompute:
+            return self.X @ beta
+        return self._gram_vector_product(beta) if np.ndim(beta) == 1 else self._XtX @ beta
+
+    def _gram_vector_product(self, v) -> np.ndarray:
+        """``X^T X v`` for a 1-d v, read off one triangle of the Gram."""
+        return dsymv(1.0, self._XtX, v)
 
     def value_from(self, beta, p) -> float:
         """Loss value at beta, given ``p = product(beta)``."""
@@ -154,7 +179,10 @@ class SquaredLoss(_ProductLoss):
 
     def lipschitz(self) -> float:
         if self._lipschitz is None:
-            self._lipschitz = gram_lipschitz(self.X)
+            self._lipschitz = (
+                _gram_eigenvalue(self._gram_vector_product, self.X) if self.precompute
+                else gram_lipschitz(self.X)
+            )
         return self._lipschitz
 
 

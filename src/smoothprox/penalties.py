@@ -130,6 +130,8 @@ class CouplingMatrix:
     row_blocks: tuple | None = None
 
     def __post_init__(self):
+        # scipy builds a new CSC matrix (sharing C's arrays) on every ``.T``
+        object.__setattr__(self, "_transpose", self.matrix.T)
         blocks = self.row_blocks or ()
         object.__setattr__(self, "_starts", np.array([a for a, _ in blocks], dtype=np.int64))
         object.__setattr__(self, "_sizes", np.array([b - a for a, b in blocks], dtype=np.int64))
@@ -140,7 +142,7 @@ class CouplingMatrix:
 
     def apply_transpose(self, alpha) -> np.ndarray:
         """``C^T alpha``, shaped like the iterate."""
-        return (self.matrix.T @ alpha).T
+        return (self._transpose @ alpha).T
 
     def block_norms(self, z, out=None) -> np.ndarray:
         """l2 norm of each row block of ``z = C beta`` along axis 0 (of each
@@ -274,7 +276,7 @@ def coupling_apply_transpose(coupling: CouplingMatrix, alpha) -> np.ndarray:
         raise StructureError(
             f"auxiliary vector has shape {alpha.shape}, expected ({coupling.rows},)"
         )
-    return coupling.matrix.T @ alpha
+    return coupling.apply_transpose(alpha)
 
 
 def build_coupling(spec, num_features=None) -> CouplingMatrix:

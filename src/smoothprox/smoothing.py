@@ -11,11 +11,10 @@ group penalties, entrywise clipping to [-1, 1] for graph penalties.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .losses import power_iteration_starts
+from .losses import SpectralEstimate, power_iteration
 from .penalties import (
     CouplingMatrix,
     GraphPenaltySpec,
@@ -181,40 +180,15 @@ def coupling_norm(spec, exact_graph=False) -> float:
     raise StructureError(f"unknown penalty spec type {type(spec).__name__}")
 
 
-class SpectralEstimate(NamedTuple):
-    value: float
-    iterations: int
-    converged: bool
-
-
 def spectral_norm_power_iteration(
     coupling: CouplingMatrix, tol=1e-8, max_iter=5000
 ) -> SpectralEstimate:
-    """Largest singular value of C via power iteration on C^T C.
-
-    Starts from the normalized all-ones vector for reproducibility.  If the
-    relative change in the estimate has not dropped below ``tol`` within
-    ``max_iter`` iterations the result is flagged as approximate.
-    """
-    C = coupling.matrix
-    if C.shape[0] == 0 or C.nnz == 0:
+    """Largest singular value of C: the square root of the largest eigenvalue
+    of C^T C by ``power_iteration``, flagged as approximate unless the
+    eigenvalue's relative change falls to ``tol`` within ``max_iter`` steps."""
+    if coupling.rows == 0 or coupling.nnz == 0:
         return SpectralEstimate(0.0, 0, True)
-    J = C.shape[1]
-    # the all-ones start lies in the nullspace of difference operators
-    starts = power_iteration_starts(J)
-    v = starts.pop(0)
-    last = np.inf
-    for it in range(1, max_iter + 1):
-        w = C.T @ (C @ v)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            if starts:
-                v = starts.pop(0)
-                continue
-            return SpectralEstimate(0.0, it, True)
-        v = w / norm
-        est = np.sqrt(norm)
-        if abs(est - last) <= tol * max(1.0, abs(est)):
-            return SpectralEstimate(float(est), it, True)
-        last = est
-    return SpectralEstimate(float(last), max_iter, False)
+    est = power_iteration(
+        lambda v: coupling.apply_transpose(coupling.apply(v)), coupling.cols, tol, max_iter
+    )
+    return est._replace(value=float(np.sqrt(est.value)))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -234,20 +234,13 @@ def regularization_path(problem: Problem, lambdas, config: SolverConfig):
     previous solution.
     """
     lambdas = [float(l) for l in lambdas]
+    if not lambdas:
+        raise ValueError("at least one lambda is required")
     if any(b >= a for a, b in zip(lambdas, lambdas[1:])):
         raise ValueError("lambda sequence must be strictly descending")
     results = []
     beta = None
     for lam in lambdas:
-        cfg = SolverConfig(
-            lam=lam,
-            epsilon=config.epsilon,
-            mu=config.mu,
-            max_iter=config.max_iter,
-            rel_tol=config.rel_tol,
-            record_trace=config.record_trace,
-            exact_graph_norm=config.exact_graph_norm,
-        )
-        beta, trace = solve(problem, cfg, beta0=beta)
+        beta, trace = solve(problem, replace(config, lam=lam), beta0=beta)
         results.append((lam, beta, trace))
     return results

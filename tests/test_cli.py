@@ -221,3 +221,19 @@ def test_threads_set_before_numpy_loads(tmp_path):
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.split()[-4:] == ["0", "True", "2", "2"]
+
+
+def test_path_without_lambdas_fails_cleanly(toy_instance, capsys):
+    out = toy_instance / "p"
+    rc = cli_main(
+        [
+            "path",
+            "--x", str(toy_instance / "X.csv"),
+            "--y", str(toy_instance / "y.csv"),
+            "--lambdas", "",
+            "--out-dir", str(out),
+        ]
+    )
+    assert rc == 1
+    assert "error: at least one lambda is required" in capsys.readouterr().err
+    assert not out.exists()

@@ -16,6 +16,7 @@ from smoothprox import (
     squared_loss_lipschitz,
 )
 from smoothprox.losses import gram_lipschitz
+from smoothprox.losses import power_iteration
 from conftest import central_difference_gradient
 
 
@@ -186,3 +187,68 @@ def test_logistic_gradient_does_not_copy_design(rng):
     finally:
         tracemalloc.stop()
     assert peak < X.nbytes / 2
+
+
+class TestHalfGramProduct:
+    """The vector Gram product reads one triangle of an F-ordered Gram in
+    place; J x K iterates keep the general product."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_gram_is_fortran_ordered(self, rng, order):
+        X = np.asarray(rng.standard_normal((30, 8)), order=order)
+        loss = SquaredLoss(Dataset(X, rng.standard_normal(30)), precompute=True)
+        assert loss._XtX.flags.f_contiguous
+
+    def test_vector_product_does_not_copy_gram(self, rng):
+        J = 600
+        X = rng.standard_normal((50, J))
+        loss = SquaredLoss(Dataset(X, rng.standard_normal(50)), precompute=True)
+        v = rng.standard_normal(J)
+        tracemalloc.start()
+        try:
+            loss.product(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < J * J * 8 / 2
+
+    @pytest.mark.parametrize("shape", [(7,), (7, 3)], ids=["vector", "matrix"])
+    def test_product_matches_two_passes(self, rng, shape):
+        X = rng.standard_normal((20, 7))
+        loss = SquaredLoss(Dataset(X, rng.standard_normal(20)), precompute=True)
+        beta = rng.standard_normal(shape)
+        expected = X.T @ (X @ beta)
+        got = loss.product(beta)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gram_lipschitz_matches_two_pass(self, seed):
+        X = np.random.default_rng(seed).standard_normal((40, 15))
+        loss = SquaredLoss(Dataset(X, np.zeros(40)), precompute=True)
+        assert loss.lipschitz() == pytest.approx(gram_lipschitz(X), rel=1e-12)
+
+    def test_gram_lipschitz_all_ones_start_in_null_space(self):
+        X = np.array([[1.0, -1.0], [2.0, -2.0], [0.5, -0.5]])
+        loss = SquaredLoss(Dataset(X, np.ones(3)), precompute=True)
+        assert loss.lipschitz() == pytest.approx(gram_lipschitz(X), rel=1e-12)
+        assert loss.lipschitz() == pytest.approx(10.5, rel=1e-12)
+
+
+class TestPowerIteration:
+    def test_diagonal_operator(self):
+        d = np.array([3.0, 1.0, 0.5])
+        est = power_iteration(lambda v: d * v, 3, tol=1e-12, max_iter=1000)
+        assert est.converged
+        assert est.value == pytest.approx(3.0, rel=1e-10)
+        assert 1 < est.iterations < 1000
+
+    def test_zero_operator(self):
+        est = power_iteration(lambda v: 0.0 * v, 4, tol=1e-6, max_iter=10)
+        # every start vanishes: all three are tried, then 0 is exact
+        assert est == (0.0, 3, True)
+
+    def test_nonconvergence_flagged(self):
+        d = np.array([1.0, 0.999])
+        est = power_iteration(lambda v: d * v, 2, tol=0.0, max_iter=3)
+        assert not est.converged and est.iterations == 3

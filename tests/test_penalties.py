@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from smoothprox import (
     GraphPenaltySpec,
     GroupPenaltySpec,
+    Problem,
+    SolverConfig,
     StructureError,
     build_graph_coupling,
     build_group_coupling,
@@ -16,6 +19,7 @@ from smoothprox import (
     penalty_to_json,
     penalty_value_graph,
     penalty_value_group,
+    solve,
 )
 from conftest import random_graph_spec, random_group_spec
 
@@ -239,3 +243,24 @@ class TestJsonRoundTrip:
 
         doc = json.loads(penalty_to_json(two_group_spec()))
         assert doc["groups"] == [[1, 2], [2, 3]]
+
+
+class TestCachedTranspose:
+    @pytest.mark.parametrize("max_iter", [5, 25])
+    def test_solve_builds_a_fixed_number_of_sparse_matrices(self, rng, max_iter):
+        X = rng.standard_normal((30, 6))
+        problem = Problem.least_squares(X, rng.standard_normal(30), two_group_spec())
+        config = SolverConfig(lam=0.1, mu=0.05, max_iter=max_iter, rel_tol=1e-300)
+        built = []
+        init = sp.csc_matrix.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sp.csc_matrix, "__init__", counted)
+            _, trace = solve(problem, config)
+        assert len(trace) == max_iter
+        # C^T once per coupling, not once per iteration
+        assert len(built) <= 2

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from smoothprox import (
+    GraphPenaltySpec,
     GroupPenaltySpec,
     Problem,
     SolverConfig,
@@ -251,3 +252,26 @@ class TestRegularizationPath:
         prob = Problem.least_squares(np.eye(2), np.ones(2))
         with pytest.raises(ValueError):
             regularization_path(prob, [1.0, 1.0], SolverConfig(lam=1.0))
+
+
+class TestRegularizationPathConfig:
+    def test_empty_lambdas_rejected(self):
+        prob = Problem.least_squares(np.eye(2), np.ones(2))
+        with pytest.raises(ValueError, match="at least one lambda is required"):
+            regularization_path(prob, [], SolverConfig())
+
+    def test_every_field_reaches_every_solve(self, rng):
+        X = rng.standard_normal((20, 4))
+        spec = GraphPenaltySpec(num_nodes=4, edges=((0, 1, 0.8), (1, 2, -0.5), (2, 3, 0.3)), gamma=1.0)
+        prob = Problem.least_squares(X, rng.standard_normal(20), spec)
+        config = SolverConfig(mu=1e-2, max_iter=7, rel_tol=1e-300, record_trace=False, exact_graph_norm=True)
+        results = regularization_path(prob, [2.0, 1.0, 0.5], config)
+        _, exact = solve(prob, SolverConfig(lam=2.0, mu=1e-2, max_iter=1, exact_graph_norm=True))
+        _, bound = solve(prob, SolverConfig(lam=2.0, mu=1e-2, max_iter=1))
+        assert exact.header["L"] < bound.header["L"]
+        for lam, _, trace in results:
+            assert trace.header["lam"] == lam
+            assert trace.header["max_iter"] == 7 and trace.header["mu"] == 1e-2
+            assert trace.header["L"] == exact.header["L"]
+            assert len(trace) == 0  # record_trace=False
+            assert trace.status == "max_iter"
