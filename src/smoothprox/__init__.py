@@ -18,17 +18,12 @@ _EXPORTS = {
     "losses": (
         "Dataset",
         "LogisticLoss",
-        "LossEvaluation",
         "SquaredLoss",
-        "logistic_loss",
         "logistic_loss_lipschitz",
-        "squared_loss",
         "squared_loss_lipschitz",
     ),
     "multivariate": (
         "MultiProblem",
-        "SmoothedMatrixPenalty",
-        "multi_alpha_star",
         "multi_penalty_value",
         "solve_multivariate",
     ),
@@ -59,12 +54,6 @@ _EXPORTS = {
     ),
     "smoothing": (
         "SmoothedPenalty",
-        "alpha_star_graph",
-        "alpha_star_group",
-        "coupling_norm",
-        "coupling_norm_graph_bound",
-        "coupling_norm_group",
-        "dual_domain_bound",
         "select_mu",
         "smoothed_penalty",
         "spectral_norm_power_iteration",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .penalties import build_coupling
-from .solver import Problem, SolverError, Trace, soft_threshold
+from .solver import Problem, SolverError, Trace, _initial_beta, soft_threshold
 
 
 @dataclass
@@ -60,7 +60,7 @@ def solve_fobos(problem: Problem, config: FobosConfig, beta0=None):
     ``C beta``.
     """
     J = problem.num_features
-    beta = np.zeros(J) if beta0 is None else np.asarray(beta0, dtype=float).copy()
+    beta = _initial_beta(beta0, J)
     lam = config.lam
     loss = problem.loss
     coupling = None

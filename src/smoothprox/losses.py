@@ -20,11 +20,6 @@ from scipy.special import expit
 PRECOMPUTE_MAX_FEATURES = 4096
 
 
-class LossEvaluation(NamedTuple):
-    value: float
-    gradient: np.ndarray
-
-
 @dataclass(frozen=True)
 class Dataset:
     """Design matrix and response. Logistic labels must be in {-1, +1}."""
@@ -125,9 +120,6 @@ class _ProductLoss:
     def gradient(self, beta) -> np.ndarray:
         return self.gradient_from(self.product(np.asarray(beta, dtype=float)))
 
-    def evaluate(self, beta) -> LossEvaluation:
-        return LossEvaluation(self.value(beta), self.gradient(beta))
-
 
 class SquaredLoss(_ProductLoss):
     """g(beta) = 0.5 * ||y - X beta||^2 with gradient X^T (X beta - y).
@@ -223,16 +215,8 @@ class LogisticLoss(_ProductLoss):
         return self._lipschitz
 
 
-def squared_loss(data: Dataset, beta) -> LossEvaluation:
-    return SquaredLoss(data, precompute=False).evaluate(beta)
-
-
 def squared_loss_lipschitz(data: Dataset, precompute=None) -> float:
     return SquaredLoss(data, precompute=precompute).lipschitz()
-
-
-def logistic_loss(data: Dataset, beta) -> LossEvaluation:
-    return LogisticLoss(data).evaluate(beta)
 
 
 def logistic_loss_lipschitz(data: Dataset) -> float:

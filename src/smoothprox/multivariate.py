@@ -22,7 +22,6 @@ import numpy as np
 
 from .losses import SquaredLoss
 from .penalties import GraphPenaltySpec, GroupPenaltySpec, StructureError
-from .smoothing import smoothed_penalty
 from .solver import SolverConfig, _fista
 
 
@@ -44,18 +43,11 @@ class MultiProblem:
                 f"X has {X.shape[0]} samples but Y has {Y.shape[0]}"
             )
         if self.penalty is not None:
-            K = Y.shape[1]
-            if isinstance(self.penalty, GroupPenaltySpec):
-                self.penalty.validate_against(K)
-            elif isinstance(self.penalty, GraphPenaltySpec):
-                if self.penalty.num_nodes != K:
-                    raise StructureError(
-                        "graph penalty node count does not match output count"
-                    )
-            else:
+            if not isinstance(self.penalty, (GroupPenaltySpec, GraphPenaltySpec)):
                 raise StructureError(
                     f"unknown penalty spec type {type(self.penalty).__name__}"
                 )
+            self.penalty.validate_against(Y.shape[1])
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
 
@@ -93,28 +85,6 @@ def multi_penalty_value(problem: MultiProblem, B) -> float:
     for m, l, r in spec.edges:
         total += abs(r) * float(np.abs(B[:, m] - np.sign(r) * B[:, l]).sum())
     return spec.gamma * total
-
-
-class SmoothedMatrixPenalty:
-    """Smoothed output-side penalty over J x K coefficient matrices.
-
-    ``bind(K)`` returns the SmoothedPenalty on the output-side coupling; its
-    auxiliary matrix lives in (coupling rows) x J, one vector-case auxiliary
-    variable per input, so the dual bound is J * (vector-case bound).
-    """
-
-    def __init__(self, spec, num_inputs, mu):
-        if mu <= 0:
-            raise ValueError("mu must be positive")
-        self.spec, self.num_inputs, self.mu = spec, int(num_inputs), float(mu)
-
-    def bind(self, num_outputs):
-        return smoothed_penalty(self.spec, self.mu, num_outputs, self.num_inputs)
-
-
-def multi_alpha_star(problem: MultiProblem, mu, B) -> np.ndarray:
-    pen = SmoothedMatrixPenalty(problem.penalty, problem.num_features, mu)
-    return pen.bind(problem.num_outputs).alpha_star(B)
 
 
 class _FrobeniusLoss(SquaredLoss):

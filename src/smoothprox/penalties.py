@@ -8,9 +8,10 @@ Two penalty families are supported:
   sign(r_ml) * beta_l|`` over weighted, signed edges.
 
 Both can be written as ``max_{alpha in Q} alpha^T C beta`` for a sparse
-coupling matrix ``C``; this module builds ``C`` and evaluates the exact
-(non-smoothed) penalty values.  All indices are 0-based in memory; the JSON
-file format uses 1-based indices.
+coupling matrix ``C``; this module builds ``C``, reads the constants the
+smoothing needs off it (``D`` and a bound on ``||C||``), and evaluates the
+exact (non-smoothed) penalty values.  All indices are 0-based in memory; the
+JSON file format uses 1-based indices.
 """
 
 from __future__ import annotations
@@ -113,6 +114,12 @@ class GraphPenaltySpec:
         if self.gamma < 0:
             raise StructureError("gamma must be non-negative")
 
+    def validate_against(self, num_features):
+        if num_features != self.num_nodes:
+            raise StructureError(
+                f"graph penalty has {self.num_nodes} nodes, expected {num_features}"
+            )
+
 
 @dataclass(frozen=True)
 class CouplingMatrix:
@@ -174,6 +181,25 @@ class CouplingMatrix:
         value = float(norms.sum())
         norms[norms == 0.0] = 1.0  # the block of z is zero there
         return value, self.apply_transpose(self.divide_blocks(z, norms))
+
+    @property
+    def dual_bound(self) -> float:
+        """``D = max_{alpha in Q} ||alpha||^2 / 2``: half the number of unit
+        balls in Q, one per row block (per row when there are no blocks)."""
+        return (self.rows if self.row_blocks is None else len(self.row_blocks)) / 2.0
+
+    @property
+    def norm_bound(self) -> float:
+        """Upper bound on ``||C||``: sqrt(max row nnz * max column sum of c^2),
+        by Cauchy-Schwarz on each row.  Exact for groups, where each row has
+        one non-zero and ``C^T C`` is diagonal; ``gamma sqrt(2 max_j d_j)`` on
+        a graph, with d_j the tau^2-weighted degree of node j."""
+        if self.nnz == 0:
+            return 0.0
+        m = self.matrix  # read through its arrays: it may be a stand-in
+        row_nnz = np.diff(m.indptr).max()
+        col_sq = np.bincount(m.indices, weights=np.square(m.data), minlength=self.cols).max()
+        return float(np.sqrt(row_nnz * col_sq))
 
     @property
     def rows(self):
@@ -280,12 +306,15 @@ def coupling_apply_transpose(coupling: CouplingMatrix, alpha) -> np.ndarray:
 
 
 def build_coupling(spec, num_features=None) -> CouplingMatrix:
-    """Build the coupling matrix for either penalty family."""
+    """Build the coupling matrix for either penalty family; ``num_features``,
+    when given, must match a graph's node count."""
     if isinstance(spec, GroupPenaltySpec):
         if num_features is None:
             raise StructureError("num_features is required for group penalties")
         return build_group_coupling(spec, num_features)
     if isinstance(spec, GraphPenaltySpec):
+        if num_features is not None:
+            spec.validate_against(num_features)
         return build_graph_coupling(spec)
     raise StructureError(f"unknown penalty spec type {type(spec).__name__}")
 

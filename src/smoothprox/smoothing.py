@@ -15,13 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import SpectralEstimate, power_iteration
-from .penalties import (
-    CouplingMatrix,
-    GraphPenaltySpec,
-    GroupPenaltySpec,
-    StructureError,
-    build_coupling,
-)
+from .penalties import CouplingMatrix, build_coupling
 
 #: Lower clamp on the smoothness parameter; avoids 1/mu blow-ups when a tiny
 #: target accuracy is combined with a small dual-domain bound.
@@ -29,19 +23,6 @@ MU_FLOOR = 1e-12
 
 #: Smoothness parameter used when no target accuracy is supplied.
 DEFAULT_MU = 1e-4
-
-
-def dual_domain_bound(spec) -> float:
-    """Maximum of ||alpha||^2 / 2 over the dual feasible set.
-
-    Equals (number of groups)/2 for group penalties (product of unit balls)
-    and (number of edges)/2 for graph penalties (l-infinity box).
-    """
-    if isinstance(spec, GroupPenaltySpec):
-        return len(spec.groups) / 2.0
-    if isinstance(spec, GraphPenaltySpec):
-        return len(spec.edges) / 2.0
-    raise StructureError(f"unknown penalty spec type {type(spec).__name__}")
 
 
 def select_mu(epsilon=None, D=None) -> float:
@@ -75,15 +56,10 @@ class SmoothedPenalty:
     coupling: CouplingMatrix
     mu: float
     D: float
-    kind: str  # "group" | "graph"
 
     def __post_init__(self):
         if self.mu <= 0:
             raise ValueError("mu must be positive")
-        if self.kind not in ("group", "graph"):
-            raise ValueError(f"unknown penalty kind {self.kind!r}")
-        if self.kind == "group" and self.coupling.row_blocks is None:
-            raise StructureError("group smoothing requires row blocks")
 
     def alpha_star(self, beta) -> np.ndarray:
         """Closed-form maximizer of the smoothed dual problem at beta: the
@@ -112,72 +88,16 @@ class SmoothedPenalty:
         return self.coupling.apply_transpose(self.alpha_star(beta))
 
 
-def smoothed_penalty(spec, mu, num_features=None, num_inputs=1) -> SmoothedPenalty:
-    """Build a SmoothedPenalty from a penalty spec.
+def smoothed_penalty(spec, mu, num_features=None, num_inputs=1, epsilon=None) -> SmoothedPenalty:
+    """Build a SmoothedPenalty from a penalty spec; ``mu=None`` takes
+    ``select_mu(epsilon, D)``.
 
     For J x K matrix iterates pass ``num_features=K`` and ``num_inputs=J``:
     the dual set holds one copy per input, so D is J times the vector bound.
     """
     coupling = build_coupling(spec, num_features=num_features)
-    kind = "group" if isinstance(spec, GroupPenaltySpec) else "graph"
-    return SmoothedPenalty(
-        coupling=coupling, mu=mu, D=num_inputs * dual_domain_bound(spec), kind=kind
-    )
-
-
-def alpha_star_group(spec: GroupPenaltySpec, mu, beta, num_features=None) -> np.ndarray:
-    """Per-group l2-ball projection of gamma * w_g * beta_g / mu."""
-    beta = np.asarray(beta, dtype=float)
-    J = beta.shape[0] if num_features is None else num_features
-    return smoothed_penalty(spec, mu, num_features=J).alpha_star(beta)
-
-
-def alpha_star_graph(spec: GraphPenaltySpec, mu, beta) -> np.ndarray:
-    """Entrywise clip of C beta / mu to [-1, 1]."""
-    return smoothed_penalty(spec, mu).alpha_star(beta)
-
-
-def coupling_norm_group(spec: GroupPenaltySpec) -> float:
-    """Exact operator norm of the group coupling matrix.
-
-    Because each row has a single non-zero, ||C|| is gamma times the largest
-    root-sum-of-squares of weights over the groups containing any one index.
-    """
-    per_index = {}
-    for g, w in zip(spec.groups, spec.weights):
-        for j in g:
-            per_index[j] = per_index.get(j, 0.0) + w * w
-    return spec.gamma * float(np.sqrt(max(per_index.values())))
-
-
-def coupling_norm_graph_bound(spec: GraphPenaltySpec) -> float:
-    """Tight upper bound on the graph coupling norm.
-
-    ``sqrt(2 gamma^2 max_j d_j)`` with ``d_j`` the tau^2-weighted degree of
-    node j; for unit weights d_j is just the degree.
-    """
-    degrees = np.zeros(spec.num_nodes)
-    for m, l, r in spec.edges:
-        tau2 = r * r
-        degrees[m] += tau2
-        degrees[l] += tau2
-    return spec.gamma * float(np.sqrt(2.0 * degrees.max())) if spec.edges else 0.0
-
-
-def coupling_norm(spec, exact_graph=False) -> float:
-    """Operator norm of the coupling matrix for either penalty family.
-
-    For graphs, returns the closed-form upper bound by default (keeps the
-    step-size guarantee conservative); set ``exact_graph`` for a power
-    iteration estimate.
-    """
-    if isinstance(spec, GroupPenaltySpec):
-        return coupling_norm_group(spec)
-    if isinstance(spec, GraphPenaltySpec):
-        if exact_graph:
-            return spectral_norm_power_iteration(build_coupling(spec)).value
-        return coupling_norm_graph_bound(spec)
-    raise StructureError(f"unknown penalty spec type {type(spec).__name__}")
+    D = num_inputs * coupling.dual_bound
+    return SmoothedPenalty(coupling=coupling, mu=select_mu(epsilon, D) if mu is None else mu, D=D)
 
 
 def spectral_norm_power_iteration(

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .losses import Dataset, LogisticLoss, SquaredLoss
-from .smoothing import coupling_norm, dual_domain_bound, select_mu, smoothed_penalty
+from .smoothing import smoothed_penalty
 
 
 class SolverError(RuntimeError):
@@ -52,7 +52,6 @@ class SolverConfig:
     max_iter: int = 20000
     rel_tol: float = 1e-6
     record_trace: bool = True
-    exact_graph_norm: bool = False
 
     def __post_init__(self):
         if self.lam < 0:
@@ -169,11 +168,9 @@ def _fista(loss, penalty, config, beta, num_features, num_inputs=1, header=None)
     """
     pen, L, mu = None, loss.lipschitz(), None
     if penalty is not None and penalty.gamma != 0.0:
-        # the dual set holds one copy per input, so D scales with num_inputs
-        D = num_inputs * dual_domain_bound(penalty)
-        mu = config.mu if config.mu is not None else select_mu(config.epsilon, D)
-        pen = smoothed_penalty(penalty, mu, num_features, num_inputs)
-        L = total_lipschitz(L, coupling_norm(penalty, exact_graph=config.exact_graph_norm), mu)
+        pen = smoothed_penalty(penalty, config.mu, num_features, num_inputs, config.epsilon)
+        mu = pen.mu
+        L = total_lipschitz(L, pen.coupling.norm_bound, mu)
     if L <= 0:
         raise SolverError("non-positive Lipschitz constant; nothing to optimize")
     lam = config.lam
@@ -221,10 +218,15 @@ def solve(problem: Problem, config: SolverConfig, beta0=None):
     objective drops below ``rel_tol`` or ``max_iter`` is reached.
     """
     J = problem.num_features
+    return _fista(problem.loss, problem.penalty, config, _initial_beta(beta0, J), J)
+
+
+def _initial_beta(beta0, J) -> np.ndarray:
+    """A copy of the starting point ``beta0``, zeros when it is None."""
     beta = np.zeros(J) if beta0 is None else np.asarray(beta0, dtype=float).copy()
     if beta.shape != (J,):
         raise ValueError(f"beta0 has shape {beta.shape}, expected ({J},)")
-    return _fista(problem.loss, problem.penalty, config, beta, J)
+    return beta
 
 
 def regularization_path(problem: Problem, lambdas, config: SolverConfig):

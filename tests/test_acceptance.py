@@ -85,15 +85,15 @@ def test_03_norm_constants():
         spec = random_group_spec(rng, num_features=int(rng.integers(3, 12)))
         J = max(max(g) for g in spec.groups) + 1
         est = spx.spectral_norm_power_iteration(spx.build_coupling(spec, J))
-        closed = spx.coupling_norm_group(spec)
+        closed = spx.build_coupling(spec, J).norm_bound
         ok &= abs(closed - est.value) <= 1e-6 * max(1.0, est.value)
     for _ in range(50):
         spec = random_graph_spec(rng, num_nodes=int(rng.integers(3, 12)))
         est = spx.spectral_norm_power_iteration(spx.build_coupling(spec))
-        ok &= spx.coupling_norm_graph_bound(spec) >= est.value - 1e-6
+        ok &= spx.build_coupling(spec).norm_bound >= est.value - 1e-6
     single = spx.GraphPenaltySpec(num_nodes=2, edges=((0, 1, 1.0),), gamma=1.5)
     exact = np.linalg.svd(spx.build_coupling(single).toarray(), compute_uv=False)[0]
-    ok &= abs(spx.coupling_norm_graph_bound(single) - exact) <= 1e-6
+    ok &= abs(spx.build_coupling(single).norm_bound - exact) <= 1e-6
     _report("03 norm-constants", ok)
 
 
@@ -258,8 +258,8 @@ def test_07_iteration_bound():
     )
     prob = spx.Problem.least_squares(X, y, spec)
     lam = 0.5
-    D = spx.dual_domain_bound(spec)
-    norm_c = spx.coupling_norm_group(spec)
+    coupling = spx.build_coupling(spec, 20)
+    D, norm_c = coupling.dual_bound, coupling.norm_bound
     loss_L = prob.loss.lipschitz()
 
     beta_ref, _ = spx.solve(
@@ -310,7 +310,7 @@ def test_08_multivariate_reduction():
     X = rng.standard_normal((N, J))
     Y = rng.standard_normal((N, K))
     spec = spx.GroupPenaltySpec.with_unit_weights(((0, 1), (1, 2)), 1.0)
-    pen = spx.SmoothedMatrixPenalty(spec, J, 0.1).bind(K)
+    pen = spx.smoothed_penalty(spec, 0.1, K, J)
     h_value = lambda v: (
         0.5 * np.sum((X @ v.reshape(J, K) - Y) ** 2) + pen.value(v.reshape(J, K))
     )

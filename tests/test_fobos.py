@@ -7,6 +7,7 @@ from smoothprox import (
     GroupPenaltySpec,
     Problem,
     SolverConfig,
+    StructureError,
     default_c,
     penalty_subgradient,
     penalty_value,
@@ -133,3 +134,22 @@ class TestSolveFobos:
     def test_invalid_step_scale(self):
         with pytest.raises(ValueError):
             FobosConfig(lam=0.1, c=0.0)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("length", [3, 8])
+    def test_beta0_shape_checked(self, rng, length):
+        prob = Problem.least_squares(rng.standard_normal((12, 5)), rng.standard_normal(12))
+        with pytest.raises(ValueError, match=r"beta0 has shape \(%d,\), expected \(5,\)" % length):
+            solve_fobos(prob, FobosConfig(max_iter=3), beta0=np.zeros(length))
+
+    @pytest.mark.parametrize("num_nodes", [3, 7])
+    @pytest.mark.parametrize("run", [
+        lambda prob: solve(prob, SolverConfig(mu=1e-2, max_iter=3)),
+        lambda prob: solve_fobos(prob, FobosConfig(max_iter=3)),
+    ], ids=["solve", "solve_fobos"])
+    def test_graph_node_count_checked_against_features(self, rng, num_nodes, run):
+        spec = GraphPenaltySpec(num_nodes=num_nodes, edges=((0, 1, 1.0), (1, 2, -0.5)), gamma=1.0)
+        prob = Problem.least_squares(rng.standard_normal((12, 5)), rng.standard_normal(12), spec)
+        with pytest.raises(StructureError, match=f"has {num_nodes} nodes, expected 5"):
+            run(prob)

@@ -15,7 +15,6 @@ from smoothprox import (
     Problem,
     SolverConfig,
     build_coupling,
-    dual_domain_bound,
     multi_penalty_value,
     penalty_value,
     penalty_value_graph,
@@ -213,7 +212,7 @@ def test_values_from_c_beta_match_definitions(spec, seed, scale, mu, num_inputs)
     alpha = pen.alpha_star(beta)
     z = pen.coupling.apply(beta)
     assert f_mu == pytest.approx(np.sum(alpha * z) - 0.5 * mu * np.sum(alpha * alpha), rel=1e-10, abs=tol)
-    assert pen.D == pytest.approx(max(num_inputs, 1) * dual_domain_bound(spec))
+    assert pen.D == pytest.approx(max(num_inputs, 1) * build_coupling(spec, K).dual_bound)
     assert f0 - mu * pen.D - tol <= f_mu <= f0 + tol
 
 

@@ -9,9 +9,7 @@ from smoothprox import (
     Problem,
     SolverConfig,
     SquaredLoss,
-    logistic_loss,
     logistic_loss_lipschitz,
-    squared_loss,
     solve,
     squared_loss_lipschitz,
 )
@@ -35,7 +33,8 @@ class TestDataset:
 class TestSquaredLoss:
     def test_identity_design(self):
         data = Dataset(np.eye(2), np.array([1.0, 0.0]))
-        value, grad = squared_loss(data, np.zeros(2))
+        loss = SquaredLoss(data, precompute=False)
+        value, grad = loss.value(np.zeros(2)), loss.gradient(np.zeros(2))
         assert value == pytest.approx(0.5)
         np.testing.assert_allclose(grad, [-1.0, 0.0])
 
@@ -43,7 +42,8 @@ class TestSquaredLoss:
         X = rng.standard_normal((6, 3))
         beta = rng.standard_normal(3)
         data = Dataset(X, X @ beta)
-        value, grad = squared_loss(data, beta)
+        loss = SquaredLoss(data, precompute=False)
+        value, grad = loss.value(beta), loss.gradient(beta)
         assert value == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(grad, np.zeros(3), atol=1e-10)
 
@@ -109,7 +109,8 @@ class TestLogisticLoss:
 
     def test_symmetric_point(self, rng):
         data = self.make_data(rng)
-        value, grad = logistic_loss(data, np.zeros(5))
+        loss = LogisticLoss(data)
+        value, grad = loss.value(np.zeros(5)), loss.gradient(np.zeros(5))
         assert value == pytest.approx(data.num_samples * np.log(2.0))
         np.testing.assert_allclose(grad, -0.5 * data.X.T @ data.y, rtol=1e-12)
 
@@ -117,14 +118,15 @@ class TestLogisticLoss:
         # large correct margins drive the loss to zero without overflow
         X = np.array([[1.0], [-1.0]])
         y = np.array([1.0, -1.0])
-        value, grad = logistic_loss(Dataset(X, y), np.array([1000.0]))
+        loss = LogisticLoss(Dataset(X, y))
+        value, grad = loss.value(np.array([1000.0])), loss.gradient(np.array([1000.0]))
         assert value == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(grad, [0.0], atol=1e-12)
 
     def test_overflow_safe_wrong_side(self):
         X = np.array([[1.0]])
         y = np.array([1.0])
-        value, _ = logistic_loss(Dataset(X, y), np.array([-1000.0]))
+        value = LogisticLoss(Dataset(X, y)).value(np.array([-1000.0]))
         assert np.isfinite(value) and value == pytest.approx(1000.0)
 
     def test_gradient_matches_finite_differences(self, rng):

@@ -6,10 +6,8 @@ from smoothprox import (
     GroupPenaltySpec,
     MultiProblem,
     Problem,
-    SmoothedMatrixPenalty,
     SolverConfig,
     StructureError,
-    multi_alpha_star,
     multi_penalty_value,
     smoothed_penalty,
     solve,
@@ -77,8 +75,8 @@ class TestSmoothedMatrixPenalty:
     def test_alpha_feasible(self, rng):
         spec = GroupPenaltySpec.with_unit_weights(((0, 1), (1, 2)), 1.0)
         prob = toy_problem(rng, k=3, spec=spec)
-        A = multi_alpha_star(prob, 0.3, rng.standard_normal((4, 3)) * 3)
-        pen = SmoothedMatrixPenalty(spec, 4, 0.3).bind(3)
+        pen = smoothed_penalty(prob.penalty, 0.3, prob.num_outputs, prob.num_features)
+        A = pen.alpha_star(rng.standard_normal((4, 3)) * 3)
         for a, b in pen.coupling.row_blocks:
             assert (np.linalg.norm(A[a:b], axis=0) <= 1.0 + 1e-12).all()
 
@@ -87,14 +85,15 @@ class TestSmoothedMatrixPenalty:
             num_nodes=3, edges=((0, 1, 1.0), (1, 2, 1.0)), gamma=1.0
         )
         prob = toy_problem(rng, k=3, spec=spec)
-        A = multi_alpha_star(prob, 0.2, rng.standard_normal((4, 3)) * 5)
+        pen = smoothed_penalty(prob.penalty, 0.2, prob.num_outputs, prob.num_features)
+        A = pen.alpha_star(rng.standard_normal((4, 3)) * 5)
         assert (np.abs(A) <= 1.0 + 1e-12).all()
 
     def test_sandwich_bound(self, rng):
         spec = GroupPenaltySpec.with_unit_weights(((0, 1), (1, 2)), 1.0)
         prob = toy_problem(rng, k=3, spec=spec)
         mu = 0.05
-        pen = SmoothedMatrixPenalty(spec, 4, mu).bind(3)
+        pen = smoothed_penalty(spec, mu, 3, 4)
         for _ in range(20):
             B = rng.standard_normal((4, 3)) * rng.uniform(0.1, 4.0)
             exact = multi_penalty_value(prob, B)
@@ -104,12 +103,12 @@ class TestSmoothedMatrixPenalty:
 
     def test_dual_bound_scales_with_inputs(self):
         spec = GroupPenaltySpec.with_unit_weights(((0, 1), (1, 2)), 1.0)
-        pen = SmoothedMatrixPenalty(spec, 7, 0.1).bind(3)
+        pen = smoothed_penalty(spec, 0.1, 3, 7)
         assert pen.D == pytest.approx(7.0)
 
     def test_gradient_matches_finite_differences(self, rng):
         spec = GroupPenaltySpec.with_unit_weights(((0, 1), (1, 2)), 1.0)
-        pen = SmoothedMatrixPenalty(spec, 4, 0.2).bind(3)
+        pen = smoothed_penalty(spec, 0.2, 3, 4)
         B = rng.standard_normal((4, 3))
         flat_value = lambda v: pen.value(v.reshape(4, 3))
         fd = central_difference_gradient(flat_value, B.ravel(), 1e-6)
@@ -121,7 +120,7 @@ class TestSmoothedMatrixPenalty:
         # K=1 with group {0} equals the vector penalty with singleton groups
         spec = GroupPenaltySpec.with_unit_weights(((0,),), 1.0)
         mu = 0.1
-        pen = SmoothedMatrixPenalty(spec, 5, mu).bind(1)
+        pen = smoothed_penalty(spec, mu, 1, 5)
         vec_spec = GroupPenaltySpec.with_unit_weights(
             tuple((j,) for j in range(5)), 1.0
         )

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from smoothprox import (
     GraphPenaltySpec,
@@ -11,6 +13,7 @@ from smoothprox import (
     Problem,
     SolverConfig,
     StructureError,
+    build_coupling,
     build_graph_coupling,
     build_group_coupling,
     coupling_apply,
@@ -264,3 +267,56 @@ class TestCachedTranspose:
         assert len(trace) == max_iter
         # C^T once per coupling, not once per iteration
         assert len(built) <= 2
+
+
+@st.composite
+def group_specs(draw):
+    J = draw(st.integers(1, 8))
+    groups = draw(st.lists(
+        st.lists(st.integers(0, J - 1), min_size=1, max_size=J, unique=True), min_size=1, max_size=6
+    ))
+    weights = draw(st.lists(st.floats(0.1, 3.0), min_size=len(groups), max_size=len(groups)))
+    return GroupPenaltySpec(tuple(map(tuple, groups)), tuple(weights), draw(st.floats(0.1, 5.0)))
+
+
+@st.composite
+def graph_specs(draw):
+    J = draw(st.integers(2, 8))
+    pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(range(J), 2))), unique=True))
+    rs = draw(st.lists(st.just(0.0) | st.floats(-1.0, 1.0), min_size=len(pairs), max_size=len(pairs)))
+    return GraphPenaltySpec(J, tuple((m, l, r) for (m, l), r in zip(pairs, rs)), draw(st.floats(0.1, 5.0)))
+
+
+def sigma_max(coupling):
+    dense = coupling.toarray()
+    return float(np.linalg.svd(dense, compute_uv=False)[0]) if dense.size else 0.0
+
+
+class TestCouplingConstants:
+    """``dual_bound`` and ``norm_bound`` read off the built coupling matrix."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=group_specs())
+    def test_group_norm_bound_is_the_spectral_norm(self, spec):
+        coupling = build_coupling(spec, max(max(g) for g in spec.groups) + 1)
+        assert coupling.norm_bound == pytest.approx(sigma_max(coupling), rel=1e-10)
+        assert coupling.dual_bound == len(spec.groups) / 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=graph_specs())
+    @example(spec=GraphPenaltySpec(num_nodes=3, edges=(), gamma=2.0))
+    @example(spec=GraphPenaltySpec(num_nodes=3, edges=((0, 1, 0.0), (1, 2, 0.0)), gamma=2.0))
+    def test_graph_norm_bound_is_an_upper_bound(self, spec):
+        coupling = build_coupling(spec)
+        sigma = sigma_max(coupling)
+        assert coupling.norm_bound >= sigma - 1e-12 * max(1.0, sigma)
+        assert coupling.dual_bound == len(spec.edges) / 2
+        if all(r == 0.0 for _, _, r in spec.edges):
+            assert coupling.norm_bound == 0.0
+
+    @pytest.mark.parametrize("num_features", [3, 7])
+    def test_graph_node_count_must_match_features(self, num_features):
+        spec = GraphPenaltySpec(num_nodes=5, edges=((0, 1, 1.0),), gamma=1.0)
+        with pytest.raises(StructureError, match=f"has 5 nodes, expected {num_features}"):
+            build_coupling(spec, num_features)
+        assert build_coupling(spec, 5).rows == 1

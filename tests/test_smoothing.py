@@ -4,12 +4,7 @@ import pytest
 from smoothprox import (
     GraphPenaltySpec,
     GroupPenaltySpec,
-    alpha_star_graph,
-    alpha_star_group,
     build_coupling,
-    coupling_norm_graph_bound,
-    coupling_norm_group,
-    dual_domain_bound,
     penalty_value,
     select_mu,
     smoothed_penalty,
@@ -28,7 +23,7 @@ class TestDualDomainBound:
         spec = GroupPenaltySpec.with_unit_weights(
             tuple((i,) for i in range(10)), 1.0
         )
-        assert dual_domain_bound(spec) == 5.0
+        assert build_coupling(spec, 10).dual_bound == 5.0
 
     def test_edge_count(self):
         spec = GraphPenaltySpec(
@@ -36,10 +31,10 @@ class TestDualDomainBound:
             edges=((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)),
             gamma=1.0,
         )
-        assert dual_domain_bound(spec) == 2.0
+        assert build_coupling(spec).dual_bound == 2.0
 
     def test_single_group(self):
-        assert dual_domain_bound(single_group_spec()) == 0.5
+        assert build_coupling(single_group_spec(), 2).dual_bound == 0.5
 
 
 class TestSelectMu:
@@ -61,15 +56,15 @@ class TestSelectMu:
 
 class TestAlphaStar:
     def test_group_projects_large_block(self):
-        alpha = alpha_star_group(single_group_spec(), 1.0, [3.0, 4.0])
+        alpha = smoothed_penalty(single_group_spec(), 1.0, num_features=2).alpha_star([3.0, 4.0])
         np.testing.assert_allclose(alpha, [0.6, 0.8])
 
     def test_group_interior_unchanged(self):
-        alpha = alpha_star_group(single_group_spec(), 1.0, [0.1, 0.0])
+        alpha = smoothed_penalty(single_group_spec(), 1.0, num_features=2).alpha_star([0.1, 0.0])
         np.testing.assert_allclose(alpha, [0.1, 0.0])
 
     def test_group_zero(self):
-        alpha = alpha_star_group(single_group_spec(), 1.0, np.zeros(2))
+        alpha = smoothed_penalty(single_group_spec(), 1.0, num_features=2).alpha_star(np.zeros(2))
         np.testing.assert_allclose(alpha, np.zeros(2))
 
     def test_graph_clipping(self):
@@ -80,7 +75,7 @@ class TestAlphaStar:
         )
         beta = np.array([1.5, 0.0, 3.0, 2.6])  # C beta = (1.5, -3, 0.4)
         np.testing.assert_allclose(
-            alpha_star_graph(spec, 1.0, beta), [1.0, -1.0, 0.4]
+            smoothed_penalty(spec, 1.0).alpha_star(beta), [1.0, -1.0, 0.4]
         )
 
     def test_feasibility(self, rng):
@@ -91,7 +86,7 @@ class TestAlphaStar:
             for a, b in pen.coupling.row_blocks:
                 assert np.linalg.norm(alpha[a:b]) <= 1.0 + 1e-12
             hspec = random_graph_spec(rng, num_nodes=6)
-            alpha = alpha_star_graph(hspec, 0.3, rng.standard_normal(6) * 3)
+            alpha = smoothed_penalty(hspec, 0.3).alpha_star(rng.standard_normal(6) * 3)
             assert np.all(np.abs(alpha) <= 1.0 + 1e-12)
 
 
@@ -153,7 +148,7 @@ class TestSmoothGradient:
         spec = random_group_spec(rng, num_features=6, unit_weights=True)
         mu = 0.05
         pen = smoothed_penalty(spec, mu=mu, num_features=6)
-        L = coupling_norm_group(spec) ** 2 / mu
+        L = build_coupling(spec, 6).norm_bound ** 2 / mu
         for _ in range(20):
             b1, b2 = rng.standard_normal((2, 6)) * 2
             lhs = np.linalg.norm(pen.gradient(b1) - pen.gradient(b2))
@@ -163,17 +158,17 @@ class TestSmoothGradient:
 class TestCouplingNorms:
     def test_group_overlap(self):
         spec = GroupPenaltySpec.with_unit_weights(((0, 1), (1, 2)), 1.0)
-        assert coupling_norm_group(spec) == pytest.approx(np.sqrt(2.0))
+        assert build_coupling(spec, 3).norm_bound == pytest.approx(np.sqrt(2.0))
 
     def test_disjoint_groups(self):
         spec = GroupPenaltySpec.with_unit_weights(((0, 1), (2, 3)), 1.0)
-        assert coupling_norm_group(spec) == pytest.approx(1.0)
+        assert build_coupling(spec, 4).norm_bound == pytest.approx(1.0)
 
     def test_gamma_homogeneity(self):
         base = GroupPenaltySpec.with_unit_weights(((0, 1), (1, 2)), 1.0)
         doubled = GroupPenaltySpec.with_unit_weights(((0, 1), (1, 2)), 2.0)
-        assert coupling_norm_group(doubled) == pytest.approx(
-            2.0 * coupling_norm_group(base)
+        assert build_coupling(doubled, 3).norm_bound == pytest.approx(
+            2.0 * build_coupling(base, 3).norm_bound
         )
 
     def test_group_matches_power_iteration(self, rng):
@@ -181,11 +176,11 @@ class TestCouplingNorms:
             spec = random_group_spec(rng, num_features=8)
             est = spectral_norm_power_iteration(build_coupling(spec, 8))
             assert est.converged
-            assert coupling_norm_group(spec) == pytest.approx(est.value, rel=1e-6)
+            assert build_coupling(spec, 8).norm_bound == pytest.approx(est.value, rel=1e-6)
 
     def test_graph_single_edge_tight(self):
         spec = GraphPenaltySpec(num_nodes=2, edges=((0, 1, 1.0),), gamma=1.0)
-        bound = coupling_norm_graph_bound(spec)
+        bound = build_coupling(spec).norm_bound
         assert bound == pytest.approx(np.sqrt(2.0))
         exact = np.linalg.svd(build_coupling(spec).toarray(), compute_uv=False)[0]
         assert bound == pytest.approx(exact, rel=1e-12)
@@ -194,20 +189,20 @@ class TestCouplingNorms:
         spec = GraphPenaltySpec(
             num_nodes=3, edges=((0, 1, 1.0), (1, 2, -0.5)), gamma=1.0
         )
-        assert coupling_norm_graph_bound(spec) == pytest.approx(np.sqrt(2.5))
+        assert build_coupling(spec).norm_bound == pytest.approx(np.sqrt(2.5))
 
     def test_star_graph(self):
         k = 5
         spec = GraphPenaltySpec(
             num_nodes=k + 1, edges=tuple((0, i, 1.0) for i in range(1, k + 1)), gamma=1.0
         )
-        assert coupling_norm_graph_bound(spec) == pytest.approx(np.sqrt(2.0 * k))
+        assert build_coupling(spec).norm_bound == pytest.approx(np.sqrt(2.0 * k))
 
     def test_graph_bound_dominates_power_iteration(self, rng):
         for _ in range(20):
             spec = random_graph_spec(rng, num_nodes=7)
             est = spectral_norm_power_iteration(build_coupling(spec))
-            assert coupling_norm_graph_bound(spec) >= est.value - 1e-6
+            assert build_coupling(spec).norm_bound >= est.value - 1e-6
 
 
 class TestPowerIteration:

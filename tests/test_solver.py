@@ -264,14 +264,12 @@ class TestRegularizationPathConfig:
         X = rng.standard_normal((20, 4))
         spec = GraphPenaltySpec(num_nodes=4, edges=((0, 1, 0.8), (1, 2, -0.5), (2, 3, 0.3)), gamma=1.0)
         prob = Problem.least_squares(X, rng.standard_normal(20), spec)
-        config = SolverConfig(mu=1e-2, max_iter=7, rel_tol=1e-300, record_trace=False, exact_graph_norm=True)
+        config = SolverConfig(mu=1e-2, max_iter=7, rel_tol=1e-300, record_trace=False)
         results = regularization_path(prob, [2.0, 1.0, 0.5], config)
-        _, exact = solve(prob, SolverConfig(lam=2.0, mu=1e-2, max_iter=1, exact_graph_norm=True))
-        _, bound = solve(prob, SolverConfig(lam=2.0, mu=1e-2, max_iter=1))
-        assert exact.header["L"] < bound.header["L"]
+        _, single = solve(prob, SolverConfig(lam=2.0, mu=1e-2, max_iter=1))
         for lam, _, trace in results:
             assert trace.header["lam"] == lam
             assert trace.header["max_iter"] == 7 and trace.header["mu"] == 1e-2
-            assert trace.header["L"] == exact.header["L"]
+            assert trace.header["L"] == single.header["L"]
             assert len(trace) == 0  # record_trace=False
             assert trace.status == "max_iter"
