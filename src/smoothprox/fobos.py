@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .penalties import build_coupling
+from .penalties import build_coupling, validate_penalty
 from .solver import Problem, SolverError, Trace, _initial_beta, soft_threshold
 
 
@@ -64,8 +64,10 @@ def solve_fobos(problem: Problem, config: FobosConfig, beta0=None):
     lam = config.lam
     loss = problem.loss
     coupling = None
-    if problem.penalty is not None and problem.penalty.gamma != 0.0:
-        coupling = build_coupling(problem.penalty, num_features=J)
+    if problem.penalty is not None:
+        validate_penalty(problem.penalty, J)
+        if problem.penalty.gamma != 0.0:
+            coupling = build_coupling(problem.penalty, num_features=J)
 
     def objective_and_direction(b):
         p = loss.product(b)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import SquaredLoss
-from .penalties import GraphPenaltySpec, GroupPenaltySpec, StructureError
+from .penalties import GroupPenaltySpec, StructureError, validate_penalty
 from .solver import SolverConfig, _fista
 
 
@@ -43,11 +43,7 @@ class MultiProblem:
                 f"X has {X.shape[0]} samples but Y has {Y.shape[0]}"
             )
         if self.penalty is not None:
-            if not isinstance(self.penalty, (GroupPenaltySpec, GraphPenaltySpec)):
-                raise StructureError(
-                    f"unknown penalty spec type {type(self.penalty).__name__}"
-                )
-            self.penalty.validate_against(Y.shape[1])
+            validate_penalty(self.penalty, Y.shape[1])
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
 

@@ -305,6 +305,14 @@ def coupling_apply_transpose(coupling: CouplingMatrix, alpha) -> np.ndarray:
     return coupling.apply_transpose(alpha)
 
 
+def validate_penalty(spec, num_features) -> None:
+    """Raise StructureError unless ``spec`` is a group or graph penalty that
+    fits ``num_features`` features, whatever its gamma."""
+    if not isinstance(spec, (GroupPenaltySpec, GraphPenaltySpec)):
+        raise StructureError(f"unknown penalty spec type {type(spec).__name__}")
+    spec.validate_against(num_features)
+
+
 def build_coupling(spec, num_features=None) -> CouplingMatrix:
     """Build the coupling matrix for either penalty family; ``num_features``,
     when given, must match a graph's node count."""

@@ -104,8 +104,11 @@ def spectral_norm_power_iteration(
     coupling: CouplingMatrix, tol=1e-8, max_iter=5000
 ) -> SpectralEstimate:
     """Largest singular value of C: the square root of the largest eigenvalue
-    of C^T C by ``power_iteration``, flagged as approximate unless the
-    eigenvalue's relative change falls to ``tol`` within ``max_iter`` steps."""
+    of C^T C by the Lanczos iteration of ``power_iteration`` (one ``C`` and
+    one ``C^T`` product per step, two vectors kept), flagged as approximate
+    unless the eigenvalue's relative change falls below ``tol`` within
+    ``max_iter`` steps.  Like the eigenvalue, it approaches sigma_max from
+    below."""
     if coupling.rows == 0 or coupling.nnz == 0:
         return SpectralEstimate(0.0, 0, True)
     est = power_iteration(

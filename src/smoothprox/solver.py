@@ -17,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .losses import Dataset, LogisticLoss, SquaredLoss
+from .penalties import validate_penalty
 from .smoothing import smoothed_penalty
 
 
@@ -166,16 +167,20 @@ def _fista(loss, penalty, config, beta, num_features, num_inputs=1, header=None)
     ``C beta``; the smoothed gradient at ``w`` costs ``C w`` and ``C^T alpha``.
     Returns ``(beta, trace)``.
     """
-    pen, L, mu = None, loss.lipschitz(), None
+    if penalty is not None:
+        validate_penalty(penalty, num_features)
+    pen = mu = D = norm_C = None
+    L_loss = L = loss.lipschitz()
     if penalty is not None and penalty.gamma != 0.0:
         pen = smoothed_penalty(penalty, config.mu, num_features, num_inputs, config.epsilon)
-        mu = pen.mu
-        L = total_lipschitz(L, pen.coupling.norm_bound, mu)
+        mu, D, norm_C = pen.mu, pen.D, pen.coupling.norm_bound
+        L = total_lipschitz(L_loss, norm_C, mu)
     if L <= 0:
         raise SolverError("non-positive Lipschitz constant; nothing to optimize")
     lam = config.lam
     trace = Trace(header={
-        "mu": mu, "epsilon": config.epsilon, "L": L, "lam": lam,
+        "mu": mu, "epsilon": config.epsilon, "L_loss": L_loss, "L": L, "D": D,
+        "norm_C": norm_C, "lam": lam,
         "max_iter": config.max_iter, "rel_tol": config.rel_tol, **(header or {}),
     })
 

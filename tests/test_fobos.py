@@ -153,3 +153,19 @@ class TestInputChecks:
         prob = Problem.least_squares(rng.standard_normal((12, 5)), rng.standard_normal(12), spec)
         with pytest.raises(StructureError, match=f"has {num_nodes} nodes, expected 5"):
             run(prob)
+
+    @pytest.mark.parametrize("spec, message", [
+        (GraphPenaltySpec(num_nodes=7, edges=((0, 1, 1.0),), gamma=0.0), "has 7 nodes, expected 5"),
+        (GroupPenaltySpec.with_unit_weights(((0, 9),), 0.0), "out of range for 5 features"),
+        (GroupPenaltySpec.with_unit_weights(((0, 9),), 1.0), "out of range for 5 features"),
+        ("group", "unknown penalty spec type str"),
+        (object(), "unknown penalty spec type object"),
+    ], ids=["graph-gamma0", "group-gamma0", "group", "str", "object"])
+    @pytest.mark.parametrize("run", [
+        lambda prob: solve(prob, SolverConfig(mu=1e-2, max_iter=3)),
+        lambda prob: solve_fobos(prob, FobosConfig(max_iter=3)),
+    ], ids=["solve", "solve_fobos"])
+    def test_penalty_checked_whatever_gamma(self, rng, spec, message, run):
+        prob = Problem.least_squares(rng.standard_normal((12, 5)), rng.standard_normal(12), spec)
+        with pytest.raises(StructureError, match=message):
+            run(prob)

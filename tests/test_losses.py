@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothprox import (
     Dataset,
@@ -15,6 +17,7 @@ from smoothprox import (
 )
 from smoothprox.losses import gram_lipschitz
 from smoothprox.losses import power_iteration
+from smoothprox.simulate import OverlapSimSpec, gen_overlap_instance
 from conftest import central_difference_gradient
 
 
@@ -176,6 +179,34 @@ class TestGramLipschitz:
         # the minimum-l1 lasso solution splits the fit 1 = beta_0 - beta_1
         assert beta[0] - beta[1] == pytest.approx(1.0 - 0.1 / 5.25, rel=1e-6)
 
+    @pytest.mark.parametrize("precompute", [True, False], ids=["gram", "streaming"])
+    def test_all_ones_start_on_a_smaller_eigenvector(self, precompute):
+        # X^T X = [[2, -1], [-1, 2]]: the all-ones vector is its eigenvector
+        # of eigenvalue 1, the top one (3) is along (1, -1)
+        X = np.array([[1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+        assert gram_lipschitz(X) == pytest.approx(3.0, rel=1e-12)
+        loss = SquaredLoss(Dataset(X, np.ones(3)), precompute=precompute)
+        assert loss.lipschitz() == pytest.approx(3.0, rel=1e-12)
+
+    def test_top_eigenvector_orthogonal_to_ones(self):
+        # X = I + 2 u u^T with u = (e_0 - e_1) / sqrt(2): X^T X = I + 8 u u^T
+        u = np.zeros(6)
+        u[:2] = np.array([1.0, -1.0]) / np.sqrt(2.0)
+        X = np.eye(6) + 2.0 * np.outer(u, u)
+        assert gram_lipschitz(X) == pytest.approx(9.0, rel=1e-12)
+
+    def test_unconverged_fallback_does_not_copy_design(self, rng):
+        X = rng.standard_normal((2000, 500))
+        tracemalloc.start()
+        try:
+            with pytest.warns(RuntimeWarning, match="did not converge"):
+                value = gram_lipschitz(X, max_iter=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == pytest.approx(np.sum(X * X), rel=1e-12)
+        assert peak < X.nbytes / 2
+
 
 def test_logistic_gradient_does_not_copy_design(rng):
     X = rng.standard_normal((2000, 500))
@@ -254,3 +285,36 @@ class TestPowerIteration:
         d = np.array([1.0, 0.999])
         est = power_iteration(lambda v: d * v, 2, tol=0.0, max_iter=3)
         assert not est.converged and est.iterations == 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), J=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
+           repeated_top=st.booleans())
+    def test_matches_dense_eigensolve(self, data, J, seed, repeated_top):
+        # random PSD M^T M, rank deficient when rank < J, and with the top
+        # eigenvalue repeated when the two largest singular values are set equal
+        rank = data.draw(st.integers(1, J), label="rank")
+        M = np.random.default_rng(seed).standard_normal((rank, J))
+        if repeated_top and rank >= 2:
+            U, s, Vt = np.linalg.svd(M, full_matrices=False)
+            s[1] = s[0]
+            M = (U * s) @ Vt
+        expected = np.linalg.eigvalsh(M.T @ M).max()
+        est = power_iteration(lambda v: M.T @ (M @ v), J, tol=1e-6, max_iter=1000)
+        assert est.converged
+        assert expected * (1 - 1e-6) <= est.value <= expected * (1 + 1e-10)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_overlap_design_product_count(self, seed):
+        data, _, _ = gen_overlap_instance(OverlapSimSpec(seed=seed, gamma=2.0))
+        loss = SquaredLoss(data, precompute=True)
+        gram_product, products = loss._gram_vector_product, []
+
+        def counted_product(v):
+            products.append(v)
+            return gram_product(v)
+
+        loss._gram_vector_product = counted_product
+        value = loss.lipschitz()
+        assert len(products) <= 50
+        expected = np.linalg.eigvalsh(data.X.T @ data.X).max()
+        assert value == pytest.approx(expected, rel=2e-6)

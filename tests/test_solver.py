@@ -196,6 +196,35 @@ class TestSolve:
         assert {"t", "f", "f_smooth", "elapsed_s"} <= set(lines[1])
         assert lines[-1]["status"] == "converged"
         assert lines[-1]["nnz"] == int(np.count_nonzero(_))
+        header = lines[0]["header"]
+        assert header["L_loss"] == pytest.approx(1.0, rel=1e-12)
+        assert header["D"] is None and header["norm_C"] is None
+
+    def test_trace_header_penalty_constants(self, rng, tmp_path):
+        X = rng.standard_normal((12, 5))
+        spec = GroupPenaltySpec(groups=((0, 1, 2), (2, 3, 4)), weights=(1.0, 2.0), gamma=0.5)
+        prob = Problem.least_squares(X, rng.standard_normal(12), spec)
+        _, trace = solve(prob, SolverConfig(lam=0.1, mu=1e-2, max_iter=5))
+        path = tmp_path / "trace.jsonl"
+        trace.write_jsonl(path)
+        header = json.loads(path.read_text().splitlines()[0])["header"]
+        pen = smoothed_penalty(spec, 1e-2, 5)
+        assert header["D"] == pen.D == 1.0
+        assert header["norm_C"] == pytest.approx(pen.coupling.norm_bound, rel=1e-15)
+        assert header["L_loss"] == pytest.approx(prob.loss.lipschitz(), rel=1e-15)
+        assert header["L"] == pytest.approx(
+            total_lipschitz(header["L_loss"], header["norm_C"], 1e-2), rel=1e-15
+        )
+
+    def test_lasso_with_all_ones_eigenvector(self):
+        # X^T X = [[2, -1], [-1, 2]]: a step from its all-ones eigenvalue (1)
+        # instead of the top one (3) makes FISTA diverge
+        X = np.array([[1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+        y = np.array([1.0, 2.0, 3.0])
+        _, trace = solve(Problem.least_squares(X, y), SolverConfig(lam=0.0, max_iter=200))
+        beta_ls = np.linalg.lstsq(X, y, rcond=None)[0]
+        assert trace.status == "converged"
+        assert trace.objectives[-1] == pytest.approx(0.5 * np.sum((y - X @ beta_ls) ** 2), rel=1e-6)
 
 
 class TestIterationBound:
