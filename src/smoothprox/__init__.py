@@ -22,11 +22,7 @@ _EXPORTS = {
         "logistic_loss_lipschitz",
         "squared_loss_lipschitz",
     ),
-    "multivariate": (
-        "MultiProblem",
-        "multi_penalty_value",
-        "solve_multivariate",
-    ),
+    "multivariate": ("MultiProblem", "solve_multivariate"),
     "penalties": (
         "CouplingMatrix",
         "GraphPenaltySpec",

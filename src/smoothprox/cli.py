@@ -32,10 +32,18 @@ def _load_matrix(path):
     return np.loadtxt(path, delimiter=",", ndmin=2)
 
 
+def _load_response(path):
+    """The response: a vector from a one-column file, else an N x K matrix."""
+    y = _load_matrix(path)
+    return y[:, 0] if y.shape[1] == 1 else y
+
+
 def _save_matrix(path, arr):
+    """Write a matrix, or a vector as one column."""
     import numpy as np
 
-    np.savetxt(path, np.atleast_2d(np.asarray(arr, dtype=float)), delimiter=",", fmt="%.17g")
+    arr = np.asarray(arr, dtype=float)
+    np.savetxt(path, arr.reshape(len(arr), -1), delimiter=",", fmt="%.17g")
 
 
 def _load_penalty(path, gamma=None):
@@ -101,13 +109,10 @@ def _build_parser():
 
 
 def _cmd_solve(args):
-    import numpy as np
-
-    from .multivariate import MultiProblem, solve_multivariate
     from .solver import Problem, SolverConfig, solve
 
     X = _load_matrix(args.x)
-    y = _load_matrix(args.y)
+    y = _load_response(args.y)
     penalty = _load_penalty(args.penalty, args.gamma) if args.penalty else None
     config = SolverConfig(
         lam=args.lam,
@@ -116,19 +121,9 @@ def _cmd_solve(args):
         max_iter=args.max_iter,
         rel_tol=args.rel_tol,
     )
-    if y.shape[1] > 1:
-        if args.loss != "squared":
-            raise ValueError("multi-output mode supports the squared loss only")
-        problem = MultiProblem(X, y, penalty)
-        coef, trace = solve_multivariate(problem, config)
-    else:
-        yv = y[:, 0]
-        if args.loss == "logistic":
-            problem = Problem.logistic(X, yv, penalty)
-        else:
-            problem = Problem.least_squares(X, yv, penalty)
-        coef, trace = solve(problem, config)
-    _save_matrix(args.out, coef if coef.ndim == 2 else coef[:, None])
+    make = Problem.logistic if args.loss == "logistic" else Problem.least_squares
+    coef, trace = solve(make(X, y, penalty), config)
+    _save_matrix(args.out, coef)
     if args.trace:
         trace.write_jsonl(args.trace)
     print(
@@ -154,8 +149,8 @@ def _cmd_simulate(args):
         spec = OverlapSimSpec(**overrides)
         data, penalty, beta = gen_overlap_instance(spec)
         _save_matrix(out / "X.csv", data.X)
-        _save_matrix(out / "y.csv", data.y[:, None])
-        _save_matrix(out / "beta_true.csv", beta[:, None])
+        _save_matrix(out / "y.csv", data.y)
+        _save_matrix(out / "beta_true.csv", beta)
         meta = {"kind": "overlap", **dataclasses.asdict(spec)}
     else:
         spec = GraphSimSpec(**overrides)
@@ -180,10 +175,7 @@ def _cmd_bench(args):
 
     inst = Path(args.instance)
     X = _load_matrix(inst / "X.csv")
-    y = _load_matrix(inst / "y.csv")
-    if y.shape[1] > 1:
-        raise ValueError("bench supports univariate instances")
-    y = y[:, 0]
+    y = _load_response(inst / "y.csv")
     penalty = _load_penalty(inst / "penalty.json", args.gamma)
     meta = json.loads((inst / "meta.json").read_text()) if (inst / "meta.json").exists() else {}
     problem = Problem.least_squares(X, y, penalty)
@@ -198,7 +190,7 @@ def _cmd_bench(args):
                                max_iter=args.max_iter, rel_tol=args.rel_tol)
             coef, trace = solve(problem, cfg)
         elif method == "fobos":
-            cfg = FobosConfig(lam=args.lam, c=default_c(*X.shape),
+            cfg = FobosConfig(lam=args.lam, c=default_c(*X.shape, *y.shape[1:]),
                               max_iter=args.max_iter, rel_tol=args.rel_tol)
             coef, trace = solve_fobos(problem, cfg)
         else:
@@ -227,19 +219,17 @@ def _cmd_path(args):
     from .solver import Problem, SolverConfig, regularization_path
 
     X = _load_matrix(args.x)
-    y = _load_matrix(args.y)
-    if y.shape[1] > 1:
-        raise ValueError("path supports univariate instances")
+    y = _load_response(args.y)
     penalty = _load_penalty(args.penalty, args.gamma) if args.penalty else None
     lambdas = [float(s) for s in args.lambdas.split(",") if s.strip()]
-    problem = Problem.least_squares(X, y[:, 0], penalty)
+    problem = Problem.least_squares(X, y, penalty)
     config = SolverConfig(mu=args.mu, max_iter=args.max_iter, rel_tol=args.rel_tol)
     results = regularization_path(problem, lambdas, config)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary = []
     for i, (lam, beta, trace) in enumerate(results):
-        _save_matrix(out / f"beta_{i:03d}.csv", beta[:, None])
+        _save_matrix(out / f"beta_{i:03d}.csv", beta)
         summary.append(
             {"index": i, "lambda": lam, "iterations": len(trace),
              "objective": trace.objectives[-1], "nnz": trace.final_nnz}

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .penalties import build_coupling, validate_penalty
-from .solver import Problem, SolverError, Trace, _initial_beta, soft_threshold
+from .solver import Problem, SolverError, Trace, _check_loop_fields, _initial_beta, soft_threshold
 
 
 @dataclass
@@ -27,6 +27,7 @@ class FobosConfig:
     record_trace: bool = True
 
     def __post_init__(self):
+        _check_loop_fields(self)
         if self.c <= 0:
             raise ValueError("step scale c must be positive")
 
@@ -48,7 +49,7 @@ def penalty_subgradient(spec, beta) -> np.ndarray:
     flat faces.
     """
     beta = np.asarray(beta, dtype=float)
-    return build_coupling(spec, num_features=beta.shape[0]).value_and_subgradient(beta)[1]
+    return build_coupling(spec, num_features=beta.shape[-1]).value_and_subgradient(beta)[1]
 
 
 def solve_fobos(problem: Problem, config: FobosConfig, beta0=None):
@@ -59,15 +60,14 @@ def solve_fobos(problem: Problem, config: FobosConfig, beta0=None):
     iterate and the step direction from it share one loss product and one
     ``C beta``.
     """
-    J = problem.num_features
-    beta = _initial_beta(beta0, J)
+    beta = _initial_beta(problem, beta0)
     lam = config.lam
     loss = problem.loss
     coupling = None
     if problem.penalty is not None:
-        validate_penalty(problem.penalty, J)
+        validate_penalty(problem.penalty, beta.shape[-1])
         if problem.penalty.gamma != 0.0:
-            coupling = build_coupling(problem.penalty, num_features=J)
+            coupling = build_coupling(problem.penalty, num_features=beta.shape[-1])
 
     def objective_and_direction(b):
         p = loss.product(b)

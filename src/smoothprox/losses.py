@@ -23,7 +23,8 @@ PRECOMPUTE_MAX_FEATURES = 4096
 
 @dataclass(frozen=True)
 class Dataset:
-    """Design matrix and response. Logistic labels must be in {-1, +1}."""
+    """Design matrix and response: N values, or an N x K matrix with one
+    column per output.  Logistic labels must be in {-1, +1}."""
 
     X: np.ndarray
     y: np.ndarray
@@ -33,9 +34,9 @@ class Dataset:
         y = np.asarray(self.y, dtype=float)
         if X.ndim != 2:
             raise ValueError("X must be a 2-d array")
-        if y.shape != (X.shape[0],):
+        if y.ndim not in (1, 2) or y.shape[0] != X.shape[0]:
             raise ValueError(
-                f"y has shape {y.shape}, expected ({X.shape[0]},)"
+                f"y has shape {y.shape}, expected ({X.shape[0]},) or ({X.shape[0]}, K)"
             )
         if not (np.isfinite(X).all() and np.isfinite(y).all()):
             raise ValueError("non-finite entries in dataset")
@@ -174,10 +175,7 @@ class SquaredLoss(_ProductLoss):
 
     def __init__(self, data: Dataset, precompute=None):
         self.data = data
-        self._setup(data.X, data.y, precompute)
-
-    def _setup(self, X, y, precompute):
-        self.X, self.y = X, y
+        self.X, self.y = X, y = data.X, data.y
         if precompute is None:
             precompute = X.shape[1] <= PRECOMPUTE_MAX_FEATURES
         self.precompute = bool(precompute)
@@ -188,10 +186,6 @@ class SquaredLoss(_ProductLoss):
             self._Xty = X.T @ y
             self._yty = float(np.vdot(y, y))
         self._lipschitz = None
-
-    @property
-    def num_features(self):
-        return self.X.shape[1]
 
     def product(self, beta) -> np.ndarray:
         if not self.precompute:
@@ -216,7 +210,7 @@ class SquaredLoss(_ProductLoss):
     def lipschitz(self) -> float:
         if self._lipschitz is None and self.precompute:
             self._lipschitz = _gram_eigenvalue(
-                self._gram_vector_product, self.num_features, lambda: np.trace(self._XtX)
+                self._gram_vector_product, self.X.shape[1], lambda: np.trace(self._XtX)
             )
         elif self._lipschitz is None:
             self._lipschitz = gram_lipschitz(self.X)
@@ -236,10 +230,6 @@ class LogisticLoss(_ProductLoss):
             raise ValueError("logistic labels must be in {-1, +1}")
         self.data = data
         self._lipschitz = None
-
-    @property
-    def num_features(self):
-        return self.data.num_features
 
     def product(self, beta) -> np.ndarray:
         return self.data.X @ beta

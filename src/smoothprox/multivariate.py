@@ -12,6 +12,9 @@ coupling matrix C, the smoothed machinery carries over columnwise: the dual
 feasible set is a product of one copy of the vector-case set per input, so
 the dual-domain bound is J times the vector-case bound, and the smoothed
 gradient Lipschitz constant reuses the vector-case coupling norm.
+
+``solve`` runs this problem whenever its response is N x K; ``MultiProblem``
+is the validated (X, Y, penalty) record that ``solve_multivariate`` takes.
 """
 
 from __future__ import annotations
@@ -20,14 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import SquaredLoss
-from .penalties import GroupPenaltySpec, StructureError, validate_penalty
-from .solver import SolverConfig, _fista
+from .penalties import StructureError, validate_penalty
+from .solver import Problem, SolverConfig, solve
 
 
 @dataclass(frozen=True)
 class MultiProblem:
-    """Design matrix, response matrix, and an output-side penalty spec."""
+    """Design matrix, response matrix, and an output-side penalty spec; the
+    data are checked for finiteness when ``solve_multivariate`` builds the loss."""
 
     X: np.ndarray
     Y: np.ndarray
@@ -48,10 +51,6 @@ class MultiProblem:
         object.__setattr__(self, "Y", Y)
 
     @property
-    def num_samples(self):
-        return self.X.shape[0]
-
-    @property
     def num_features(self):
         return self.X.shape[1]
 
@@ -60,45 +59,7 @@ class MultiProblem:
         return self.Y.shape[1]
 
 
-def multi_penalty_value(problem: MultiProblem, B) -> float:
-    """Exact structured penalty value for a J x K coefficient matrix."""
-    B = np.asarray(B, dtype=float)
-    spec = problem.penalty
-    if spec is None:
-        return 0.0
-    if B.shape != (problem.num_features, problem.num_outputs):
-        raise StructureError(
-            f"B has shape {B.shape}, expected "
-            f"({problem.num_features}, {problem.num_outputs})"
-        )
-    if isinstance(spec, GroupPenaltySpec):
-        total = 0.0
-        for g, w in zip(spec.groups, spec.weights):
-            idx = np.asarray(g, dtype=np.int64)
-            total += w * float(np.linalg.norm(B[:, idx], axis=1).sum())
-        return spec.gamma * total
-    total = 0.0
-    for m, l, r in spec.edges:
-        total += abs(r) * float(np.abs(B[:, m] - np.sign(r) * B[:, l]).sum())
-    return spec.gamma * total
-
-
-class _FrobeniusLoss(SquaredLoss):
-    """0.5 * ||Y - X B||_F^2 with optional Gram precompute."""
-
-    def __init__(self, X, Y, precompute=None):
-        self._setup(X, Y, precompute)
-
-
 def solve_multivariate(problem: MultiProblem, config: SolverConfig, B0=None):
-    """Smoothing proximal gradient over the coefficient matrix.
-
-    The vector solver's loop, run on matrix-shaped iterates.  Returns
-    ``(B, trace)``.
-    """
-    J, K = problem.num_features, problem.num_outputs
-    B = np.zeros((J, K)) if B0 is None else np.asarray(B0, dtype=float).copy()
-    if B.shape != (J, K):
-        raise StructureError(f"B0 has shape {B.shape}, expected ({J}, {K})")
-    loss = _FrobeniusLoss(problem.X, problem.Y)
-    return _fista(loss, problem.penalty, config, B, K, num_inputs=J, header={"shape": [J, K]})
+    """``solve`` on the least-squares problem with response matrix Y: the
+    iterate is then J x K.  Returns ``(B, trace)``."""
+    return solve(Problem.least_squares(problem.X, problem.Y, problem.penalty), config, B0)

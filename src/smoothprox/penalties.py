@@ -28,12 +28,12 @@ class StructureError(ValueError):
     """Raised when a penalty specification or dimension is invalid."""
 
 
-def _as_float_vector(beta, length=None):
+def _coefficients(spec, beta) -> np.ndarray:
+    """``beta`` as a float (J,) or (J, K) array whose last axis fits ``spec``."""
     beta = np.asarray(beta, dtype=float)
-    if beta.ndim != 1:
-        raise StructureError(f"expected a 1-d coefficient vector, got shape {beta.shape}")
-    if length is not None and beta.shape[0] != length:
-        raise StructureError(f"coefficient vector has length {beta.shape[0]}, expected {length}")
+    if beta.ndim not in (1, 2):
+        raise StructureError(f"expected a 1-d or 2-d coefficient array, got shape {beta.shape}")
+    spec.validate_against(beta.shape[-1])
     return beta
 
 
@@ -259,25 +259,26 @@ def build_graph_coupling(spec: GraphPenaltySpec) -> CouplingMatrix:
 
 
 def penalty_value_group(spec: GroupPenaltySpec, beta) -> float:
-    """Exact overlapping group lasso value: gamma * sum_g w_g * ||beta_g||_2."""
-    beta = _as_float_vector(beta)
-    spec.validate_against(beta.shape[0])
+    """Exact overlapping group lasso value: gamma * sum_g w_g * ||beta_g||_2,
+    summed over the rows of a J x K beta (groups over its K columns)."""
+    beta = _coefficients(spec, beta)
     total = 0.0
     for g, w in zip(spec.groups, spec.weights):
-        total += w * float(np.linalg.norm(beta[np.asarray(g, dtype=np.int64)]))
+        total += w * float(np.linalg.norm(beta[..., np.asarray(g, dtype=np.int64)], axis=-1).sum())
     return spec.gamma * total
 
 
 def penalty_value_graph(spec: GraphPenaltySpec, beta) -> float:
-    """Exact graph fusion value: gamma * sum_e tau(r) * |beta_m - sign(r) beta_l|.
+    """Exact graph fusion value: gamma * sum_e tau(r) * |beta_m - sign(r) beta_l|,
+    summed over the rows of a J x K beta (nodes are its K columns).
 
     Equals ``||C beta||_1`` for the incidence matrix built above.
     """
-    beta = _as_float_vector(beta, spec.num_nodes)
+    beta = _coefficients(spec, beta)
     total = 0.0
     for m, l, r in spec.edges:
-        total += abs(r) * abs(beta[m] - np.sign(r) * beta[l])
-    return spec.gamma * float(total)
+        total += abs(r) * float(np.abs(beta[..., m] - np.sign(r) * beta[..., l]).sum())
+    return spec.gamma * total
 
 
 def penalty_value(spec, beta) -> float:
@@ -291,7 +292,9 @@ def penalty_value(spec, beta) -> float:
 
 def coupling_apply(coupling: CouplingMatrix, beta) -> np.ndarray:
     """Sparse product C @ beta."""
-    beta = _as_float_vector(beta, coupling.cols)
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape != (coupling.cols,):
+        raise StructureError(f"coefficient vector has shape {beta.shape}, expected ({coupling.cols},)")
     return coupling.matrix @ beta
 
 

@@ -90,14 +90,17 @@ class SmoothedPenalty:
 
 def smoothed_penalty(spec, mu, num_features=None, num_inputs=1, epsilon=None) -> SmoothedPenalty:
     """Build a SmoothedPenalty from a penalty spec; ``mu=None`` takes
-    ``select_mu(epsilon, D)``.
+    ``select_mu(epsilon, D)``, or ``DEFAULT_MU`` when C has no non-zeros (a
+    graph without weighted edges): then f_mu = f0 = 0 whatever mu is.
 
     For J x K matrix iterates pass ``num_features=K`` and ``num_inputs=J``:
     the dual set holds one copy per input, so D is J times the vector bound.
     """
     coupling = build_coupling(spec, num_features=num_features)
     D = num_inputs * coupling.dual_bound
-    return SmoothedPenalty(coupling=coupling, mu=select_mu(epsilon, D) if mu is None else mu, D=D)
+    if mu is None:
+        mu = select_mu(epsilon, D) if coupling.nnz else DEFAULT_MU
+    return SmoothedPenalty(coupling=coupling, mu=mu, D=D)
 
 
 def spectral_norm_power_iteration(

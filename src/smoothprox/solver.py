@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .losses import Dataset, LogisticLoss, SquaredLoss
-from .penalties import validate_penalty
+from .penalties import StructureError, validate_penalty
 from .smoothing import smoothed_penalty
 
 
@@ -32,10 +32,6 @@ class Problem:
     loss: object  # SquaredLoss | LogisticLoss
     penalty: object = None  # GroupPenaltySpec | GraphPenaltySpec | None
 
-    @property
-    def num_features(self):
-        return self.loss.num_features
-
     @classmethod
     def least_squares(cls, X, y, penalty=None, precompute=None):
         return cls(loss=SquaredLoss(Dataset(X, y), precompute=precompute), penalty=penalty)
@@ -43,6 +39,17 @@ class Problem:
     @classmethod
     def logistic(cls, X, y, penalty=None):
         return cls(loss=LogisticLoss(Dataset(X, y)), penalty=penalty)
+
+
+def _check_loop_fields(config) -> None:
+    """Check the fields every solver loop's config has: ``lam >= 0``,
+    ``max_iter >= 1`` and ``rel_tol >= 0`` (0 never stops on the change)."""
+    if config.lam < 0:
+        raise ValueError("lam must be non-negative")
+    if config.max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    if config.rel_tol < 0:
+        raise ValueError("rel_tol must be non-negative")
 
 
 @dataclass
@@ -55,12 +62,7 @@ class SolverConfig:
     record_trace: bool = True
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be non-negative")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
+        _check_loop_fields(self)
         if self.epsilon is not None and self.mu is not None:
             raise ValueError("give either epsilon or mu, not both")
 
@@ -157,8 +159,9 @@ def fista_step(state: SolverState, grad_fn: Callable, lam: float) -> SolverState
     )
 
 
-def _fista(loss, penalty, config, beta, num_features, num_inputs=1, header=None):
-    """The smoothing proximal gradient loop, for a 1-d beta or a J x K matrix.
+def _fista(loss, penalty, config, beta):
+    """The smoothing proximal gradient loop, for a 1-d beta or a J x K matrix
+    whose rows each carry one copy of the penalty.
 
     Each iteration makes one loss product, at the new iterate; the product at
     the momentum point ``w = beta + m (beta - beta_prev)`` is the same
@@ -168,20 +171,24 @@ def _fista(loss, penalty, config, beta, num_features, num_inputs=1, header=None)
     Returns ``(beta, trace)``.
     """
     if penalty is not None:
-        validate_penalty(penalty, num_features)
+        validate_penalty(penalty, beta.shape[-1])
     pen = mu = D = norm_C = None
     L_loss = L = loss.lipschitz()
     if penalty is not None and penalty.gamma != 0.0:
-        pen = smoothed_penalty(penalty, config.mu, num_features, num_inputs, config.epsilon)
-        mu, D, norm_C = pen.mu, pen.D, pen.coupling.norm_bound
-        L = total_lipschitz(L_loss, norm_C, mu)
+        copies = beta.shape[0] if beta.ndim == 2 else 1
+        pen = smoothed_penalty(penalty, config.mu, beta.shape[-1], copies, config.epsilon)
+        if pen.coupling.nnz == 0:  # C = 0: the penalty is identically zero, as with gamma = 0
+            pen = None
+        else:
+            mu, D, norm_C = pen.mu, pen.D, pen.coupling.norm_bound
+            L = total_lipschitz(L_loss, norm_C, mu)
     if L <= 0:
         raise SolverError("non-positive Lipschitz constant; nothing to optimize")
     lam = config.lam
     trace = Trace(header={
         "mu": mu, "epsilon": config.epsilon, "L_loss": L_loss, "L": L, "D": D,
         "norm_C": norm_C, "lam": lam,
-        "max_iter": config.max_iter, "rel_tol": config.rel_tol, **(header or {}),
+        "max_iter": config.max_iter, "rel_tol": config.rel_tol, "shape": list(beta.shape),
     })
 
     def smooth_gradient(w):
@@ -219,18 +226,21 @@ def _fista(loss, penalty, config, beta, num_features, num_inputs=1, header=None)
 def solve(problem: Problem, config: SolverConfig, beta0=None):
     """Run the smoothing proximal gradient method.
 
-    Returns ``(beta, trace)``.  Stops when the relative change of the exact
-    objective drops below ``rel_tol`` or ``max_iter`` is reached.
+    Returns ``(beta, trace)``, beta J x K for an N x K response.  Stops when
+    the relative change of the exact objective drops below ``rel_tol`` or
+    ``max_iter`` is reached.
     """
-    J = problem.num_features
-    return _fista(problem.loss, problem.penalty, config, _initial_beta(beta0, J), J)
+    return _fista(problem.loss, problem.penalty, config, _initial_beta(problem, beta0))
 
 
-def _initial_beta(beta0, J) -> np.ndarray:
-    """A copy of the starting point ``beta0``, zeros when it is None."""
-    beta = np.zeros(J) if beta0 is None else np.asarray(beta0, dtype=float).copy()
-    if beta.shape != (J,):
-        raise ValueError(f"beta0 has shape {beta.shape}, expected ({J},)")
+def _initial_beta(problem, beta0) -> np.ndarray:
+    """A copy of the starting point ``beta0``, zeros of shape
+    ``(J,) + y.shape[1:]`` when it is None."""
+    data = problem.loss.data
+    shape = data.X.shape[1:] + data.y.shape[1:]
+    beta = np.zeros(shape) if beta0 is None else np.asarray(beta0, dtype=float).copy()
+    if beta.shape != shape:
+        raise StructureError(f"beta0 has shape {beta.shape}, expected {shape}")
     return beta
 
 

@@ -237,3 +237,62 @@ def test_path_without_lambdas_fails_cleanly(toy_instance, capsys):
     assert rc == 1
     assert "error: at least one lambda is required" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.fixture
+def graph_instance(tmp_path):
+    inst = tmp_path / "graph"
+    assert cli_main(["simulate", "graph", "--out-dir", str(inst)]) == 0
+    return inst
+
+
+class TestMultiOutputInstances:
+    def test_bench(self, graph_instance, tmp_path):
+        report_path = tmp_path / "report.json"
+        rc = cli_main(
+            ["bench", "--instance", str(graph_instance), "--lambda", "1.0", "--mu", "1e-3",
+             "--max-iter", "200", "--report", str(report_path)]
+        )
+        assert rc == 0
+        report = json.loads(report_path.read_text())
+        assert [m["name"] for m in report["methods"]] == ["proxgrad", "fobos"]
+        assert all(np.isfinite(m["objective"]) for m in report["methods"])
+
+    def test_path_saves_matrices(self, graph_instance, tmp_path):
+        out = tmp_path / "path"
+        rc = cli_main(
+            ["path", "--x", str(graph_instance / "X.csv"), "--y", str(graph_instance / "y.csv"),
+             "--penalty", str(graph_instance / "penalty.json"), "--lambdas", "4.0,2.0,1.0",
+             "--mu", "1e-3", "--max-iter", "200", "--out-dir", str(out)]
+        )
+        assert rc == 0
+        files = sorted(out.glob("beta_*.csv"))
+        assert len(files) == 3
+        for f in files:
+            assert np.loadtxt(f, delimiter=",").shape == (30, 10)
+
+    def test_logistic_label_columns(self, tmp_path):
+        rng = np.random.default_rng(2)
+        X = rng.standard_normal((30, 4))
+        write_csv(tmp_path / "X.csv", X)
+        write_csv(tmp_path / "y.csv", np.where(rng.standard_normal((30, 3)) > 0, 1.0, -1.0))
+        out = tmp_path / "B.csv"
+        rc = cli_main(
+            ["solve", "--x", str(tmp_path / "X.csv"), "--y", str(tmp_path / "y.csv"),
+             "--loss", "logistic", "--lambda", "0.5", "--out", str(out)]
+        )
+        assert rc == 0
+        assert np.loadtxt(out, delimiter=",").shape == (4, 3)
+
+    def test_edgeless_graph_with_epsilon(self, tmp_path):
+        """A strong correlation threshold leaves the graph without edges."""
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"rho": 0.99}))
+        inst = tmp_path / "inst"
+        assert cli_main(["simulate", "graph", "--spec", str(spec_path), "--out-dir", str(inst)]) == 0
+        assert json.loads((inst / "penalty.json").read_text())["edges"] == []
+        common = ["solve", "--x", str(inst / "X.csv"), "--y", str(inst / "y.csv"),
+                  "--lambda", "1.0", "--epsilon", "1e-3"]
+        assert cli_main(common + ["--penalty", str(inst / "penalty.json"), "--out", str(tmp_path / "B.csv")]) == 0
+        assert cli_main(common + ["--out", str(tmp_path / "B_free.csv")]) == 0
+        assert (tmp_path / "B.csv").read_bytes() == (tmp_path / "B_free.csv").read_bytes()

@@ -52,6 +52,11 @@ class TestPenaltySubgradient:
             penalty_subgradient(spec, [2.0, 1.0, 1.0]), [1.0, -1.0, 0.0]
         )
 
+    def test_matrix_rows_each_carry_the_penalty(self, rng):
+        spec = GraphPenaltySpec(num_nodes=3, edges=((0, 1, 1.0), (1, 2, -0.5)), gamma=1.0)
+        B = rng.standard_normal((4, 3))
+        np.testing.assert_allclose(penalty_subgradient(spec, B), [penalty_subgradient(spec, row) for row in B])
+
     def test_subgradient_inequality(self, rng):
         # Omega(b2) >= Omega(b1) + <sg(b1), b2 - b1> for every pair
         for _ in range(25):
@@ -134,6 +139,18 @@ class TestSolveFobos:
     def test_invalid_step_scale(self):
         with pytest.raises(ValueError):
             FobosConfig(lam=0.1, c=0.0)
+
+    def test_negative_lambda_rejected(self):
+        with pytest.raises(ValueError, match="lam must be non-negative"):
+            FobosConfig(lam=-1.0)
+
+    def test_zero_max_iter_rejected(self):
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            FobosConfig(max_iter=0)
+
+    def test_negative_rel_tol_rejected(self):
+        with pytest.raises(ValueError, match="rel_tol must be non-negative"):
+            FobosConfig(rel_tol=-1.0)
 
 
 class TestInputChecks:

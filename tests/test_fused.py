@@ -15,7 +15,6 @@ from smoothprox import (
     Problem,
     SolverConfig,
     build_coupling,
-    multi_penalty_value,
     penalty_value,
     penalty_value_graph,
     penalty_value_group,
@@ -78,8 +77,6 @@ def reference_spg(X, Y, spec, mu, L, lam, steps, logistic=False):
         return np.sum(A * Z) - 0.5 * mu * np.sum(A * A)
 
     def exact(B):
-        if matrix:
-            return multi_penalty_value(MultiProblem(X, Y, spec), B)
         return penalty_value(spec, B)
 
     beta = np.zeros((X.shape[1], Y.shape[1]) if matrix else X.shape[1])
@@ -202,7 +199,7 @@ def test_values_from_c_beta_match_definitions(spec, seed, scale, mu, num_inputs)
     pen = smoothed_penalty(spec, mu, num_features=K, num_inputs=max(num_inputs, 1))
     f0, f_mu = pen.values(beta)
     if num_inputs:
-        exact = multi_penalty_value(MultiProblem(np.ones((1, num_inputs)), np.ones((1, K)), spec), beta)
+        exact = penalty_value(spec, beta)
     elif isinstance(spec, GroupPenaltySpec):
         exact = penalty_value_group(spec, beta)
     else:

@@ -1,16 +1,22 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from smoothprox import (
+    FobosConfig,
     GraphPenaltySpec,
     GroupPenaltySpec,
     MultiProblem,
     Problem,
     SolverConfig,
     StructureError,
-    multi_penalty_value,
+    default_c,
+    penalty_value,
+    regularization_path,
     smoothed_penalty,
     solve,
+    solve_fobos,
     solve_multivariate,
 )
 from conftest import central_difference_gradient
@@ -39,18 +45,18 @@ class TestMultiPenaltyValue:
         # one group over both outputs; rows (3,4) and (0,0)
         spec = GroupPenaltySpec.with_unit_weights(((0, 1),), 1.0)
         prob = MultiProblem(np.ones((3, 2)), np.ones((3, 2)), spec)
-        assert multi_penalty_value(prob, [[3.0, 4.0], [0.0, 0.0]]) == pytest.approx(5.0)
+        assert penalty_value(spec, [[3.0, 4.0], [0.0, 0.0]]) == pytest.approx(5.0)
 
     def test_zero_matrix(self, rng):
         spec = GroupPenaltySpec.with_unit_weights(((0, 1), (1, 2)), 2.0)
         prob = toy_problem(rng, k=3, spec=spec)
-        assert multi_penalty_value(prob, np.zeros((4, 3))) == 0.0
+        assert penalty_value(spec, np.zeros((4, 3))) == 0.0
 
     def test_graph_sums_row_differences(self):
         spec = GraphPenaltySpec(num_nodes=2, edges=((0, 1, 1.0),), gamma=1.0)
         prob = MultiProblem(np.ones((3, 2)), np.ones((3, 2)), spec)
         B = np.array([[1.0, 3.0], [2.0, 2.0]])
-        assert multi_penalty_value(prob, B) == pytest.approx(2.0)
+        assert penalty_value(spec, B) == pytest.approx(2.0)
 
     def test_single_output_reduces_to_vector_penalty(self, rng):
         from smoothprox import penalty_value_group
@@ -62,11 +68,11 @@ class TestMultiPenaltyValue:
         B = rng.standard_normal((3, 1))
         # the output-side group {0} couples nothing across inputs, so the
         # matrix penalty is the l1 norm of the single column
-        assert multi_penalty_value(prob, B) == pytest.approx(
+        assert penalty_value(spec, B) == pytest.approx(
             1.5 * np.abs(B).sum(), rel=1e-12
         )
         vec_spec = GroupPenaltySpec.with_unit_weights(((0,), (1,), (2,)), 1.5)
-        assert multi_penalty_value(prob, B) == pytest.approx(
+        assert penalty_value(spec, B) == pytest.approx(
             penalty_value_group(vec_spec, B[:, 0]), rel=1e-12
         )
 
@@ -96,7 +102,7 @@ class TestSmoothedMatrixPenalty:
         pen = smoothed_penalty(spec, mu, 3, 4)
         for _ in range(20):
             B = rng.standard_normal((4, 3)) * rng.uniform(0.1, 4.0)
-            exact = multi_penalty_value(prob, B)
+            exact = penalty_value(spec, B)
             smooth = pen.value(B)
             assert smooth <= exact + 1e-10
             assert smooth >= exact - mu * pen.D - 1e-10
@@ -176,3 +182,55 @@ class TestSolveMultivariate:
         prob = toy_problem(rng, k=3)
         with pytest.raises(StructureError):
             solve_multivariate(prob, SolverConfig(lam=0.1), B0=np.zeros((2, 2)))
+
+
+class TestMatrixResponse:
+    """``solve``, ``solve_fobos`` and ``regularization_path`` take an N x K
+    response and return J x K coefficients."""
+
+    def test_regularization_path(self, rng):
+        spec = GraphPenaltySpec(num_nodes=3, edges=((0, 1, 0.8), (1, 2, -0.5)), gamma=1.0)
+        prob = toy_problem(rng, k=3, spec=spec)
+        problem = Problem.least_squares(prob.X, prob.Y, spec)
+        config = SolverConfig(mu=1e-3, rel_tol=1e-8)
+        results = regularization_path(problem, [2.0, 1.0, 0.5], config)
+        assert [beta.shape for _, beta, _ in results] == [(4, 3)] * 3
+        B, _ = solve_multivariate(prob, replace(config, lam=2.0))
+        np.testing.assert_array_equal(results[0][1], B)
+
+    def test_fobos(self, rng):
+        spec = GroupPenaltySpec.with_unit_weights(((0, 1), (1, 2)), 1.0)
+        prob = toy_problem(rng, k=3, spec=spec)
+        problem = Problem.least_squares(prob.X, prob.Y, spec)
+        lam = 0.2
+        B, trace = solve_fobos(problem, FobosConfig(lam=lam, c=default_c(25, 4, 3), max_iter=3000))
+        assert B.shape == (4, 3)
+        f = lambda b: problem.loss.value(b) + lam * np.abs(b).sum() + penalty_value(spec, b)
+        assert f(B) < f(np.zeros((4, 3)))
+        assert f(B) == pytest.approx(trace.smoothed_objectives[-1], rel=1e-12)
+
+    @pytest.mark.parametrize("max_iter, rel_tol, atol, rel", [
+        (150, 1e-300, 1e-12, 1e-12), (20000, 1e-13, 1e-4, 1e-9),
+    ], ids=["step-for-step", "converged"])
+    def test_logistic_matches_columnwise_solves(self, rng, max_iter, rel_tol, atol, rel):
+        """With no penalty the K columns are K independent problems with the
+        same step: the matrix run takes each column's steps.  Run to the end,
+        each column stops at its own iteration, on a flat stretch where the
+        objectives agree far more closely than the iterates."""
+        X = rng.standard_normal((40, 5))
+        Y = np.where(X @ rng.standard_normal((5, 3)) + rng.standard_normal((40, 3)) > 0, 1.0, -1.0)
+        config = SolverConfig(lam=0.5, max_iter=max_iter, rel_tol=rel_tol)
+        B, trace = solve(Problem.logistic(X, Y), config)
+        columns = [solve(Problem.logistic(X, Y[:, k]), config) for k in range(3)]
+        assert B.shape == (5, 3)
+        for k, (beta, _) in enumerate(columns):
+            np.testing.assert_allclose(B[:, k], beta, atol=atol)
+        total = sum(col_trace.objectives[-1] for _, col_trace in columns)
+        assert trace.objectives[-1] == pytest.approx(total, rel=rel)
+
+    def test_non_finite_response_rejected_before_iterating(self, rng):
+        prob = toy_problem(rng, k=3)
+        Y = prob.Y.copy()
+        Y[2, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_multivariate(MultiProblem(prob.X, Y), SolverConfig(lam=0.1))

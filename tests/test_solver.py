@@ -302,3 +302,27 @@ class TestRegularizationPathConfig:
             assert trace.header["L"] == single.header["L"]
             assert len(trace) == 0  # record_trace=False
             assert trace.status == "max_iter"
+
+
+class TestResponseShape:
+    @pytest.mark.parametrize("K", [None, 3], ids=["vector", "matrix"])
+    def test_header_records_iterate_shape(self, rng, K):
+        y = rng.standard_normal(20 if K is None else (20, K))
+        beta, trace = solve(Problem.least_squares(rng.standard_normal((20, 5)), y), SolverConfig(lam=0.1))
+        assert beta.shape == (5,) + y.shape[1:]
+        assert trace.header["shape"] == list(beta.shape)
+
+    @pytest.mark.parametrize("edges", [(), ((0, 1, 0.0), (1, 2, 0.0))], ids=["no-edges", "zero-weights"])
+    @pytest.mark.parametrize("K", [None, 3], ids=["vector", "matrix"])
+    def test_zero_coupling_solves_like_no_penalty(self, rng, K, edges):
+        """A graph whose coupling is identically zero is no penalty, even when
+        epsilon asks for mu = epsilon / (2 D) and D is 0."""
+        X = rng.standard_normal((20, 4))
+        y = rng.standard_normal(20 if K is None else (20, K))
+        spec = GraphPenaltySpec(num_nodes=4 if K is None else K, edges=edges, gamma=1.0)
+        config = SolverConfig(lam=0.1, epsilon=1e-3)
+        beta, trace = solve(Problem.least_squares(X, y, spec), config)
+        beta_free, trace_free = solve(Problem.least_squares(X, y), config)
+        np.testing.assert_array_equal(beta, beta_free)
+        assert trace.objectives == trace_free.objectives
+        assert trace.header["mu"] is None and trace.header["L"] == trace_free.header["L"]
