@@ -15,13 +15,7 @@ import importlib
 
 _EXPORTS = {
     "fobos": ("FobosConfig", "default_c", "penalty_subgradient", "solve_fobos"),
-    "losses": (
-        "Dataset",
-        "LogisticLoss",
-        "SquaredLoss",
-        "logistic_loss_lipschitz",
-        "squared_loss_lipschitz",
-    ),
+    "losses": ("Dataset", "LogisticLoss", "SquaredLoss"),
     "multivariate": ("MultiProblem", "solve_multivariate"),
     "penalties": (
         "CouplingMatrix",
@@ -31,8 +25,6 @@ _EXPORTS = {
         "build_coupling",
         "build_graph_coupling",
         "build_group_coupling",
-        "coupling_apply",
-        "coupling_apply_transpose",
         "penalty_from_json",
         "penalty_to_json",
         "penalty_value",
@@ -58,9 +50,7 @@ _EXPORTS = {
         "Problem",
         "SolverConfig",
         "SolverError",
-        "SolverState",
         "Trace",
-        "fista_step",
         "iteration_bound",
         "regularization_path",
         "soft_threshold",

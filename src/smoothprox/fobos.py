@@ -9,6 +9,7 @@ trace is non-monotone, so the best-so-far value is tracked alongside.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -28,8 +29,8 @@ class FobosConfig:
 
     def __post_init__(self):
         _check_loop_fields(self)
-        if self.c <= 0:
-            raise ValueError("step scale c must be positive")
+        if not 0.0 < self.c < math.inf:
+            raise ValueError("step scale c must be positive and finite")
 
 
 def default_c(N, J, K=None) -> float:

@@ -224,7 +224,7 @@ class LogisticLoss(_ProductLoss):
     gradient-Lipschitz bound is lambda_max(X^T X) / 4.
     """
 
-    def __init__(self, data: Dataset, precompute=None):
+    def __init__(self, data: Dataset):
         labels = np.unique(data.y)
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ValueError("logistic labels must be in {-1, +1}")
@@ -249,10 +249,3 @@ class LogisticLoss(_ProductLoss):
             self._lipschitz = 0.25 * gram_lipschitz(self.data.X)
         return self._lipschitz
 
-
-def squared_loss_lipschitz(data: Dataset, precompute=None) -> float:
-    return SquaredLoss(data, precompute=precompute).lipschitz()
-
-
-def logistic_loss_lipschitz(data: Dataset) -> float:
-    return LogisticLoss(data).lipschitz()

@@ -13,24 +13,27 @@ feasible set is a product of one copy of the vector-case set per input, so
 the dual-domain bound is J times the vector-case bound, and the smoothed
 gradient Lipschitz constant reuses the vector-case coupling norm.
 
-``solve`` runs this problem whenever its response is N x K; ``MultiProblem``
-is the validated (X, Y, penalty) record that ``solve_multivariate`` takes.
+``MultiProblem`` is this problem as a validated (X, Y, penalty) record whose
+least-squares loss is built on first use; ``solve``, ``regularization_path``
+and ``solve_fobos`` take it like a ``Problem`` with an N x K response.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .losses import Dataset, SquaredLoss
 from .penalties import StructureError, validate_penalty
-from .solver import Problem, SolverConfig, solve
+from .solver import SolverConfig, solve
 
 
 @dataclass(frozen=True)
 class MultiProblem:
     """Design matrix, response matrix, and an output-side penalty spec; the
-    data are checked for finiteness when ``solve_multivariate`` builds the loss."""
+    ``loss`` (finiteness check, Gram) is built on first use and kept."""
 
     X: np.ndarray
     Y: np.ndarray
@@ -42,13 +45,15 @@ class MultiProblem:
         if X.ndim != 2 or Y.ndim != 2:
             raise StructureError("X and Y must be 2-d arrays")
         if Y.shape[0] != X.shape[0]:
-            raise StructureError(
-                f"X has {X.shape[0]} samples but Y has {Y.shape[0]}"
-            )
+            raise StructureError(f"X has {X.shape[0]} samples but Y has {Y.shape[0]}")
         if self.penalty is not None:
             validate_penalty(self.penalty, Y.shape[1])
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
+
+    @cached_property
+    def loss(self) -> SquaredLoss:
+        return SquaredLoss(Dataset(self.X, self.Y))
 
     @property
     def num_features(self):
@@ -60,6 +65,5 @@ class MultiProblem:
 
 
 def solve_multivariate(problem: MultiProblem, config: SolverConfig, B0=None):
-    """``solve`` on the least-squares problem with response matrix Y: the
-    iterate is then J x K.  Returns ``(B, trace)``."""
-    return solve(Problem.least_squares(problem.X, problem.Y, problem.penalty), config, B0)
+    """``solve`` on the multi-output problem; returns ``(B, trace)``, B J x K."""
+    return solve(problem, config, B0)

@@ -145,10 +145,16 @@ class CouplingMatrix:
 
     def apply(self, beta) -> np.ndarray:
         """``C beta``, or ``C B^T`` for a J x K matrix (one column per input)."""
-        return self.matrix @ np.asarray(beta, dtype=float).T
+        beta = np.asarray(beta, dtype=float)
+        if beta.shape[-1:] != (self.cols,):
+            raise StructureError(f"beta has shape {beta.shape}; C has {self.cols} columns")
+        return self.matrix @ beta.T
 
     def apply_transpose(self, alpha) -> np.ndarray:
         """``C^T alpha``, shaped like the iterate."""
+        alpha = np.asarray(alpha, dtype=float)
+        if alpha.shape[:1] != (self.rows,):
+            raise StructureError(f"alpha has shape {alpha.shape}; C has {self.rows} rows")
         return (self._transpose @ alpha).T
 
     def block_norms(self, z, out=None) -> np.ndarray:
@@ -288,24 +294,6 @@ def penalty_value(spec, beta) -> float:
     if isinstance(spec, GraphPenaltySpec):
         return penalty_value_graph(spec, beta)
     raise StructureError(f"unknown penalty spec type {type(spec).__name__}")
-
-
-def coupling_apply(coupling: CouplingMatrix, beta) -> np.ndarray:
-    """Sparse product C @ beta."""
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (coupling.cols,):
-        raise StructureError(f"coefficient vector has shape {beta.shape}, expected ({coupling.cols},)")
-    return coupling.matrix @ beta
-
-
-def coupling_apply_transpose(coupling: CouplingMatrix, alpha) -> np.ndarray:
-    """Sparse transpose product C^T @ alpha."""
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (coupling.rows,):
-        raise StructureError(
-            f"auxiliary vector has shape {alpha.shape}, expected ({coupling.rows},)"
-        )
-    return coupling.apply_transpose(alpha)
 
 
 def validate_penalty(spec, num_features) -> None:

@@ -10,9 +10,9 @@ the exact ``f``, not the surrogate.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
@@ -42,14 +42,15 @@ class Problem:
 
 
 def _check_loop_fields(config) -> None:
-    """Check the fields every solver loop's config has: ``lam >= 0``,
-    ``max_iter >= 1`` and ``rel_tol >= 0`` (0 never stops on the change)."""
-    if config.lam < 0:
-        raise ValueError("lam must be non-negative")
-    if config.max_iter < 1:
+    """Check the fields every solver loop's config has: finite ``lam >= 0``,
+    ``max_iter >= 1`` and finite ``rel_tol >= 0`` (0 never stops on the
+    change).  Each test is written so that NaN fails it."""
+    if not 0.0 <= config.lam < math.inf:
+        raise ValueError("lam must be non-negative and finite")
+    if not config.max_iter >= 1:
         raise ValueError("max_iter must be at least 1")
-    if config.rel_tol < 0:
-        raise ValueError("rel_tol must be non-negative")
+    if not 0.0 <= config.rel_tol < math.inf:
+        raise ValueError("rel_tol must be non-negative and finite")
 
 
 @dataclass
@@ -65,6 +66,10 @@ class SolverConfig:
         _check_loop_fields(self)
         if self.epsilon is not None and self.mu is not None:
             raise ValueError("give either epsilon or mu, not both")
+        for name in ("epsilon", "mu"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass
@@ -130,35 +135,6 @@ def iteration_bound(dist0, epsilon, loss_lipschitz, dual_bound, coupling_norm_va
     return float(np.sqrt(4.0 * dist0**2 / epsilon * inner))
 
 
-@dataclass
-class SolverState:
-    t: int
-    beta: np.ndarray
-    w: np.ndarray
-    theta: float
-    L: float
-    momentum: float = 0.0  # m in w = beta + m * (beta - beta_prev)
-
-
-def fista_step(state: SolverState, grad_fn: Callable, lam: float) -> SolverState:
-    """One accelerated proximal gradient step.
-
-    ``grad_fn`` evaluates the gradient of the smooth part at the auxiliary
-    iterate; the l1 prox is entrywise soft-thresholding at lam / L.
-    """
-    grad = grad_fn(state.w)
-    if not np.all(np.isfinite(grad)):
-        raise SolverError(f"non-finite gradient at iteration {state.t}")
-    beta_next = soft_threshold(state.w - grad / state.L, lam / state.L)
-    theta_next = 2.0 / (state.t + 3.0)
-    momentum = (1.0 - state.theta) / state.theta * theta_next
-    w_next = beta_next + momentum * (beta_next - state.beta)
-    return SolverState(
-        t=state.t + 1, beta=beta_next, w=w_next, theta=theta_next, L=state.L,
-        momentum=momentum,
-    )
-
-
 def _fista(loss, penalty, config, beta):
     """The smoothing proximal gradient loop, for a 1-d beta or a J x K matrix
     whose rows each carry one copy of the penalty.
@@ -191,40 +167,45 @@ def _fista(loss, penalty, config, beta):
         "max_iter": config.max_iter, "rel_tol": config.rel_tol, "shape": list(beta.shape),
     })
 
-    def smooth_gradient(w):
-        g = loss.gradient_from(p_w)  # p_w is the loss product at w
-        return g if pen is None else g + pen.gradient(w)
-
-    state = SolverState(t=0, beta=beta, w=beta, theta=1.0, L=L)
-    p = p_w = loss.product(beta)
+    beta_prev = w = beta
+    theta = 1.0
+    p = p_w = loss.product(beta)  # the loss products at beta and at w
     f_prev = None
     start = time.perf_counter()
     status = "max_iter"
-    for _ in range(config.max_iter):
-        state = fista_step(state, smooth_gradient, lam)
-        p_next = loss.product(state.beta)
-        p_w = p_next + state.momentum * (p_next - p)
+    for t in range(config.max_iter):
+        grad = loss.gradient_from(p_w)
+        if pen is not None:
+            grad = grad + pen.gradient(w)
+        if not np.all(np.isfinite(grad)):
+            raise SolverError(f"non-finite gradient at iteration {t}")
+        beta = soft_threshold(w - grad / L, lam / L)
+        theta_next = 2.0 / (t + 3.0)
+        momentum = (1.0 - theta) / theta * theta_next
+        w = beta + momentum * (beta - beta_prev)
+        beta_prev, theta = beta, theta_next
+        p_next = loss.product(beta)
+        p_w = p_next + momentum * (p_next - p)
         p = p_next
-        loss_l1 = loss.value_from(state.beta, p) + lam * float(np.abs(state.beta).sum())
-        f0, f_mu = pen.values(state.beta) if pen is not None else (0.0, 0.0)
+        loss_l1 = loss.value_from(beta, p) + lam * float(np.abs(beta).sum())
+        f0, f_mu = pen.values(beta) if pen is not None else (0.0, 0.0)
         f = loss_l1 + f0
         if not np.isfinite(f):
-            trace.status = "error"
-            raise SolverError(f"non-finite objective at iteration {state.t}")
+            raise SolverError(f"non-finite objective at iteration {t + 1}")
         if config.record_trace:
-            trace.record(state.t, f, loss_l1 + f_mu, time.perf_counter() - start)
-        if f_prev is not None:
-            if abs(f - f_prev) / max(1.0, abs(f_prev)) < config.rel_tol:
-                status = "converged"
-                break
+            trace.record(t + 1, f, loss_l1 + f_mu, time.perf_counter() - start)
+        if f_prev is not None and abs(f - f_prev) / max(1.0, abs(f_prev)) < config.rel_tol:
+            status = "converged"
+            break
         f_prev = f
     trace.status = status
-    trace.final_nnz = int(np.count_nonzero(state.beta))
-    return state.beta, trace
+    trace.final_nnz = int(np.count_nonzero(beta))
+    return beta, trace
 
 
 def solve(problem: Problem, config: SolverConfig, beta0=None):
-    """Run the smoothing proximal gradient method.
+    """Run the smoothing proximal gradient method on a ``Problem`` or a
+    ``MultiProblem`` (anything with a ``loss`` and a ``penalty``).
 
     Returns ``(beta, trace)``, beta J x K for an N x K response.  Stops when
     the relative change of the exact objective drops below ``rel_tol`` or

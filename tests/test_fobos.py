@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,21 @@ class TestSolveFobos:
     def test_negative_rel_tol_rejected(self):
         with pytest.raises(ValueError, match="rel_tol must be non-negative"):
             FobosConfig(rel_tol=-1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_lambda_rejected(self, value):
+        with pytest.raises(ValueError, match="lam must be non-negative and finite"):
+            FobosConfig(lam=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rel_tol_rejected(self, value):
+        with pytest.raises(ValueError, match="rel_tol must be non-negative and finite"):
+            FobosConfig(rel_tol=value)
+
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+    def test_step_scale_must_be_positive_and_finite(self, value):
+        with pytest.raises(ValueError, match="step scale c must be positive and finite"):
+            FobosConfig(c=value)
 
 
 class TestInputChecks:

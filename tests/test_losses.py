@@ -11,9 +11,7 @@ from smoothprox import (
     Problem,
     SolverConfig,
     SquaredLoss,
-    logistic_loss_lipschitz,
     solve,
-    squared_loss_lipschitz,
 )
 from smoothprox.losses import gram_lipschitz
 from smoothprox.losses import power_iteration
@@ -74,17 +72,17 @@ class TestSquaredLoss:
 class TestSquaredLossLipschitz:
     def test_identity(self):
         data = Dataset(np.eye(3), np.zeros(3))
-        assert squared_loss_lipschitz(data) == pytest.approx(1.0)
+        assert SquaredLoss(data).lipschitz() == pytest.approx(1.0)
 
     def test_scaling(self):
         data = Dataset(2.0 * np.eye(3), np.zeros(3))
-        assert squared_loss_lipschitz(data) == pytest.approx(4.0)
+        assert SquaredLoss(data).lipschitz() == pytest.approx(4.0)
 
     def test_matches_dense_eigensolve(self, rng):
         X = rng.standard_normal((20, 10))
         data = Dataset(X, rng.standard_normal(20))
         exact = np.linalg.eigvalsh(X.T @ X).max()
-        assert squared_loss_lipschitz(data) == pytest.approx(exact, rel=1e-5)
+        assert SquaredLoss(data).lipschitz() == pytest.approx(exact, rel=1e-5)
 
     def test_gradient_lipschitz_property(self, rng):
         X = rng.standard_normal((12, 5))
@@ -151,19 +149,19 @@ class TestLogisticLoss:
 class TestLogisticLipschitz:
     def test_identity(self):
         data = Dataset(np.eye(3), np.array([1.0, -1.0, 1.0]))
-        assert logistic_loss_lipschitz(data) == pytest.approx(0.25)
+        assert LogisticLoss(data).lipschitz() == pytest.approx(0.25)
 
     def test_scaling(self):
         data = Dataset(2 * np.eye(3), np.array([1.0, -1.0, 1.0]))
-        assert logistic_loss_lipschitz(data) == pytest.approx(1.0)
+        assert LogisticLoss(data).lipschitz() == pytest.approx(1.0)
 
     def test_quarter_of_squared(self, rng):
         X = rng.standard_normal((10, 4))
         y = np.sign(rng.standard_normal(10))
         y[y == 0] = 1.0
         data = Dataset(X, y)
-        assert logistic_loss_lipschitz(data) == pytest.approx(
-            0.25 * squared_loss_lipschitz(data), rel=1e-12
+        assert LogisticLoss(data).lipschitz() == pytest.approx(
+            0.25 * SquaredLoss(data).lipschitz(), rel=1e-12
         )
 
 

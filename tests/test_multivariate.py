@@ -234,3 +234,29 @@ class TestMatrixResponse:
         Y[2, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             solve_multivariate(MultiProblem(prob.X, Y), SolverConfig(lam=0.1))
+
+
+class TestMultiProblemIsAProblem:
+    """A ``MultiProblem`` goes to every solver entry point as it is."""
+
+    def test_loss_built_once_on_first_use(self, rng):
+        prob = toy_problem(rng)
+        assert "loss" not in vars(prob)
+        assert prob.loss is prob.loss
+
+    def test_regularization_path(self, rng):
+        spec = GraphPenaltySpec(num_nodes=3, edges=((0, 1, 0.8), (1, 2, -0.5)), gamma=1.0)
+        prob = toy_problem(rng, k=3, spec=spec)
+        config = SolverConfig(mu=1e-3, rel_tol=1e-8)
+        results = regularization_path(prob, [2.0, 1.0, 0.5], config)
+        assert [beta.shape for _, beta, _ in results] == [(4, 3)] * 3
+        B, _ = solve_multivariate(prob, replace(config, lam=2.0))
+        np.testing.assert_array_equal(results[0][1], B)
+
+    def test_fobos_runs_to_max_iter(self, rng):
+        spec = GroupPenaltySpec.with_unit_weights(((0, 1), (1, 2)), 1.0)
+        prob = toy_problem(rng, k=3, spec=spec)
+        config = FobosConfig(lam=0.2, c=default_c(25, 4, 3), max_iter=50, rel_tol=0.0)
+        B, trace = solve_fobos(prob, config)
+        assert B.shape == (4, 3)
+        assert trace.status == "max_iter" and len(trace) == 50

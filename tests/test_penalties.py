@@ -16,8 +16,6 @@ from smoothprox import (
     build_coupling,
     build_graph_coupling,
     build_group_coupling,
-    coupling_apply,
-    coupling_apply_transpose,
     penalty_from_json,
     penalty_to_json,
     penalty_value_graph,
@@ -72,7 +70,7 @@ class TestGraphCoupling:
         spec = GraphPenaltySpec(num_nodes=2, edges=((0, 1, -0.5),), gamma=2.0)
         C = build_graph_coupling(spec)
         np.testing.assert_allclose(C.toarray(), [[1.0, 1.0]])
-        np.testing.assert_allclose(coupling_apply(C, [1.0, 1.0]), [2.0])
+        np.testing.assert_allclose(C.apply([1.0, 1.0]), [2.0])
 
     def test_unit_edge_is_difference_operator(self):
         spec = GraphPenaltySpec(num_nodes=2, edges=((0, 1, 1.0),), gamma=1.0)
@@ -145,7 +143,7 @@ class TestPenaltyValues:
             C = build_graph_coupling(spec)
             beta = rng.standard_normal(6)
             assert penalty_value_graph(spec, beta) == pytest.approx(
-                np.abs(coupling_apply(C, beta)).sum(), rel=1e-12
+                np.abs(C.apply(beta)).sum(), rel=1e-12
             )
 
     def test_group_value_is_dual_maximum(self, rng):
@@ -155,7 +153,7 @@ class TestPenaltyValues:
             spec = random_group_spec(rng, num_features=4, max_groups=3)
             C = build_group_coupling(spec, 4)
             beta = rng.standard_normal(4)
-            z = coupling_apply(C, beta)
+            z = C.apply(beta)
             best = sum(
                 np.linalg.norm(z[a:b]) for a, b in C.row_blocks
             )
@@ -181,25 +179,25 @@ class TestCouplingApply:
     def test_scalar(self):
         spec = GroupPenaltySpec(groups=((0,),), weights=(2.0,), gamma=3.0)
         C = build_group_coupling(spec, 1)
-        np.testing.assert_allclose(coupling_apply(C, [2.0]), [12.0])
+        np.testing.assert_allclose(C.apply([2.0]), [12.0])
 
     def test_group_expansion(self):
         C = build_group_coupling(two_group_spec(), 3)
-        np.testing.assert_allclose(coupling_apply(C, [3.0, 4.0, 0.0]), [3, 4, 4, 0])
+        np.testing.assert_allclose(C.apply([3.0, 4.0, 0.0]), [3, 4, 4, 0])
 
     def test_zero_vector(self):
         C = build_group_coupling(two_group_spec(), 3)
-        np.testing.assert_allclose(coupling_apply(C, np.zeros(3)), np.zeros(4))
+        np.testing.assert_allclose(C.apply(np.zeros(3)), np.zeros(4))
 
     def test_transpose_group(self):
         C = build_group_coupling(two_group_spec(), 3)
         np.testing.assert_allclose(
-            coupling_apply_transpose(C, np.ones(4)), [1.0, 2.0, 1.0]
+            C.apply_transpose(np.ones(4)), [1.0, 2.0, 1.0]
         )
 
     def test_transpose_zero(self):
         C = build_group_coupling(two_group_spec(), 3)
-        np.testing.assert_allclose(coupling_apply_transpose(C, np.zeros(4)), np.zeros(3))
+        np.testing.assert_allclose(C.apply_transpose(np.zeros(4)), np.zeros(3))
 
     def test_transpose_chain(self):
         spec = GraphPenaltySpec(
@@ -207,15 +205,26 @@ class TestCouplingApply:
         )
         C = build_graph_coupling(spec)
         np.testing.assert_allclose(
-            coupling_apply_transpose(C, np.ones(2)), [1.0, 0.0, -1.0]
+            C.apply_transpose(np.ones(2)), [1.0, 0.0, -1.0]
         )
 
     def test_dimension_mismatch(self):
         C = build_group_coupling(two_group_spec(), 3)
         with pytest.raises(StructureError):
-            coupling_apply(C, np.zeros(4))
+            C.apply(np.zeros(4))
         with pytest.raises(StructureError):
-            coupling_apply_transpose(C, np.zeros(3))
+            C.apply_transpose(np.zeros(3))
+
+    def test_matrix_dimension_mismatch(self):
+        """J x K iterates: the last axis of B must be C's column count, and
+        the first axis of the dual variable its row count."""
+        C = build_group_coupling(two_group_spec(), 3)
+        assert C.apply(np.zeros((5, 3))).shape == (4, 5)
+        assert C.apply_transpose(np.zeros((4, 5))).shape == (5, 3)
+        with pytest.raises(StructureError):
+            C.apply(np.zeros((5, 4)))
+        with pytest.raises(StructureError):
+            C.apply_transpose(np.zeros((3, 5)))
 
     def test_matches_dense_gram_product(self, rng):
         for _ in range(10):
@@ -224,7 +233,7 @@ class TestCouplingApply:
             dense = C.toarray()
             beta = rng.standard_normal(12)
             np.testing.assert_allclose(
-                coupling_apply_transpose(C, coupling_apply(C, beta)),
+                C.apply_transpose(C.apply(beta)),
                 dense.T @ (dense @ beta),
                 atol=1e-12,
             )

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,8 +10,6 @@ from smoothprox import (
     Problem,
     SolverConfig,
     SolverError,
-    SolverState,
-    fista_step,
     iteration_bound,
     regularization_path,
     smoothed_penalty,
@@ -76,28 +75,40 @@ def reference_lasso_fista(X, y, lam, L, num_steps):
     return iterates
 
 
-class TestFistaStep:
-    def test_momentum_weight_sequence(self, rng):
-        X = rng.standard_normal((5, 3))
-        y = rng.standard_normal(5)
-        prob = Problem.least_squares(X, y, precompute=False)
-        state = SolverState(
-            t=0, beta=np.zeros(3), w=np.zeros(3), theta=1.0, L=prob.loss.lipschitz()
-        )
-        state = fista_step(state, prob.loss.gradient, lam=0.1)
-        assert state.theta == pytest.approx(2.0 / 3.0)
-        state = fista_step(state, prob.loss.gradient, lam=0.1)
-        assert state.theta == pytest.approx(0.5)
+class TestSolverConfigChecks:
+    """Values that would fail later, or never stop, are rejected at
+    construction; NaN included."""
 
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+    def test_lam(self, value):
+        with pytest.raises(ValueError, match="lam must be non-negative and finite"):
+            SolverConfig(lam=value)
+
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+    def test_rel_tol(self, value):
+        with pytest.raises(ValueError, match="rel_tol must be non-negative and finite"):
+            SolverConfig(rel_tol=value)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_mu(self, value):
+        with pytest.raises(ValueError, match="mu must be positive and finite"):
+            SolverConfig(mu=value)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_epsilon(self, value):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            SolverConfig(epsilon=value)
+
+
+class TestFistaStep:
     def test_full_shrinkage(self, rng):
         X = rng.standard_normal((5, 3))
         y = rng.standard_normal(5)
         prob = Problem.least_squares(X, y, precompute=False)
         L = prob.loss.lipschitz()
         lam = L * (np.abs(prob.loss.gradient(np.zeros(3)) / L).max() + 1.0)
-        state = SolverState(t=0, beta=np.zeros(3), w=np.zeros(3), theta=1.0, L=L)
-        state = fista_step(state, prob.loss.gradient, lam=lam)
-        assert (state.beta == 0.0).all()
+        beta, _ = solve(prob, SolverConfig(lam, max_iter=1, rel_tol=0.0))
+        assert (beta == 0.0).all()
 
     def test_matches_reference_lasso_step_for_step(self, rng):
         X = rng.standard_normal((20, 6))
@@ -106,17 +117,9 @@ class TestFistaStep:
         L = prob.loss.lipschitz()
         lam = 0.3
         reference = reference_lasso_fista(X, y, lam, L, 200)
-        state = SolverState(
-            t=0, beta=np.zeros(6), w=np.zeros(6), theta=1.0, L=L
-        )
-        for expected in reference:
-            state = fista_step(state, prob.loss.gradient, lam=lam)
-            np.testing.assert_allclose(state.beta, expected, atol=1e-12)
-
-    def test_non_finite_gradient_raises(self):
-        state = SolverState(t=0, beta=np.zeros(2), w=np.zeros(2), theta=1.0, L=1.0)
-        with pytest.raises(SolverError):
-            fista_step(state, lambda w: np.array([np.nan, 0.0]), lam=0.1)
+        for k, expected in enumerate(reference, start=1):
+            beta, _ = solve(prob, SolverConfig(lam, max_iter=k, rel_tol=0.0))
+            np.testing.assert_allclose(beta, expected, atol=1e-12)
 
 
 class TestSolve:
