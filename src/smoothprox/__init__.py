@@ -14,7 +14,7 @@ the package, or ``smoothprox.cli``, does not load numpy: the CLI's
 import importlib
 
 _EXPORTS = {
-    "fobos": ("FobosConfig", "default_c", "penalty_subgradient", "solve_fobos"),
+    "fobos": ("FobosConfig", "default_c", "solve_fobos"),
     "losses": ("Dataset", "LogisticLoss", "SquaredLoss"),
     "multivariate": ("MultiProblem", "solve_multivariate"),
     "penalties": (
@@ -22,14 +22,8 @@ _EXPORTS = {
         "GraphPenaltySpec",
         "GroupPenaltySpec",
         "StructureError",
-        "build_coupling",
-        "build_graph_coupling",
-        "build_group_coupling",
         "penalty_from_json",
         "penalty_to_json",
-        "penalty_value",
-        "penalty_value_graph",
-        "penalty_value_group",
     ),
     "simulate": (
         "GraphSimSpec",

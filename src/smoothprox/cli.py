@@ -251,9 +251,11 @@ def cli_main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     _set_threads(args.threads)
+    from .solver import SolverError  # loads numpy, so only once the thread cap is set
+
     try:
         return _HANDLERS[args.command](args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, json.JSONDecodeError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

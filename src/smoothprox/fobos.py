@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .penalties import build_coupling, validate_penalty
 from .solver import Problem, SolverError, Trace, _check_loop_fields, _initial_beta, soft_threshold
 
 
@@ -35,22 +34,10 @@ class FobosConfig:
 
 def default_c(N, J, K=None) -> float:
     """Step scale 0.1 / sqrt(N*J) (univariate) or 0.1 / sqrt(N*J*K)."""
-    if N < 1 or J < 1 or (K is not None and K < 1):
+    if not (N >= 1 and J >= 1 and (K is None or K >= 1)):
         raise ValueError("dimensions must be positive")
     size = N * J if K is None else N * J * K
     return 0.1 / np.sqrt(size)
-
-
-def penalty_subgradient(spec, beta) -> np.ndarray:
-    """A subgradient of the exact structured penalty at beta.
-
-    ``C^T u`` with ``u`` the blockwise unit direction of ``C beta``: per group
-    gamma * w_g * beta_g / ||beta_g||, and C^T sign(C beta) on a graph, with
-    the zero block at a kink.  Both pick the minimal-norm element on the
-    flat faces.
-    """
-    beta = np.asarray(beta, dtype=float)
-    return build_coupling(spec, num_features=beta.shape[-1]).value_and_subgradient(beta)[1]
 
 
 def solve_fobos(problem: Problem, config: FobosConfig, beta0=None):
@@ -59,16 +46,13 @@ def solve_fobos(problem: Problem, config: FobosConfig, beta0=None):
     ``beta_best`` is the iterate with the best objective seen, since the
     plain iterates do not decrease monotonically.  The objective at an
     iterate and the step direction from it share one loss product and one
-    ``C beta``.
+    ``C beta``; the penalty's subgradient is ``C^T u``, ``u`` the blockwise
+    unit direction of ``C beta`` (``CouplingMatrix.value_and_subgradient``).
     """
     beta = _initial_beta(problem, beta0)
     lam = config.lam
     loss = problem.loss
-    coupling = None
-    if problem.penalty is not None:
-        validate_penalty(problem.penalty, beta.shape[-1])
-        if problem.penalty.gamma != 0.0:
-            coupling = build_coupling(problem.penalty, num_features=beta.shape[-1])
+    coupling = problem.coupling
 
     def objective_and_direction(b):
         p = loss.product(b)

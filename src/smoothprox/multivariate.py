@@ -14,8 +14,9 @@ the dual-domain bound is J times the vector-case bound, and the smoothed
 gradient Lipschitz constant reuses the vector-case coupling norm.
 
 ``MultiProblem`` is this problem as a validated (X, Y, penalty) record whose
-least-squares loss is built on first use; ``solve``, ``regularization_path``
-and ``solve_fobos`` take it like a ``Problem`` with an N x K response.
+least-squares loss and coupling matrix are built on first use; ``solve``,
+``regularization_path`` and ``solve_fobos`` take it like a ``Problem`` with an
+N x K response.
 """
 
 from __future__ import annotations
@@ -26,14 +27,15 @@ from functools import cached_property
 import numpy as np
 
 from .losses import Dataset, SquaredLoss
-from .penalties import StructureError, validate_penalty
+from .penalties import StructureError, penalty_coupling, validate_penalty
 from .solver import SolverConfig, solve
 
 
 @dataclass(frozen=True)
 class MultiProblem:
     """Design matrix, response matrix, and an output-side penalty spec; the
-    ``loss`` (finiteness check, Gram) is built on first use and kept."""
+    ``loss`` (finiteness check, Gram) and the ``coupling`` are built on first
+    use and kept."""
 
     X: np.ndarray
     Y: np.ndarray
@@ -54,6 +56,11 @@ class MultiProblem:
     @cached_property
     def loss(self) -> SquaredLoss:
         return SquaredLoss(Dataset(self.X, self.Y))
+
+    @cached_property
+    def coupling(self):
+        """The output-side coupling matrix, None when the penalty is zero."""
+        return penalty_coupling(self.penalty, self.Y.shape[1])
 
     @property
     def num_features(self):

@@ -8,17 +8,17 @@ Two penalty families are supported:
   sign(r_ml) * beta_l|`` over weighted, signed edges.
 
 Both can be written as ``max_{alpha in Q} alpha^T C beta`` for a sparse
-coupling matrix ``C``; this module builds ``C``, reads the constants the
-smoothing needs off it (``D`` and a bound on ``||C||``), and evaluates the
-exact (non-smoothed) penalty values.  All indices are 0-based in memory; the
-JSON file format uses 1-based indices.
+coupling matrix ``C``.  Each spec builds its own ``C`` and evaluates its own
+exact (non-smoothed) value; ``CouplingMatrix`` reads the constants the
+smoothing needs off ``C`` (``D`` and a bound on ``||C||``).  All indices are
+0-based in memory; the JSON file format uses 1-based indices.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -65,10 +65,10 @@ class GroupPenaltySpec:
                 raise StructureError("empty group")
             if any(i < 0 for i in g):
                 raise StructureError("negative group index")
-        if any(w <= 0 for w in weights):
-            raise StructureError("group weights must be positive")
-        if self.gamma < 0:
-            raise StructureError("gamma must be non-negative")
+        if not all(0.0 < w < math.inf for w in weights):
+            raise StructureError("group weights must be positive and finite")
+        if not 0.0 <= self.gamma < math.inf:
+            raise StructureError("gamma must be non-negative and finite")
 
     @classmethod
     def with_unit_weights(cls, groups, gamma):
@@ -80,6 +80,36 @@ class GroupPenaltySpec:
                 raise StructureError(
                     f"group index out of range for {num_features} features"
                 )
+
+    def coupling(self, num_features) -> CouplingMatrix:
+        """The coupling matrix over ``num_features`` features.
+
+        Rows are indexed by (member, group) pairs in group order, then member
+        order within each group; row ``(i, g)`` carries ``gamma * w_g`` in
+        column ``i``.
+        """
+        self.validate_against(num_features)
+        cols = np.concatenate([np.asarray(g, dtype=np.int64) for g in self.groups])
+        vals = np.concatenate(
+            [np.full(len(g), self.gamma * w) for g, w in zip(self.groups, self.weights)]
+        )
+        rows = np.arange(cols.size, dtype=np.int64)
+        matrix = sp.csr_matrix((vals, (rows, cols)), shape=(cols.size, num_features))
+        blocks = []
+        start = 0
+        for g in self.groups:
+            blocks.append((start, start + len(g)))
+            start += len(g)
+        return CouplingMatrix(matrix=matrix, row_blocks=tuple(blocks))
+
+    def value(self, beta) -> float:
+        """Exact overlapping group lasso value: gamma * sum_g w_g * ||beta_g||_2,
+        summed over the rows of a J x K beta (groups over its K columns)."""
+        beta = _coefficients(self, beta)
+        total = 0.0
+        for g, w in zip(self.groups, self.weights):
+            total += w * float(np.linalg.norm(beta[..., np.asarray(g, dtype=np.int64)], axis=-1).sum())
+        return self.gamma * total
 
 
 @dataclass(frozen=True)
@@ -103,7 +133,7 @@ class GraphPenaltySpec:
         if self.num_nodes < 1:
             raise StructureError("num_nodes must be positive")
         seen = set()
-        for m, l, _ in edges:
+        for m, l, r in edges:
             if m == l:
                 raise StructureError(f"self-loop on node {m}")
             if not (0 <= m < l < self.num_nodes):
@@ -111,14 +141,47 @@ class GraphPenaltySpec:
             if (m, l) in seen:
                 raise StructureError(f"duplicate edge ({m}, {l})")
             seen.add((m, l))
-        if self.gamma < 0:
-            raise StructureError("gamma must be non-negative")
+            if not -math.inf < r < math.inf:
+                raise StructureError(f"edge ({m}, {l}) has a non-finite correlation")
+        if not 0.0 <= self.gamma < math.inf:
+            raise StructureError("gamma must be non-negative and finite")
 
     def validate_against(self, num_features):
         if num_features != self.num_nodes:
             raise StructureError(
                 f"graph penalty has {self.num_nodes} nodes, expected {num_features}"
             )
+
+    def coupling(self, num_features=None) -> CouplingMatrix:
+        """The signed, weighted edge-vertex incidence matrix: row e = (m, l)
+        has ``gamma * tau(r)`` at column m and ``-gamma * sign(r) * tau(r)``
+        at column l.  ``num_features``, when given, must be the node count."""
+        if num_features is not None:
+            self.validate_against(num_features)
+        rows, cols, vals = [], [], []
+        for e, (m, l, r) in enumerate(self.edges):
+            tau = abs(r)
+            if tau == 0.0:
+                continue
+            rows.extend((e, e))
+            cols.extend((m, l))
+            vals.extend((self.gamma * tau, -self.gamma * np.sign(r) * tau))
+        matrix = sp.csr_matrix(
+            (vals, (rows, cols)), shape=(len(self.edges), self.num_nodes)
+        )
+        return CouplingMatrix(matrix=matrix, row_blocks=None)
+
+    def value(self, beta) -> float:
+        """Exact graph fusion value: gamma * sum_e tau(r) * |beta_m - sign(r) beta_l|,
+        summed over the rows of a J x K beta (nodes are its K columns).
+
+        Equals ``||C beta||_1`` for the incidence matrix ``coupling`` builds.
+        """
+        beta = _coefficients(self, beta)
+        total = 0.0
+        for m, l, r in self.edges:
+            total += abs(r) * float(np.abs(beta[..., m] - np.sign(r) * beta[..., l]).sum())
+        return self.gamma * total
 
 
 @dataclass(frozen=True)
@@ -223,79 +286,6 @@ class CouplingMatrix:
         return self.matrix.toarray()
 
 
-def build_group_coupling(spec: GroupPenaltySpec, num_features: int) -> CouplingMatrix:
-    """Build the coupling matrix for an overlapping group lasso penalty.
-
-    Rows are indexed by (member, group) pairs in group order, then member
-    order within each group; row ``(i, g)`` carries ``gamma * w_g`` in
-    column ``i``.
-    """
-    spec.validate_against(num_features)
-    cols = np.concatenate([np.asarray(g, dtype=np.int64) for g in spec.groups])
-    vals = np.concatenate(
-        [np.full(len(g), spec.gamma * w) for g, w in zip(spec.groups, spec.weights)]
-    )
-    rows = np.arange(cols.size, dtype=np.int64)
-    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(cols.size, num_features))
-    blocks = []
-    start = 0
-    for g in spec.groups:
-        blocks.append((start, start + len(g)))
-        start += len(g)
-    return CouplingMatrix(matrix=matrix, row_blocks=tuple(blocks))
-
-
-def build_graph_coupling(spec: GraphPenaltySpec) -> CouplingMatrix:
-    """Build the signed, weighted edge-vertex incidence matrix for a graph
-    fusion penalty: row e = (m, l) has ``gamma * tau(r)`` at column m and
-    ``-gamma * sign(r) * tau(r)`` at column l."""
-    num_edges = len(spec.edges)
-    rows, cols, vals = [], [], []
-    for e, (m, l, r) in enumerate(spec.edges):
-        tau = abs(r)
-        if tau == 0.0:
-            continue
-        rows.extend((e, e))
-        cols.extend((m, l))
-        vals.extend((spec.gamma * tau, -spec.gamma * np.sign(r) * tau))
-    matrix = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(num_edges, spec.num_nodes)
-    )
-    return CouplingMatrix(matrix=matrix, row_blocks=None)
-
-
-def penalty_value_group(spec: GroupPenaltySpec, beta) -> float:
-    """Exact overlapping group lasso value: gamma * sum_g w_g * ||beta_g||_2,
-    summed over the rows of a J x K beta (groups over its K columns)."""
-    beta = _coefficients(spec, beta)
-    total = 0.0
-    for g, w in zip(spec.groups, spec.weights):
-        total += w * float(np.linalg.norm(beta[..., np.asarray(g, dtype=np.int64)], axis=-1).sum())
-    return spec.gamma * total
-
-
-def penalty_value_graph(spec: GraphPenaltySpec, beta) -> float:
-    """Exact graph fusion value: gamma * sum_e tau(r) * |beta_m - sign(r) beta_l|,
-    summed over the rows of a J x K beta (nodes are its K columns).
-
-    Equals ``||C beta||_1`` for the incidence matrix built above.
-    """
-    beta = _coefficients(spec, beta)
-    total = 0.0
-    for m, l, r in spec.edges:
-        total += abs(r) * float(np.abs(beta[..., m] - np.sign(r) * beta[..., l]).sum())
-    return spec.gamma * total
-
-
-def penalty_value(spec, beta) -> float:
-    """Dispatch to the exact penalty value for either penalty family."""
-    if isinstance(spec, GroupPenaltySpec):
-        return penalty_value_group(spec, beta)
-    if isinstance(spec, GraphPenaltySpec):
-        return penalty_value_graph(spec, beta)
-    raise StructureError(f"unknown penalty spec type {type(spec).__name__}")
-
-
 def validate_penalty(spec, num_features) -> None:
     """Raise StructureError unless ``spec`` is a group or graph penalty that
     fits ``num_features`` features, whatever its gamma."""
@@ -304,18 +294,18 @@ def validate_penalty(spec, num_features) -> None:
     spec.validate_against(num_features)
 
 
-def build_coupling(spec, num_features=None) -> CouplingMatrix:
-    """Build the coupling matrix for either penalty family; ``num_features``,
-    when given, must match a graph's node count."""
-    if isinstance(spec, GroupPenaltySpec):
-        if num_features is None:
-            raise StructureError("num_features is required for group penalties")
-        return build_group_coupling(spec, num_features)
-    if isinstance(spec, GraphPenaltySpec):
-        if num_features is not None:
-            spec.validate_against(num_features)
-        return build_graph_coupling(spec)
-    raise StructureError(f"unknown penalty spec type {type(spec).__name__}")
+def penalty_coupling(spec, num_features) -> CouplingMatrix | None:
+    """The coupling matrix of ``spec`` over ``num_features`` features, or None
+    when the penalty is identically zero: no spec, ``gamma == 0``, or a C
+    with no non-zeros (a graph without weighted edges).  The spec is
+    validated whatever its gamma."""
+    if spec is None:
+        return None
+    validate_penalty(spec, num_features)
+    if spec.gamma == 0.0:
+        return None
+    coupling = spec.coupling(num_features)
+    return coupling if coupling.nnz else None
 
 
 # --- JSON serialization (1-based indices on disk) ---

@@ -17,7 +17,7 @@ fixed seed reproduces instances bit-for-bit.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import SpectralEstimate, power_iteration
-from .penalties import CouplingMatrix, build_coupling
+from .penalties import CouplingMatrix
 
 #: Lower clamp on the smoothness parameter; avoids 1/mu blow-ups when a tiny
 #: target accuracy is combined with a small dual-domain bound.
@@ -32,9 +32,9 @@ def select_mu(epsilon=None, D=None) -> float:
     """
     if epsilon is None:
         return DEFAULT_MU
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    if D is None or D <= 0:
+    if D is None or not D > 0:
         raise ValueError("D must be positive")
     return max(epsilon / (2.0 * D), MU_FLOOR)
 
@@ -58,7 +58,7 @@ class SmoothedPenalty:
     D: float
 
     def __post_init__(self):
-        if self.mu <= 0:
+        if not self.mu > 0:
             raise ValueError("mu must be positive")
 
     def alpha_star(self, beta) -> np.ndarray:
@@ -88,18 +88,16 @@ class SmoothedPenalty:
         return self.coupling.apply_transpose(self.alpha_star(beta))
 
 
-def smoothed_penalty(spec, mu, num_features=None, num_inputs=1, epsilon=None) -> SmoothedPenalty:
-    """Build a SmoothedPenalty from a penalty spec; ``mu=None`` takes
-    ``select_mu(epsilon, D)``, or ``DEFAULT_MU`` when C has no non-zeros (a
-    graph without weighted edges): then f_mu = f0 = 0 whatever mu is.
+def smoothed_penalty(coupling, mu, num_inputs=1, epsilon=None) -> SmoothedPenalty:
+    """Smooth the penalty whose coupling matrix is ``coupling``; ``mu=None``
+    takes ``select_mu(epsilon, D)``.
 
-    For J x K matrix iterates pass ``num_features=K`` and ``num_inputs=J``:
-    the dual set holds one copy per input, so D is J times the vector bound.
+    For J x K matrix iterates pass ``num_inputs=J``: the dual set holds one
+    copy per input, so D is J times the vector bound.
     """
-    coupling = build_coupling(spec, num_features=num_features)
     D = num_inputs * coupling.dual_bound
     if mu is None:
-        mu = select_mu(epsilon, D) if coupling.nnz else DEFAULT_MU
+        mu = select_mu(epsilon, D)
     return SmoothedPenalty(coupling=coupling, mu=mu, D=D)
 
 

@@ -13,11 +13,12 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .losses import Dataset, LogisticLoss, SquaredLoss
-from .penalties import StructureError, validate_penalty
+from .penalties import StructureError, penalty_coupling
 from .smoothing import smoothed_penalty
 
 
@@ -31,6 +32,14 @@ class Problem:
 
     loss: object  # SquaredLoss | LogisticLoss
     penalty: object = None  # GroupPenaltySpec | GraphPenaltySpec | None
+
+    @cached_property
+    def coupling(self):
+        """The penalty's coupling matrix over the iterate's last axis (J, or K
+        for an N x K response), built on first use and kept; None when the
+        penalty is identically zero."""
+        data = self.loss.data
+        return penalty_coupling(self.penalty, (data.X.shape[1:] + data.y.shape[1:])[-1])
 
     @classmethod
     def least_squares(cls, X, y, penalty=None, precompute=None):
@@ -111,7 +120,7 @@ class Trace:
 
 def soft_threshold(v, threshold) -> np.ndarray:
     """Entrywise sign(v) * max(0, |v| - threshold); yields exact zeros."""
-    if threshold < 0:
+    if not threshold >= 0:
         raise ValueError("threshold must be non-negative")
     v = np.asarray(v, dtype=float)
     return np.sign(v) * np.maximum(0.0, np.abs(v) - threshold)
@@ -119,7 +128,7 @@ def soft_threshold(v, threshold) -> np.ndarray:
 
 def total_lipschitz(loss_lipschitz, coupling_norm_value, mu) -> float:
     """Gradient Lipschitz constant of the smooth part: L_loss + ||C||^2 / mu."""
-    if mu <= 0:
+    if not mu > 0:
         raise ValueError("mu must be positive")
     return float(loss_lipschitz) + float(coupling_norm_value) ** 2 / mu
 
@@ -129,15 +138,16 @@ def iteration_bound(dist0, epsilon, loss_lipschitz, dual_bound, coupling_norm_va
 
     sqrt( (4 * dist0^2 / eps) * (L_loss + 2 D ||C||^2 / eps) ).
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     inner = loss_lipschitz + 2.0 * dual_bound * coupling_norm_value**2 / epsilon
     return float(np.sqrt(4.0 * dist0**2 / epsilon * inner))
 
 
-def _fista(loss, penalty, config, beta):
+def _fista(loss, coupling, config, beta):
     """The smoothing proximal gradient loop, for a 1-d beta or a J x K matrix
-    whose rows each carry one copy of the penalty.
+    whose rows each carry one copy of the penalty with coupling matrix
+    ``coupling`` (None for no penalty).
 
     Each iteration makes one loss product, at the new iterate; the product at
     the momentum point ``w = beta + m (beta - beta_prev)`` is the same
@@ -146,18 +156,13 @@ def _fista(loss, penalty, config, beta):
     ``C beta``; the smoothed gradient at ``w`` costs ``C w`` and ``C^T alpha``.
     Returns ``(beta, trace)``.
     """
-    if penalty is not None:
-        validate_penalty(penalty, beta.shape[-1])
     pen = mu = D = norm_C = None
     L_loss = L = loss.lipschitz()
-    if penalty is not None and penalty.gamma != 0.0:
+    if coupling is not None:
         copies = beta.shape[0] if beta.ndim == 2 else 1
-        pen = smoothed_penalty(penalty, config.mu, beta.shape[-1], copies, config.epsilon)
-        if pen.coupling.nnz == 0:  # C = 0: the penalty is identically zero, as with gamma = 0
-            pen = None
-        else:
-            mu, D, norm_C = pen.mu, pen.D, pen.coupling.norm_bound
-            L = total_lipschitz(L_loss, norm_C, mu)
+        pen = smoothed_penalty(coupling, config.mu, copies, config.epsilon)
+        mu, D, norm_C = pen.mu, pen.D, coupling.norm_bound
+        L = total_lipschitz(L_loss, norm_C, mu)
     if L <= 0:
         raise SolverError("non-positive Lipschitz constant; nothing to optimize")
     lam = config.lam
@@ -205,13 +210,13 @@ def _fista(loss, penalty, config, beta):
 
 def solve(problem: Problem, config: SolverConfig, beta0=None):
     """Run the smoothing proximal gradient method on a ``Problem`` or a
-    ``MultiProblem`` (anything with a ``loss`` and a ``penalty``).
+    ``MultiProblem`` (anything with a ``loss`` and a ``coupling``).
 
     Returns ``(beta, trace)``, beta J x K for an N x K response.  Stops when
     the relative change of the exact objective drops below ``rel_tol`` or
     ``max_iter`` is reached.
     """
-    return _fista(problem.loss, problem.penalty, config, _initial_beta(problem, beta0))
+    return _fista(problem.loss, problem.coupling, config, _initial_beta(problem, beta0))
 
 
 def _initial_beta(problem, beta0) -> np.ndarray:
@@ -229,7 +234,7 @@ def regularization_path(problem: Problem, lambdas, config: SolverConfig):
     """Warm-started solves along a strictly descending lambda sequence.
 
     Returns a list of ``(lam, beta, trace)``; each solve starts from the
-    previous solution.
+    previous solution, and all share the problem's coupling matrix.
     """
     lambdas = [float(l) for l in lambdas]
     if not lambdas:

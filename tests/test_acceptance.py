@@ -36,9 +36,9 @@ def test_01_approximation_gap():
         else:
             spec = random_graph_spec(rng, num_nodes=J)
         mu = float(rng.uniform(1e-4, 1.0))
-        pen = spx.smoothed_penalty(spec, mu, num_features=J)
+        pen = spx.smoothed_penalty(spec.coupling(J), mu)
         beta = rng.standard_normal(J) * rng.uniform(0.1, 5.0)
-        exact = spx.penalty_value(spec, beta)
+        exact = spec.value(beta)
         smooth = pen.value(beta)
         ok &= smooth <= exact + 1e-10
         ok &= smooth >= exact - mu * pen.D - 1e-10
@@ -63,7 +63,7 @@ def test_02_smoothed_gradient():
     max_rel = 0.0
     for loss in losses:
         for spec in (gspec, hspec):
-            pen = spx.smoothed_penalty(spec, mu=0.1, num_features=J)
+            pen = spx.smoothed_penalty(spec.coupling(J), mu=0.1)
             h_value = lambda b: loss.value(b) + pen.value(b)
             h_grad = lambda b: loss.gradient(b) + pen.gradient(b)
             for _ in range(25):
@@ -84,16 +84,16 @@ def test_03_norm_constants():
     for _ in range(50):
         spec = random_group_spec(rng, num_features=int(rng.integers(3, 12)))
         J = max(max(g) for g in spec.groups) + 1
-        est = spx.spectral_norm_power_iteration(spx.build_coupling(spec, J))
-        closed = spx.build_coupling(spec, J).norm_bound
+        est = spx.spectral_norm_power_iteration(spec.coupling(J))
+        closed = spec.coupling(J).norm_bound
         ok &= abs(closed - est.value) <= 1e-6 * max(1.0, est.value)
     for _ in range(50):
         spec = random_graph_spec(rng, num_nodes=int(rng.integers(3, 12)))
-        est = spx.spectral_norm_power_iteration(spx.build_coupling(spec))
-        ok &= spx.build_coupling(spec).norm_bound >= est.value - 1e-6
+        est = spx.spectral_norm_power_iteration(spec.coupling())
+        ok &= spec.coupling().norm_bound >= est.value - 1e-6
     single = spx.GraphPenaltySpec(num_nodes=2, edges=((0, 1, 1.0),), gamma=1.5)
-    exact = np.linalg.svd(spx.build_coupling(single).toarray(), compute_uv=False)[0]
-    ok &= abs(spx.build_coupling(single).norm_bound - exact) <= 1e-6
+    exact = np.linalg.svd(single.coupling().toarray(), compute_uv=False)[0]
+    ok &= abs(single.coupling().norm_bound - exact) <= 1e-6
     _report("03 norm-constants", ok)
 
 
@@ -118,7 +118,7 @@ def test_04_prox_oracle():
 def _objective(prob, spec, lam, beta):
     val = prob.loss.value(beta) + lam * float(np.abs(beta).sum())
     if spec is not None:
-        val += spx.penalty_value(spec, beta)
+        val += spec.value(beta)
     return val
 
 
@@ -258,7 +258,7 @@ def test_07_iteration_bound():
     )
     prob = spx.Problem.least_squares(X, y, spec)
     lam = 0.5
-    coupling = spx.build_coupling(spec, 20)
+    coupling = spec.coupling(20)
     D, norm_c = coupling.dual_bound, coupling.norm_bound
     loss_L = prob.loss.lipschitz()
 
@@ -310,7 +310,7 @@ def test_08_multivariate_reduction():
     X = rng.standard_normal((N, J))
     Y = rng.standard_normal((N, K))
     spec = spx.GroupPenaltySpec.with_unit_weights(((0, 1), (1, 2)), 1.0)
-    pen = spx.smoothed_penalty(spec, 0.1, K, J)
+    pen = spx.smoothed_penalty(spec.coupling(K), 0.1, J)
     h_value = lambda v: (
         0.5 * np.sum((X @ v.reshape(J, K) - Y) ** 2) + pen.value(v.reshape(J, K))
     )

@@ -97,6 +97,40 @@ class TestSolveCommand:
         )
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+    def test_solver_error_exits_nonzero(self, tmp_path, capsys):
+        """Entries whose squares overflow give a non-finite gradient at the
+        first iteration: an error message and exit code 1, not a traceback."""
+        X = np.full((4, 3), 1e200)
+        X[0, 0] = 2e200
+        write_csv(tmp_path / "X.csv", X)
+        write_csv(tmp_path / "y.csv", np.ones((4, 1)))
+        with pytest.warns(RuntimeWarning):
+            rc = cli_main(
+                [
+                    "solve",
+                    "--x", str(tmp_path / "X.csv"),
+                    "--y", str(tmp_path / "y.csv"),
+                    "--lambda", "0.1",
+                    "--out", str(tmp_path / "beta.csv"),
+                ]
+            )
+        assert rc == 1
+        assert "error: non-finite gradient" in capsys.readouterr().err
+
+    def test_nan_gamma_exits_nonzero(self, toy_instance, capsys):
+        rc = cli_main(
+            [
+                "solve",
+                "--x", str(toy_instance / "X.csv"),
+                "--y", str(toy_instance / "y.csv"),
+                "--penalty", str(toy_instance / "penalty.json"),
+                "--gamma", "nan",
+                "--lambda", "0.1",
+                "--out", str(toy_instance / "beta.csv"),
+            ]
+        )
+        assert rc == 1
+        assert "error: gamma must be non-negative and finite" in capsys.readouterr().err
 
 
 class TestSimulateCommand:

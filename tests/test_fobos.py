@@ -11,12 +11,17 @@ from smoothprox import (
     SolverConfig,
     StructureError,
     default_c,
-    penalty_subgradient,
-    penalty_value,
     solve,
     solve_fobos,
 )
 from conftest import random_graph_spec, random_group_spec
+
+
+def subgradient(spec, beta):
+    """The subgradient ``solve_fobos`` steps along: ``C^T u``, u the blockwise
+    unit direction of ``C beta``."""
+    beta = np.asarray(beta, dtype=float)
+    return spec.coupling(beta.shape[-1]).value_and_subgradient(beta)[1]
 
 
 class TestDefaultC:
@@ -36,13 +41,13 @@ class TestPenaltySubgradient:
     def test_group_off_kink(self):
         spec = GroupPenaltySpec.with_unit_weights(((0, 1),), 1.0)
         np.testing.assert_allclose(
-            penalty_subgradient(spec, [3.0, 4.0]), [0.6, 0.8]
+            subgradient(spec, [3.0, 4.0]), [0.6, 0.8]
         )
 
     def test_group_zero_block_gives_zero(self):
         spec = GroupPenaltySpec.with_unit_weights(((0, 1), (2,)), 1.0)
         np.testing.assert_allclose(
-            penalty_subgradient(spec, [0.0, 0.0, 2.0]), [0.0, 0.0, 1.0]
+            subgradient(spec, [0.0, 0.0, 2.0]), [0.0, 0.0, 1.0]
         )
 
     def test_graph_chain(self):
@@ -51,13 +56,13 @@ class TestPenaltySubgradient:
         )
         # C beta = (1, 0): sign -> (1, 0), C^T back -> (1, -1, 0)
         np.testing.assert_allclose(
-            penalty_subgradient(spec, [2.0, 1.0, 1.0]), [1.0, -1.0, 0.0]
+            subgradient(spec, [2.0, 1.0, 1.0]), [1.0, -1.0, 0.0]
         )
 
     def test_matrix_rows_each_carry_the_penalty(self, rng):
         spec = GraphPenaltySpec(num_nodes=3, edges=((0, 1, 1.0), (1, 2, -0.5)), gamma=1.0)
         B = rng.standard_normal((4, 3))
-        np.testing.assert_allclose(penalty_subgradient(spec, B), [penalty_subgradient(spec, row) for row in B])
+        np.testing.assert_allclose(subgradient(spec, B), [subgradient(spec, row) for row in B])
 
     def test_subgradient_inequality(self, rng):
         # Omega(b2) >= Omega(b1) + <sg(b1), b2 - b1> for every pair
@@ -67,9 +72,9 @@ class TestPenaltySubgradient:
             else:
                 spec = random_graph_spec(rng, num_nodes=6)
             b1, b2 = rng.standard_normal((2, 6)) * 2
-            sg = penalty_subgradient(spec, b1)
-            lhs = penalty_value(spec, b2)
-            rhs = penalty_value(spec, b1) + sg @ (b2 - b1)
+            sg = subgradient(spec, b1)
+            lhs = spec.value(b2)
+            rhs = spec.value(b1) + sg @ (b2 - b1)
             assert lhs >= rhs - 1e-10
 
     def test_gamma_scaling(self, rng):
@@ -77,8 +82,8 @@ class TestPenaltySubgradient:
         base = GroupPenaltySpec.with_unit_weights(((0, 1), (2, 3)), 1.0)
         scaled = GroupPenaltySpec.with_unit_weights(((0, 1), (2, 3)), 2.5)
         np.testing.assert_allclose(
-            penalty_subgradient(scaled, beta),
-            2.5 * penalty_subgradient(base, beta),
+            subgradient(scaled, beta),
+            2.5 * subgradient(base, beta),
         )
 
 
@@ -133,7 +138,7 @@ class TestSolveFobos:
             prob, FobosConfig(lam=lam, c=default_c(40, 5), max_iter=20000, rel_tol=0.0)
         )
         f = lambda b: (
-            prob.loss.value(b) + lam * np.abs(b).sum() + penalty_value(spec, b)
+            prob.loss.value(b) + lam * np.abs(b).sum() + spec.value(b)
         )
         assert f(beta) < f(np.zeros(5))
         assert f(beta) == pytest.approx(trace.smoothed_objectives[-1])

@@ -14,10 +14,6 @@ from smoothprox import (
     MultiProblem,
     Problem,
     SolverConfig,
-    build_coupling,
-    penalty_value,
-    penalty_value_graph,
-    penalty_value_group,
     smoothed_penalty,
     solve,
     solve_multivariate,
@@ -50,8 +46,8 @@ def reference_spg(X, Y, spec, mu, L, lam, steps, logistic=False):
     objectives and the smoothed objectives."""
     matrix = Y.ndim == 2
     K = Y.shape[1] if matrix else X.shape[1]
-    C = build_coupling(spec, num_features=K).toarray()
-    blocks = build_coupling(spec, num_features=K).row_blocks or [(e, e + 1) for e in range(C.shape[0])]
+    C = spec.coupling(K).toarray()
+    blocks = spec.coupling(K).row_blocks or [(e, e + 1) for e in range(C.shape[0])]
 
     def alpha(B):
         Z = C @ (B.T if matrix else B) / mu
@@ -77,7 +73,7 @@ def reference_spg(X, Y, spec, mu, L, lam, steps, logistic=False):
         return np.sum(A * Z) - 0.5 * mu * np.sum(A * A)
 
     def exact(B):
-        return penalty_value(spec, B)
+        return spec.value(B)
 
     beta = np.zeros((X.shape[1], Y.shape[1]) if matrix else X.shape[1])
     w = beta.copy()
@@ -196,20 +192,15 @@ def test_values_from_c_beta_match_definitions(spec, seed, scale, mu, num_inputs)
     rng = np.random.default_rng(seed)
     beta = rng.standard_normal((num_inputs, K) if num_inputs else K) * scale
     beta[rng.random(beta.shape) < 0.3] = 0.0  # exact zeros: kinks of the penalty
-    pen = smoothed_penalty(spec, mu, num_features=K, num_inputs=max(num_inputs, 1))
+    pen = smoothed_penalty(spec.coupling(K), mu, num_inputs=max(num_inputs, 1))
     f0, f_mu = pen.values(beta)
-    if num_inputs:
-        exact = penalty_value(spec, beta)
-    elif isinstance(spec, GroupPenaltySpec):
-        exact = penalty_value_group(spec, beta)
-    else:
-        exact = penalty_value_graph(spec, beta)
+    exact = spec.value(beta)
     tol = 1e-12 * max(1.0, exact)
     assert f0 == pytest.approx(exact, rel=1e-12, abs=1e-300)
     alpha = pen.alpha_star(beta)
     z = pen.coupling.apply(beta)
     assert f_mu == pytest.approx(np.sum(alpha * z) - 0.5 * mu * np.sum(alpha * alpha), rel=1e-10, abs=tol)
-    assert pen.D == pytest.approx(max(num_inputs, 1) * build_coupling(spec, K).dual_bound)
+    assert pen.D == pytest.approx(max(num_inputs, 1) * spec.coupling(K).dual_bound)
     assert f0 - mu * pen.D - tol <= f_mu <= f0 + tol
 
 

@@ -12,7 +12,6 @@ from smoothprox import (
     SolverConfig,
     StructureError,
     default_c,
-    penalty_value,
     regularization_path,
     smoothed_penalty,
     solve,
@@ -45,22 +44,20 @@ class TestMultiPenaltyValue:
         # one group over both outputs; rows (3,4) and (0,0)
         spec = GroupPenaltySpec.with_unit_weights(((0, 1),), 1.0)
         prob = MultiProblem(np.ones((3, 2)), np.ones((3, 2)), spec)
-        assert penalty_value(spec, [[3.0, 4.0], [0.0, 0.0]]) == pytest.approx(5.0)
+        assert spec.value([[3.0, 4.0], [0.0, 0.0]]) == pytest.approx(5.0)
 
     def test_zero_matrix(self, rng):
         spec = GroupPenaltySpec.with_unit_weights(((0, 1), (1, 2)), 2.0)
         prob = toy_problem(rng, k=3, spec=spec)
-        assert penalty_value(spec, np.zeros((4, 3))) == 0.0
+        assert spec.value(np.zeros((4, 3))) == 0.0
 
     def test_graph_sums_row_differences(self):
         spec = GraphPenaltySpec(num_nodes=2, edges=((0, 1, 1.0),), gamma=1.0)
         prob = MultiProblem(np.ones((3, 2)), np.ones((3, 2)), spec)
         B = np.array([[1.0, 3.0], [2.0, 2.0]])
-        assert penalty_value(spec, B) == pytest.approx(2.0)
+        assert spec.value(B) == pytest.approx(2.0)
 
     def test_single_output_reduces_to_vector_penalty(self, rng):
-        from smoothprox import penalty_value_group
-
         spec = GroupPenaltySpec.with_unit_weights(((0,),), 1.5)
         prob = MultiProblem(
             rng.standard_normal((5, 3)), rng.standard_normal((5, 1)), spec
@@ -68,12 +65,12 @@ class TestMultiPenaltyValue:
         B = rng.standard_normal((3, 1))
         # the output-side group {0} couples nothing across inputs, so the
         # matrix penalty is the l1 norm of the single column
-        assert penalty_value(spec, B) == pytest.approx(
+        assert spec.value(B) == pytest.approx(
             1.5 * np.abs(B).sum(), rel=1e-12
         )
         vec_spec = GroupPenaltySpec.with_unit_weights(((0,), (1,), (2,)), 1.5)
-        assert penalty_value(spec, B) == pytest.approx(
-            penalty_value_group(vec_spec, B[:, 0]), rel=1e-12
+        assert spec.value(B) == pytest.approx(
+            vec_spec.value(B[:, 0]), rel=1e-12
         )
 
 
@@ -81,7 +78,7 @@ class TestSmoothedMatrixPenalty:
     def test_alpha_feasible(self, rng):
         spec = GroupPenaltySpec.with_unit_weights(((0, 1), (1, 2)), 1.0)
         prob = toy_problem(rng, k=3, spec=spec)
-        pen = smoothed_penalty(prob.penalty, 0.3, prob.num_outputs, prob.num_features)
+        pen = smoothed_penalty(prob.penalty.coupling(prob.num_outputs), 0.3, prob.num_features)
         A = pen.alpha_star(rng.standard_normal((4, 3)) * 3)
         for a, b in pen.coupling.row_blocks:
             assert (np.linalg.norm(A[a:b], axis=0) <= 1.0 + 1e-12).all()
@@ -91,7 +88,7 @@ class TestSmoothedMatrixPenalty:
             num_nodes=3, edges=((0, 1, 1.0), (1, 2, 1.0)), gamma=1.0
         )
         prob = toy_problem(rng, k=3, spec=spec)
-        pen = smoothed_penalty(prob.penalty, 0.2, prob.num_outputs, prob.num_features)
+        pen = smoothed_penalty(prob.penalty.coupling(prob.num_outputs), 0.2, prob.num_features)
         A = pen.alpha_star(rng.standard_normal((4, 3)) * 5)
         assert (np.abs(A) <= 1.0 + 1e-12).all()
 
@@ -99,22 +96,22 @@ class TestSmoothedMatrixPenalty:
         spec = GroupPenaltySpec.with_unit_weights(((0, 1), (1, 2)), 1.0)
         prob = toy_problem(rng, k=3, spec=spec)
         mu = 0.05
-        pen = smoothed_penalty(spec, mu, 3, 4)
+        pen = smoothed_penalty(spec.coupling(3), mu, 4)
         for _ in range(20):
             B = rng.standard_normal((4, 3)) * rng.uniform(0.1, 4.0)
-            exact = penalty_value(spec, B)
+            exact = spec.value(B)
             smooth = pen.value(B)
             assert smooth <= exact + 1e-10
             assert smooth >= exact - mu * pen.D - 1e-10
 
     def test_dual_bound_scales_with_inputs(self):
         spec = GroupPenaltySpec.with_unit_weights(((0, 1), (1, 2)), 1.0)
-        pen = smoothed_penalty(spec, 0.1, 3, 7)
+        pen = smoothed_penalty(spec.coupling(3), 0.1, 7)
         assert pen.D == pytest.approx(7.0)
 
     def test_gradient_matches_finite_differences(self, rng):
         spec = GroupPenaltySpec.with_unit_weights(((0, 1), (1, 2)), 1.0)
-        pen = smoothed_penalty(spec, 0.2, 3, 4)
+        pen = smoothed_penalty(spec.coupling(3), 0.2, 4)
         B = rng.standard_normal((4, 3))
         flat_value = lambda v: pen.value(v.reshape(4, 3))
         fd = central_difference_gradient(flat_value, B.ravel(), 1e-6)
@@ -126,11 +123,11 @@ class TestSmoothedMatrixPenalty:
         # K=1 with group {0} equals the vector penalty with singleton groups
         spec = GroupPenaltySpec.with_unit_weights(((0,),), 1.0)
         mu = 0.1
-        pen = smoothed_penalty(spec, mu, 1, 5)
+        pen = smoothed_penalty(spec.coupling(1), mu, 5)
         vec_spec = GroupPenaltySpec.with_unit_weights(
             tuple((j,) for j in range(5)), 1.0
         )
-        vec_pen = smoothed_penalty(vec_spec, mu, num_features=5)
+        vec_pen = smoothed_penalty(vec_spec.coupling(5), mu)
         beta = rng.standard_normal(5)
         B = beta.reshape(5, 1)
         assert pen.value(B) == pytest.approx(vec_pen.value(beta), rel=1e-12)
@@ -205,7 +202,7 @@ class TestMatrixResponse:
         lam = 0.2
         B, trace = solve_fobos(problem, FobosConfig(lam=lam, c=default_c(25, 4, 3), max_iter=3000))
         assert B.shape == (4, 3)
-        f = lambda b: problem.loss.value(b) + lam * np.abs(b).sum() + penalty_value(spec, b)
+        f = lambda b: problem.loss.value(b) + lam * np.abs(b).sum() + spec.value(b)
         assert f(B) < f(np.zeros((4, 3)))
         assert f(B) == pytest.approx(trace.smoothed_objectives[-1], rel=1e-12)
 

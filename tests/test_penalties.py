@@ -13,13 +13,8 @@ from smoothprox import (
     Problem,
     SolverConfig,
     StructureError,
-    build_coupling,
-    build_graph_coupling,
-    build_group_coupling,
     penalty_from_json,
     penalty_to_json,
-    penalty_value_graph,
-    penalty_value_group,
     solve,
 )
 from conftest import random_graph_spec, random_group_spec
@@ -31,7 +26,7 @@ def two_group_spec(gamma=1.0):
 
 class TestGroupCoupling:
     def test_overlapping_two_groups(self):
-        C = build_group_coupling(two_group_spec(), 3)
+        C = two_group_spec().coupling(3)
         expected = np.array([[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
         np.testing.assert_array_equal(C.toarray(), expected)
         assert C.nnz == 4
@@ -39,20 +34,20 @@ class TestGroupCoupling:
 
     def test_single_element_group_scales_by_gamma_weight(self):
         spec = GroupPenaltySpec(groups=((0,),), weights=(2.0,), gamma=3.0)
-        C = build_group_coupling(spec, 1)
+        C = spec.coupling(1)
         np.testing.assert_allclose(C.toarray(), [[6.0]])
 
     def test_sliding_window_layout(self):
         # 10 groups of 100 overlapping by 10: 1000 rows over 910 columns
         groups = tuple(tuple(range(90 * i, 90 * i + 100)) for i in range(10))
         spec = GroupPenaltySpec.with_unit_weights(groups, 1.0)
-        C = build_group_coupling(spec, 910)
+        C = spec.coupling(910)
         assert (C.rows, C.cols) == (1000, 910)
         assert C.nnz == 1000
 
     def test_index_out_of_range(self):
         with pytest.raises(StructureError):
-            build_group_coupling(two_group_spec(), 2)
+            two_group_spec().coupling(2)
 
     def test_empty_group_rejected(self):
         with pytest.raises(StructureError):
@@ -61,34 +56,34 @@ class TestGroupCoupling:
     def test_nnz_equals_total_group_size(self, rng):
         for _ in range(20):
             spec = random_group_spec(rng, num_features=8)
-            C = build_group_coupling(spec, 8)
+            C = spec.coupling(8)
             assert C.nnz == sum(len(g) for g in spec.groups)
 
 
 class TestGraphCoupling:
     def test_negative_correlation_sums_coefficients(self):
         spec = GraphPenaltySpec(num_nodes=2, edges=((0, 1, -0.5),), gamma=2.0)
-        C = build_graph_coupling(spec)
+        C = spec.coupling()
         np.testing.assert_allclose(C.toarray(), [[1.0, 1.0]])
         np.testing.assert_allclose(C.apply([1.0, 1.0]), [2.0])
 
     def test_unit_edge_is_difference_operator(self):
         spec = GraphPenaltySpec(num_nodes=2, edges=((0, 1, 1.0),), gamma=1.0)
-        np.testing.assert_allclose(build_graph_coupling(spec).toarray(), [[1.0, -1.0]])
+        np.testing.assert_allclose(spec.coupling().toarray(), [[1.0, -1.0]])
 
     def test_chain_recovers_fused_lasso_differences(self):
         spec = GraphPenaltySpec(
             num_nodes=3, edges=((0, 1, 1.0), (1, 2, 1.0)), gamma=1.0
         )
         np.testing.assert_allclose(
-            build_graph_coupling(spec).toarray(), [[1, -1, 0], [0, 1, -1]]
+            spec.coupling().toarray(), [[1, -1, 0], [0, 1, -1]]
         )
 
     def test_zero_weight_edge_keeps_zero_row(self):
         spec = GraphPenaltySpec(
             num_nodes=3, edges=((0, 1, 0.0), (1, 2, 1.0)), gamma=1.0
         )
-        C = build_graph_coupling(spec)
+        C = spec.coupling()
         assert C.rows == 2
         np.testing.assert_allclose(C.toarray()[0], [0, 0, 0])
         assert C.nnz == 2
@@ -104,7 +99,7 @@ class TestGraphCoupling:
     def test_nnz_at_most_two_per_edge(self, rng):
         for _ in range(20):
             spec = random_graph_spec(rng, num_nodes=6)
-            C = build_graph_coupling(spec)
+            C = spec.coupling()
             assert C.nnz <= 2 * len(spec.edges)
             if all(r != 0 for _, _, r in spec.edges):
                 assert C.nnz == 2 * len(spec.edges)
@@ -112,37 +107,37 @@ class TestGraphCoupling:
 
 class TestPenaltyValues:
     def test_group_value(self):
-        assert penalty_value_group(two_group_spec(), [3.0, 4.0, 0.0]) == pytest.approx(9.0)
+        assert two_group_spec().value([3.0, 4.0, 0.0]) == pytest.approx(9.0)
 
     def test_group_zero_vector(self):
-        assert penalty_value_group(two_group_spec(), np.zeros(3)) == 0.0
+        assert two_group_spec().value(np.zeros(3)) == 0.0
 
     def test_group_gamma_zero(self, rng):
         spec = GroupPenaltySpec.with_unit_weights(((0, 1), (1, 2)), 0.0)
-        assert penalty_value_group(spec, rng.standard_normal(3)) == 0.0
+        assert spec.value(rng.standard_normal(3)) == 0.0
 
     def test_graph_value(self):
         spec = GraphPenaltySpec(
             num_nodes=3, edges=((0, 1, 1.0), (1, 2, -0.5)), gamma=1.0
         )
-        assert penalty_value_graph(spec, [1.0, 0.0, 2.0]) == pytest.approx(2.0)
+        assert spec.value([1.0, 0.0, 2.0]) == pytest.approx(2.0)
 
     def test_graph_constant_vector_fuses_to_zero(self):
         spec = GraphPenaltySpec(
             num_nodes=3, edges=((0, 1, 1.0), (1, 2, 1.0)), gamma=2.0
         )
-        assert penalty_value_graph(spec, [1.7, 1.7, 1.7]) == pytest.approx(0.0)
+        assert spec.value([1.7, 1.7, 1.7]) == pytest.approx(0.0)
 
     def test_graph_two_nodes_absolute_difference(self):
         spec = GraphPenaltySpec(num_nodes=2, edges=((0, 1, 1.0),), gamma=1.0)
-        assert penalty_value_graph(spec, [2.0, -3.0]) == pytest.approx(5.0)
+        assert spec.value([2.0, -3.0]) == pytest.approx(5.0)
 
     def test_graph_value_equals_l1_of_coupling_product(self, rng):
         for _ in range(20):
             spec = random_graph_spec(rng, num_nodes=6)
-            C = build_graph_coupling(spec)
+            C = spec.coupling()
             beta = rng.standard_normal(6)
-            assert penalty_value_graph(spec, beta) == pytest.approx(
+            assert spec.value(beta) == pytest.approx(
                 np.abs(C.apply(beta)).sum(), rel=1e-12
             )
 
@@ -151,21 +146,21 @@ class TestPenaltyValues:
         # the maximizing alpha_g is beta_g / ||beta_g||
         for _ in range(10):
             spec = random_group_spec(rng, num_features=4, max_groups=3)
-            C = build_group_coupling(spec, 4)
+            C = spec.coupling(4)
             beta = rng.standard_normal(4)
             z = C.apply(beta)
             best = sum(
                 np.linalg.norm(z[a:b]) for a, b in C.row_blocks
             )
-            assert penalty_value_group(spec, beta) == pytest.approx(best, rel=1e-10)
+            assert spec.value(beta) == pytest.approx(best, rel=1e-10)
 
     def test_nonnegative_homogeneous_convex(self, rng):
         for _ in range(10):
             gspec = random_group_spec(rng, num_features=5)
             hspec = random_graph_spec(rng, num_nodes=5)
             for value in (
-                lambda b: penalty_value_group(gspec, b),
-                lambda b: penalty_value_graph(hspec, b),
+                lambda b: gspec.value(b),
+                lambda b: hspec.value(b),
             ):
                 b1, b2 = rng.standard_normal((2, 5))
                 t = float(rng.uniform(0.1, 5.0))
@@ -178,38 +173,38 @@ class TestPenaltyValues:
 class TestCouplingApply:
     def test_scalar(self):
         spec = GroupPenaltySpec(groups=((0,),), weights=(2.0,), gamma=3.0)
-        C = build_group_coupling(spec, 1)
+        C = spec.coupling(1)
         np.testing.assert_allclose(C.apply([2.0]), [12.0])
 
     def test_group_expansion(self):
-        C = build_group_coupling(two_group_spec(), 3)
+        C = two_group_spec().coupling(3)
         np.testing.assert_allclose(C.apply([3.0, 4.0, 0.0]), [3, 4, 4, 0])
 
     def test_zero_vector(self):
-        C = build_group_coupling(two_group_spec(), 3)
+        C = two_group_spec().coupling(3)
         np.testing.assert_allclose(C.apply(np.zeros(3)), np.zeros(4))
 
     def test_transpose_group(self):
-        C = build_group_coupling(two_group_spec(), 3)
+        C = two_group_spec().coupling(3)
         np.testing.assert_allclose(
             C.apply_transpose(np.ones(4)), [1.0, 2.0, 1.0]
         )
 
     def test_transpose_zero(self):
-        C = build_group_coupling(two_group_spec(), 3)
+        C = two_group_spec().coupling(3)
         np.testing.assert_allclose(C.apply_transpose(np.zeros(4)), np.zeros(3))
 
     def test_transpose_chain(self):
         spec = GraphPenaltySpec(
             num_nodes=3, edges=((0, 1, 1.0), (1, 2, 1.0)), gamma=1.0
         )
-        C = build_graph_coupling(spec)
+        C = spec.coupling()
         np.testing.assert_allclose(
             C.apply_transpose(np.ones(2)), [1.0, 0.0, -1.0]
         )
 
     def test_dimension_mismatch(self):
-        C = build_group_coupling(two_group_spec(), 3)
+        C = two_group_spec().coupling(3)
         with pytest.raises(StructureError):
             C.apply(np.zeros(4))
         with pytest.raises(StructureError):
@@ -218,7 +213,7 @@ class TestCouplingApply:
     def test_matrix_dimension_mismatch(self):
         """J x K iterates: the last axis of B must be C's column count, and
         the first axis of the dual variable its row count."""
-        C = build_group_coupling(two_group_spec(), 3)
+        C = two_group_spec().coupling(3)
         assert C.apply(np.zeros((5, 3))).shape == (4, 5)
         assert C.apply_transpose(np.zeros((4, 5))).shape == (5, 3)
         with pytest.raises(StructureError):
@@ -229,7 +224,7 @@ class TestCouplingApply:
     def test_matches_dense_gram_product(self, rng):
         for _ in range(10):
             spec = random_group_spec(rng, num_features=12)
-            C = build_group_coupling(spec, 12)
+            C = spec.coupling(12)
             dense = C.toarray()
             beta = rng.standard_normal(12)
             np.testing.assert_allclose(
@@ -237,6 +232,38 @@ class TestCouplingApply:
                 dense.T @ (dense @ beta),
                 atol=1e-12,
             )
+
+
+class TestNonFiniteNumbers:
+    """Each number of a spec must be finite; NaN fails every check."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_group_gamma(self, value):
+        with pytest.raises(StructureError, match="gamma"):
+            GroupPenaltySpec.with_unit_weights(((0, 1),), value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_group_weight(self, value):
+        with pytest.raises(StructureError, match="weights"):
+            GroupPenaltySpec(groups=((0, 1), (1, 2)), weights=(1.0, value), gamma=1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_graph_gamma(self, value):
+        with pytest.raises(StructureError, match="gamma"):
+            GraphPenaltySpec(num_nodes=2, edges=((0, 1, 1.0),), gamma=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_graph_edge_correlation(self, value):
+        with pytest.raises(StructureError, match="non-finite correlation"):
+            GraphPenaltySpec(num_nodes=3, edges=((0, 1, 1.0), (1, 2, value)), gamma=1.0)
+
+    @pytest.mark.parametrize("doc", [
+        '{"type": "group", "gamma": NaN, "groups": [[1, 2]]}',
+        '{"type": "graph", "gamma": 1.0, "num_nodes": 2, "edges": [[1, 2, NaN]]}',
+    ])
+    def test_json_nan_literal(self, doc):
+        with pytest.raises(StructureError):
+            penalty_from_json(doc)
 
 
 class TestJsonRoundTrip:
@@ -307,7 +334,7 @@ class TestCouplingConstants:
     @settings(max_examples=200, deadline=None)
     @given(spec=group_specs())
     def test_group_norm_bound_is_the_spectral_norm(self, spec):
-        coupling = build_coupling(spec, max(max(g) for g in spec.groups) + 1)
+        coupling = spec.coupling(max(max(g) for g in spec.groups) + 1)
         assert coupling.norm_bound == pytest.approx(sigma_max(coupling), rel=1e-10)
         assert coupling.dual_bound == len(spec.groups) / 2
 
@@ -316,7 +343,7 @@ class TestCouplingConstants:
     @example(spec=GraphPenaltySpec(num_nodes=3, edges=(), gamma=2.0))
     @example(spec=GraphPenaltySpec(num_nodes=3, edges=((0, 1, 0.0), (1, 2, 0.0)), gamma=2.0))
     def test_graph_norm_bound_is_an_upper_bound(self, spec):
-        coupling = build_coupling(spec)
+        coupling = spec.coupling()
         sigma = sigma_max(coupling)
         assert coupling.norm_bound >= sigma - 1e-12 * max(1.0, sigma)
         assert coupling.dual_bound == len(spec.edges) / 2
@@ -327,5 +354,5 @@ class TestCouplingConstants:
     def test_graph_node_count_must_match_features(self, num_features):
         spec = GraphPenaltySpec(num_nodes=5, edges=((0, 1, 1.0),), gamma=1.0)
         with pytest.raises(StructureError, match=f"has 5 nodes, expected {num_features}"):
-            build_coupling(spec, num_features)
-        assert build_coupling(spec, 5).rows == 1
+            spec.coupling(num_features)
+        assert spec.coupling(5).rows == 1

@@ -4,8 +4,6 @@ import pytest
 from smoothprox import (
     GraphPenaltySpec,
     GroupPenaltySpec,
-    build_coupling,
-    penalty_value,
     select_mu,
     smoothed_penalty,
     spectral_norm_power_iteration,
@@ -23,7 +21,7 @@ class TestDualDomainBound:
         spec = GroupPenaltySpec.with_unit_weights(
             tuple((i,) for i in range(10)), 1.0
         )
-        assert build_coupling(spec, 10).dual_bound == 5.0
+        assert spec.coupling(10).dual_bound == 5.0
 
     def test_edge_count(self):
         spec = GraphPenaltySpec(
@@ -31,10 +29,10 @@ class TestDualDomainBound:
             edges=((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)),
             gamma=1.0,
         )
-        assert build_coupling(spec).dual_bound == 2.0
+        assert spec.coupling().dual_bound == 2.0
 
     def test_single_group(self):
-        assert build_coupling(single_group_spec(), 2).dual_bound == 0.5
+        assert single_group_spec().coupling(2).dual_bound == 0.5
 
 
 class TestSelectMu:
@@ -56,15 +54,15 @@ class TestSelectMu:
 
 class TestAlphaStar:
     def test_group_projects_large_block(self):
-        alpha = smoothed_penalty(single_group_spec(), 1.0, num_features=2).alpha_star([3.0, 4.0])
+        alpha = smoothed_penalty(single_group_spec().coupling(2), 1.0).alpha_star([3.0, 4.0])
         np.testing.assert_allclose(alpha, [0.6, 0.8])
 
     def test_group_interior_unchanged(self):
-        alpha = smoothed_penalty(single_group_spec(), 1.0, num_features=2).alpha_star([0.1, 0.0])
+        alpha = smoothed_penalty(single_group_spec().coupling(2), 1.0).alpha_star([0.1, 0.0])
         np.testing.assert_allclose(alpha, [0.1, 0.0])
 
     def test_group_zero(self):
-        alpha = smoothed_penalty(single_group_spec(), 1.0, num_features=2).alpha_star(np.zeros(2))
+        alpha = smoothed_penalty(single_group_spec().coupling(2), 1.0).alpha_star(np.zeros(2))
         np.testing.assert_allclose(alpha, np.zeros(2))
 
     def test_graph_clipping(self):
@@ -75,28 +73,28 @@ class TestAlphaStar:
         )
         beta = np.array([1.5, 0.0, 3.0, 2.6])  # C beta = (1.5, -3, 0.4)
         np.testing.assert_allclose(
-            smoothed_penalty(spec, 1.0).alpha_star(beta), [1.0, -1.0, 0.4]
+            smoothed_penalty(spec.coupling(), 1.0).alpha_star(beta), [1.0, -1.0, 0.4]
         )
 
     def test_feasibility(self, rng):
         for _ in range(20):
             gspec = random_group_spec(rng, num_features=6)
-            pen = smoothed_penalty(gspec, mu=0.3, num_features=6)
+            pen = smoothed_penalty(gspec.coupling(6), mu=0.3)
             alpha = pen.alpha_star(rng.standard_normal(6) * 3)
             for a, b in pen.coupling.row_blocks:
                 assert np.linalg.norm(alpha[a:b]) <= 1.0 + 1e-12
             hspec = random_graph_spec(rng, num_nodes=6)
-            alpha = smoothed_penalty(hspec, 0.3).alpha_star(rng.standard_normal(6) * 3)
+            alpha = smoothed_penalty(hspec.coupling(), 0.3).alpha_star(rng.standard_normal(6) * 3)
             assert np.all(np.abs(alpha) <= 1.0 + 1e-12)
 
 
 class TestSmoothValue:
     def test_zero_beta(self):
-        pen = smoothed_penalty(single_group_spec(), mu=1.0, num_features=2)
+        pen = smoothed_penalty(single_group_spec().coupling(2), mu=1.0)
         assert pen.value(np.zeros(2)) == 0.0
 
     def test_projected_block_value(self):
-        pen = smoothed_penalty(single_group_spec(), mu=1.0, num_features=2)
+        pen = smoothed_penalty(single_group_spec().coupling(2), mu=1.0)
         # alpha* = (0.6, 0.8): value 5 - 0.5
         assert pen.value([3.0, 4.0]) == pytest.approx(4.5)
 
@@ -109,9 +107,9 @@ class TestSmoothValue:
                 spec = random_graph_spec(rng, num_nodes=7)
                 J = 7
             mu = float(rng.uniform(1e-4, 1.0))
-            pen = smoothed_penalty(spec, mu=mu, num_features=J)
+            pen = smoothed_penalty(spec.coupling(J), mu=mu)
             beta = rng.standard_normal(J) * rng.uniform(0.1, 5.0)
-            exact = penalty_value(spec, beta)
+            exact = spec.value(beta)
             smooth = pen.value(beta)
             assert smooth <= exact + 1e-10
             assert smooth >= exact - mu * pen.D - 1e-10
@@ -120,7 +118,7 @@ class TestSmoothValue:
         spec = random_group_spec(rng, num_features=5)
         beta = rng.standard_normal(5)
         values = [
-            smoothed_penalty(spec, mu=mu, num_features=5).value(beta)
+            smoothed_penalty(spec.coupling(5), mu=mu).value(beta)
             for mu in (1e-4, 1e-2, 0.1, 1.0)
         ]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
@@ -128,17 +126,17 @@ class TestSmoothValue:
 
 class TestSmoothGradient:
     def test_zero_beta(self):
-        pen = smoothed_penalty(single_group_spec(), mu=1.0, num_features=2)
+        pen = smoothed_penalty(single_group_spec().coupling(2), mu=1.0)
         np.testing.assert_allclose(pen.gradient(np.zeros(2)), np.zeros(2))
 
     def test_single_group_gradient(self):
-        pen = smoothed_penalty(single_group_spec(), mu=1.0, num_features=2)
+        pen = smoothed_penalty(single_group_spec().coupling(2), mu=1.0)
         np.testing.assert_allclose(pen.gradient([3.0, 4.0]), [0.6, 0.8])
 
     def test_matches_finite_differences(self, rng):
         for _ in range(5):
             spec = random_group_spec(rng, num_features=6)
-            pen = smoothed_penalty(spec, mu=0.2, num_features=6)
+            pen = smoothed_penalty(spec.coupling(6), mu=0.2)
             beta = rng.standard_normal(6)
             h = 1e-5 * (1.0 + np.abs(beta).max())
             fd = central_difference_gradient(pen.value, beta, h)
@@ -147,8 +145,8 @@ class TestSmoothGradient:
     def test_gradient_lipschitz(self, rng):
         spec = random_group_spec(rng, num_features=6, unit_weights=True)
         mu = 0.05
-        pen = smoothed_penalty(spec, mu=mu, num_features=6)
-        L = build_coupling(spec, 6).norm_bound ** 2 / mu
+        pen = smoothed_penalty(spec.coupling(6), mu=mu)
+        L = spec.coupling(6).norm_bound ** 2 / mu
         for _ in range(20):
             b1, b2 = rng.standard_normal((2, 6)) * 2
             lhs = np.linalg.norm(pen.gradient(b1) - pen.gradient(b2))
@@ -158,67 +156,67 @@ class TestSmoothGradient:
 class TestCouplingNorms:
     def test_group_overlap(self):
         spec = GroupPenaltySpec.with_unit_weights(((0, 1), (1, 2)), 1.0)
-        assert build_coupling(spec, 3).norm_bound == pytest.approx(np.sqrt(2.0))
+        assert spec.coupling(3).norm_bound == pytest.approx(np.sqrt(2.0))
 
     def test_disjoint_groups(self):
         spec = GroupPenaltySpec.with_unit_weights(((0, 1), (2, 3)), 1.0)
-        assert build_coupling(spec, 4).norm_bound == pytest.approx(1.0)
+        assert spec.coupling(4).norm_bound == pytest.approx(1.0)
 
     def test_gamma_homogeneity(self):
         base = GroupPenaltySpec.with_unit_weights(((0, 1), (1, 2)), 1.0)
         doubled = GroupPenaltySpec.with_unit_weights(((0, 1), (1, 2)), 2.0)
-        assert build_coupling(doubled, 3).norm_bound == pytest.approx(
-            2.0 * build_coupling(base, 3).norm_bound
+        assert doubled.coupling(3).norm_bound == pytest.approx(
+            2.0 * base.coupling(3).norm_bound
         )
 
     def test_group_matches_power_iteration(self, rng):
         for _ in range(20):
             spec = random_group_spec(rng, num_features=8)
-            est = spectral_norm_power_iteration(build_coupling(spec, 8))
+            est = spectral_norm_power_iteration(spec.coupling(8))
             assert est.converged
-            assert build_coupling(spec, 8).norm_bound == pytest.approx(est.value, rel=1e-6)
+            assert spec.coupling(8).norm_bound == pytest.approx(est.value, rel=1e-6)
 
     def test_graph_single_edge_tight(self):
         spec = GraphPenaltySpec(num_nodes=2, edges=((0, 1, 1.0),), gamma=1.0)
-        bound = build_coupling(spec).norm_bound
+        bound = spec.coupling().norm_bound
         assert bound == pytest.approx(np.sqrt(2.0))
-        exact = np.linalg.svd(build_coupling(spec).toarray(), compute_uv=False)[0]
+        exact = np.linalg.svd(spec.coupling().toarray(), compute_uv=False)[0]
         assert bound == pytest.approx(exact, rel=1e-12)
 
     def test_graph_weighted_degrees(self):
         spec = GraphPenaltySpec(
             num_nodes=3, edges=((0, 1, 1.0), (1, 2, -0.5)), gamma=1.0
         )
-        assert build_coupling(spec).norm_bound == pytest.approx(np.sqrt(2.5))
+        assert spec.coupling().norm_bound == pytest.approx(np.sqrt(2.5))
 
     def test_star_graph(self):
         k = 5
         spec = GraphPenaltySpec(
             num_nodes=k + 1, edges=tuple((0, i, 1.0) for i in range(1, k + 1)), gamma=1.0
         )
-        assert build_coupling(spec).norm_bound == pytest.approx(np.sqrt(2.0 * k))
+        assert spec.coupling().norm_bound == pytest.approx(np.sqrt(2.0 * k))
 
     def test_graph_bound_dominates_power_iteration(self, rng):
         for _ in range(20):
             spec = random_graph_spec(rng, num_nodes=7)
-            est = spectral_norm_power_iteration(build_coupling(spec))
-            assert build_coupling(spec).norm_bound >= est.value - 1e-6
+            est = spectral_norm_power_iteration(spec.coupling())
+            assert spec.coupling().norm_bound >= est.value - 1e-6
 
 
 class TestPowerIteration:
     def test_scalar(self):
         spec = GroupPenaltySpec(groups=((0,),), weights=(2.0,), gamma=3.0)
-        est = spectral_norm_power_iteration(build_coupling(spec, 1))
+        est = spectral_norm_power_iteration(spec.coupling(1))
         assert est.value == pytest.approx(6.0)
 
     def test_chain_graph(self):
         spec = GraphPenaltySpec(
             num_nodes=3, edges=((0, 1, 1.0), (1, 2, 1.0)), gamma=1.0
         )
-        est = spectral_norm_power_iteration(build_coupling(spec))
+        est = spectral_norm_power_iteration(spec.coupling())
         assert est.value == pytest.approx(np.sqrt(3.0), rel=1e-6)
 
     def test_nonconvergence_flagged(self):
         spec = GroupPenaltySpec.with_unit_weights(((0, 1), (1, 2)), 1.0)
-        est = spectral_norm_power_iteration(build_coupling(spec, 3), tol=0.0, max_iter=3)
+        est = spectral_norm_power_iteration(spec.coupling(3), tol=0.0, max_iter=3)
         assert not est.converged

@@ -5,16 +5,24 @@ import numpy as np
 import pytest
 
 from smoothprox import (
+    CouplingMatrix,
+    FobosConfig,
     GraphPenaltySpec,
     GroupPenaltySpec,
+    MultiProblem,
     Problem,
+    SmoothedPenalty,
     SolverConfig,
     SolverError,
+    default_c,
     iteration_bound,
     regularization_path,
+    select_mu,
     smoothed_penalty,
     soft_threshold,
     solve,
+    solve_fobos,
+    solve_multivariate,
     total_lipschitz,
 )
 
@@ -73,6 +81,85 @@ def reference_lasso_fista(X, y, lam, L, num_steps):
         beta, theta = beta_next, theta_next
         iterates.append(beta.copy())
     return iterates
+
+
+@pytest.mark.parametrize("call", [
+    lambda: select_mu(math.nan, 1.0),
+    lambda: select_mu(1.0, math.nan),
+    lambda: soft_threshold([1.0, -2.0], math.nan),
+    lambda: total_lipschitz(1.0, 1.0, math.nan),
+    lambda: iteration_bound(1.0, math.nan, 1.0, 1.0, 1.0),
+    lambda: default_c(math.nan, 10),
+    lambda: default_c(10, math.nan),
+    lambda: default_c(10, 10, math.nan),
+    lambda: SmoothedPenalty(GroupPenaltySpec.with_unit_weights(((0,),), 1.0).coupling(1), math.nan, 0.5),
+], ids=["select_mu-epsilon", "select_mu-D", "soft_threshold", "total_lipschitz",
+        "iteration_bound", "default_c-N", "default_c-J", "default_c-K", "SmoothedPenalty-mu"])
+def test_numeric_helpers_reject_nan(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+class TestCouplingBuiltOnce:
+    """A problem builds its coupling matrix on first use and keeps it."""
+
+    @staticmethod
+    def count_calls(mp, owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        mp.setattr(owner, name, counted)
+        return calls
+
+    @staticmethod
+    def group_problem(rng):
+        spec = GroupPenaltySpec.with_unit_weights(((0, 1, 2), (2, 3, 4), (4, 5)), 1.0)
+        return Problem.least_squares(rng.standard_normal((30, 6)), rng.standard_normal(30), spec)
+
+    def test_once_per_path(self, rng):
+        problem = self.group_problem(rng)
+        with pytest.MonkeyPatch.context() as mp:
+            builds = self.count_calls(mp, GroupPenaltySpec, "coupling")
+            results = regularization_path(
+                problem, np.geomspace(4.0, 0.5, 8), SolverConfig(mu=1e-2, max_iter=20)
+            )
+        assert len(results) == 8
+        assert len(builds) == 1
+
+    def test_once_for_solve_and_fobos(self, rng):
+        problem = self.group_problem(rng)
+        with pytest.MonkeyPatch.context() as mp:
+            builds = self.count_calls(mp, GroupPenaltySpec, "coupling")
+            solve(problem, SolverConfig(lam=0.1, mu=1e-2, max_iter=10))
+            solve_fobos(problem, FobosConfig(lam=0.1, max_iter=10))
+        assert len(builds) == 1
+
+    def test_multi_problem_builds_on_first_solve(self, rng):
+        spec = GraphPenaltySpec(num_nodes=3, edges=((0, 1, 0.8), (1, 2, -0.5)), gamma=1.0)
+        with pytest.MonkeyPatch.context() as mp:
+            builds = self.count_calls(mp, GraphPenaltySpec, "coupling")
+            problem = MultiProblem(rng.standard_normal((20, 4)), rng.standard_normal((20, 3)), spec)
+            assert builds == []
+            solve_multivariate(problem, SolverConfig(lam=0.1, mu=1e-2, max_iter=10))
+            solve_multivariate(problem, SolverConfig(lam=0.2, mu=1e-2, max_iter=10))
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("max_iter", [5, 25])
+    def test_three_coupling_products_per_iteration(self, rng, max_iter):
+        """``C w`` and ``C^T alpha`` for the smoothed gradient at the momentum
+        point, ``C beta`` for the penalty values at the new iterate."""
+        problem = self.group_problem(rng)
+        config = SolverConfig(lam=0.1, mu=1e-2, max_iter=max_iter, rel_tol=0.0)
+        with pytest.MonkeyPatch.context() as mp:
+            applies = self.count_calls(mp, CouplingMatrix, "apply")
+            transposes = self.count_calls(mp, CouplingMatrix, "apply_transpose")
+            _, trace = solve(problem, config)
+        assert len(trace) == max_iter
+        assert (len(applies), len(transposes)) == (2 * max_iter, max_iter)
 
 
 class TestSolverConfigChecks:
@@ -174,7 +261,7 @@ class TestSolve:
         beta, _ = solve(
             prob, SolverConfig(lam=lam, mu=mu, rel_tol=1e-14, max_iter=200000)
         )
-        pen = smoothed_penalty(spec, mu, num_features=6)
+        pen = smoothed_penalty(spec.coupling(6), mu)
         g = prob.loss.gradient(beta) + pen.gradient(beta)
         residual = np.where(
             beta != 0.0, g + lam * np.sign(beta), g - np.clip(g, -lam, lam)
@@ -211,7 +298,7 @@ class TestSolve:
         path = tmp_path / "trace.jsonl"
         trace.write_jsonl(path)
         header = json.loads(path.read_text().splitlines()[0])["header"]
-        pen = smoothed_penalty(spec, 1e-2, 5)
+        pen = smoothed_penalty(spec.coupling(5), 1e-2)
         assert header["D"] == pen.D == 1.0
         assert header["norm_C"] == pytest.approx(pen.coupling.norm_bound, rel=1e-15)
         assert header["L_loss"] == pytest.approx(prob.loss.lipschitz(), rel=1e-15)
