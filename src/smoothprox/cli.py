@@ -32,12 +32,6 @@ def _load_matrix(path):
     return np.loadtxt(path, delimiter=",", ndmin=2)
 
 
-def _load_response(path):
-    """The response: a vector from a one-column file, else an N x K matrix."""
-    y = _load_matrix(path)
-    return y[:, 0] if y.shape[1] == 1 else y
-
-
 def _save_matrix(path, arr):
     """Write a matrix, or a vector as one column."""
     import numpy as np
@@ -46,15 +40,37 @@ def _save_matrix(path, arr):
     np.savetxt(path, arr.reshape(len(arr), -1), delimiter=",", fmt="%.17g")
 
 
-def _load_penalty(path, gamma=None):
+def _load_problem(x, y, penalty=None, gamma=None, loss="squared"):
+    """The problem in the files ``x`` and ``y`` (a one-column ``y`` is a
+    vector response, else N x K) and the optional penalty spec JSON
+    ``penalty``, whose gamma ``gamma`` overrides when given."""
     import dataclasses
 
     from .penalties import penalty_from_json
+    from .solver import Problem
 
-    spec = penalty_from_json(Path(path).read_text())
-    if gamma is not None:
-        spec = dataclasses.replace(spec, gamma=float(gamma))
-    return spec
+    X, Y = _load_matrix(x), _load_matrix(y)
+    spec = None
+    if penalty:
+        spec = penalty_from_json(Path(penalty).read_text())
+        if gamma is not None:
+            spec = dataclasses.replace(spec, gamma=float(gamma))
+    make = Problem.logistic if loss == "logistic" else Problem.least_squares
+    return make(X, Y[:, 0] if Y.shape[1] == 1 else Y, spec)
+
+
+def _config(args, lam, epsilon=None):
+    from .solver import SolverConfig
+
+    return SolverConfig(lam=lam, epsilon=epsilon, mu=args.mu,
+                        max_iter=args.max_iter, rel_tol=args.rel_tol)
+
+
+def _summary(trace):
+    """What a run reports: its iterations and status, and the exact objective
+    and nnz of the coefficients it returns."""
+    return {"iterations": len(trace), "objective": trace.final_objective,
+            "nnz": trace.final_nnz, "status": trace.status}
 
 
 def _build_parser():
@@ -62,20 +78,23 @@ def _build_parser():
         prog="smoothprox",
         description="Structured sparse regression via smoothing proximal gradient.",
     )
-    parser.add_argument("--threads", type=int, default=1, help="BLAS thread cap")
+    parser.add_argument("--threads", type=int, default=1, help="BLAS thread cap (at least 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="solve one problem instance")
-    p.add_argument("--x", required=True, help="design matrix CSV (N x J)")
-    p.add_argument("--y", required=True, help="response CSV (N, or N x K for multi-output)")
-    p.add_argument("--penalty", help="penalty spec JSON")
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--x", required=True, help="design matrix CSV (N x J)")
+    data.add_argument("--y", required=True, help="response CSV (N, or N x K for multi-output)")
+    data.add_argument("--penalty", help="penalty spec JSON")
+    loop = argparse.ArgumentParser(add_help=False)
+    loop.add_argument("--gamma", type=float, help="override the penalty spec's gamma")
+    loop.add_argument("--mu", type=float, help="explicit smoothness parameter")
+    loop.add_argument("--max-iter", type=int, default=20000)
+    loop.add_argument("--rel-tol", type=float, default=1e-6)
+
+    p = sub.add_parser("solve", parents=[data, loop], help="solve one problem instance")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--gamma", type=float, help="override the penalty spec's gamma")
     p.add_argument("--epsilon", type=float, help="target accuracy (sets mu)")
-    p.add_argument("--mu", type=float, help="explicit smoothness parameter")
     p.add_argument("--loss", choices=("squared", "logistic"), default="squared")
-    p.add_argument("--max-iter", type=int, default=20000)
-    p.add_argument("--rel-tol", type=float, default=1e-6)
     p.add_argument("--out", required=True, help="output coefficients CSV")
     p.add_argument("--trace", help="output trace JSON-lines")
 
@@ -85,51 +104,29 @@ def _build_parser():
     p.add_argument("--seed", type=int, help="override the spec's seed")
     p.add_argument("--out-dir", required=True)
 
-    p = sub.add_parser("bench", help="compare methods on a simulated instance")
+    p = sub.add_parser("bench", parents=[loop], help="compare methods on a simulated instance")
     p.add_argument("--instance", required=True, help="directory written by simulate")
     p.add_argument("--methods", default="proxgrad,fobos")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--gamma", type=float, help="override the penalty spec's gamma")
-    p.add_argument("--mu", type=float)
-    p.add_argument("--max-iter", type=int, default=20000)
-    p.add_argument("--rel-tol", type=float, default=1e-6)
     p.add_argument("--report", required=True, help="output report JSON")
 
-    p = sub.add_parser("path", help="warm-started regularization path")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--penalty", help="penalty spec JSON")
+    p = sub.add_parser("path", parents=[data, loop], help="warm-started regularization path")
     p.add_argument("--lambdas", required=True, help="comma-separated, strictly descending")
-    p.add_argument("--gamma", type=float, help="override the penalty spec's gamma")
-    p.add_argument("--mu", type=float)
-    p.add_argument("--max-iter", type=int, default=20000)
-    p.add_argument("--rel-tol", type=float, default=1e-6)
     p.add_argument("--out-dir", required=True)
     return parser
 
 
 def _cmd_solve(args):
-    from .solver import Problem, SolverConfig, solve
+    from .solver import solve
 
-    X = _load_matrix(args.x)
-    y = _load_response(args.y)
-    penalty = _load_penalty(args.penalty, args.gamma) if args.penalty else None
-    config = SolverConfig(
-        lam=args.lam,
-        epsilon=args.epsilon,
-        mu=args.mu,
-        max_iter=args.max_iter,
-        rel_tol=args.rel_tol,
-    )
-    make = Problem.logistic if args.loss == "logistic" else Problem.least_squares
-    coef, trace = solve(make(X, y, penalty), config)
+    problem = _load_problem(args.x, args.y, args.penalty, args.gamma, args.loss)
+    coef, trace = solve(problem, _config(args, args.lam, args.epsilon))
     _save_matrix(args.out, coef)
     if args.trace:
         trace.write_jsonl(args.trace)
-    print(
-        f"status={trace.status} iterations={len(trace)} "
-        f"objective={trace.objectives[-1]:.12g} nnz={trace.final_nnz}"
-    )
+    s = _summary(trace)
+    print(f"status={s['status']} iterations={s['iterations']} "
+          f"objective={s['objective']:.12g} nnz={s['nnz']}")
     return 0
 
 
@@ -140,26 +137,26 @@ def _cmd_simulate(args):
     from .simulate import GraphSimSpec, OverlapSimSpec, gen_graph_instance, gen_overlap_instance
 
     overrides = json.loads(Path(args.spec).read_text()) if args.spec else {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
+    seed = {} if args.seed is None else {"seed": args.seed}
+    try:  # a spec that is not an object, or has an unknown key or a wrongly typed value
+        spec = (OverlapSimSpec if args.kind == "overlap" else GraphSimSpec)(**{**overrides, **seed})
+    except TypeError as exc:
+        raise ValueError(f"spec {args.spec}: {exc}") from exc
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     if args.kind == "overlap":
-        spec = OverlapSimSpec(**overrides)
         data, penalty, beta = gen_overlap_instance(spec)
         _save_matrix(out / "X.csv", data.X)
         _save_matrix(out / "y.csv", data.y)
         _save_matrix(out / "beta_true.csv", beta)
-        meta = {"kind": "overlap", **dataclasses.asdict(spec)}
     else:
-        spec = GraphSimSpec(**overrides)
         problem, B, penalty = gen_graph_instance(spec)
         _save_matrix(out / "X.csv", problem.X)
         _save_matrix(out / "y.csv", problem.Y)
         _save_matrix(out / "B_true.csv", B)
-        meta = {"kind": "graph", **dataclasses.asdict(spec)}
     (out / "penalty.json").write_text(penalty_to_json(penalty))
+    meta = {"kind": args.kind, **dataclasses.asdict(spec)}
     (out / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
     print(f"wrote instance to {out}")
     return 0
@@ -168,43 +165,31 @@ def _cmd_simulate(args):
 def _cmd_bench(args):
     import time
 
-    import numpy as np
-
     from .fobos import FobosConfig, default_c, solve_fobos
-    from .solver import Problem, SolverConfig, solve
+    from .solver import solve
+
+    def fobos(problem):
+        data = problem.loss.data
+        c = default_c(*data.X.shape, *data.y.shape[1:])
+        return solve_fobos(problem, FobosConfig(lam=args.lam, c=c, max_iter=args.max_iter,
+                                                rel_tol=args.rel_tol))
+
+    runs = {"proxgrad": lambda problem: solve(problem, _config(args, args.lam)), "fobos": fobos}
+    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    for method in methods:
+        if method not in runs:
+            raise ValueError(f"unknown method {method!r}")
 
     inst = Path(args.instance)
-    X = _load_matrix(inst / "X.csv")
-    y = _load_response(inst / "y.csv")
-    penalty = _load_penalty(inst / "penalty.json", args.gamma)
+    problem = _load_problem(inst / "X.csv", inst / "y.csv", inst / "penalty.json", args.gamma)
     meta = json.loads((inst / "meta.json").read_text()) if (inst / "meta.json").exists() else {}
-    problem = Problem.least_squares(X, y, penalty)
-
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     report = {"instance": str(inst), "meta": meta, "lambda": args.lam,
-              "gamma": penalty.gamma, "methods": []}
+              "gamma": problem.penalty.gamma, "methods": []}
     for method in methods:
         start = time.perf_counter()
-        if method == "proxgrad":
-            cfg = SolverConfig(lam=args.lam, mu=args.mu,
-                               max_iter=args.max_iter, rel_tol=args.rel_tol)
-            coef, trace = solve(problem, cfg)
-        elif method == "fobos":
-            cfg = FobosConfig(lam=args.lam, c=default_c(*X.shape, *y.shape[1:]),
-                              max_iter=args.max_iter, rel_tol=args.rel_tol)
-            coef, trace = solve_fobos(problem, cfg)
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        _, trace = runs[method](problem)
         report["methods"].append(
-            {
-                "name": method,
-                "iterations": len(trace),
-                "wall_time_s": time.perf_counter() - start,
-                "objective": trace.objectives[-1] if method == "proxgrad"
-                else min(trace.objectives),
-                "nnz": int(np.count_nonzero(coef)),
-                "status": trace.status,
-            }
+            {"name": method, "wall_time_s": time.perf_counter() - start, **_summary(trace)}
         )
     Path(args.report).write_text(json.dumps(report, indent=2, sort_keys=True))
     for entry in report["methods"]:
@@ -216,24 +201,17 @@ def _cmd_bench(args):
 
 
 def _cmd_path(args):
-    from .solver import Problem, SolverConfig, regularization_path
+    from .solver import regularization_path
 
-    X = _load_matrix(args.x)
-    y = _load_response(args.y)
-    penalty = _load_penalty(args.penalty, args.gamma) if args.penalty else None
+    problem = _load_problem(args.x, args.y, args.penalty, args.gamma)
     lambdas = [float(s) for s in args.lambdas.split(",") if s.strip()]
-    problem = Problem.least_squares(X, y, penalty)
-    config = SolverConfig(mu=args.mu, max_iter=args.max_iter, rel_tol=args.rel_tol)
-    results = regularization_path(problem, lambdas, config)
+    results = regularization_path(problem, lambdas, _config(args, 0.0))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary = []
     for i, (lam, beta, trace) in enumerate(results):
         _save_matrix(out / f"beta_{i:03d}.csv", beta)
-        summary.append(
-            {"index": i, "lambda": lam, "iterations": len(trace),
-             "objective": trace.objectives[-1], "nnz": trace.final_nnz}
-        )
+        summary.append({"index": i, "lambda": lam, **_summary(trace)})
     (out / "path.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
     print(f"wrote {len(results)} solutions to {out}")
     return 0
@@ -250,12 +228,14 @@ _HANDLERS = {
 def cli_main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error(f"--threads must be at least 1, got {args.threads}")
     _set_threads(args.threads)
     from .solver import SolverError  # loads numpy, so only once the thread cap is set
 
     try:
         return _HANDLERS[args.command](args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError, SolverError) as exc:
+    except (OSError, ValueError, KeyError, SolverError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

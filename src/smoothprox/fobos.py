@@ -44,7 +44,9 @@ def solve_fobos(problem: Problem, config: FobosConfig, beta0=None):
     """Run the subgradient baseline; returns ``(beta_best, trace)``.
 
     ``beta_best`` is the iterate with the best objective seen, since the
-    plain iterates do not decrease monotonically.  The objective at an
+    plain iterates do not decrease monotonically; it is the start when no
+    iterate improves on it, and ``trace.final_objective`` is its objective
+    either way.  The objective at an
     iterate and the step direction from it share one loss product and one
     ``C beta``; the penalty's subgradient is ``C^T u``, ``u`` the blockwise
     unit direction of ``C beta`` (``CouplingMatrix.value_and_subgradient``).
@@ -82,12 +84,10 @@ def solve_fobos(problem: Problem, config: FobosConfig, beta0=None):
     for t in range(1, config.max_iter + 1):
         step = config.c / np.sqrt(t)
         if not np.all(np.isfinite(direction)):
-            trace.status = "error"
             raise SolverError(f"non-finite subgradient at iteration {t}")
         beta = soft_threshold(beta - step * direction, step * lam)
         f, direction = objective_and_direction(beta)
         if not np.isfinite(f):
-            trace.status = "error"
             raise SolverError(f"non-finite objective at iteration {t}")
         if f < best_f:
             best_f = f
@@ -101,4 +101,5 @@ def solve_fobos(problem: Problem, config: FobosConfig, beta0=None):
         f_prev = f
     trace.status = status
     trace.final_nnz = int(np.count_nonzero(best_beta))
+    trace.final_objective = best_f
     return best_beta, trace

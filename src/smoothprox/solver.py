@@ -91,7 +91,8 @@ class Trace:
     smoothed_objectives: list = field(default_factory=list)
     elapsed: list = field(default_factory=list)
     status: str = "running"
-    final_nnz: int | None = None
+    final_nnz: int | None = None  # the nnz and exact objective of the returned beta
+    final_objective: float | None = None
 
     def record(self, t, f, f_smooth, elapsed_s):
         self.iterations.append(t)
@@ -102,20 +103,18 @@ class Trace:
     def __len__(self):
         return len(self.iterations)
 
-    def to_jsonl(self) -> str:
-        lines = [json.dumps({"header": self.header})]
+    def write_jsonl(self, path):
+        """The header, one line per recorded iteration, then the final status."""
+        lines = [{"header": self.header}]
         for t, f, fs, el in zip(
             self.iterations, self.objectives, self.smoothed_objectives, self.elapsed
         ):
-            lines.append(
-                json.dumps({"t": t, "f": f, "f_smooth": fs, "elapsed_s": el})
-            )
-        lines.append(json.dumps({"status": self.status, "nnz": self.final_nnz}))
-        return "\n".join(lines) + "\n"
-
-    def write_jsonl(self, path):
+            lines.append({"t": t, "f": f, "f_smooth": fs, "elapsed_s": el})
+        lines.append(
+            {"status": self.status, "nnz": self.final_nnz, "objective": self.final_objective}
+        )
         with open(path, "w") as fh:
-            fh.write(self.to_jsonl())
+            fh.writelines(json.dumps(line) + "\n" for line in lines)
 
 
 def soft_threshold(v, threshold) -> np.ndarray:
@@ -205,6 +204,7 @@ def _fista(loss, coupling, config, beta):
         f_prev = f
     trace.status = status
     trace.final_nnz = int(np.count_nonzero(beta))
+    trace.final_objective = f
     return beta, trace
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 import smoothprox
+import smoothprox.solver
 from smoothprox import GroupPenaltySpec, penalty_to_json
-from smoothprox.cli import cli_main
+from smoothprox.cli import _build_parser, _summary, cli_main
 
 
 def write_csv(path, arr):
@@ -330,3 +332,95 @@ class TestMultiOutputInstances:
         assert cli_main(common + ["--penalty", str(inst / "penalty.json"), "--out", str(tmp_path / "B.csv")]) == 0
         assert cli_main(common + ["--out", str(tmp_path / "B_free.csv")]) == 0
         assert (tmp_path / "B.csv").read_bytes() == (tmp_path / "B_free.csv").read_bytes()
+
+
+@pytest.fixture
+def overlap_instance(tmp_path):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"num_groups": 2, "num_samples": 40}))
+    inst = tmp_path / "inst"
+    assert cli_main(["simulate", "overlap", "--spec", str(spec_path), "--out-dir", str(inst)]) == 0
+    return inst
+
+
+def test_every_subcommand_keeps_its_flags_and_defaults():
+    """Each option string of each subcommand, with its default and whether it
+    is required."""
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+    def options(p):
+        return {a.option_strings[-1] if a.option_strings else a.dest: (a.default, a.required)
+                for a in p._actions if not isinstance(a, argparse._HelpAction)}
+
+    loop = {"--gamma": (None, False), "--mu": (None, False),
+            "--max-iter": (20000, False), "--rel-tol": (1e-6, False)}
+    data = {"--x": (None, True), "--y": (None, True), "--penalty": (None, False)}
+    assert options(parser) == {"--threads": (1, False), "command": (None, True)}
+    assert {name: options(p) for name, p in sub.choices.items()} == {
+        "solve": {**data, **loop, "--lambda": (None, True), "--epsilon": (None, False),
+                  "--loss": ("squared", False), "--out": (None, True), "--trace": (None, False)},
+        "simulate": {"kind": (None, True), "--spec": (None, False), "--seed": (None, False),
+                     "--out-dir": (None, True)},
+        "bench": {**loop, "--instance": (None, True), "--methods": ("proxgrad,fobos", False),
+                  "--lambda": (None, True), "--report": (None, True)},
+        "path": {**data, **loop, "--lambdas": (None, True), "--out-dir": (None, True)},
+    }
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_threads_below_one_is_a_usage_error(value, tmp_path, monkeypatch):
+    variables = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+    for var in variables:
+        monkeypatch.setenv(var, "3")
+    missing = str(tmp_path / "missing.csv")
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["--threads", value, "solve", "--x", missing, "--y", missing,
+                  "--lambda", "1.0", "--out", str(tmp_path / "beta.csv")])
+    assert exc.value.code == 2
+    assert [os.environ[var] for var in variables] == ["3"] * 4
+
+
+@pytest.mark.parametrize("doc", ['{"bogus": 1}', '{"num_groups": "3"}', "[1]"],
+                         ids=["unknown-key", "wrong-type", "not-an-object"])
+def test_simulate_bad_spec_is_an_error(doc, tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(doc)
+    rc = cli_main(["simulate", "overlap", "--spec", str(spec_path), "--out-dir", str(tmp_path / "inst")])
+    assert rc == 1
+    assert f"error: spec {spec_path}:" in capsys.readouterr().err
+
+
+def test_bench_checks_methods_before_solving(overlap_instance, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(smoothprox.solver, "solve", lambda *args, **kwargs: pytest.fail("solve ran"))
+    report = tmp_path / "report.json"
+    rc = cli_main(["bench", "--instance", str(overlap_instance), "--lambda", "1.0",
+                   "--methods", "proxgrad,nope", "--report", str(report)])
+    assert rc == 1
+    assert "error: unknown method 'nope'" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_summary_reports_the_returned_coefficients():
+    """FOBOS with steps that diverge returns its zero start: the summary gives
+    that point's objective, not the best recorded iterate's."""
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((40, 6))
+    y = X @ np.array([1.0, 1.0, 0.0, 0.0, -1.0, 0.0]) + rng.standard_normal(40)
+    spec = GroupPenaltySpec.with_unit_weights(((0, 1, 2), (2, 3, 4, 5)), 1.0)
+    problem = smoothprox.Problem.least_squares(X, y, spec)
+    beta, trace = smoothprox.solve_fobos(
+        problem, smoothprox.FobosConfig(lam=0.5, c=10.0, max_iter=20, rel_tol=0.0))
+    summary = _summary(trace)
+    assert summary == {"iterations": 20, "objective": trace.final_objective, "nnz": 0,
+                       "status": "max_iter"}
+    assert summary["objective"] == pytest.approx(problem.loss.value(beta) + spec.value(beta), rel=1e-10)
+
+
+def test_path_entries_carry_the_run_summary(toy_instance):
+    out = toy_instance / "path"
+    assert cli_main(["path", "--x", str(toy_instance / "X.csv"), "--y", str(toy_instance / "y.csv"),
+                     "--lambdas", "1.0,0.5", "--max-iter", "3", "--out-dir", str(out)]) == 0
+    for entry in json.loads((out / "path.json").read_text()):
+        assert set(entry) == {"index", "lambda", "iterations", "objective", "nnz", "status"}
+        assert entry["status"] == "max_iter"

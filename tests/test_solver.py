@@ -416,3 +416,51 @@ class TestResponseShape:
         np.testing.assert_array_equal(beta, beta_free)
         assert trace.objectives == trace_free.objectives
         assert trace.header["mu"] is None and trace.header["L"] == trace_free.header["L"]
+
+
+class TestFinalObjective:
+    """``trace.final_objective`` is the exact objective of the coefficients a
+    solver returns, whichever iterate that is."""
+
+    @pytest.fixture
+    def group_problem(self):
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((40, 6))
+        y = X @ np.array([1.0, 1.0, 0.0, 0.0, -1.0, 0.0]) + rng.standard_normal(40)
+        spec = GroupPenaltySpec.with_unit_weights(((0, 1, 2), (2, 3, 4, 5)), 1.0)
+        return Problem.least_squares(X, y, spec), spec
+
+    @staticmethod
+    def exact(problem, spec, beta, lam=0.5):
+        return problem.loss.value(beta) + lam * float(np.abs(beta).sum()) + spec.value(beta)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda p: solve(p, SolverConfig(lam=0.5, mu=1e-3, max_iter=50)),
+            lambda p: solve(p, SolverConfig(lam=0.5, mu=1e-3, max_iter=50, record_trace=False)),
+            lambda p: solve_fobos(p, FobosConfig(lam=0.5, c=default_c(40, 6), max_iter=50)),
+        ],
+        ids=["solve", "solve-untraced", "fobos"],
+    )
+    def test_equals_objective_of_returned_coefficients(self, group_problem, run):
+        problem, spec = group_problem
+        beta, trace = run(problem)
+        assert trace.final_objective == pytest.approx(self.exact(problem, spec, beta), rel=1e-10)
+
+    def test_fobos_start_that_stays_best(self, group_problem):
+        """Steps of scale 10 diverge, so FOBOS returns its zero start; the best
+        recorded objective is far above the start's."""
+        problem, spec = group_problem
+        beta, trace = solve_fobos(problem, FobosConfig(lam=0.5, c=10.0, max_iter=20, rel_tol=0.0))
+        assert not beta.any()
+        assert min(trace.objectives) > 1e3 * self.exact(problem, spec, beta)
+        assert trace.final_objective == pytest.approx(self.exact(problem, spec, beta), rel=1e-10)
+
+    def test_written_on_the_status_line(self, group_problem, tmp_path):
+        problem, _ = group_problem
+        _, trace = solve(problem, SolverConfig(lam=0.5, mu=1e-3, max_iter=5))
+        path = tmp_path / "trace.jsonl"
+        trace.write_jsonl(path)
+        last = json.loads(path.read_text().splitlines()[-1])
+        assert last == {"status": "max_iter", "nnz": trace.final_nnz, "objective": trace.final_objective}
