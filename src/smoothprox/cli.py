@@ -43,12 +43,15 @@ def _save_matrix(path, arr):
 def _load_problem(x, y, penalty=None, gamma=None, loss="squared"):
     """The problem in the files ``x`` and ``y`` (a one-column ``y`` is a
     vector response, else N x K) and the optional penalty spec JSON
-    ``penalty``, whose gamma ``gamma`` overrides when given."""
+    ``penalty``, whose gamma ``gamma`` overrides when given; a ``gamma``
+    without a ``penalty`` is an error, as it would have nothing to act on."""
     import dataclasses
 
     from .penalties import penalty_from_json
     from .solver import Problem
 
+    if gamma is not None and not penalty:
+        raise ValueError("--gamma needs --penalty: without a penalty spec it has no effect")
     X, Y = _load_matrix(x), _load_matrix(y)
     spec = None
     if penalty:
@@ -138,9 +141,9 @@ def _cmd_simulate(args):
 
     overrides = json.loads(Path(args.spec).read_text()) if args.spec else {}
     seed = {} if args.seed is None else {"seed": args.seed}
-    try:  # a spec that is not an object, or has an unknown key or a wrongly typed value
+    try:  # a spec that is not an object, or has an unknown key or a wrong or out-of-range value
         spec = (OverlapSimSpec if args.kind == "overlap" else GraphSimSpec)(**{**overrides, **seed})
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"spec {args.spec}: {exc}") from exc
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -59,11 +59,11 @@ def solve_fobos(problem: Problem, config: FobosConfig, beta0=None):
     def objective_and_direction(b):
         p = loss.product(b)
         f = loss.value_from(b, p) + lam * float(np.abs(b).sum())
-        direction = loss.gradient_from(p)
+        direction = loss.gradient_from(p)  # a new array, owned here
         if coupling is not None:
             value, subgradient = coupling.value_and_subgradient(b)
             f += value
-            direction = direction + subgradient
+            direction += subgradient
         return f, direction
 
     trace = Trace(
@@ -77,7 +77,7 @@ def solve_fobos(problem: Problem, config: FobosConfig, beta0=None):
         }
     )
     best_f, direction = objective_and_direction(beta)
-    best_beta = beta.copy()
+    best_beta = beta  # no iterate is written after it is made
     f_prev = None
     start = time.perf_counter()
     status = "max_iter"
@@ -85,13 +85,13 @@ def solve_fobos(problem: Problem, config: FobosConfig, beta0=None):
         step = config.c / np.sqrt(t)
         if not np.all(np.isfinite(direction)):
             raise SolverError(f"non-finite subgradient at iteration {t}")
-        beta = soft_threshold(beta - step * direction, step * lam)
+        direction *= step  # the step is built in the direction's buffer
+        beta = soft_threshold(np.subtract(beta, direction, out=direction), step * lam)
         f, direction = objective_and_direction(beta)
         if not np.isfinite(f):
             raise SolverError(f"non-finite objective at iteration {t}")
         if f < best_f:
-            best_f = f
-            best_beta = beta.copy()
+            best_f, best_beta = f, beta
         if config.record_trace:
             trace.record(t, f, best_f, time.perf_counter() - start)
         if f_prev is not None:

@@ -233,13 +233,21 @@ class CouplingMatrix:
         z /= norms if self.row_blocks is None else np.repeat(norms, self._sizes, axis=0)
         return z
 
-    def project_unit(self, z) -> np.ndarray:
-        """Project each row block of ``z`` onto the unit l2 ball, in place
-        (clipping to [-1, 1] when each row is its own block)."""
+    def project_dual(self, z, mu):
+        """The smoothed dual maximizer at ``z = C beta``, formed in z's place up
+        to a scalar: returns ``(a, scale)`` with ``alpha* = a / scale``, where
+        ``alpha*`` projects each row block of ``z / mu`` onto the unit l2 ball.
+
+        With row blocks, each block of z is divided by ``max(||z_g||, mu)``,
+        which is ``alpha*`` itself (scale 1).  With one row per block, z is
+        clipped to ``[-mu, mu]`` (scale mu): a caller that maps ``alpha*``
+        linearly, as ``C^T alpha*``, divides the smaller result by mu rather
+        than z.
+        """
         if self.row_blocks is None:
-            return np.clip(z, -1.0, 1.0, out=z)
+            return np.clip(z, -mu, mu, out=z), mu
         norms = self.block_norms(z)
-        return self.divide_blocks(z, np.maximum(norms, 1.0, out=norms))
+        return self.divide_blocks(z, np.maximum(norms, mu, out=norms)), 1.0
 
     def value_and_subgradient(self, beta):
         """The exact penalty (block norms of ``C beta``, summed) and the

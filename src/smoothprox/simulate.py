@@ -16,14 +16,37 @@ fixed seed reproduces instances bit-for-bit.
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .losses import Dataset
 from .multivariate import MultiProblem
 from .penalties import GraphPenaltySpec, GroupPenaltySpec
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _check_field_types(spec) -> None:
+    """Raise ValueError unless each ``int`` field of ``spec`` holds an integer
+    and each ``float`` field a finite real number (a bool is neither).  The
+    field types are the annotation strings, as this module postpones them."""
+    checks = {"int": (_is_int, "an integer"), "float": (_is_real, "a finite real number")}
+    for f in fields(spec):
+        if f.type in checks:
+            ok, kind = checks[f.type]
+            value = getattr(spec, f.name)
+            if not ok(value):
+                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -36,6 +59,7 @@ class OverlapSimSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_field_types(self)
         if self.num_groups < 1:
             raise ValueError("num_groups must be positive")
         if not (0 < self.overlap < self.group_size):
@@ -89,6 +113,9 @@ class GraphSimSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_field_types(self)
+        if not all(_is_int(b) for b in self.block_sizes):
+            raise ValueError(f"block_sizes must be integers, got {self.block_sizes!r}")
         if sum(self.block_sizes) != self.num_outputs:
             raise ValueError("block sizes must sum to the number of outputs")
         if not (0 < self.rho < 1):

@@ -5,7 +5,8 @@ by ``f_mu(beta) = max_{alpha in Q} (alpha^T C beta - mu/2 * ||alpha||^2)``,
 which is smooth with gradient ``C^T alpha*`` and satisfies the sandwich bound
 ``f0 - mu*D <= f_mu <= f0`` where ``D = max_{alpha in Q} ||alpha||^2 / 2``.
 The maximizer ``alpha*`` has a closed form: per-group l2-ball projection for
-group penalties, entrywise clipping to [-1, 1] for graph penalties.
+group penalties, entrywise clipping to [-1, 1] for graph penalties.  Both are
+formed at ``z = C beta`` without dividing z by mu (``CouplingMatrix.project_dual``).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dasum, ddot
 
 from .losses import SpectralEstimate, power_iteration
 from .penalties import CouplingMatrix
@@ -50,7 +52,11 @@ class SmoothedPenalty:
     below work on it in place.  With two or three live copies of it, glibc
     malloc hands the freed pages back to the system and faults them in again
     on the next iteration; on the multi-output graph design (435 x 200) that
-    made each iteration three times slower.
+    made each iteration three times slower.  For the same reason each method
+    passes over it as few times as it can: ``gradient`` twice after forming
+    it on a graph (the clip and the ``C^T`` product; ``1/mu`` is applied to
+    the J or J x K result), ``values`` four times (a clip and three BLAS
+    reductions; on groups these run on the much smaller block norms).
     """
 
     coupling: CouplingMatrix
@@ -64,28 +70,40 @@ class SmoothedPenalty:
     def alpha_star(self, beta) -> np.ndarray:
         """Closed-form maximizer of the smoothed dual problem at beta: the
         blockwise projection of C beta / mu onto the unit balls."""
-        z = self.coupling.apply(beta)
-        z /= self.mu
-        return self.coupling.project_unit(z)
+        a, scale = self.coupling.project_dual(self.coupling.apply(beta), self.mu)
+        if scale != 1.0:
+            a /= scale
+        return a
 
     def values(self, beta):
         """``(f0, f_mu)``, the exact and the smoothed penalty, from one ``C beta``.
 
         With block norms n and c = min(n, mu), f0 = sum n and
         f_mu = sum c^2 / (2 mu) + sum (n - c): per block n^2 / (2 mu) inside
-        the ball, n - mu/2 outside.
+        the ball, n - mu/2 outside.  On a graph each row is a block and its
+        norm the absolute value of its entry of ``C beta``, so ``dasum`` and
+        the clip to ``[-mu, mu]`` read the signed entries as they are.
         """
-        z = self.coupling.apply(beta)
-        n = self.coupling.block_norms(z, out=z)
-        f0 = float(n.sum())
-        c = np.minimum(n, self.mu, out=n)
-        return f0, float(np.vdot(c, c)) / (2.0 * self.mu) + (f0 - float(c.sum()))
+        n = self.coupling.apply(beta)
+        if self.coupling.row_blocks is not None:
+            n = self.coupling.block_norms(n, out=n)
+        n = n.reshape(-1)
+        if not n.size:  # BLAS level-1 routines reject empty arrays
+            return 0.0, 0.0
+        f0 = float(dasum(n))
+        c = np.clip(n, -self.mu, self.mu, out=n)
+        return f0, float(ddot(c, c)) / (2.0 * self.mu) + (f0 - float(dasum(c)))
 
     def value(self, beta) -> float:
         return self.values(beta)[1]
 
     def gradient(self, beta) -> np.ndarray:
-        return self.coupling.apply_transpose(self.alpha_star(beta))
+        """``C^T alpha*``, shaped like beta."""
+        a, scale = self.coupling.project_dual(self.coupling.apply(beta), self.mu)
+        g = self.coupling.apply_transpose(a)
+        if scale != 1.0:
+            g /= scale
+        return g
 
 
 def smoothed_penalty(coupling, mu, num_inputs=1, epsilon=None) -> SmoothedPenalty:

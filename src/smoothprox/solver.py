@@ -118,11 +118,17 @@ class Trace:
 
 
 def soft_threshold(v, threshold) -> np.ndarray:
-    """Entrywise sign(v) * max(0, |v| - threshold); yields exact zeros."""
+    """Entrywise sign(v) * max(0, |v| - threshold), computed as
+    ``v - clip(v, -threshold, threshold)`` in one new array.
+
+    The two forms are equal bit for bit but for the sign of zero: entries
+    with ``|v| <= threshold`` come out as exact +0.0.
+    """
     if not threshold >= 0:
         raise ValueError("threshold must be non-negative")
     v = np.asarray(v, dtype=float)
-    return np.sign(v) * np.maximum(0.0, np.abs(v) - threshold)
+    out = np.clip(v, -threshold, threshold, out=np.empty_like(v))
+    return np.subtract(v, out, out=out)
 
 
 def total_lipschitz(loss_lipschitz, coupling_norm_value, mu) -> float:
@@ -153,7 +159,9 @@ def _fista(loss, coupling, config, beta):
     combination of the last two products.  The loss value, the exact penalty
     and the smoothed penalty at the new iterate come from that product and one
     ``C beta``; the smoothed gradient at ``w`` costs ``C w`` and ``C^T alpha``.
-    Returns ``(beta, trace)``.
+    The gradient step ``w - grad / L`` is built in the gradient's own buffer
+    (``gradient_from`` returns a new array), and ``w`` and its product are
+    formed with no temporaries.  Returns ``(beta, trace)``.
     """
     pen = mu = D = norm_C = None
     L_loss = L = loss.lipschitz()
@@ -180,16 +188,17 @@ def _fista(loss, coupling, config, beta):
     for t in range(config.max_iter):
         grad = loss.gradient_from(p_w)
         if pen is not None:
-            grad = grad + pen.gradient(w)
+            grad += pen.gradient(w)
         if not np.all(np.isfinite(grad)):
             raise SolverError(f"non-finite gradient at iteration {t}")
-        beta = soft_threshold(w - grad / L, lam / L)
+        grad /= L
+        beta = soft_threshold(np.subtract(w, grad, out=grad), lam / L)
         theta_next = 2.0 / (t + 3.0)
         momentum = (1.0 - theta) / theta * theta_next
-        w = beta + momentum * (beta - beta_prev)
+        w = _extrapolate(beta, beta_prev, momentum)
         beta_prev, theta = beta, theta_next
         p_next = loss.product(beta)
-        p_w = p_next + momentum * (p_next - p)
+        p_w = _extrapolate(p_next, p, momentum)
         p = p_next
         loss_l1 = loss.value_from(beta, p) + lam * float(np.abs(beta).sum())
         f0, f_mu = pen.values(beta) if pen is not None else (0.0, 0.0)
@@ -206,6 +215,14 @@ def _fista(loss, coupling, config, beta):
     trace.final_nnz = int(np.count_nonzero(beta))
     trace.final_objective = f
     return beta, trace
+
+
+def _extrapolate(x, x_prev, m) -> np.ndarray:
+    """``x + m (x - x_prev)`` in one new array, with no temporaries."""
+    out = np.subtract(x, x_prev)
+    out *= m
+    out += x
+    return out
 
 
 def solve(problem: Problem, config: SolverConfig, beta0=None):

@@ -381,8 +381,10 @@ def test_threads_below_one_is_a_usage_error(value, tmp_path, monkeypatch):
     assert [os.environ[var] for var in variables] == ["3"] * 4
 
 
-@pytest.mark.parametrize("doc", ['{"bogus": 1}', '{"num_groups": "3"}', "[1]"],
-                         ids=["unknown-key", "wrong-type", "not-an-object"])
+@pytest.mark.parametrize("doc", ['{"bogus": 1}', '{"num_groups": "3"}', "[1]",
+                                 '{"num_samples": 2.5, "num_groups": 2}', '{"seed": "a"}'],
+                         ids=["unknown-key", "wrong-type", "not-an-object",
+                              "non-integer-count", "non-integer-seed"])
 def test_simulate_bad_spec_is_an_error(doc, tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(doc)
@@ -424,3 +426,17 @@ def test_path_entries_carry_the_run_summary(toy_instance):
     for entry in json.loads((out / "path.json").read_text()):
         assert set(entry) == {"index", "lambda", "iterations", "objective", "nnz", "status"}
         assert entry["status"] == "max_iter"
+
+
+@pytest.mark.parametrize("command", ["solve", "path"])
+def test_gamma_without_penalty_is_an_error(command, toy_instance, capsys):
+    """``--gamma`` overrides the penalty spec's gamma; with no ``--penalty``
+    there is none, so it fails rather than being ignored."""
+    out = toy_instance / "out"
+    args = {"solve": ["--lambda", "0.1", "--out", str(out)],
+            "path": ["--lambdas", "0.2,0.1", "--out-dir", str(out)]}[command]
+    rc = cli_main([command, "--x", str(toy_instance / "X.csv"), "--y", str(toy_instance / "y.csv"),
+                   "--gamma", "5", *args])
+    assert rc == 1
+    assert "error: --gamma needs --penalty" in capsys.readouterr().err
+    assert not out.exists()

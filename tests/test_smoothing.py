@@ -220,3 +220,57 @@ class TestPowerIteration:
         spec = GroupPenaltySpec.with_unit_weights(((0, 1), (1, 2)), 1.0)
         est = spectral_norm_power_iteration(spec.coupling(3), tol=0.0, max_iter=3)
         assert not est.converged
+
+
+def _coupling_case(kind, rng):
+    """``(spec, J)`` with couplings the kernels branch on: row blocks, one row
+    per edge, an all-zero row (an edge with r = 0), and no rows at all."""
+    if kind == "group":
+        return random_group_spec(rng, 7), 7
+    if kind == "graph":
+        return random_graph_spec(rng, 6), 6
+    if kind == "graph-zero-edge":
+        return GraphPenaltySpec(5, ((0, 1, 0.8), (1, 3, 0.0), (2, 4, -0.5)), 1.3), 5
+    return GraphPenaltySpec(4, (), 1.0), 4  # "empty": a 0 x 4 coupling
+
+
+def _dual_blocks(coupling):
+    """The row blocks of Q's unit balls: the groups, or one per row."""
+    return coupling.row_blocks or tuple((e, e + 1) for e in range(coupling.rows))
+
+
+@pytest.mark.parametrize("num_inputs", [0, 3], ids=["vector", "matrix"])
+@pytest.mark.parametrize("kind", ["group", "graph", "graph-zero-edge", "empty"])
+def test_kernels_match_their_definitions(kind, num_inputs, rng):
+    """``alpha_star`` is the blockwise projection of ``C beta / mu`` onto the
+    unit balls, ``gradient`` is ``C^T alpha*``, and ``values`` gives the
+    spec's exact value and the Huber sum over block norms, computed here by
+    loops over the blocks from a dense C.  mu is the median block norm, so
+    blocks fall on both sides of the ball's boundary."""
+    spec, J = _coupling_case(kind, rng)
+    coupling = spec.coupling(J)
+    beta = rng.standard_normal((num_inputs, J) if num_inputs else J)
+    beta[..., 0] = 0.0
+    C = coupling.toarray()
+    Z = C @ np.atleast_2d(beta).T  # rows x inputs
+    blocks = [(a, b, k) for a, b in _dual_blocks(coupling) for k in range(Z.shape[1])]
+    norms = [float(np.linalg.norm(Z[a:b, k])) for a, b, k in blocks]
+    mu = float(np.median(norms)) if norms else 0.4
+    alpha = np.zeros_like(Z)
+    huber = 0.0
+    for (a, b, k), n in zip(blocks, norms):
+        alpha[a:b, k] = Z[a:b, k] / mu / max(1.0, n / mu)
+        huber += n * n / (2.0 * mu) if n <= mu else n - mu / 2.0
+    if not num_inputs:
+        alpha = alpha[:, 0]
+    pen = smoothed_penalty(coupling, mu, num_inputs=max(num_inputs, 1))
+    np.testing.assert_allclose(pen.alpha_star(beta), alpha, rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(pen.gradient(beta), (C.T @ alpha).T, rtol=1e-12, atol=1e-14)
+    assert pen.gradient(beta).shape == beta.shape
+    f0, f_mu = pen.values(beta)
+    assert f0 == pytest.approx(spec.value(beta), rel=1e-13, abs=1e-300)
+    assert f0 == pytest.approx(sum(norms), rel=1e-13, abs=1e-300)
+    assert f_mu == pytest.approx(huber, rel=1e-13, abs=1e-300)
+    if kind == "empty":
+        assert (f0, f_mu) == (0.0, 0.0)
+        assert not pen.gradient(beta).any()

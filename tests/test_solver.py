@@ -48,6 +48,23 @@ class TestSoftThreshold:
         with pytest.raises(ValueError):
             soft_threshold([1.0], -0.1)
 
+    @pytest.mark.parametrize("shape", [(910,), (200, 30)])
+    def test_bit_identical_to_sign_max_form(self, rng, shape):
+        """``v - clip(v, -t, t)`` equals ``sign(v) * max(0, |v| - t)`` bit for
+        bit, ties at +-t and zeros included, but for the sign of zero: it
+        gives +0.0 where the sign/max form gives -0.0."""
+        t = 0.7
+        v = rng.standard_normal(shape)
+        v.flat[:8] = [t, -t, 0.0, -0.0, np.nextafter(t, 0.0), -np.nextafter(t, 0.0),
+                      np.nextafter(t, 2.0), -np.nextafter(t, 2.0)]
+        got = soft_threshold(v, t)
+        want = np.sign(v) * np.maximum(0.0, np.abs(v) - t)
+        assert got.shape == want.shape
+        # x + 0.0 turns -0.0 into +0.0 and leaves every other value's bits alone
+        np.testing.assert_array_equal((got + 0.0).view(np.uint64), (want + 0.0).view(np.uint64))
+        assert not np.signbit(got[got == 0.0]).any()
+        assert np.count_nonzero(got) == np.count_nonzero(want)
+
 
 class TestTotalLipschitz:
     def test_sum(self):
