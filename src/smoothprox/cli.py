@@ -172,13 +172,14 @@ def _cmd_bench(args):
     from .solver import solve
 
     def fobos(problem):
-        data = problem.loss.data
-        c = default_c(*data.X.shape, *data.y.shape[1:])
+        c = default_c(*problem.X.shape, *problem.y.shape[1:])
         return solve_fobos(problem, FobosConfig(lam=args.lam, c=c, max_iter=args.max_iter,
                                                 rel_tol=args.rel_tol))
 
     runs = {"proxgrad": lambda problem: solve(problem, _config(args, args.lam)), "fobos": fobos}
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise ValueError(f"--methods {args.methods!r} names no method")
     for method in methods:
         if method not in runs:
             raise ValueError(f"unknown method {method!r}")

@@ -17,8 +17,24 @@ from scipy.linalg.blas import dsymv
 from scipy.linalg.lapack import dstebz
 from scipy.special import expit
 
+from .penalties import StructureError
+
 #: Precompute X^T X automatically up to this many features.
 PRECOMPUTE_MAX_FEATURES = 4096
+
+
+def _checked_arrays(X, y):
+    """``X`` and ``y`` as float arrays, X N x J and y (N,) or N x K with
+    N, J, K >= 1; a StructureError naming the shape otherwise."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2 or X.size == 0:
+        raise StructureError(f"X has shape {X.shape}, expected N x J with N, J >= 1")
+    if y.ndim not in (1, 2) or y.shape[0] != X.shape[0] or y.size == 0:
+        raise StructureError(
+            f"y has shape {y.shape}, expected ({X.shape[0]},) or ({X.shape[0]}, K), K >= 1"
+        )
+    return X, y
 
 
 @dataclass(frozen=True)
@@ -30,14 +46,7 @@ class Dataset:
     y: np.ndarray
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        if X.ndim != 2:
-            raise ValueError("X must be a 2-d array")
-        if y.ndim not in (1, 2) or y.shape[0] != X.shape[0]:
-            raise ValueError(
-                f"y has shape {y.shape}, expected ({X.shape[0]},) or ({X.shape[0]}, K)"
-            )
+        X, y = _checked_arrays(self.X, self.y)
         if not (np.isfinite(X).all() and np.isfinite(y).all()):
             raise ValueError("non-finite entries in dataset")
         object.__setattr__(self, "X", X)

@@ -294,28 +294,6 @@ class CouplingMatrix:
         return self.matrix.toarray()
 
 
-def validate_penalty(spec, num_features) -> None:
-    """Raise StructureError unless ``spec`` is a group or graph penalty that
-    fits ``num_features`` features, whatever its gamma."""
-    if not isinstance(spec, (GroupPenaltySpec, GraphPenaltySpec)):
-        raise StructureError(f"unknown penalty spec type {type(spec).__name__}")
-    spec.validate_against(num_features)
-
-
-def penalty_coupling(spec, num_features) -> CouplingMatrix | None:
-    """The coupling matrix of ``spec`` over ``num_features`` features, or None
-    when the penalty is identically zero: no spec, ``gamma == 0``, or a C
-    with no non-zeros (a graph without weighted edges).  The spec is
-    validated whatever its gamma."""
-    if spec is None:
-        return None
-    validate_penalty(spec, num_features)
-    if spec.gamma == 0.0:
-        return None
-    coupling = spec.coupling(num_features)
-    return coupling if coupling.nnz else None
-
-
 # --- JSON serialization (1-based indices on disk) ---
 
 def penalty_to_json(spec) -> str:
@@ -343,7 +321,8 @@ def penalty_from_json(text: str):
     kind = doc.get("type")
     if kind == "group":
         groups = tuple(tuple(i - 1 for i in g) for g in doc["groups"])
-        weights = tuple(doc.get("weights") or [1.0] * len(groups))
+        weights = doc.get("weights")  # absent or null: unit weights; [] fails the length check
+        weights = tuple([1.0] * len(groups) if weights is None else weights)
         return GroupPenaltySpec(groups=groups, weights=weights, gamma=doc["gamma"])
     if kind == "graph":
         edges = tuple((m - 1, l - 1, r) for m, l, r in doc["edges"])

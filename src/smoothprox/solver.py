@@ -13,12 +13,12 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
-from .losses import Dataset, LogisticLoss, SquaredLoss
-from .penalties import StructureError, penalty_coupling
+from .losses import Dataset, LogisticLoss, SquaredLoss, _checked_arrays
+from .penalties import GraphPenaltySpec, GroupPenaltySpec, StructureError
 from .smoothing import smoothed_penalty
 
 
@@ -26,28 +26,54 @@ class SolverError(RuntimeError):
     """Raised when the iteration produces non-finite values."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: problems compare and hash by identity
 class Problem:
-    """A regression problem: smooth loss plus optional structured penalty."""
+    """A smooth loss over ``(X, y)`` plus an optional structured penalty.  For
+    an N x K ``y`` the coefficients are J x K and the penalty, over the K
+    outputs, applies to each row.  Shapes and the penalty are checked when
+    the problem is made; the ``loss`` (finiteness scan of X and y, Gram) and
+    the ``coupling`` are built on first use and kept."""
 
-    loss: object  # SquaredLoss | LogisticLoss
+    X: np.ndarray
+    y: np.ndarray
     penalty: object = None  # GroupPenaltySpec | GraphPenaltySpec | None
+    make_loss: object = SquaredLoss  # Dataset -> loss
+
+    def __post_init__(self):
+        X, y = _checked_arrays(self.X, self.y)
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "y", y)
+        if self.penalty is not None:
+            if not isinstance(self.penalty, (GroupPenaltySpec, GraphPenaltySpec)):
+                raise StructureError(f"unknown penalty spec type {type(self.penalty).__name__}")
+            self.penalty.validate_against(self.coef_shape[-1])
+
+    @property
+    def coef_shape(self) -> tuple:
+        """``(J,)`` for a vector response, ``(J, K)`` for an N x K one."""
+        return self.X.shape[1:] + self.y.shape[1:]
+
+    @cached_property
+    def loss(self):
+        return self.make_loss(Dataset(self.X, self.y))
 
     @cached_property
     def coupling(self):
-        """The penalty's coupling matrix over the iterate's last axis (J, or K
-        for an N x K response), built on first use and kept; None when the
-        penalty is identically zero."""
-        data = self.loss.data
-        return penalty_coupling(self.penalty, (data.X.shape[1:] + data.y.shape[1:])[-1])
+        """The penalty's C over the coefficients' last axis; None when the
+        penalty is identically zero: no spec, ``gamma == 0``, or a C with no
+        non-zeros (a graph without weighted edges)."""
+        if self.penalty is None or self.penalty.gamma == 0.0:
+            return None
+        coupling = self.penalty.coupling(self.coef_shape[-1])
+        return coupling if coupling.nnz else None
 
     @classmethod
     def least_squares(cls, X, y, penalty=None, precompute=None):
-        return cls(loss=SquaredLoss(Dataset(X, y), precompute=precompute), penalty=penalty)
+        return cls(X, y, penalty, partial(SquaredLoss, precompute=precompute))
 
     @classmethod
     def logistic(cls, X, y, penalty=None):
-        return cls(loss=LogisticLoss(Dataset(X, y)), penalty=penalty)
+        return cls(X, y, penalty, LogisticLoss)
 
 
 def _check_loop_fields(config) -> None:
@@ -226,8 +252,7 @@ def _extrapolate(x, x_prev, m) -> np.ndarray:
 
 
 def solve(problem: Problem, config: SolverConfig, beta0=None):
-    """Run the smoothing proximal gradient method on a ``Problem`` or a
-    ``MultiProblem`` (anything with a ``loss`` and a ``coupling``).
+    """Run the smoothing proximal gradient method on a ``Problem``.
 
     Returns ``(beta, trace)``, beta J x K for an N x K response.  Stops when
     the relative change of the exact objective drops below ``rel_tol`` or
@@ -237,10 +262,9 @@ def solve(problem: Problem, config: SolverConfig, beta0=None):
 
 
 def _initial_beta(problem, beta0) -> np.ndarray:
-    """A copy of the starting point ``beta0``, zeros of shape
-    ``(J,) + y.shape[1:]`` when it is None."""
-    data = problem.loss.data
-    shape = data.X.shape[1:] + data.y.shape[1:]
+    """A copy of the starting point ``beta0``, zeros of the problem's
+    ``coef_shape`` when it is None."""
+    shape = problem.coef_shape
     beta = np.zeros(shape) if beta0 is None else np.asarray(beta0, dtype=float).copy()
     if beta.shape != shape:
         raise StructureError(f"beta0 has shape {beta.shape}, expected {shape}")

@@ -403,6 +403,25 @@ def test_bench_checks_methods_before_solving(overlap_instance, tmp_path, monkeyp
     assert not report.exists()
 
 
+@pytest.mark.parametrize("methods", ["", " , "], ids=["empty", "commas"])
+def test_bench_without_methods_is_an_error(methods, graph_instance, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    rc = cli_main(["bench", "--instance", str(graph_instance), "--lambda", "1.0",
+                   "--methods", methods, "--report", str(report)])
+    assert rc == 1
+    assert "error: --methods" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_empty_design_matrix_is_an_error(toy_instance, capsys):
+    (toy_instance / "X.csv").write_text("")
+    with pytest.warns(UserWarning, match="no data"):
+        rc = cli_main(["solve", "--x", str(toy_instance / "X.csv"), "--y", str(toy_instance / "y.csv"),
+                       "--lambda", "0.1", "--out", str(toy_instance / "beta.csv")])
+    assert rc == 1
+    assert "error: X has shape (0, 1)" in capsys.readouterr().err
+
+
 def test_summary_reports_the_returned_coefficients():
     """FOBOS with steps that diverge returns its zero start: the summary gives
     that point's objective, not the best recorded iterate's."""

@@ -189,9 +189,8 @@ class TestInputChecks:
     ], ids=["solve", "solve_fobos"])
     def test_graph_node_count_checked_against_features(self, rng, num_nodes, run):
         spec = GraphPenaltySpec(num_nodes=num_nodes, edges=((0, 1, 1.0), (1, 2, -0.5)), gamma=1.0)
-        prob = Problem.least_squares(rng.standard_normal((12, 5)), rng.standard_normal(12), spec)
         with pytest.raises(StructureError, match=f"has {num_nodes} nodes, expected 5"):
-            run(prob)
+            run(Problem.least_squares(rng.standard_normal((12, 5)), rng.standard_normal(12), spec))
 
     @pytest.mark.parametrize("spec, message", [
         (GraphPenaltySpec(num_nodes=7, edges=((0, 1, 1.0),), gamma=0.0), "has 7 nodes, expected 5"),
@@ -205,6 +204,5 @@ class TestInputChecks:
         lambda prob: solve_fobos(prob, FobosConfig(max_iter=3)),
     ], ids=["solve", "solve_fobos"])
     def test_penalty_checked_whatever_gamma(self, rng, spec, message, run):
-        prob = Problem.least_squares(rng.standard_normal((12, 5)), rng.standard_normal(12), spec)
         with pytest.raises(StructureError, match=message):
-            run(prob)
+            run(Problem.least_squares(rng.standard_normal((12, 5)), rng.standard_normal(12), spec))

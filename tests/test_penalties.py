@@ -283,6 +283,17 @@ class TestJsonRoundTrip:
         doc = json.loads(penalty_to_json(two_group_spec()))
         assert doc["groups"] == [[1, 2], [2, 3]]
 
+    @pytest.mark.parametrize("weights", ['', ', "weights": null'], ids=["absent", "null"])
+    def test_missing_weights_are_unit(self, weights):
+        doc = '{"type": "group", "gamma": 1.0, "groups": [[1, 2], [2, 3]]%s}' % weights
+        assert penalty_from_json(doc).weights == (1.0, 1.0)
+
+    @pytest.mark.parametrize("weights", ["[]", "[2.0]"], ids=["empty", "short"])
+    def test_weights_of_the_wrong_length_fail(self, weights):
+        doc = '{"type": "group", "gamma": 1.0, "groups": [[1, 2], [2, 3]], "weights": %s}' % weights
+        with pytest.raises(StructureError, match="same length"):
+            penalty_from_json(doc)
+
 
 class TestCachedTranspose:
     @pytest.mark.parametrize("max_iter", [5, 25])

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import smoothprox.solver
 from smoothprox import (
     CouplingMatrix,
     FobosConfig,
@@ -14,6 +15,7 @@ from smoothprox import (
     SmoothedPenalty,
     SolverConfig,
     SolverError,
+    StructureError,
     default_c,
     iteration_bound,
     regularization_path,
@@ -177,6 +179,50 @@ class TestCouplingBuiltOnce:
             _, trace = solve(problem, config)
         assert len(trace) == max_iter
         assert (len(applies), len(transposes)) == (2 * max_iter, max_iter)
+
+
+class TestProblem:
+    """Shapes and the penalty are checked when a problem is made; the loss is
+    built on first use and kept."""
+
+    @pytest.mark.parametrize("make", [Problem.least_squares, Problem.logistic],
+                             ids=["least_squares", "logistic"])
+    def test_loss_built_once_on_first_use(self, rng, make):
+        problem = make(rng.standard_normal((10, 3)), np.where(rng.standard_normal(10) > 0, 1.0, -1.0))
+        assert "loss" not in vars(problem)
+        assert problem.loss is problem.loss
+
+    def test_group_index_out_of_range_fails_when_made(self, rng):
+        spec = GroupPenaltySpec.with_unit_weights(((0, 1), (1, 5)), 1.0)
+        with pytest.raises(StructureError, match="out of range for 5 features"):
+            Problem.least_squares(rng.standard_normal((12, 5)), rng.standard_normal(12), spec)
+
+    def test_non_finite_X_fails_before_the_first_iteration(self, rng, monkeypatch):
+        X = rng.standard_normal((12, 5))
+        X[3, 2] = np.nan
+        problem = Problem.least_squares(X, rng.standard_normal(12))
+        monkeypatch.setattr(smoothprox.solver, "soft_threshold", lambda *a: pytest.fail("iterated"))
+        with pytest.raises(ValueError, match="non-finite"):
+            solve(problem, SolverConfig(lam=0.1, max_iter=5))
+
+    @pytest.mark.parametrize("x_shape, y_shape, message", [
+        ((5, 0), (5,), r"X has shape \(5, 0\)"),
+        ((0, 3), (0,), r"X has shape \(0, 3\)"),
+        ((5, 3), (5, 0), r"y has shape \(5, 0\)"),
+    ], ids=["no-columns", "no-rows", "no-outputs"])
+    def test_zero_size_data_rejected(self, x_shape, y_shape, message):
+        with pytest.raises(StructureError, match=message):
+            Problem.least_squares(np.ones(x_shape), np.ones(y_shape))
+
+    def test_problems_compare_by_identity(self, rng):
+        X, Y = rng.standard_normal((6, 3)), rng.standard_normal((6, 2))
+        problem = MultiProblem(X, Y)
+        assert problem == problem and problem != MultiProblem(X, Y)
+        assert len({problem, problem}) == 1
+
+    def test_multi_problem_rejects_a_vector_response(self, rng):
+        with pytest.raises(StructureError, match="expected a 2-d"):
+            MultiProblem(rng.standard_normal((6, 3)), rng.standard_normal(6))
 
 
 class TestSolverConfigChecks:
