@@ -83,7 +83,7 @@ def solve_fobos(problem: Problem, config: FobosConfig, beta0=None):
     status = "max_iter"
     for t in range(1, config.max_iter + 1):
         step = config.c / np.sqrt(t)
-        if not np.all(np.isfinite(direction)):
+        if not np.isfinite(direction).all():
             raise SolverError(f"non-finite subgradient at iteration {t}")
         direction *= step  # the step is built in the direction's buffer
         beta = soft_threshold(np.subtract(beta, direction, out=direction), step * lam)

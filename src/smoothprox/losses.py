@@ -162,6 +162,13 @@ def gram_lipschitz(X, tol=1e-6, max_iter=1000) -> float:
     )
 
 
+def _inner(a, b) -> float:
+    """``sum(a * b)`` over two arrays of one shape.  ``np.vdot`` reads both
+    in C order, so it copies F-ordered J x K arrays; their transposes are
+    C-ordered and read in place."""
+    return float(np.vdot(a.T, b.T))
+
+
 class _ProductLoss:
     """A loss whose value and gradient are read off one linear product of the
     iterate, ``product(beta)``; a solver can then form the product at a linear
@@ -179,7 +186,8 @@ class SquaredLoss(_ProductLoss):
     """g(beta) = 0.5 * ||y - X beta||^2 with gradient X^T (X beta - y).
 
     The product is ``X^T X beta`` with the Gram precompute, ``X beta``
-    without.  The response may be an N x K matrix, with J x K iterates.
+    without.  The response may be an N x K matrix, with J x K iterates; the
+    J x K arrays (Gram products, gradients, ``X^T Y``) are Fortran-ordered.
     """
 
     def __init__(self, data: Dataset, precompute=None):
@@ -192,14 +200,18 @@ class SquaredLoss(_ProductLoss):
             # numpy forms X^T X exactly symmetric, so this is the same matrix,
             # F-ordered: dsymv copies a C-ordered one before reading it
             self._XtX = (X.T @ X).T
-            self._Xty = X.T @ y
+            self._Xty = np.asfortranarray(X.T @ y)
             self._yty = float(np.vdot(y, y))
         self._lipschitz = None
 
     def product(self, beta) -> np.ndarray:
         if not self.precompute:
             return self.X @ beta
-        return self._gram_vector_product(beta) if np.ndim(beta) == 1 else self._XtX @ beta
+        if beta.ndim == 1:
+            return self._gram_vector_product(beta)
+        # G B as (B^T G)^T, G symmetric: the same bits, Fortran-ordered, and
+        # faster than numpy's C-ordered G @ B
+        return (beta.T @ self._XtX).T
 
     def _gram_vector_product(self, v) -> np.ndarray:
         """``X^T X v`` for a 1-d v, read off one triangle of the Gram."""
@@ -208,13 +220,14 @@ class SquaredLoss(_ProductLoss):
     def value_from(self, beta, p) -> float:
         """Loss value at beta, given ``p = product(beta)``."""
         if self.precompute:
-            return float(0.5 * np.vdot(beta, p) - np.vdot(beta, self._Xty) + 0.5 * self._yty)
+            return 0.5 * _inner(beta, p) - _inner(beta, self._Xty) + 0.5 * self._yty
         r = p - self.y
-        return float(0.5 * np.vdot(r, r))
+        return 0.5 * _inner(r, r)
 
     def gradient_from(self, p) -> np.ndarray:
         """Gradient at the point whose product is ``p``."""
-        return p - self._Xty if self.precompute else self.X.T @ (p - self.y)
+        # X^T R as (R^T X)^T: the same bits, and a J x K result is F-ordered
+        return p - self._Xty if self.precompute else ((p - self.y).T @ self.X).T
 
     def lipschitz(self) -> float:
         if self._lipschitz is None and self.precompute:
@@ -250,8 +263,9 @@ class LogisticLoss(_ProductLoss):
     def gradient_from(self, p) -> np.ndarray:
         """Gradient at the point whose product is ``p``."""
         y = self.data.y
-        # -(X^T v), not -X.T @ v, which would negate a copy of all of X
-        return -(self.data.X.T @ (y * expit(-(y * p))))
+        # -(X^T v) formed as -(v^T X)^T, F-ordered for an N x K v; not
+        # -X.T @ v, which would negate a copy of all of X
+        return -((y * expit(-(y * p))).T @ self.data.X).T
 
     def lipschitz(self) -> float:
         if self._lipschitz is None:

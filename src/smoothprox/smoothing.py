@@ -85,13 +85,16 @@ class SmoothedPenalty:
         the clip to ``[-mu, mu]`` read the signed entries as they are.
         """
         n = self.coupling.apply(beta)
-        if self.coupling.row_blocks is not None:
+        blocks = self.coupling.row_blocks is not None
+        if blocks:
             n = self.coupling.block_norms(n, out=n)
         n = n.reshape(-1)
         if not n.size:  # BLAS level-1 routines reject empty arrays
             return 0.0, 0.0
         f0 = float(dasum(n))
-        c = np.clip(n, -self.mu, self.mu, out=n)
+        # block norms are >= 0, so their clip is a minimum, with the same bits
+        # and without np.clip's Python wrappers (a third of a group call)
+        c = np.minimum(n, self.mu, out=n) if blocks else np.clip(n, -self.mu, self.mu, out=n)
         return f0, float(ddot(c, c)) / (2.0 * self.mu) + (f0 - float(dasum(c)))
 
     def value(self, beta) -> float:

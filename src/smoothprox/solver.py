@@ -78,10 +78,12 @@ class Problem:
 
 def _check_loop_fields(config) -> None:
     """Check the fields every solver loop's config has: finite ``lam >= 0``,
-    ``max_iter >= 1`` and finite ``rel_tol >= 0`` (0 never stops on the
-    change).  Each test is written so that NaN fails it."""
+    an integer ``max_iter >= 1`` (not a bool) and finite ``rel_tol >= 0`` (0
+    never stops on the change).  Each test is written so that NaN fails it."""
     if not 0.0 <= config.lam < math.inf:
         raise ValueError("lam must be non-negative and finite")
+    if isinstance(config.max_iter, bool) or not isinstance(config.max_iter, (int, np.integer)):
+        raise ValueError(f"max_iter must be an integer, got {config.max_iter!r}")
     if not config.max_iter >= 1:
         raise ValueError("max_iter must be at least 1")
     if not 0.0 <= config.rel_tol < math.inf:
@@ -145,15 +147,18 @@ class Trace:
 
 def soft_threshold(v, threshold) -> np.ndarray:
     """Entrywise sign(v) * max(0, |v| - threshold), computed as
-    ``v - clip(v, -threshold, threshold)`` in one new array.
+    ``v - clip(v, -threshold, threshold)`` in one new array, in v's layout.
 
     The two forms are equal bit for bit but for the sign of zero: entries
-    with ``|v| <= threshold`` come out as exact +0.0.
+    with ``|v| <= threshold`` come out as exact +0.0.  The clip is
+    ``maximum(minimum(v, t), -t)``, which gives ``np.clip``'s bits (signed
+    zeros included, in this order) without its Python wrappers.
     """
     if not threshold >= 0:
         raise ValueError("threshold must be non-negative")
     v = np.asarray(v, dtype=float)
-    out = np.clip(v, -threshold, threshold, out=np.empty_like(v))
+    out = np.minimum(v, threshold, out=np.empty_like(v))
+    np.maximum(out, -threshold, out=out)
     return np.subtract(v, out, out=out)
 
 
@@ -215,7 +220,7 @@ def _fista(loss, coupling, config, beta):
         grad = loss.gradient_from(p_w)
         if pen is not None:
             grad += pen.gradient(w)
-        if not np.all(np.isfinite(grad)):
+        if not np.isfinite(grad).all():
             raise SolverError(f"non-finite gradient at iteration {t}")
         grad /= L
         beta = soft_threshold(np.subtract(w, grad, out=grad), lam / L)
@@ -262,10 +267,12 @@ def solve(problem: Problem, config: SolverConfig, beta0=None):
 
 
 def _initial_beta(problem, beta0) -> np.ndarray:
-    """A copy of the starting point ``beta0``, zeros of the problem's
-    ``coef_shape`` when it is None."""
+    """A Fortran-ordered copy of the starting point ``beta0``, zeros of the
+    problem's ``coef_shape`` when it is None.  The loops keep that layout: a
+    J x K iterate, its Gram products and its gradients are all F-ordered, so
+    ``C B^T`` and BLAS read them in place."""
     shape = problem.coef_shape
-    beta = np.zeros(shape) if beta0 is None else np.asarray(beta0, dtype=float).copy()
+    beta = np.zeros(shape, order="F") if beta0 is None else np.array(beta0, dtype=float, order="F")
     if beta.shape != shape:
         raise StructureError(f"beta0 has shape {beta.shape}, expected {shape}")
     return beta

@@ -8,6 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smoothprox import (
+    CouplingMatrix,
+    FobosConfig,
     GraphPenaltySpec,
     GroupPenaltySpec,
     Problem,
@@ -15,7 +17,10 @@ from smoothprox import (
     StructureError,
     penalty_from_json,
     penalty_to_json,
+    smoothed_penalty,
     solve,
+    solve_fobos,
+    spectral_norm_power_iteration,
 )
 from conftest import random_graph_spec, random_group_spec
 
@@ -293,6 +298,177 @@ class TestJsonRoundTrip:
         doc = '{"type": "group", "gamma": 1.0, "groups": [[1, 2], [2, 3]], "weights": %s}' % weights
         with pytest.raises(StructureError, match="same length"):
             penalty_from_json(doc)
+
+
+class TestIntegerIndices:
+    """Indices are integers; a fractional number or a bool is an error, not
+    truncated.  A float with no fractional part is the integer it equals."""
+
+    @pytest.mark.parametrize("groups", [
+        ((0.7, 1.2),), ((0, 2.5),), ((True, 1),), ((0, np.True_),), ((0, math.nan),), ((0, "1"),),
+    ], ids=["fractions", "one-fraction", "bool", "numpy-bool", "nan", "str"])
+    def test_group_index_must_be_an_integer(self, groups):
+        with pytest.raises(StructureError, match="group index must be an integer"):
+            GroupPenaltySpec(groups=groups, weights=(1.0,), gamma=1.0)
+
+    def test_integral_floats_and_numpy_integers_are_accepted(self):
+        spec = GroupPenaltySpec(groups=((0.0, 2.0), (np.int64(1), np.int32(2))), weights=(1.0, 1.0), gamma=1.0)
+        assert spec.groups == ((0, 2), (1, 2))
+        assert all(type(i) is int for g in spec.groups for i in g)
+
+    @pytest.mark.parametrize("edges, num_nodes", [
+        (((0, 1.6, 0.5),), 3),
+        (((0.5, 2, 0.5),), 3),
+        (((False, 1, 0.5),), 3),
+        (((0, 1, 0.5),), 3.7),
+        (((0, 1, 0.5),), True),
+    ], ids=["fractional-node", "fractional-first-node", "bool-node", "fractional-count", "bool-count"])
+    def test_graph_indices_must_be_integers(self, edges, num_nodes):
+        with pytest.raises(StructureError, match="must be an integer"):
+            GraphPenaltySpec(num_nodes=num_nodes, edges=edges, gamma=1.0)
+
+    def test_graph_integral_floats_are_accepted(self):
+        spec = GraphPenaltySpec(num_nodes=3.0, edges=((0.0, 2.0, 0.5),), gamma=1.0)
+        assert (spec.num_nodes, spec.edges) == (3, ((0, 2, 0.5),))
+
+    @pytest.mark.parametrize("doc", [
+        '{"type": "group", "gamma": 1.0, "groups": [[1.5, 2.9]]}',
+        '{"type": "group", "gamma": 1.0, "groups": [[true, 2]]}',
+        '{"type": "graph", "gamma": 1.0, "num_nodes": 3.7, "edges": [[1, 2, 0.5]]}',
+        '{"type": "graph", "gamma": 1.0, "num_nodes": 3, "edges": [[1, 2.6, 0.5]]}',
+        '{"type": "graph", "gamma": 1.0, "num_nodes": 3, "edges": [[true, 2, 0.5]]}',
+        '{"type": "group", "gamma": 1.0, "groups": [["1", 2]]}',
+    ], ids=["group-fractions", "group-bool", "graph-node-count", "graph-edge", "graph-bool", "group-str"])
+    def test_json_indices_must_be_integers(self, doc):
+        with pytest.raises(StructureError, match="must be an integer"):
+            penalty_from_json(doc)
+
+    def test_json_integral_floats_are_accepted(self):
+        doc = '{"type": "graph", "gamma": 1.0, "num_nodes": 3.0, "edges": [[1.0, 3.0, 0.5]]}'
+        assert penalty_from_json(doc) == GraphPenaltySpec(num_nodes=3, edges=((0, 2, 0.5),), gamma=1.0)
+        doc = '{"type": "group", "gamma": 1.0, "groups": [[1.0, 2]]}'
+        assert penalty_from_json(doc).groups == ((0, 1),)
+
+
+class TestGatherForm:
+    """On a 1-d iterate a group C forms ``C beta`` as a gather and ``C^T alpha``
+    as a bincount; every result equals its definition through scipy's CSR
+    products and per-block loops."""
+
+    @staticmethod
+    def assert_close(actual, desired):
+        np.testing.assert_allclose(actual, desired, rtol=1e-15, atol=0.0)
+
+    def test_equals_the_csr_definitions(self, rng):
+        for _ in range(60):
+            J = int(rng.integers(1, 12))
+            spec = random_group_spec(rng, num_features=J, max_groups=5)
+            C = spec.coupling(J)
+            M = C.matrix
+            beta = rng.standard_normal(J) * rng.choice([1e-3, 1e-1, 1.0])
+            beta[rng.random(J) < 0.3] = 0.0
+            alpha = rng.standard_normal(C.rows)
+            mu = float(rng.choice([1e-3, 1e-2, 1e-1]))
+            self.assert_close(C.apply(beta), M @ beta)
+            self.assert_close(C.apply_transpose(alpha), M.T @ alpha)
+
+            z = M @ beta
+            blocks = [z[a:b] for a, b in C.row_blocks]
+            norms = np.array([np.sqrt(np.sum(zg**2)) for zg in blocks])
+            alpha_star = np.concatenate([zg / max(n, mu) for zg, n in zip(blocks, norms)])
+            a, scale = C.project_dual(C.apply(beta), mu)
+            self.assert_close(a / scale, alpha_star)
+
+            pen = smoothed_penalty(C, mu)
+            f0, f_mu = pen.values(beta)
+            self.assert_close(f0, norms.sum())
+            self.assert_close(f_mu, np.sum(np.where(norms <= mu, norms**2 / (2 * mu), norms - mu / 2)))
+            self.assert_close(pen.gradient(beta), M.T @ alpha_star)
+
+            value, subgradient = C.value_and_subgradient(beta)
+            u = np.concatenate([zg / (n if n > 0 else 1.0) for zg, n in zip(blocks, norms)])
+            self.assert_close(value, norms.sum())
+            self.assert_close(subgradient, M.T @ u)
+
+    def test_sliding_window_products_are_bit_identical(self, rng):
+        """On the paper's overlap layout the gather and the bincount sum the
+        same products in the same order as scipy."""
+        groups = tuple(tuple(range(90 * i, 90 * i + 100)) for i in range(10))
+        C = GroupPenaltySpec(groups, tuple(rng.uniform(0.5, 2.0, 10)), 2.0).coupling(910)
+        beta, alpha = rng.standard_normal(910), rng.standard_normal(1000)
+        np.testing.assert_array_equal(C.apply(beta), C.matrix @ beta)
+        np.testing.assert_array_equal(C.apply_transpose(alpha), C.matrix.T @ alpha)
+
+    @staticmethod
+    def count_sparse_products(mp):
+        calls = []
+        for cls in (sp.csr_matrix, sp.csc_matrix):
+            original = cls.__matmul__
+
+            def counted(self, other, original=original):
+                calls.append(type(self).__name__)
+                return original(self, other)
+
+            mp.setattr(cls, "__matmul__", counted)
+        return calls
+
+    @staticmethod
+    def exercise(C, beta):
+        """Every use of C a solver makes at ``beta``."""
+        pen = smoothed_penalty(C, 1e-2, num_inputs=beta.shape[0] if beta.ndim == 2 else 1)
+        pen.gradient(beta)
+        pen.values(beta)
+        C.value_and_subgradient(beta)
+        C.apply_transpose(C.project_dual(C.apply(beta), 1e-2)[0])
+
+    def test_group_vector_makes_no_sparse_product(self, rng):
+        spec = random_group_spec(rng, num_features=8)
+        C = spec.coupling(8)
+        X, y = rng.standard_normal((30, 8)), rng.standard_normal(30)
+        problem = Problem.least_squares(X, y, spec)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = self.count_sparse_products(mp)
+            self.exercise(C, rng.standard_normal(8))
+            spectral_norm_power_iteration(C)
+            solve(problem, SolverConfig(lam=0.1, mu=1e-2, max_iter=5))
+            solve_fobos(problem, FobosConfig(lam=0.1, max_iter=5))
+        assert calls == []
+
+    @pytest.mark.parametrize("case", ["graph-vector", "group-matrix", "graph-matrix"])
+    def test_graph_or_matrix_iterate_uses_scipy(self, rng, case):
+        if case.startswith("graph"):
+            C = GraphPenaltySpec(num_nodes=4, edges=((0, 1, 0.5), (1, 3, -0.8)), gamma=1.0).coupling()
+        else:
+            C = two_group_spec().coupling(3)
+        beta = rng.standard_normal((5, C.cols) if case.endswith("matrix") else C.cols)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = self.count_sparse_products(mp)
+            self.exercise(C, beta)
+        assert "csr_matrix" in calls and "csc_matrix" in calls
+
+    def test_csc_matrix_is_not_read_as_rows(self):
+        """A square CSC matrix with one entry per column has the row pointer a
+        CSR matrix with one entry per row would have."""
+        dense = np.array([[0.0, 2.0, 0.0], [3.0, 0.0, 0.0], [0.0, 0.0, 5.0]])
+        C = CouplingMatrix(sp.csc_matrix(dense))
+        beta = np.array([1.0, 10.0, 100.0])
+        np.testing.assert_array_equal(C.apply(beta), dense @ beta)
+        np.testing.assert_array_equal(C.apply_transpose(beta), dense.T @ beta)
+
+    @pytest.mark.parametrize("matrix", [
+        sp.csr_matrix((0, 4)),
+        GraphPenaltySpec(num_nodes=4, edges=(), gamma=1.0).coupling().matrix,
+    ], ids=["empty-csr", "edgeless-graph"])
+    def test_no_rows(self, matrix):
+        C = CouplingMatrix(matrix)
+        assert C.apply(np.ones(4)).shape == (0,)
+        np.testing.assert_array_equal(C.apply_transpose(np.zeros(0)), np.zeros(4))
+        assert C.apply(np.ones((3, 4))).shape == (0, 3)
+        np.testing.assert_array_equal(C.apply_transpose(np.zeros((0, 3))), np.zeros((3, 4)))
+        pen = smoothed_penalty(C, 1e-2)
+        assert pen.values(np.ones(4)) == (0.0, 0.0)
+        np.testing.assert_array_equal(pen.gradient(np.ones(4)), np.zeros(4))
+        assert C.value_and_subgradient(np.ones(4))[0] == 0.0
 
 
 class TestCachedTranspose:

@@ -249,6 +249,21 @@ class TestSolverConfigChecks:
         with pytest.raises(ValueError, match="epsilon must be positive and finite"):
             SolverConfig(epsilon=value)
 
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"], ids=["fraction", "float", "bool", "str"])
+    @pytest.mark.parametrize("make", [SolverConfig, FobosConfig])
+    def test_max_iter_must_be_an_integer(self, make, value):
+        """A float or a bool passes ``max_iter >= 1`` and would fail only in
+        ``range``, at the first solve."""
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            make(max_iter=value)
+
+    @pytest.mark.parametrize("make", [SolverConfig, FobosConfig])
+    def test_numpy_integer_max_iter_runs(self, rng, make):
+        config = make(lam=0.1, max_iter=np.int64(3), rel_tol=0.0)
+        problem = Problem.least_squares(rng.standard_normal((10, 3)), rng.standard_normal(10))
+        _, trace = (solve if make is SolverConfig else solve_fobos)(problem, config)
+        assert len(trace) == 3
+
 
 class TestFistaStep:
     def test_full_shrinkage(self, rng):
@@ -479,6 +494,54 @@ class TestResponseShape:
         np.testing.assert_array_equal(beta, beta_free)
         assert trace.objectives == trace_free.objectives
         assert trace.header["mu"] is None and trace.header["L"] == trace_free.header["L"]
+
+
+class TestMatrixLayout:
+    """J x K coefficients are Fortran-ordered, from the start through every
+    iterate, so ``C B^T`` and BLAS read them in place."""
+
+    @pytest.fixture
+    def problem(self, rng):
+        spec = GraphPenaltySpec(num_nodes=3, edges=((0, 1, 0.8), (1, 2, -0.5)), gamma=1.0)
+        return Problem.least_squares(rng.standard_normal((20, 6)), rng.standard_normal((20, 3)), spec)
+
+    @pytest.mark.parametrize("precompute", [None, False], ids=["gram", "streaming"])
+    @pytest.mark.parametrize("run", [
+        lambda p, b0: solve(p, SolverConfig(lam=0.1, mu=1e-2, max_iter=20), b0),
+        lambda p, b0: solve_fobos(p, FobosConfig(lam=0.1, max_iter=20), b0),
+    ], ids=["solve", "solve_fobos"])
+    @pytest.mark.parametrize("start", [None, "C", "F"])
+    def test_returned_coefficients_are_fortran_ordered(self, problem, run, start, precompute):
+        problem = Problem.least_squares(problem.X, problem.y, problem.penalty, precompute)
+        beta0 = None if start is None else np.full((6, 3), 0.01, order=start)
+        B, _ = run(problem, beta0)
+        assert B.shape == (6, 3) and B.flags.f_contiguous
+
+    def test_every_iterate_and_gradient_is_fortran_ordered(self, problem, monkeypatch):
+        seen = []
+        original = smoothprox.solver.soft_threshold
+
+        def recorded(v, threshold):
+            out = original(v, threshold)
+            seen.append(v.flags.f_contiguous and out.flags.f_contiguous)
+            return out
+
+        monkeypatch.setattr(smoothprox.solver, "soft_threshold", recorded)
+        solve(problem, SolverConfig(lam=0.1, mu=1e-2, max_iter=10))
+        assert seen == [True] * 10
+
+    def test_path_warm_starts_stay_fortran_ordered(self, problem):
+        results = regularization_path(problem, [0.5, 0.2], SolverConfig(mu=1e-2, max_iter=10))
+        assert all(B.flags.f_contiguous for _, B, _ in results)
+
+    def test_logistic_gradient_is_fortran_ordered(self, rng):
+        X = rng.standard_normal((20, 6))
+        Y = np.where(rng.standard_normal((20, 3)) > 0, 1.0, -1.0)
+        loss = Problem.logistic(X, Y).loss
+        B = np.asfortranarray(rng.standard_normal((6, 3)))
+        grad = loss.gradient_from(loss.product(B))
+        assert grad.flags.f_contiguous
+        np.testing.assert_allclose(grad, -X.T @ (Y / (1.0 + np.exp(Y * (X @ B)))), rtol=1e-12)
 
 
 class TestFinalObjective:
