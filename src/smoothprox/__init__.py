@@ -35,9 +35,7 @@ _EXPORTS = {
         "threshold_correlation_graph",
     ),
     "smoothing": (
-        "SmoothedPenalty",
         "select_mu",
-        "smoothed_penalty",
         "spectral_norm_power_iteration",
     ),
     "solver": (

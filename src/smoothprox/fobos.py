@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .penalties import _real
 from .solver import Problem, SolverError, Trace, _check_loop_fields, _initial_beta, soft_threshold
 
 
@@ -28,7 +29,7 @@ class FobosConfig:
 
     def __post_init__(self):
         _check_loop_fields(self)
-        if not 0.0 < self.c < math.inf:
+        if not 0.0 < _real(self.c, "c", ValueError) < math.inf:
             raise ValueError("step scale c must be positive and finite")
 
 
@@ -88,7 +89,7 @@ def solve_fobos(problem: Problem, config: FobosConfig, beta0=None):
         direction *= step  # the step is built in the direction's buffer
         beta = soft_threshold(np.subtract(beta, direction, out=direction), step * lam)
         f, direction = objective_and_direction(beta)
-        if not np.isfinite(f):
+        if not math.isfinite(f):
             raise SolverError(f"non-finite objective at iteration {t}")
         if f < best_f:
             best_f, best_beta = f, beta

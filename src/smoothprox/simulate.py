@@ -169,8 +169,10 @@ def threshold_correlation_graph(Y, rho, gamma=1.0) -> GraphPenaltySpec:
     """Edges (m, l, r_ml) for output pairs with empirical |corr| >= rho.
 
     Constant columns have undefined correlations and are excluded with a
-    warning.
+    warning.  ``rho`` must be a real number in (0, 1].
     """
+    if not (_is_real(rho) and 0 < rho <= 1):
+        raise ValueError(f"rho must be a real number in (0, 1], got {rho!r}")
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[0] < 2:
         raise ValueError("Y must be 2-d with at least two samples")

@@ -18,8 +18,8 @@ from functools import cached_property, partial
 import numpy as np
 
 from .losses import Dataset, LogisticLoss, SquaredLoss, _checked_arrays
-from .penalties import GraphPenaltySpec, GroupPenaltySpec, StructureError
-from .smoothing import smoothed_penalty
+from .penalties import GraphPenaltySpec, GroupPenaltySpec, StructureError, _real
+from .smoothing import select_mu
 
 
 class SolverError(RuntimeError):
@@ -79,14 +79,15 @@ class Problem:
 def _check_loop_fields(config) -> None:
     """Check the fields every solver loop's config has: finite ``lam >= 0``,
     an integer ``max_iter >= 1`` (not a bool) and finite ``rel_tol >= 0`` (0
-    never stops on the change).  Each test is written so that NaN fails it."""
-    if not 0.0 <= config.lam < math.inf:
+    never stops on the change).  Each test is written so that NaN fails it,
+    and a bool or a non-number fails ``_real``."""
+    if not 0.0 <= _real(config.lam, "lam", ValueError) < math.inf:
         raise ValueError("lam must be non-negative and finite")
     if isinstance(config.max_iter, bool) or not isinstance(config.max_iter, (int, np.integer)):
         raise ValueError(f"max_iter must be an integer, got {config.max_iter!r}")
     if not config.max_iter >= 1:
         raise ValueError("max_iter must be at least 1")
-    if not 0.0 <= config.rel_tol < math.inf:
+    if not 0.0 <= _real(config.rel_tol, "rel_tol", ValueError) < math.inf:
         raise ValueError("rel_tol must be non-negative and finite")
 
 
@@ -105,7 +106,7 @@ class SolverConfig:
             raise ValueError("give either epsilon or mu, not both")
         for name in ("epsilon", "mu"):
             value = getattr(self, name)
-            if value is not None and not 0.0 < value < math.inf:
+            if value is not None and not 0.0 < _real(value, name, ValueError) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
 
 
@@ -194,12 +195,13 @@ def _fista(loss, coupling, config, beta):
     (``gradient_from`` returns a new array), and ``w`` and its product are
     formed with no temporaries.  Returns ``(beta, trace)``.
     """
-    pen = mu = D = norm_C = None
+    mu = D = norm_C = None
     L_loss = L = loss.lipschitz()
     if coupling is not None:
-        copies = beta.shape[0] if beta.ndim == 2 else 1
-        pen = smoothed_penalty(coupling, config.mu, copies, config.epsilon)
-        mu, D, norm_C = pen.mu, pen.D, coupling.norm_bound
+        # the dual set holds one copy of Q per row of a J x K beta
+        D = (beta.shape[0] if beta.ndim == 2 else 1) * coupling.dual_bound
+        mu = select_mu(config.epsilon, D) if config.mu is None else config.mu
+        norm_C = coupling.norm_bound
         L = total_lipschitz(L_loss, norm_C, mu)
     if L <= 0:
         raise SolverError("non-positive Lipschitz constant; nothing to optimize")
@@ -218,8 +220,8 @@ def _fista(loss, coupling, config, beta):
     status = "max_iter"
     for t in range(config.max_iter):
         grad = loss.gradient_from(p_w)
-        if pen is not None:
-            grad += pen.gradient(w)
+        if coupling is not None:
+            grad += coupling.smoothed_gradient(w, mu)
         if not np.isfinite(grad).all():
             raise SolverError(f"non-finite gradient at iteration {t}")
         grad /= L
@@ -232,9 +234,9 @@ def _fista(loss, coupling, config, beta):
         p_w = _extrapolate(p_next, p, momentum)
         p = p_next
         loss_l1 = loss.value_from(beta, p) + lam * float(np.abs(beta).sum())
-        f0, f_mu = pen.values(beta) if pen is not None else (0.0, 0.0)
+        f0, f_mu = coupling.smoothed_values(beta, mu) if coupling is not None else (0.0, 0.0)
         f = loss_l1 + f0
-        if not np.isfinite(f):
+        if not math.isfinite(f):
             raise SolverError(f"non-finite objective at iteration {t + 1}")
         if config.record_trace:
             trace.record(t + 1, f, loss_l1 + f_mu, time.perf_counter() - start)

@@ -40,6 +40,24 @@ def central_difference_gradient(fn, x, h):
     return grad
 
 
+def alpha_star(coupling, beta, mu):
+    """The maximizer of the smoothed dual at beta, by its definition: each row
+    block of ``C beta / mu`` (of each column of ``C B^T / mu`` for a J x K
+    beta) projected onto the unit l2 ball."""
+    alpha = coupling.matrix @ np.asarray(beta, dtype=float).T / mu
+    for a, b in coupling.row_blocks or [(e, e + 1) for e in range(coupling.rows)]:
+        alpha[a:b] /= np.maximum(1.0, np.linalg.norm(alpha[a:b], axis=0))
+    return alpha
+
+
+def smoothed_value(coupling, beta, mu):
+    """The smoothed penalty by its definition,
+    ``f_mu(beta) = alpha*^T C beta - mu/2 ||alpha*||^2``."""
+    alpha = alpha_star(coupling, beta, mu)
+    z = coupling.matrix @ np.asarray(beta, dtype=float).T
+    return float(np.sum(alpha * z) - 0.5 * mu * np.sum(alpha * alpha))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

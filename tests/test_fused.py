@@ -14,11 +14,11 @@ from smoothprox import (
     MultiProblem,
     Problem,
     SolverConfig,
-    smoothed_penalty,
     solve,
     solve_multivariate,
 )
 from smoothprox import losses
+from conftest import smoothed_value
 
 STEPS = 40
 
@@ -192,16 +192,14 @@ def test_values_from_c_beta_match_definitions(spec, seed, scale, mu, num_inputs)
     rng = np.random.default_rng(seed)
     beta = rng.standard_normal((num_inputs, K) if num_inputs else K) * scale
     beta[rng.random(beta.shape) < 0.3] = 0.0  # exact zeros: kinks of the penalty
-    pen = smoothed_penalty(spec.coupling(K), mu, num_inputs=max(num_inputs, 1))
-    f0, f_mu = pen.values(beta)
+    C = spec.coupling(K)
+    f0, f_mu = C.smoothed_values(beta, mu)
     exact = spec.value(beta)
     tol = 1e-12 * max(1.0, exact)
     assert f0 == pytest.approx(exact, rel=1e-12, abs=1e-300)
-    alpha = pen.alpha_star(beta)
-    z = pen.coupling.apply(beta)
-    assert f_mu == pytest.approx(np.sum(alpha * z) - 0.5 * mu * np.sum(alpha * alpha), rel=1e-10, abs=tol)
-    assert pen.D == pytest.approx(max(num_inputs, 1) * spec.coupling(K).dual_bound)
-    assert f0 - mu * pen.D - tol <= f_mu <= f0 + tol
+    assert f_mu == pytest.approx(smoothed_value(C, beta, mu), rel=1e-10, abs=tol)
+    D = max(num_inputs, 1) * C.dual_bound
+    assert f0 - mu * D - tol <= f_mu <= f0 + tol
 
 
 def test_logistic_loss_values_from_product(rng):

@@ -13,12 +13,12 @@ from smoothprox import (
     StructureError,
     default_c,
     regularization_path,
-    smoothed_penalty,
+    select_mu,
     solve,
     solve_fobos,
     solve_multivariate,
 )
-from conftest import central_difference_gradient
+from conftest import alpha_star, central_difference_gradient
 
 
 def toy_problem(rng, n=25, j=4, k=3, spec=None):
@@ -78,9 +78,9 @@ class TestSmoothedMatrixPenalty:
     def test_alpha_feasible(self, rng):
         spec = GroupPenaltySpec.with_unit_weights(((0, 1), (1, 2)), 1.0)
         prob = toy_problem(rng, k=3, spec=spec)
-        pen = smoothed_penalty(prob.penalty.coupling(prob.num_outputs), 0.3, prob.num_features)
-        A = pen.alpha_star(rng.standard_normal((4, 3)) * 3)
-        for a, b in pen.coupling.row_blocks:
+        C = prob.penalty.coupling(prob.num_outputs)
+        A = alpha_star(C, rng.standard_normal((4, 3)) * 3, 0.3)
+        for a, b in C.row_blocks:
             assert (np.linalg.norm(A[a:b], axis=0) <= 1.0 + 1e-12).all()
 
     def test_graph_alpha_clipped(self, rng):
@@ -88,51 +88,52 @@ class TestSmoothedMatrixPenalty:
             num_nodes=3, edges=((0, 1, 1.0), (1, 2, 1.0)), gamma=1.0
         )
         prob = toy_problem(rng, k=3, spec=spec)
-        pen = smoothed_penalty(prob.penalty.coupling(prob.num_outputs), 0.2, prob.num_features)
-        A = pen.alpha_star(rng.standard_normal((4, 3)) * 5)
+        A = alpha_star(prob.penalty.coupling(prob.num_outputs), rng.standard_normal((4, 3)) * 5, 0.2)
         assert (np.abs(A) <= 1.0 + 1e-12).all()
 
     def test_sandwich_bound(self, rng):
         spec = GroupPenaltySpec.with_unit_weights(((0, 1), (1, 2)), 1.0)
         prob = toy_problem(rng, k=3, spec=spec)
         mu = 0.05
-        pen = smoothed_penalty(spec.coupling(3), mu, 4)
+        C = spec.coupling(3)
         for _ in range(20):
             B = rng.standard_normal((4, 3)) * rng.uniform(0.1, 4.0)
             exact = spec.value(B)
-            smooth = pen.value(B)
+            smooth = C.smoothed_values(B, mu)[1]
             assert smooth <= exact + 1e-10
-            assert smooth >= exact - mu * pen.D - 1e-10
+            assert smooth >= exact - mu * 4 * C.dual_bound - 1e-10
 
-    def test_dual_bound_scales_with_inputs(self):
+    def test_dual_bound_scales_with_inputs(self, rng):
         spec = GroupPenaltySpec.with_unit_weights(((0, 1), (1, 2)), 1.0)
-        pen = smoothed_penalty(spec.coupling(3), 0.1, 7)
-        assert pen.D == pytest.approx(7.0)
+        X, Y = rng.standard_normal((10, 7)), rng.standard_normal((10, 3))
+        _, trace = solve(Problem.least_squares(X, Y, spec), SolverConfig(epsilon=0.1, max_iter=2))
+        assert trace.header["D"] == pytest.approx(7.0)
+        assert trace.header["mu"] == select_mu(0.1, 7.0)
 
     def test_gradient_matches_finite_differences(self, rng):
         spec = GroupPenaltySpec.with_unit_weights(((0, 1), (1, 2)), 1.0)
-        pen = smoothed_penalty(spec.coupling(3), 0.2, 4)
+        C = spec.coupling(3)
         B = rng.standard_normal((4, 3))
-        flat_value = lambda v: pen.value(v.reshape(4, 3))
+        flat_value = lambda v: C.smoothed_values(v.reshape(4, 3), 0.2)[1]
         fd = central_difference_gradient(flat_value, B.ravel(), 1e-6)
         np.testing.assert_allclose(
-            pen.gradient(B).ravel(), fd, rtol=1e-5, atol=1e-8
+            C.smoothed_gradient(B, 0.2).ravel(), fd, rtol=1e-5, atol=1e-8
         )
 
     def test_single_output_matches_vector_penalty(self, rng):
         # K=1 with group {0} equals the vector penalty with singleton groups
         spec = GroupPenaltySpec.with_unit_weights(((0,),), 1.0)
         mu = 0.1
-        pen = smoothed_penalty(spec.coupling(1), mu, 5)
+        C = spec.coupling(1)
         vec_spec = GroupPenaltySpec.with_unit_weights(
             tuple((j,) for j in range(5)), 1.0
         )
-        vec_pen = smoothed_penalty(vec_spec.coupling(5), mu)
+        vec_C = vec_spec.coupling(5)
         beta = rng.standard_normal(5)
         B = beta.reshape(5, 1)
-        assert pen.value(B) == pytest.approx(vec_pen.value(beta), rel=1e-12)
+        assert C.smoothed_values(B, mu)[1] == pytest.approx(vec_C.smoothed_values(beta, mu)[1], rel=1e-12)
         np.testing.assert_allclose(
-            pen.gradient(B).ravel(), vec_pen.gradient(beta), atol=1e-14
+            C.smoothed_gradient(B, mu).ravel(), vec_C.smoothed_gradient(beta, mu), atol=1e-14
         )
 
 

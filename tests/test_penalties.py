@@ -17,7 +17,6 @@ from smoothprox import (
     StructureError,
     penalty_from_json,
     penalty_to_json,
-    smoothed_penalty,
     solve,
     solve_fobos,
     spectral_norm_power_iteration,
@@ -350,6 +349,47 @@ class TestIntegerIndices:
         assert penalty_from_json(doc).groups == ((0, 1),)
 
 
+class TestRealNumbers:
+    """gamma, group weights and edge correlations are real numbers; a bool or
+    a string is an error, not converted.  Ints and numpy reals are floats."""
+
+    @pytest.mark.parametrize("value", [True, np.True_, "5", None, [1.0]], ids=["bool", "numpy-bool", "str", "none", "list"])
+    @pytest.mark.parametrize("make, what", [
+        (lambda v: GroupPenaltySpec.with_unit_weights(((0, 1),), v), "gamma"),
+        (lambda v: GroupPenaltySpec(groups=((0, 1), (1, 2)), weights=(1.0, v), gamma=1.0), "group weight"),
+        (lambda v: GraphPenaltySpec(num_nodes=2, edges=((0, 1, 1.0),), gamma=v), "gamma"),
+        (lambda v: GraphPenaltySpec(num_nodes=3, edges=((0, 1, 1.0), (1, 2, v)), gamma=1.0), "edge correlation"),
+    ], ids=["group-gamma", "group-weight", "graph-gamma", "graph-edge"])
+    def test_must_be_real(self, make, what, value):
+        with pytest.raises(StructureError, match=f"{what} must be a real number"):
+            make(value)
+
+    def test_ints_and_numpy_reals_are_floats(self):
+        group = GroupPenaltySpec(groups=((0, 1), (1, 2)), weights=(2, np.float32(0.5)), gamma=np.int64(3))
+        assert (group.weights, group.gamma) == ((2.0, 0.5), 3.0)
+        graph = GraphPenaltySpec(num_nodes=3, edges=((0, 1, 1), (1, 2, np.float64(-0.5))), gamma=2)
+        assert (graph.edges, graph.gamma) == (((0, 1, 1.0), (1, 2, -0.5)), 2.0)
+        assert all(type(x) is float for x in (*group.weights, group.gamma, graph.gamma, *(r for *_, r in graph.edges)))
+
+    @pytest.mark.parametrize("doc, what", [
+        ('{"type": "group", "gamma": true, "groups": [[1, 2]]}', "gamma"),
+        ('{"type": "group", "gamma": "5", "groups": [[1, 2]]}', "gamma"),
+        ('{"type": "group", "gamma": 1.0, "groups": [[1, 2]], "weights": ["2"]}', "group weight"),
+        ('{"type": "group", "gamma": 1.0, "groups": [[1, 2]], "weights": [false]}', "group weight"),
+        ('{"type": "graph", "gamma": true, "num_nodes": 2, "edges": [[1, 2, 0.5]]}', "gamma"),
+        ('{"type": "graph", "gamma": 1.0, "num_nodes": 2, "edges": [[1, 2, "0.5"]]}', "edge correlation"),
+        ('{"type": "graph", "gamma": 1.0, "num_nodes": 2, "edges": [[1, 2, true]]}', "edge correlation"),
+    ], ids=["group-gamma-bool", "group-gamma-str", "weight-str", "weight-bool", "graph-gamma-bool",
+            "edge-str", "edge-bool"])
+    def test_json_numbers_must_be_real(self, doc, what):
+        with pytest.raises(StructureError, match=f"{what} must be a real number"):
+            penalty_from_json(doc)
+
+    def test_json_ints_are_floats(self):
+        doc = '{"type": "graph", "gamma": 2, "num_nodes": 2, "edges": [[1, 2, 1]]}'
+        assert penalty_from_json(doc) == GraphPenaltySpec(num_nodes=2, edges=((0, 1, 1.0),), gamma=2.0)
+
+
 class TestGatherForm:
     """On a 1-d iterate a group C forms ``C beta`` as a gather and ``C^T alpha``
     as a bincount; every result equals its definition through scipy's CSR
@@ -376,14 +416,10 @@ class TestGatherForm:
             blocks = [z[a:b] for a, b in C.row_blocks]
             norms = np.array([np.sqrt(np.sum(zg**2)) for zg in blocks])
             alpha_star = np.concatenate([zg / max(n, mu) for zg, n in zip(blocks, norms)])
-            a, scale = C.project_dual(C.apply(beta), mu)
-            self.assert_close(a / scale, alpha_star)
-
-            pen = smoothed_penalty(C, mu)
-            f0, f_mu = pen.values(beta)
+            f0, f_mu = C.smoothed_values(beta, mu)
             self.assert_close(f0, norms.sum())
             self.assert_close(f_mu, np.sum(np.where(norms <= mu, norms**2 / (2 * mu), norms - mu / 2)))
-            self.assert_close(pen.gradient(beta), M.T @ alpha_star)
+            self.assert_close(C.smoothed_gradient(beta, mu), M.T @ alpha_star)
 
             value, subgradient = C.value_and_subgradient(beta)
             u = np.concatenate([zg / (n if n > 0 else 1.0) for zg, n in zip(blocks, norms)])
@@ -415,11 +451,9 @@ class TestGatherForm:
     @staticmethod
     def exercise(C, beta):
         """Every use of C a solver makes at ``beta``."""
-        pen = smoothed_penalty(C, 1e-2, num_inputs=beta.shape[0] if beta.ndim == 2 else 1)
-        pen.gradient(beta)
-        pen.values(beta)
+        C.smoothed_gradient(beta, 1e-2)
+        C.smoothed_values(beta, 1e-2)
         C.value_and_subgradient(beta)
-        C.apply_transpose(C.project_dual(C.apply(beta), 1e-2)[0])
 
     def test_group_vector_makes_no_sparse_product(self, rng):
         spec = random_group_spec(rng, num_features=8)
@@ -465,9 +499,8 @@ class TestGatherForm:
         np.testing.assert_array_equal(C.apply_transpose(np.zeros(0)), np.zeros(4))
         assert C.apply(np.ones((3, 4))).shape == (0, 3)
         np.testing.assert_array_equal(C.apply_transpose(np.zeros((0, 3))), np.zeros((3, 4)))
-        pen = smoothed_penalty(C, 1e-2)
-        assert pen.values(np.ones(4)) == (0.0, 0.0)
-        np.testing.assert_array_equal(pen.gradient(np.ones(4)), np.zeros(4))
+        assert C.smoothed_values(np.ones(4), 1e-2) == (0.0, 0.0)
+        np.testing.assert_array_equal(C.smoothed_gradient(np.ones(4), 1e-2), np.zeros(4))
         assert C.value_and_subgradient(np.ones(4))[0] == 0.0
 
 

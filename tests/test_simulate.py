@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -148,3 +150,18 @@ class TestThresholdCorrelationGraph:
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             threshold_correlation_graph(np.ones((1, 3)), 0.3)
+
+    @pytest.mark.parametrize("rho", [math.nan, 1.5, -0.5, 0.0, math.inf, True, "0.5", None],
+                             ids=["nan", "above-one", "negative", "zero", "inf", "bool", "str", "none"])
+    def test_rho_must_be_a_real_number_in_unit_interval(self, rng, rho):
+        with pytest.raises(ValueError, match="rho must be a real number in"):
+            threshold_correlation_graph(rng.standard_normal((20, 3)), rho)
+
+    @pytest.mark.parametrize("rho", [1, 1.0, np.float64(0.5)], ids=["int-one", "one", "numpy"])
+    def test_rho_accepts_reals_up_to_one(self, rng, rho):
+        Y = rng.standard_normal((20, 3))
+        Y[:, 1] = Y[:, 0]
+        corr = np.corrcoef(Y, rowvar=False)
+        penalty = threshold_correlation_graph(Y, rho)
+        expected = [(m, l) for m in range(3) for l in range(m + 1, 3) if abs(corr[m, l]) >= rho]
+        assert [(m, l) for m, l, _ in penalty.edges] == expected

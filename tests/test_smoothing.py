@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from smoothprox import (
+    CouplingMatrix,
     GraphPenaltySpec,
     GroupPenaltySpec,
     select_mu,
-    smoothed_penalty,
     spectral_norm_power_iteration,
 )
 from smoothprox.smoothing import DEFAULT_MU
-from conftest import central_difference_gradient, random_graph_spec, random_group_spec
+from conftest import (
+    alpha_star,
+    central_difference_gradient,
+    random_graph_spec,
+    random_group_spec,
+)
 
 
 def single_group_spec(gamma=1.0, weight=1.0):
@@ -54,15 +60,15 @@ class TestSelectMu:
 
 class TestAlphaStar:
     def test_group_projects_large_block(self):
-        alpha = smoothed_penalty(single_group_spec().coupling(2), 1.0).alpha_star([3.0, 4.0])
+        alpha = alpha_star(single_group_spec().coupling(2), [3.0, 4.0], 1.0)
         np.testing.assert_allclose(alpha, [0.6, 0.8])
 
     def test_group_interior_unchanged(self):
-        alpha = smoothed_penalty(single_group_spec().coupling(2), 1.0).alpha_star([0.1, 0.0])
+        alpha = alpha_star(single_group_spec().coupling(2), [0.1, 0.0], 1.0)
         np.testing.assert_allclose(alpha, [0.1, 0.0])
 
     def test_group_zero(self):
-        alpha = smoothed_penalty(single_group_spec().coupling(2), 1.0).alpha_star(np.zeros(2))
+        alpha = alpha_star(single_group_spec().coupling(2), np.zeros(2), 1.0)
         np.testing.assert_allclose(alpha, np.zeros(2))
 
     def test_graph_clipping(self):
@@ -73,30 +79,30 @@ class TestAlphaStar:
         )
         beta = np.array([1.5, 0.0, 3.0, 2.6])  # C beta = (1.5, -3, 0.4)
         np.testing.assert_allclose(
-            smoothed_penalty(spec.coupling(), 1.0).alpha_star(beta), [1.0, -1.0, 0.4]
+            alpha_star(spec.coupling(), beta, 1.0), [1.0, -1.0, 0.4]
         )
 
     def test_feasibility(self, rng):
         for _ in range(20):
             gspec = random_group_spec(rng, num_features=6)
-            pen = smoothed_penalty(gspec.coupling(6), mu=0.3)
-            alpha = pen.alpha_star(rng.standard_normal(6) * 3)
-            for a, b in pen.coupling.row_blocks:
+            C = gspec.coupling(6)
+            alpha = alpha_star(C, rng.standard_normal(6) * 3, 0.3)
+            for a, b in C.row_blocks:
                 assert np.linalg.norm(alpha[a:b]) <= 1.0 + 1e-12
             hspec = random_graph_spec(rng, num_nodes=6)
-            alpha = smoothed_penalty(hspec.coupling(), 0.3).alpha_star(rng.standard_normal(6) * 3)
+            alpha = alpha_star(hspec.coupling(), rng.standard_normal(6) * 3, 0.3)
             assert np.all(np.abs(alpha) <= 1.0 + 1e-12)
 
 
 class TestSmoothValue:
     def test_zero_beta(self):
-        pen = smoothed_penalty(single_group_spec().coupling(2), mu=1.0)
-        assert pen.value(np.zeros(2)) == 0.0
+        C = single_group_spec().coupling(2)
+        assert C.smoothed_values(np.zeros(2), 1.0)[1] == 0.0
 
     def test_projected_block_value(self):
-        pen = smoothed_penalty(single_group_spec().coupling(2), mu=1.0)
+        C = single_group_spec().coupling(2)
         # alpha* = (0.6, 0.8): value 5 - 0.5
-        assert pen.value([3.0, 4.0]) == pytest.approx(4.5)
+        assert C.smoothed_values([3.0, 4.0], 1.0)[1] == pytest.approx(4.5)
 
     def test_sandwich_bound(self, rng):
         for _ in range(50):
@@ -107,18 +113,18 @@ class TestSmoothValue:
                 spec = random_graph_spec(rng, num_nodes=7)
                 J = 7
             mu = float(rng.uniform(1e-4, 1.0))
-            pen = smoothed_penalty(spec.coupling(J), mu=mu)
+            C = spec.coupling(J)
             beta = rng.standard_normal(J) * rng.uniform(0.1, 5.0)
             exact = spec.value(beta)
-            smooth = pen.value(beta)
+            smooth = C.smoothed_values(beta, mu)[1]
             assert smooth <= exact + 1e-10
-            assert smooth >= exact - mu * pen.D - 1e-10
+            assert smooth >= exact - mu * C.dual_bound - 1e-10
 
     def test_monotone_in_mu(self, rng):
         spec = random_group_spec(rng, num_features=5)
         beta = rng.standard_normal(5)
         values = [
-            smoothed_penalty(spec.coupling(5), mu=mu).value(beta)
+            spec.coupling(5).smoothed_values(beta, mu)[1]
             for mu in (1e-4, 1e-2, 0.1, 1.0)
         ]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
@@ -126,30 +132,30 @@ class TestSmoothValue:
 
 class TestSmoothGradient:
     def test_zero_beta(self):
-        pen = smoothed_penalty(single_group_spec().coupling(2), mu=1.0)
-        np.testing.assert_allclose(pen.gradient(np.zeros(2)), np.zeros(2))
+        C = single_group_spec().coupling(2)
+        np.testing.assert_allclose(C.smoothed_gradient(np.zeros(2), 1.0), np.zeros(2))
 
     def test_single_group_gradient(self):
-        pen = smoothed_penalty(single_group_spec().coupling(2), mu=1.0)
-        np.testing.assert_allclose(pen.gradient([3.0, 4.0]), [0.6, 0.8])
+        C = single_group_spec().coupling(2)
+        np.testing.assert_allclose(C.smoothed_gradient([3.0, 4.0], 1.0), [0.6, 0.8])
 
     def test_matches_finite_differences(self, rng):
         for _ in range(5):
             spec = random_group_spec(rng, num_features=6)
-            pen = smoothed_penalty(spec.coupling(6), mu=0.2)
+            C = spec.coupling(6)
             beta = rng.standard_normal(6)
             h = 1e-5 * (1.0 + np.abs(beta).max())
-            fd = central_difference_gradient(pen.value, beta, h)
-            np.testing.assert_allclose(pen.gradient(beta), fd, rtol=1e-6, atol=1e-8)
+            fd = central_difference_gradient(lambda b: C.smoothed_values(b, 0.2)[1], beta, h)
+            np.testing.assert_allclose(C.smoothed_gradient(beta, 0.2), fd, rtol=1e-6, atol=1e-8)
 
     def test_gradient_lipschitz(self, rng):
         spec = random_group_spec(rng, num_features=6, unit_weights=True)
         mu = 0.05
-        pen = smoothed_penalty(spec.coupling(6), mu=mu)
-        L = spec.coupling(6).norm_bound ** 2 / mu
+        C = spec.coupling(6)
+        L = C.norm_bound ** 2 / mu
         for _ in range(20):
             b1, b2 = rng.standard_normal((2, 6)) * 2
-            lhs = np.linalg.norm(pen.gradient(b1) - pen.gradient(b2))
+            lhs = np.linalg.norm(C.smoothed_gradient(b1, mu) - C.smoothed_gradient(b2, mu))
             assert lhs <= L * np.linalg.norm(b1 - b2) + 1e-12
 
 
@@ -243,10 +249,11 @@ def _dual_blocks(coupling):
 @pytest.mark.parametrize("kind", ["group", "graph", "graph-zero-edge", "empty"])
 def test_kernels_match_their_definitions(kind, num_inputs, rng):
     """``alpha_star`` is the blockwise projection of ``C beta / mu`` onto the
-    unit balls, ``gradient`` is ``C^T alpha*``, and ``values`` gives the
-    spec's exact value and the Huber sum over block norms, computed here by
-    loops over the blocks from a dense C.  mu is the median block norm, so
-    blocks fall on both sides of the ball's boundary."""
+    unit balls, ``smoothed_gradient`` is ``C^T alpha*``, and
+    ``smoothed_values`` gives the spec's exact value and the Huber sum over
+    block norms, computed here by loops over the blocks from a dense C.  mu is
+    the median block norm, so blocks fall on both sides of the ball's
+    boundary."""
     spec, J = _coupling_case(kind, rng)
     coupling = spec.coupling(J)
     beta = rng.standard_normal((num_inputs, J) if num_inputs else J)
@@ -263,14 +270,39 @@ def test_kernels_match_their_definitions(kind, num_inputs, rng):
         huber += n * n / (2.0 * mu) if n <= mu else n - mu / 2.0
     if not num_inputs:
         alpha = alpha[:, 0]
-    pen = smoothed_penalty(coupling, mu, num_inputs=max(num_inputs, 1))
-    np.testing.assert_allclose(pen.alpha_star(beta), alpha, rtol=1e-13, atol=1e-15)
-    np.testing.assert_allclose(pen.gradient(beta), (C.T @ alpha).T, rtol=1e-12, atol=1e-14)
-    assert pen.gradient(beta).shape == beta.shape
-    f0, f_mu = pen.values(beta)
+    np.testing.assert_allclose(alpha_star(coupling, beta, mu), alpha, rtol=1e-13, atol=1e-15)
+    gradient = coupling.smoothed_gradient(beta, mu)
+    np.testing.assert_allclose(gradient, (C.T @ alpha).T, rtol=1e-12, atol=1e-14)
+    assert gradient.shape == beta.shape
+    f0, f_mu = coupling.smoothed_values(beta, mu)
     assert f0 == pytest.approx(spec.value(beta), rel=1e-13, abs=1e-300)
     assert f0 == pytest.approx(sum(norms), rel=1e-13, abs=1e-300)
     assert f_mu == pytest.approx(huber, rel=1e-13, abs=1e-300)
     if kind == "empty":
         assert (f0, f_mu) == (0.0, 0.0)
-        assert not pen.gradient(beta).any()
+        assert not gradient.any()
+
+
+@pytest.mark.parametrize("mu", [0.0, -1.0, np.nan])
+@pytest.mark.parametrize("kernel", ["smoothed_values", "smoothed_gradient"])
+def test_kernels_reject_non_positive_mu(kernel, mu):
+    for coupling in (single_group_spec().coupling(2), GraphPenaltySpec(2, ((0, 1, 1.0),), 1.0).coupling()):
+        with pytest.raises(ValueError):
+            getattr(coupling, kernel)(np.ones(2), mu)
+
+
+@pytest.mark.parametrize("mu", [0.5, 1.0, 5e-324])
+def test_graph_clip_bounds_keep_the_bits(mu):
+    """The graph kernels clip ``C beta`` with 0-d array bounds; that clip has
+    the bits of the clip with float bounds on ties at +-mu, signed zeros,
+    NaN, infinities and subnormals, and so does the gradient built on it."""
+    tie = np.nextafter(mu, np.inf)
+    z = np.array([mu, -mu, tie, -tie, 0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, 3.0])
+    expected = np.clip(z, -mu, mu)
+    assert np.clip(z, np.array(-mu), np.array(mu), out=np.empty_like(z)).tobytes() == expected.tobytes()
+    C = CouplingMatrix(sp.identity(z.size, format="csr"))
+    for beta in (z, np.vstack([z, -z])):  # a 1-d and a 2 x J iterate
+        with np.errstate(invalid="ignore", over="ignore"):
+            reference = C.apply_transpose(np.clip(C.apply(beta), -mu, mu))
+            reference /= mu
+            assert C.smoothed_gradient(beta, mu).tobytes() == reference.tobytes()

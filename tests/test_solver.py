@@ -12,7 +12,6 @@ from smoothprox import (
     GroupPenaltySpec,
     MultiProblem,
     Problem,
-    SmoothedPenalty,
     SolverConfig,
     SolverError,
     StructureError,
@@ -20,7 +19,6 @@ from smoothprox import (
     iteration_bound,
     regularization_path,
     select_mu,
-    smoothed_penalty,
     soft_threshold,
     solve,
     solve_fobos,
@@ -111,9 +109,9 @@ def reference_lasso_fista(X, y, lam, L, num_steps):
     lambda: default_c(math.nan, 10),
     lambda: default_c(10, math.nan),
     lambda: default_c(10, 10, math.nan),
-    lambda: SmoothedPenalty(GroupPenaltySpec.with_unit_weights(((0,),), 1.0).coupling(1), math.nan, 0.5),
+    lambda: GroupPenaltySpec.with_unit_weights(((0,),), 1.0).coupling(1).smoothed_values([1.0], math.nan),
 ], ids=["select_mu-epsilon", "select_mu-D", "soft_threshold", "total_lipschitz",
-        "iteration_bound", "default_c-N", "default_c-J", "default_c-K", "SmoothedPenalty-mu"])
+        "iteration_bound", "default_c-N", "default_c-J", "default_c-K", "smoothed_values-mu"])
 def test_numeric_helpers_reject_nan(call):
     with pytest.raises(ValueError):
         call()
@@ -257,6 +255,33 @@ class TestSolverConfigChecks:
         with pytest.raises(ValueError, match="max_iter must be an integer"):
             make(max_iter=value)
 
+    @pytest.mark.parametrize("value", [True, "1", None, [1.0]], ids=["bool", "str", "none", "list"])
+    @pytest.mark.parametrize("make, field", [
+        (SolverConfig, "lam"), (SolverConfig, "rel_tol"), (SolverConfig, "mu"),
+        (SolverConfig, "epsilon"), (FobosConfig, "lam"), (FobosConfig, "rel_tol"), (FobosConfig, "c"),
+    ], ids=lambda v: getattr(v, "__name__", v))
+    def test_numbers_must_be_real(self, make, field, value):
+        """A bool is not read as 1 and a string does not fail in a comparison;
+        None stays allowed for the optional ``mu`` and ``epsilon``."""
+        if value is None and field in ("mu", "epsilon"):
+            make(**{field: value})
+            return
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+            make(**{field: value})
+
+    @pytest.mark.parametrize("value", [1, 0.5, np.float32(0.5), np.int64(1)], ids=["int", "float", "float32", "int64"])
+    @pytest.mark.parametrize("field", ["lam", "rel_tol", "mu", "c"])
+    def test_ints_and_numpy_reals_accepted(self, field, value):
+        make = FobosConfig if field == "c" else SolverConfig
+        assert getattr(make(**{field: value}), field) == value
+
+    @pytest.mark.parametrize("call", [
+        lambda: select_mu(True, 1.0), lambda: select_mu("1e-3", 1.0), lambda: select_mu(1e-3, True),
+    ], ids=["epsilon-bool", "epsilon-str", "D-bool"])
+    def test_select_mu_rejects_non_numbers(self, call):
+        with pytest.raises(ValueError, match="must be a real number"):
+            call()
+
     @pytest.mark.parametrize("make", [SolverConfig, FobosConfig])
     def test_numpy_integer_max_iter_runs(self, rng, make):
         config = make(lam=0.1, max_iter=np.int64(3), rel_tol=0.0)
@@ -339,8 +364,7 @@ class TestSolve:
         beta, _ = solve(
             prob, SolverConfig(lam=lam, mu=mu, rel_tol=1e-14, max_iter=200000)
         )
-        pen = smoothed_penalty(spec.coupling(6), mu)
-        g = prob.loss.gradient(beta) + pen.gradient(beta)
+        g = prob.loss.gradient(beta) + spec.coupling(6).smoothed_gradient(beta, mu)
         residual = np.where(
             beta != 0.0, g + lam * np.sign(beta), g - np.clip(g, -lam, lam)
         )
@@ -376,13 +400,33 @@ class TestSolve:
         path = tmp_path / "trace.jsonl"
         trace.write_jsonl(path)
         header = json.loads(path.read_text().splitlines()[0])["header"]
-        pen = smoothed_penalty(spec.coupling(5), 1e-2)
-        assert header["D"] == pen.D == 1.0
-        assert header["norm_C"] == pytest.approx(pen.coupling.norm_bound, rel=1e-15)
+        C = spec.coupling(5)
+        assert header["D"] == C.dual_bound == 1.0
+        assert header["norm_C"] == pytest.approx(C.norm_bound, rel=1e-15)
         assert header["L_loss"] == pytest.approx(prob.loss.lipschitz(), rel=1e-15)
         assert header["L"] == pytest.approx(
             total_lipschitz(header["L_loss"], header["norm_C"], 1e-2), rel=1e-15
         )
+
+    @pytest.mark.parametrize("epsilon", [None, 1e-3])
+    @pytest.mark.parametrize("K", [0, 4], ids=["vector", "matrix"])
+    def test_trace_header_D_and_mu(self, rng, K, epsilon):
+        """The solve forms ``D = copies * dual_bound``, one copy of Q per row of
+        a J x K iterate, and ``mu = select_mu(epsilon, D)``."""
+        X = rng.standard_normal((12, 5))
+        if K:
+            spec = GraphPenaltySpec(K, ((0, 1, 0.5), (1, 3, -0.8), (2, 3, 0.0)), 0.7)
+            y = rng.standard_normal((12, K))
+        else:
+            spec = GroupPenaltySpec(groups=((0, 1, 2), (2, 3, 4)), weights=(1.0, 2.0), gamma=0.5)
+            y = rng.standard_normal(12)
+        prob = Problem.least_squares(X, y, spec)
+        _, trace = solve(prob, SolverConfig(lam=0.1, epsilon=epsilon, max_iter=3))
+        copies = 5 if K else 1
+        D = copies * prob.coupling.dual_bound
+        assert D == (5 * 1.5 if K else 1.0)
+        assert trace.header["D"] == D
+        assert trace.header["mu"] == select_mu(epsilon, D)
 
     def test_lasso_with_all_ones_eigenvector(self):
         # X^T X = [[2, -1], [-1, 2]]: a step from its all-ones eigenvalue (1)
