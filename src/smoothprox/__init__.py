@@ -15,7 +15,7 @@ import importlib
 
 _EXPORTS = {
     "fobos": ("FobosConfig", "default_c", "solve_fobos"),
-    "losses": ("Dataset", "LogisticLoss", "SquaredLoss"),
+    "losses": ("LogisticLoss", "SquaredLoss"),
     "multivariate": ("MultiProblem", "solve_multivariate"),
     "penalties": (
         "CouplingMatrix",

@@ -149,15 +149,12 @@ def _cmd_simulate(args):
     out.mkdir(parents=True, exist_ok=True)
 
     if args.kind == "overlap":
-        data, penalty, beta = gen_overlap_instance(spec)
-        _save_matrix(out / "X.csv", data.X)
-        _save_matrix(out / "y.csv", data.y)
-        _save_matrix(out / "beta_true.csv", beta)
+        problem, penalty, truth = gen_overlap_instance(spec)
     else:
-        problem, B, penalty = gen_graph_instance(spec)
-        _save_matrix(out / "X.csv", problem.X)
-        _save_matrix(out / "y.csv", problem.Y)
-        _save_matrix(out / "B_true.csv", B)
+        problem, truth, penalty = gen_graph_instance(spec)
+    _save_matrix(out / "X.csv", problem.X)
+    _save_matrix(out / "y.csv", problem.y)
+    _save_matrix(out / ("beta_true.csv" if args.kind == "overlap" else "B_true.csv"), truth)
     (out / "penalty.json").write_text(penalty_to_json(penalty))
     meta = {"kind": args.kind, **dataclasses.asdict(spec)}
     (out / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))

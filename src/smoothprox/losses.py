@@ -1,6 +1,6 @@
 """Smooth convex losses: value, gradient and gradient-Lipschitz constants.
 
-Squared-error and logistic losses over a fixed dataset.  When the number of
+Squared-error and logistic losses over a fixed ``(X, y)``.  When the number of
 features is moderate the Gram matrix X^T X (and X^T y) is precomputed so the
 per-iteration cost of a solver is independent of the sample size; otherwise
 gradients stream through X.
@@ -9,7 +9,6 @@ gradients stream through X.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -35,30 +34,6 @@ def _checked_arrays(X, y):
             f"y has shape {y.shape}, expected ({X.shape[0]},) or ({X.shape[0]}, K), K >= 1"
         )
     return X, y
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """Design matrix and response: N values, or an N x K matrix with one
-    column per output.  Logistic labels must be in {-1, +1}."""
-
-    X: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        X, y = _checked_arrays(self.X, self.y)
-        if not (np.isfinite(X).all() and np.isfinite(y).all()):
-            raise ValueError("non-finite entries in dataset")
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "y", y)
-
-    @property
-    def num_samples(self):
-        return self.X.shape[0]
-
-    @property
-    def num_features(self):
-        return self.X.shape[1]
 
 
 #: ``power_iteration`` makes at least this many products (or J) before it
@@ -170,16 +145,16 @@ def _inner(a, b) -> float:
 
 
 class _ProductLoss:
-    """A loss whose value and gradient are read off one linear product of the
-    iterate, ``product(beta)``; a solver can then form the product at a linear
-    combination of iterates from theirs, without another pass."""
+    """A loss over ``(X, y)`` whose value and gradient are read off one linear
+    product of the iterate, ``product(beta)``; a solver can then form the
+    product at a linear combination of iterates from theirs, without another
+    pass.  Making one checks the shapes and rejects NaN and inf in X and y."""
 
-    def value(self, beta) -> float:
-        beta = np.asarray(beta, dtype=float)
-        return self.value_from(beta, self.product(beta))
-
-    def gradient(self, beta) -> np.ndarray:
-        return self.gradient_from(self.product(np.asarray(beta, dtype=float)))
+    def __init__(self, X, y):
+        self.X, self.y = X, y = _checked_arrays(X, y)
+        if not (np.isfinite(X).all() and np.isfinite(y).all()):
+            raise ValueError("non-finite entries in dataset")
+        self._lipschitz = None
 
 
 class SquaredLoss(_ProductLoss):
@@ -190,9 +165,9 @@ class SquaredLoss(_ProductLoss):
     J x K arrays (Gram products, gradients, ``X^T Y``) are Fortran-ordered.
     """
 
-    def __init__(self, data: Dataset, precompute=None):
-        self.data = data
-        self.X, self.y = X, y = data.X, data.y
+    def __init__(self, X, y, precompute=None):
+        super().__init__(X, y)
+        X, y = self.X, self.y
         if precompute is None:
             precompute = X.shape[1] <= PRECOMPUTE_MAX_FEATURES
         self.precompute = bool(precompute)
@@ -202,7 +177,6 @@ class SquaredLoss(_ProductLoss):
             self._XtX = (X.T @ X).T
             self._Xty = np.asfortranarray(X.T @ y)
             self._yty = float(np.vdot(y, y))
-        self._lipschitz = None
 
     def product(self, beta) -> np.ndarray:
         if not self.precompute:
@@ -246,29 +220,27 @@ class LogisticLoss(_ProductLoss):
     gradient-Lipschitz bound is lambda_max(X^T X) / 4.
     """
 
-    def __init__(self, data: Dataset):
-        labels = np.unique(data.y)
-        if not np.all(np.isin(labels, (-1.0, 1.0))):
+    def __init__(self, X, y):
+        super().__init__(X, y)
+        if not np.all(np.isin(np.unique(self.y), (-1.0, 1.0))):
             raise ValueError("logistic labels must be in {-1, +1}")
-        self.data = data
-        self._lipschitz = None
 
     def product(self, beta) -> np.ndarray:
-        return self.data.X @ beta
+        return self.X @ beta
 
     def value_from(self, beta, p) -> float:
         """Loss value at beta, given ``p = product(beta) = X beta``."""
-        return float(np.sum(np.logaddexp(0.0, -(self.data.y * p))))
+        return float(np.sum(np.logaddexp(0.0, -(self.y * p))))
 
     def gradient_from(self, p) -> np.ndarray:
         """Gradient at the point whose product is ``p``."""
-        y = self.data.y
+        y = self.y
         # -(X^T v) formed as -(v^T X)^T, F-ordered for an N x K v; not
         # -X.T @ v, which would negate a copy of all of X
-        return -((y * expit(-(y * p))).T @ self.data.X).T
+        return -((y * expit(-(y * p))).T @ self.X).T
 
     def lipschitz(self) -> float:
         if self._lipschitz is None:
-            self._lipschitz = 0.25 * gram_lipschitz(self.data.X)
+            self._lipschitz = 0.25 * gram_lipschitz(self.X)
         return self._lipschitz
 

@@ -22,14 +22,6 @@ class MultiProblem(Problem):
     def Y(self) -> np.ndarray:
         return self.y
 
-    @property
-    def num_features(self):
-        return self.X.shape[1]
-
-    @property
-    def num_outputs(self):
-        return self.y.shape[1]
-
 
 def solve_multivariate(problem: MultiProblem, config: SolverConfig, B0=None):
     """``solve`` on the multi-output problem; returns ``(B, trace)``, B J x K."""

@@ -8,10 +8,10 @@ Two penalty families are supported:
   sign(r_ml) * beta_l|`` over weighted, signed edges.
 
 Both can be written as ``max_{alpha in Q} alpha^T C beta`` for a sparse
-coupling matrix ``C``.  Each spec builds its own ``C`` and evaluates its own
-exact (non-smoothed) value; ``CouplingMatrix`` computes everything the solvers
-need from ``C``: the exact value and a subgradient, the smoothed value and
-gradient at a given ``mu``, ``D`` and a bound on ``||C||``.  All indices are
+coupling matrix ``C``.  Each spec checks its structure and builds its own
+``C``; ``CouplingMatrix`` computes everything the solvers need from ``C``:
+the exact value and a subgradient, the smoothed value and gradient at a
+given ``mu``, ``D`` and a bound on ``||C||``.  All indices are
 0-based in memory; the JSON file format uses 1-based indices.
 """
 
@@ -54,15 +54,6 @@ def _real(value, what, error=StructureError) -> float:
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         return float(value)
     raise error(f"{what} must be a real number, got {value!r}")
-
-
-def _coefficients(spec, beta) -> np.ndarray:
-    """``beta`` as a float (J,) or (J, K) array whose last axis fits ``spec``."""
-    beta = np.asarray(beta, dtype=float)
-    if beta.ndim not in (1, 2):
-        raise StructureError(f"expected a 1-d or 2-d coefficient array, got shape {beta.shape}")
-    spec.validate_against(beta.shape[-1])
-    return beta
 
 
 @dataclass(frozen=True)
@@ -132,15 +123,6 @@ class GroupPenaltySpec:
             start += len(g)
         return CouplingMatrix(matrix=matrix, row_blocks=tuple(blocks))
 
-    def value(self, beta) -> float:
-        """Exact overlapping group lasso value: gamma * sum_g w_g * ||beta_g||_2,
-        summed over the rows of a J x K beta (groups over its K columns)."""
-        beta = _coefficients(self, beta)
-        total = 0.0
-        for g, w in zip(self.groups, self.weights):
-            total += w * float(np.linalg.norm(beta[..., np.asarray(g, dtype=np.int64)], axis=-1).sum())
-        return self.gamma * total
-
 
 @dataclass(frozen=True)
 class GraphPenaltySpec:
@@ -207,18 +189,6 @@ class GraphPenaltySpec:
             (vals, (rows, cols)), shape=(len(self.edges), self.num_nodes)
         )
         return CouplingMatrix(matrix=matrix, row_blocks=None)
-
-    def value(self, beta) -> float:
-        """Exact graph fusion value: gamma * sum_e tau(r) * |beta_m - sign(r) beta_l|,
-        summed over the rows of a J x K beta (nodes are its K columns).
-
-        Equals ``||C beta||_1`` for the incidence matrix ``coupling`` builds.
-        """
-        beta = _coefficients(self, beta)
-        total = 0.0
-        for m, l, r in self.edges:
-            total += abs(r) * float(np.abs(beta[..., m] - np.sign(r) * beta[..., l]).sum())
-        return self.gamma * total
 
 
 @dataclass(frozen=True)
@@ -395,9 +365,6 @@ class CouplingMatrix:
     def nnz(self):
         return self.matrix.nnz
 
-    def toarray(self):
-        return self.matrix.toarray()
-
 
 # --- JSON serialization (1-based indices on disk) ---
 
@@ -421,19 +388,40 @@ def penalty_to_json(spec) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _json_list(value, what, length=None):
+    """``value`` if it is a JSON list, of ``length`` items when given; a
+    StructureError naming ``what`` otherwise."""
+    if isinstance(value, list) and (length is None or len(value) == length):
+        return value
+    items = "" if length is None else f" of {length} items"
+    raise StructureError(f"{what} must be a list{items}, got {value!r}")
+
+
 def penalty_from_json(text: str):
+    """The spec in a JSON document.  A document of the wrong shape (not an
+    object, a missing field, a field that is not a list where one is due, an
+    edge that is not ``[m, l, r]``) raises StructureError naming the field."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise StructureError(f"penalty JSON must be an object, got {type(doc).__name__}")
     kind = doc.get("type")
-    if kind == "group":
-        groups = tuple(tuple(_index(i, "group index") - 1 for i in g) for g in doc["groups"])
-        weights = doc.get("weights")  # absent or null: unit weights; [] fails the length check
-        weights = tuple([1.0] * len(groups) if weights is None else weights)
-        return GroupPenaltySpec(groups=groups, weights=weights, gamma=doc["gamma"])
-    if kind == "graph":
-        edges = tuple(
-            (_index(m, "edge node") - 1, _index(l, "edge node") - 1, r) for m, l, r in doc["edges"]
-        )
-        return GraphPenaltySpec(
-            num_nodes=doc["num_nodes"], edges=edges, gamma=doc["gamma"]
-        )
+    try:
+        if kind == "group":
+            groups = tuple(
+                tuple(_index(i, "group index") - 1 for i in _json_list(g, "each group"))
+                for g in _json_list(doc["groups"], "groups")
+            )
+            weights = doc.get("weights")  # absent or null: unit weights; [] fails the length check
+            weights = [1.0] * len(groups) if weights is None else _json_list(weights, "weights")
+            return GroupPenaltySpec(groups=groups, weights=tuple(weights), gamma=doc["gamma"])
+        if kind == "graph":
+            edges = []
+            for edge in _json_list(doc["edges"], "edges"):
+                m, l, r = _json_list(edge, "each edge", 3)
+                edges.append((_index(m, "edge node") - 1, _index(l, "edge node") - 1, r))
+            return GraphPenaltySpec(
+                num_nodes=doc["num_nodes"], edges=tuple(edges), gamma=doc["gamma"]
+            )
+    except KeyError as exc:  # only the document's fields are looked up by key
+        raise StructureError(f"penalty JSON has no {exc.args[0]!r} field") from None
     raise StructureError(f"unknown penalty type {kind!r} in JSON document")

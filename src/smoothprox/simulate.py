@@ -23,9 +23,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .losses import Dataset
 from .multivariate import MultiProblem
 from .penalties import GraphPenaltySpec, GroupPenaltySpec
+from .solver import Problem
 
 
 def _is_int(value) -> bool:
@@ -87,14 +87,15 @@ def overlap_true_beta(num_features: int) -> np.ndarray:
 
 
 def gen_overlap_instance(spec: OverlapSimSpec):
-    """Returns ``(Dataset, GroupPenaltySpec, true_beta)``."""
+    """Returns ``(Problem, GroupPenaltySpec, true_beta)``: a least-squares
+    problem over the generated ``(X, y)`` with the group penalty."""
     rng = np.random.default_rng(spec.seed)
     J = spec.num_features
     beta = overlap_true_beta(J)
     X = rng.standard_normal((spec.num_samples, J))
     y = X @ beta + rng.standard_normal(spec.num_samples)
     penalty = GroupPenaltySpec.with_unit_weights(overlap_groups(spec), spec.gamma)
-    return Dataset(X, y), penalty, beta
+    return Problem.least_squares(X, y, penalty), penalty, beta
 
 
 @dataclass(frozen=True)

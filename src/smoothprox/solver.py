@@ -17,7 +17,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .losses import Dataset, LogisticLoss, SquaredLoss, _checked_arrays
+from .losses import LogisticLoss, SquaredLoss, _checked_arrays
 from .penalties import GraphPenaltySpec, GroupPenaltySpec, StructureError, _real
 from .smoothing import select_mu
 
@@ -37,7 +37,7 @@ class Problem:
     X: np.ndarray
     y: np.ndarray
     penalty: object = None  # GroupPenaltySpec | GraphPenaltySpec | None
-    make_loss: object = SquaredLoss  # Dataset -> loss
+    make_loss: object = SquaredLoss  # (X, y) -> loss
 
     def __post_init__(self):
         X, y = _checked_arrays(self.X, self.y)
@@ -55,7 +55,7 @@ class Problem:
 
     @cached_property
     def loss(self):
-        return self.make_loss(Dataset(self.X, self.y))
+        return self.make_loss(self.X, self.y)
 
     @cached_property
     def coupling(self):
@@ -286,7 +286,7 @@ def regularization_path(problem: Problem, lambdas, config: SolverConfig):
     Returns a list of ``(lam, beta, trace)``; each solve starts from the
     previous solution, and all share the problem's coupling matrix.
     """
-    lambdas = [float(l) for l in lambdas]
+    lambdas = [_real(l, "lambda", ValueError) for l in lambdas]
     if not lambdas:
         raise ValueError("at least one lambda is required")
     if any(b >= a for a, b in zip(lambdas, lambdas[1:])):

@@ -1,7 +1,19 @@
 import numpy as np
 import pytest
 
-from smoothprox import GraphPenaltySpec, GroupPenaltySpec
+from smoothprox import GraphPenaltySpec, GroupPenaltySpec, StructureError
+
+
+#: Penalty documents of the wrong shape, each with the field its error names.
+MALFORMED_PENALTY_JSON = [
+    ('{"type": "group", "gamma": 1.0}', "'groups'"),
+    ('{"type": "group", "gamma": 1.0, "groups": [[1, 2]], "weights": 5}', "weights must be a list"),
+    ('{"type": "graph", "gamma": 1.0, "num_nodes": 2, "edges": [[1, 2]]}', "each edge must be a list of 3"),
+    ('[{"type": "group", "gamma": 1.0, "groups": [[1, 2]]}]', "must be an object"),
+    ('{"type": "group", "gamma": 1.0, "groups": [1, 2]}', "each group must be a list"),
+    ('{"type": "graph", "gamma": 1.0, "edges": []}', "'num_nodes'"),
+]
+MALFORMED_PENALTY_IDS = ["no-groups", "weights-number", "edge-pair", "top-level-list", "group-number", "no-num-nodes"]
 
 
 def random_group_spec(rng, num_features, max_groups=4, unit_weights=False):
@@ -38,6 +50,36 @@ def central_difference_gradient(fn, x, h):
         e.flat[i] = h
         grad.flat[i] = (fn(x + e) - fn(x - e)) / (2.0 * h)
     return grad
+
+
+def penalty_value(spec, beta):
+    """The exact penalty by the spec's own definition, not through ``C``,
+    summed over the rows of a J x K beta (the penalty over its K columns):
+    ``gamma * sum_g w_g ||beta_g||_2`` for groups and
+    ``gamma * sum_e |r| |beta_m - sign(r) beta_l|`` for a graph."""
+    beta = np.asarray(beta, dtype=float)
+    if beta.ndim not in (1, 2):
+        raise StructureError(f"expected a 1-d or 2-d coefficient array, got shape {beta.shape}")
+    spec.validate_against(beta.shape[-1])
+    total = 0.0
+    if isinstance(spec, GroupPenaltySpec):
+        for g, w in zip(spec.groups, spec.weights):
+            total += w * float(np.linalg.norm(beta[..., np.asarray(g, dtype=np.int64)], axis=-1).sum())
+    else:
+        for m, l, r in spec.edges:
+            total += abs(r) * float(np.abs(beta[..., m] - np.sign(r) * beta[..., l]).sum())
+    return spec.gamma * total
+
+
+def loss_value(loss, beta):
+    """The loss at beta, from its product at beta."""
+    beta = np.asarray(beta, dtype=float)
+    return loss.value_from(beta, loss.product(beta))
+
+
+def loss_gradient(loss, beta):
+    """The loss gradient at beta, from its product at beta."""
+    return loss.gradient_from(loss.product(np.asarray(beta, dtype=float)))
 
 
 def alpha_star(coupling, beta, mu):

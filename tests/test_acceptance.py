@@ -17,7 +17,14 @@ from scipy.optimize import minimize, minimize_scalar
 
 import smoothprox as spx
 from smoothprox.cli import cli_main
-from conftest import central_difference_gradient, random_graph_spec, random_group_spec
+from conftest import (
+    central_difference_gradient,
+    loss_gradient,
+    loss_value,
+    penalty_value,
+    random_graph_spec,
+    random_group_spec,
+)
 
 
 def _report(name, ok):
@@ -38,7 +45,7 @@ def test_01_approximation_gap():
         mu = float(rng.uniform(1e-4, 1.0))
         C = spec.coupling(J)
         beta = rng.standard_normal(J) * rng.uniform(0.1, 5.0)
-        exact = spec.value(beta)
+        exact = penalty_value(spec, beta)
         smooth = C.smoothed_values(beta, mu)[1]
         ok &= smooth <= exact + 1e-10
         ok &= smooth >= exact - mu * C.dual_bound - 1e-10
@@ -57,15 +64,15 @@ def test_02_smoothed_gradient():
     y_lg = np.sign(rng.standard_normal(N))
     y_lg[y_lg == 0] = 1.0
     losses = [
-        spx.SquaredLoss(spx.Dataset(X, y_sq)),
-        spx.LogisticLoss(spx.Dataset(X, y_lg)),
+        spx.SquaredLoss(X, y_sq),
+        spx.LogisticLoss(X, y_lg),
     ]
     max_rel = 0.0
     for loss in losses:
         for spec in (gspec, hspec):
             C = spec.coupling(J)
-            h_value = lambda b: loss.value(b) + C.smoothed_values(b, 0.1)[1]
-            h_grad = lambda b: loss.gradient(b) + C.smoothed_gradient(b, 0.1)
+            h_value = lambda b: loss_value(loss, b) + C.smoothed_values(b, 0.1)[1]
+            h_grad = lambda b: loss_gradient(loss, b) + C.smoothed_gradient(b, 0.1)
             for _ in range(25):
                 beta = rng.standard_normal(J)
                 fd = central_difference_gradient(h_value, beta, 1e-6)
@@ -92,7 +99,7 @@ def test_03_norm_constants():
         est = spx.spectral_norm_power_iteration(spec.coupling())
         ok &= spec.coupling().norm_bound >= est.value - 1e-6
     single = spx.GraphPenaltySpec(num_nodes=2, edges=((0, 1, 1.0),), gamma=1.5)
-    exact = np.linalg.svd(single.coupling().toarray(), compute_uv=False)[0]
+    exact = np.linalg.svd(single.coupling().matrix.toarray(), compute_uv=False)[0]
     ok &= abs(single.coupling().norm_bound - exact) <= 1e-6
     _report("03 norm-constants", ok)
 
@@ -116,9 +123,9 @@ def test_04_prox_oracle():
 
 
 def _objective(prob, spec, lam, beta):
-    val = prob.loss.value(beta) + lam * float(np.abs(beta).sum())
+    val = loss_value(prob.loss, beta) + lam * float(np.abs(beta).sum())
     if spec is not None:
-        val += spec.value(beta)
+        val += penalty_value(spec, beta)
     return val
 
 
@@ -219,8 +226,7 @@ def test_05c_chain_fused_signal_reference():
 
 def test_06_convergence_ordering():
     start = time.perf_counter()
-    data, pen, _ = spx.gen_overlap_instance(spx.OverlapSimSpec(seed=0, gamma=2.0))
-    prob = spx.Problem.least_squares(data.X, data.y, pen)
+    prob, pen, _ = spx.gen_overlap_instance(spx.OverlapSimSpec(seed=0, gamma=2.0))
     lam = 2.0
     beta_ref, _ = spx.solve(
         prob,
@@ -235,7 +241,7 @@ def test_06_convergence_ordering():
     it_p = int(np.argmax(obj_p <= target)) + 1 if hit_p else np.inf
     time_p = tr_p.elapsed[it_p - 1] if hit_p else np.inf
 
-    c = spx.default_c(data.num_samples, data.num_features)
+    c = spx.default_c(*prob.X.shape)
     _, tr_f = spx.solve_fobos(prob, spx.FobosConfig(lam=lam, c=c, rel_tol=1e-12))
     obj_f = np.array(tr_f.objectives)
     hit_f = (obj_f <= target).any()

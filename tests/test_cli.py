@@ -12,6 +12,7 @@ import smoothprox
 import smoothprox.solver
 from smoothprox import GroupPenaltySpec, penalty_to_json
 from smoothprox.cli import _build_parser, _summary, cli_main
+from conftest import MALFORMED_PENALTY_IDS, MALFORMED_PENALTY_JSON, loss_value, penalty_value
 
 
 def write_csv(path, arr):
@@ -393,6 +394,20 @@ def test_simulate_bad_spec_is_an_error(doc, tmp_path, capsys):
     assert f"error: spec {spec_path}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, field", MALFORMED_PENALTY_JSON, ids=MALFORMED_PENALTY_IDS)
+def test_malformed_penalty_is_an_error(doc, field, toy_instance, capsys):
+    """A penalty document of the wrong shape fails with ``error:`` and exit
+    code 1, not a traceback."""
+    (toy_instance / "penalty.json").write_text(doc)
+    rc = cli_main(["solve", "--x", str(toy_instance / "X.csv"), "--y", str(toy_instance / "y.csv"),
+                   "--penalty", str(toy_instance / "penalty.json"), "--lambda", "0.1",
+                   "--out", str(toy_instance / "beta.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert not (toy_instance / "beta.csv").exists()
+
+
 def test_bench_checks_methods_before_solving(overlap_instance, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(smoothprox.solver, "solve", lambda *args, **kwargs: pytest.fail("solve ran"))
     report = tmp_path / "report.json"
@@ -435,7 +450,8 @@ def test_summary_reports_the_returned_coefficients():
     summary = _summary(trace)
     assert summary == {"iterations": 20, "objective": trace.final_objective, "nnz": 0,
                        "status": "max_iter"}
-    assert summary["objective"] == pytest.approx(problem.loss.value(beta) + spec.value(beta), rel=1e-10)
+    assert summary["objective"] == pytest.approx(
+        loss_value(problem.loss, beta) + penalty_value(spec, beta), rel=1e-10)
 
 
 def test_path_entries_carry_the_run_summary(toy_instance):

@@ -14,7 +14,7 @@ from smoothprox import (
     solve,
     solve_fobos,
 )
-from conftest import random_graph_spec, random_group_spec
+from conftest import loss_value, penalty_value, random_graph_spec, random_group_spec
 
 
 def subgradient(spec, beta):
@@ -73,8 +73,8 @@ class TestPenaltySubgradient:
                 spec = random_graph_spec(rng, num_nodes=6)
             b1, b2 = rng.standard_normal((2, 6)) * 2
             sg = subgradient(spec, b1)
-            lhs = spec.value(b2)
-            rhs = spec.value(b1) + sg @ (b2 - b1)
+            lhs = penalty_value(spec, b2)
+            rhs = penalty_value(spec, b1) + sg @ (b2 - b1)
             assert lhs >= rhs - 1e-10
 
     def test_gamma_scaling(self, rng):
@@ -100,7 +100,7 @@ class TestSolveFobos:
             prob,
             FobosConfig(lam=lam, c=default_c(40, 6), max_iter=200000, rel_tol=0.0),
         )
-        f = lambda b: prob.loss.value(b) + lam * np.abs(b).sum()
+        f = lambda b: loss_value(prob.loss, b) + lam * np.abs(b).sum()
         assert f(beta_sub) <= f(beta_prox) * (1.0 + 1e-3)
         np.testing.assert_allclose(beta_sub, beta_prox, atol=1e-2)
 
@@ -138,7 +138,7 @@ class TestSolveFobos:
             prob, FobosConfig(lam=lam, c=default_c(40, 5), max_iter=20000, rel_tol=0.0)
         )
         f = lambda b: (
-            prob.loss.value(b) + lam * np.abs(b).sum() + spec.value(b)
+            loss_value(prob.loss, b) + lam * np.abs(b).sum() + penalty_value(spec, b)
         )
         assert f(beta) < f(np.zeros(5))
         assert f(beta) == pytest.approx(trace.smoothed_objectives[-1])

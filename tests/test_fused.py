@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothprox import (
-    Dataset,
     GraphPenaltySpec,
     GroupPenaltySpec,
     LogisticLoss,
@@ -18,7 +17,7 @@ from smoothprox import (
     solve_multivariate,
 )
 from smoothprox import losses
-from conftest import smoothed_value
+from conftest import penalty_value, smoothed_value
 
 STEPS = 40
 
@@ -46,7 +45,7 @@ def reference_spg(X, Y, spec, mu, L, lam, steps, logistic=False):
     objectives and the smoothed objectives."""
     matrix = Y.ndim == 2
     K = Y.shape[1] if matrix else X.shape[1]
-    C = spec.coupling(K).toarray()
+    C = spec.coupling(K).matrix.toarray()
     blocks = spec.coupling(K).row_blocks or [(e, e + 1) for e in range(C.shape[0])]
 
     def alpha(B):
@@ -73,7 +72,7 @@ def reference_spg(X, Y, spec, mu, L, lam, steps, logistic=False):
         return np.sum(A * Z) - 0.5 * mu * np.sum(A * A)
 
     def exact(B):
-        return spec.value(B)
+        return penalty_value(spec, B)
 
     beta = np.zeros((X.shape[1], Y.shape[1]) if matrix else X.shape[1])
     w = beta.copy()
@@ -194,7 +193,7 @@ def test_values_from_c_beta_match_definitions(spec, seed, scale, mu, num_inputs)
     beta[rng.random(beta.shape) < 0.3] = 0.0  # exact zeros: kinks of the penalty
     C = spec.coupling(K)
     f0, f_mu = C.smoothed_values(beta, mu)
-    exact = spec.value(beta)
+    exact = penalty_value(spec, beta)
     tol = 1e-12 * max(1.0, exact)
     assert f0 == pytest.approx(exact, rel=1e-12, abs=1e-300)
     assert f_mu == pytest.approx(smoothed_value(C, beta, mu), rel=1e-10, abs=tol)
@@ -205,7 +204,7 @@ def test_values_from_c_beta_match_definitions(spec, seed, scale, mu, num_inputs)
 def test_logistic_loss_values_from_product(rng):
     X = rng.standard_normal((20, 4))
     y = np.where(rng.random(20) < 0.5, -1.0, 1.0)
-    loss = LogisticLoss(Dataset(X, y))
+    loss = LogisticLoss(X, y)
     beta = rng.standard_normal(4)
     p = loss.product(beta)
     assert loss.value_from(beta, p) == pytest.approx(np.sum(np.log1p(np.exp(-y * (X @ beta)))), rel=1e-12)

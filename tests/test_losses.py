@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothprox import (
-    Dataset,
     LogisticLoss,
     Problem,
     SolverConfig,
@@ -16,82 +15,87 @@ from smoothprox import (
 from smoothprox.losses import gram_lipschitz
 from smoothprox.losses import power_iteration
 from smoothprox.simulate import OverlapSimSpec, gen_overlap_instance
-from conftest import central_difference_gradient
+from conftest import central_difference_gradient, loss_gradient, loss_value
 
 
-class TestDataset:
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            Dataset(np.ones((3, 2)), np.ones(4))
+def _with_nan(a):
+    a = np.array(a, dtype=float)
+    a.flat[0] = np.nan
+    return a
 
-    def test_non_finite_rejected(self):
-        X = np.ones((2, 2))
-        X[0, 0] = np.nan
-        with pytest.raises(ValueError):
-            Dataset(X, np.ones(2))
+
+class TestInputChecks:
+    """Each loss checks its own X and y: the shapes, and NaN or inf."""
+
+    @pytest.mark.parametrize("make", [SquaredLoss, LogisticLoss], ids=["squared", "logistic"])
+    @pytest.mark.parametrize(
+        "X, y, match",
+        [
+            (np.ones((3, 2)), np.ones(4), "y has shape"),
+            (_with_nan(np.ones((2, 2))), np.ones(2), "non-finite"),
+            (np.ones((2, 2)), _with_nan(np.ones(2)), "non-finite"),
+        ],
+        ids=["row-mismatch", "non-finite-X", "non-finite-y"],
+    )
+    def test_rejected(self, make, X, y, match):
+        with pytest.raises(ValueError, match=match):
+            make(X, y)
 
 
 class TestSquaredLoss:
     def test_identity_design(self):
-        data = Dataset(np.eye(2), np.array([1.0, 0.0]))
-        loss = SquaredLoss(data, precompute=False)
-        value, grad = loss.value(np.zeros(2)), loss.gradient(np.zeros(2))
+        loss = SquaredLoss(np.eye(2), np.array([1.0, 0.0]), precompute=False)
+        value, grad = loss_value(loss, np.zeros(2)), loss_gradient(loss, np.zeros(2))
         assert value == pytest.approx(0.5)
         np.testing.assert_allclose(grad, [-1.0, 0.0])
 
     def test_exact_fit(self, rng):
         X = rng.standard_normal((6, 3))
         beta = rng.standard_normal(3)
-        data = Dataset(X, X @ beta)
-        loss = SquaredLoss(data, precompute=False)
-        value, grad = loss.value(beta), loss.gradient(beta)
+        loss = SquaredLoss(X, X @ beta, precompute=False)
+        value, grad = loss_value(loss, beta), loss_gradient(loss, beta)
         assert value == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(grad, np.zeros(3), atol=1e-10)
 
     def test_gradient_matches_finite_differences(self, rng):
         X = rng.standard_normal((8, 4))
-        data = Dataset(X, rng.standard_normal(8))
-        loss = SquaredLoss(data)
+        loss = SquaredLoss(X, rng.standard_normal(8))
         beta = rng.standard_normal(4)
-        fd = central_difference_gradient(loss.value, beta, 1e-6)
-        np.testing.assert_allclose(loss.gradient(beta), fd, rtol=1e-6)
+        fd = central_difference_gradient(lambda b: loss_value(loss, b), beta, 1e-6)
+        np.testing.assert_allclose(loss_gradient(loss, beta), fd, rtol=1e-6)
 
     def test_precompute_matches_streaming(self, rng):
         X = rng.standard_normal((15, 6))
         y = rng.standard_normal(15)
-        pre = SquaredLoss(Dataset(X, y), precompute=True)
-        direct = SquaredLoss(Dataset(X, y), precompute=False)
+        pre = SquaredLoss(X, y, precompute=True)
+        direct = SquaredLoss(X, y, precompute=False)
         for _ in range(5):
             beta = rng.standard_normal(6)
             np.testing.assert_allclose(
-                pre.gradient(beta), direct.gradient(beta), rtol=1e-10
+                loss_gradient(pre, beta), loss_gradient(direct, beta), rtol=1e-10
             )
-            assert pre.value(beta) == pytest.approx(direct.value(beta), rel=1e-10)
+            assert loss_value(pre, beta) == pytest.approx(loss_value(direct, beta), rel=1e-10)
 
 
 class TestSquaredLossLipschitz:
     def test_identity(self):
-        data = Dataset(np.eye(3), np.zeros(3))
-        assert SquaredLoss(data).lipschitz() == pytest.approx(1.0)
+        assert SquaredLoss(np.eye(3), np.zeros(3)).lipschitz() == pytest.approx(1.0)
 
     def test_scaling(self):
-        data = Dataset(2.0 * np.eye(3), np.zeros(3))
-        assert SquaredLoss(data).lipschitz() == pytest.approx(4.0)
+        assert SquaredLoss(2.0 * np.eye(3), np.zeros(3)).lipschitz() == pytest.approx(4.0)
 
     def test_matches_dense_eigensolve(self, rng):
         X = rng.standard_normal((20, 10))
-        data = Dataset(X, rng.standard_normal(20))
         exact = np.linalg.eigvalsh(X.T @ X).max()
-        assert SquaredLoss(data).lipschitz() == pytest.approx(exact, rel=1e-5)
+        assert SquaredLoss(X, rng.standard_normal(20)).lipschitz() == pytest.approx(exact, rel=1e-5)
 
     def test_gradient_lipschitz_property(self, rng):
         X = rng.standard_normal((12, 5))
-        data = Dataset(X, rng.standard_normal(12))
-        loss = SquaredLoss(data)
+        loss = SquaredLoss(X, rng.standard_normal(12))
         L = loss.lipschitz() * (1 + 1e-6)
         for _ in range(20):
             b1, b2 = rng.standard_normal((2, 5))
-            assert np.linalg.norm(loss.gradient(b1) - loss.gradient(b2)) <= (
+            assert np.linalg.norm(loss_gradient(loss, b1) - loss_gradient(loss, b2)) <= (
                 L * np.linalg.norm(b1 - b2) + 1e-12
             )
 
@@ -101,67 +105,62 @@ class TestLogisticLoss:
         X = rng.standard_normal((n, j))
         y = np.sign(rng.standard_normal(n))
         y[y == 0] = 1.0
-        return Dataset(X, y)
+        return X, y
 
     def test_invalid_labels(self, rng):
         X = rng.standard_normal((4, 2))
         with pytest.raises(ValueError):
-            LogisticLoss(Dataset(X, np.array([0.0, 1.0, 1.0, -1.0])))
+            LogisticLoss(X, np.array([0.0, 1.0, 1.0, -1.0]))
 
     def test_symmetric_point(self, rng):
-        data = self.make_data(rng)
-        loss = LogisticLoss(data)
-        value, grad = loss.value(np.zeros(5)), loss.gradient(np.zeros(5))
-        assert value == pytest.approx(data.num_samples * np.log(2.0))
-        np.testing.assert_allclose(grad, -0.5 * data.X.T @ data.y, rtol=1e-12)
+        X, y = self.make_data(rng)
+        loss = LogisticLoss(X, y)
+        value, grad = loss_value(loss, np.zeros(5)), loss_gradient(loss, np.zeros(5))
+        assert value == pytest.approx(X.shape[0] * np.log(2.0))
+        np.testing.assert_allclose(grad, -0.5 * X.T @ y, rtol=1e-12)
 
     def test_separable_limit(self):
         # large correct margins drive the loss to zero without overflow
         X = np.array([[1.0], [-1.0]])
         y = np.array([1.0, -1.0])
-        loss = LogisticLoss(Dataset(X, y))
-        value, grad = loss.value(np.array([1000.0])), loss.gradient(np.array([1000.0]))
+        loss = LogisticLoss(X, y)
+        value, grad = loss_value(loss, np.array([1000.0])), loss_gradient(loss, np.array([1000.0]))
         assert value == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(grad, [0.0], atol=1e-12)
 
     def test_overflow_safe_wrong_side(self):
         X = np.array([[1.0]])
         y = np.array([1.0])
-        value = LogisticLoss(Dataset(X, y)).value(np.array([-1000.0]))
+        value = loss_value(LogisticLoss(X, y), np.array([-1000.0]))
         assert np.isfinite(value) and value == pytest.approx(1000.0)
 
     def test_gradient_matches_finite_differences(self, rng):
-        data = self.make_data(rng)
-        loss = LogisticLoss(data)
+        loss = LogisticLoss(*self.make_data(rng))
         beta = rng.standard_normal(5)
-        fd = central_difference_gradient(loss.value, beta, 1e-6)
-        np.testing.assert_allclose(loss.gradient(beta), fd, rtol=1e-5, atol=1e-10)
+        fd = central_difference_gradient(lambda b: loss_value(loss, b), beta, 1e-6)
+        np.testing.assert_allclose(loss_gradient(loss, beta), fd, rtol=1e-5, atol=1e-10)
 
     def test_convex_midpoint(self, rng):
-        data = self.make_data(rng)
-        loss = LogisticLoss(data)
+        loss = LogisticLoss(*self.make_data(rng))
         for _ in range(10):
             b1, b2 = rng.standard_normal((2, 5))
-            mid = loss.value(0.5 * (b1 + b2))
-            assert mid <= 0.5 * (loss.value(b1) + loss.value(b2)) + 1e-12
+            mid = loss_value(loss, 0.5 * (b1 + b2))
+            assert mid <= 0.5 * (loss_value(loss, b1) + loss_value(loss, b2)) + 1e-12
 
 
 class TestLogisticLipschitz:
     def test_identity(self):
-        data = Dataset(np.eye(3), np.array([1.0, -1.0, 1.0]))
-        assert LogisticLoss(data).lipschitz() == pytest.approx(0.25)
+        assert LogisticLoss(np.eye(3), np.array([1.0, -1.0, 1.0])).lipschitz() == pytest.approx(0.25)
 
     def test_scaling(self):
-        data = Dataset(2 * np.eye(3), np.array([1.0, -1.0, 1.0]))
-        assert LogisticLoss(data).lipschitz() == pytest.approx(1.0)
+        assert LogisticLoss(2 * np.eye(3), np.array([1.0, -1.0, 1.0])).lipschitz() == pytest.approx(1.0)
 
     def test_quarter_of_squared(self, rng):
         X = rng.standard_normal((10, 4))
         y = np.sign(rng.standard_normal(10))
         y[y == 0] = 1.0
-        data = Dataset(X, y)
-        assert LogisticLoss(data).lipschitz() == pytest.approx(
-            0.25 * SquaredLoss(data).lipschitz(), rel=1e-12
+        assert LogisticLoss(X, y).lipschitz() == pytest.approx(
+            0.25 * SquaredLoss(X, y).lipschitz(), rel=1e-12
         )
 
 
@@ -183,7 +182,7 @@ class TestGramLipschitz:
         # of eigenvalue 1, the top one (3) is along (1, -1)
         X = np.array([[1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
         assert gram_lipschitz(X) == pytest.approx(3.0, rel=1e-12)
-        loss = SquaredLoss(Dataset(X, np.ones(3)), precompute=precompute)
+        loss = SquaredLoss(X, np.ones(3), precompute=precompute)
         assert loss.lipschitz() == pytest.approx(3.0, rel=1e-12)
 
     def test_top_eigenvector_orthogonal_to_ones(self):
@@ -209,11 +208,11 @@ class TestGramLipschitz:
 def test_logistic_gradient_does_not_copy_design(rng):
     X = rng.standard_normal((2000, 500))
     y = np.where(rng.random(2000) < 0.5, -1.0, 1.0)
-    loss = LogisticLoss(Dataset(X, y))
+    loss = LogisticLoss(X, y)
     beta = 0.01 * rng.standard_normal(500)
     tracemalloc.start()
     try:
-        loss.gradient(beta)
+        loss_gradient(loss, beta)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -227,13 +226,13 @@ class TestHalfGramProduct:
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_gram_is_fortran_ordered(self, rng, order):
         X = np.asarray(rng.standard_normal((30, 8)), order=order)
-        loss = SquaredLoss(Dataset(X, rng.standard_normal(30)), precompute=True)
+        loss = SquaredLoss(X, rng.standard_normal(30), precompute=True)
         assert loss._XtX.flags.f_contiguous
 
     def test_vector_product_does_not_copy_gram(self, rng):
         J = 600
         X = rng.standard_normal((50, J))
-        loss = SquaredLoss(Dataset(X, rng.standard_normal(50)), precompute=True)
+        loss = SquaredLoss(X, rng.standard_normal(50), precompute=True)
         v = rng.standard_normal(J)
         tracemalloc.start()
         try:
@@ -246,7 +245,7 @@ class TestHalfGramProduct:
     @pytest.mark.parametrize("shape", [(7,), (7, 3)], ids=["vector", "matrix"])
     def test_product_matches_two_passes(self, rng, shape):
         X = rng.standard_normal((20, 7))
-        loss = SquaredLoss(Dataset(X, rng.standard_normal(20)), precompute=True)
+        loss = SquaredLoss(X, rng.standard_normal(20), precompute=True)
         beta = rng.standard_normal(shape)
         expected = X.T @ (X @ beta)
         got = loss.product(beta)
@@ -256,12 +255,12 @@ class TestHalfGramProduct:
     @pytest.mark.parametrize("seed", range(4))
     def test_gram_lipschitz_matches_two_pass(self, seed):
         X = np.random.default_rng(seed).standard_normal((40, 15))
-        loss = SquaredLoss(Dataset(X, np.zeros(40)), precompute=True)
+        loss = SquaredLoss(X, np.zeros(40), precompute=True)
         assert loss.lipschitz() == pytest.approx(gram_lipschitz(X), rel=1e-12)
 
     def test_gram_lipschitz_all_ones_start_in_null_space(self):
         X = np.array([[1.0, -1.0], [2.0, -2.0], [0.5, -0.5]])
-        loss = SquaredLoss(Dataset(X, np.ones(3)), precompute=True)
+        loss = SquaredLoss(X, np.ones(3), precompute=True)
         assert loss.lipschitz() == pytest.approx(gram_lipschitz(X), rel=1e-12)
         assert loss.lipschitz() == pytest.approx(10.5, rel=1e-12)
 
@@ -303,8 +302,8 @@ class TestPowerIteration:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_overlap_design_product_count(self, seed):
-        data, _, _ = gen_overlap_instance(OverlapSimSpec(seed=seed, gamma=2.0))
-        loss = SquaredLoss(data, precompute=True)
+        problem, _, _ = gen_overlap_instance(OverlapSimSpec(seed=seed, gamma=2.0))
+        loss = SquaredLoss(problem.X, problem.y, precompute=True)
         gram_product, products = loss._gram_vector_product, []
 
         def counted_product(v):
@@ -314,5 +313,5 @@ class TestPowerIteration:
         loss._gram_vector_product = counted_product
         value = loss.lipschitz()
         assert len(products) <= 50
-        expected = np.linalg.eigvalsh(data.X.T @ data.X).max()
+        expected = np.linalg.eigvalsh(problem.X.T @ problem.X).max()
         assert value == pytest.approx(expected, rel=2e-6)

@@ -21,7 +21,13 @@ from smoothprox import (
     solve_fobos,
     spectral_norm_power_iteration,
 )
-from conftest import random_graph_spec, random_group_spec
+from conftest import (
+    MALFORMED_PENALTY_IDS,
+    MALFORMED_PENALTY_JSON,
+    penalty_value,
+    random_graph_spec,
+    random_group_spec,
+)
 
 
 def two_group_spec(gamma=1.0):
@@ -32,14 +38,14 @@ class TestGroupCoupling:
     def test_overlapping_two_groups(self):
         C = two_group_spec().coupling(3)
         expected = np.array([[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
-        np.testing.assert_array_equal(C.toarray(), expected)
+        np.testing.assert_array_equal(C.matrix.toarray(), expected)
         assert C.nnz == 4
         assert C.row_blocks == ((0, 2), (2, 4))
 
     def test_single_element_group_scales_by_gamma_weight(self):
         spec = GroupPenaltySpec(groups=((0,),), weights=(2.0,), gamma=3.0)
         C = spec.coupling(1)
-        np.testing.assert_allclose(C.toarray(), [[6.0]])
+        np.testing.assert_allclose(C.matrix.toarray(), [[6.0]])
 
     def test_sliding_window_layout(self):
         # 10 groups of 100 overlapping by 10: 1000 rows over 910 columns
@@ -68,19 +74,19 @@ class TestGraphCoupling:
     def test_negative_correlation_sums_coefficients(self):
         spec = GraphPenaltySpec(num_nodes=2, edges=((0, 1, -0.5),), gamma=2.0)
         C = spec.coupling()
-        np.testing.assert_allclose(C.toarray(), [[1.0, 1.0]])
+        np.testing.assert_allclose(C.matrix.toarray(), [[1.0, 1.0]])
         np.testing.assert_allclose(C.apply([1.0, 1.0]), [2.0])
 
     def test_unit_edge_is_difference_operator(self):
         spec = GraphPenaltySpec(num_nodes=2, edges=((0, 1, 1.0),), gamma=1.0)
-        np.testing.assert_allclose(spec.coupling().toarray(), [[1.0, -1.0]])
+        np.testing.assert_allclose(spec.coupling().matrix.toarray(), [[1.0, -1.0]])
 
     def test_chain_recovers_fused_lasso_differences(self):
         spec = GraphPenaltySpec(
             num_nodes=3, edges=((0, 1, 1.0), (1, 2, 1.0)), gamma=1.0
         )
         np.testing.assert_allclose(
-            spec.coupling().toarray(), [[1, -1, 0], [0, 1, -1]]
+            spec.coupling().matrix.toarray(), [[1, -1, 0], [0, 1, -1]]
         )
 
     def test_zero_weight_edge_keeps_zero_row(self):
@@ -89,7 +95,7 @@ class TestGraphCoupling:
         )
         C = spec.coupling()
         assert C.rows == 2
-        np.testing.assert_allclose(C.toarray()[0], [0, 0, 0])
+        np.testing.assert_allclose(C.matrix.toarray()[0], [0, 0, 0])
         assert C.nnz == 2
 
     def test_self_loop_and_duplicates_rejected(self):
@@ -111,37 +117,37 @@ class TestGraphCoupling:
 
 class TestPenaltyValues:
     def test_group_value(self):
-        assert two_group_spec().value([3.0, 4.0, 0.0]) == pytest.approx(9.0)
+        assert penalty_value(two_group_spec(), [3.0, 4.0, 0.0]) == pytest.approx(9.0)
 
     def test_group_zero_vector(self):
-        assert two_group_spec().value(np.zeros(3)) == 0.0
+        assert penalty_value(two_group_spec(), np.zeros(3)) == 0.0
 
     def test_group_gamma_zero(self, rng):
         spec = GroupPenaltySpec.with_unit_weights(((0, 1), (1, 2)), 0.0)
-        assert spec.value(rng.standard_normal(3)) == 0.0
+        assert penalty_value(spec, rng.standard_normal(3)) == 0.0
 
     def test_graph_value(self):
         spec = GraphPenaltySpec(
             num_nodes=3, edges=((0, 1, 1.0), (1, 2, -0.5)), gamma=1.0
         )
-        assert spec.value([1.0, 0.0, 2.0]) == pytest.approx(2.0)
+        assert penalty_value(spec, [1.0, 0.0, 2.0]) == pytest.approx(2.0)
 
     def test_graph_constant_vector_fuses_to_zero(self):
         spec = GraphPenaltySpec(
             num_nodes=3, edges=((0, 1, 1.0), (1, 2, 1.0)), gamma=2.0
         )
-        assert spec.value([1.7, 1.7, 1.7]) == pytest.approx(0.0)
+        assert penalty_value(spec, [1.7, 1.7, 1.7]) == pytest.approx(0.0)
 
     def test_graph_two_nodes_absolute_difference(self):
         spec = GraphPenaltySpec(num_nodes=2, edges=((0, 1, 1.0),), gamma=1.0)
-        assert spec.value([2.0, -3.0]) == pytest.approx(5.0)
+        assert penalty_value(spec, [2.0, -3.0]) == pytest.approx(5.0)
 
     def test_graph_value_equals_l1_of_coupling_product(self, rng):
         for _ in range(20):
             spec = random_graph_spec(rng, num_nodes=6)
             C = spec.coupling()
             beta = rng.standard_normal(6)
-            assert spec.value(beta) == pytest.approx(
+            assert penalty_value(spec, beta) == pytest.approx(
                 np.abs(C.apply(beta)).sum(), rel=1e-12
             )
 
@@ -156,15 +162,15 @@ class TestPenaltyValues:
             best = sum(
                 np.linalg.norm(z[a:b]) for a, b in C.row_blocks
             )
-            assert spec.value(beta) == pytest.approx(best, rel=1e-10)
+            assert penalty_value(spec, beta) == pytest.approx(best, rel=1e-10)
 
     def test_nonnegative_homogeneous_convex(self, rng):
         for _ in range(10):
             gspec = random_group_spec(rng, num_features=5)
             hspec = random_graph_spec(rng, num_nodes=5)
             for value in (
-                lambda b: gspec.value(b),
-                lambda b: hspec.value(b),
+                lambda b: penalty_value(gspec, b),
+                lambda b: penalty_value(hspec, b),
             ):
                 b1, b2 = rng.standard_normal((2, 5))
                 t = float(rng.uniform(0.1, 5.0))
@@ -229,7 +235,7 @@ class TestCouplingApply:
         for _ in range(10):
             spec = random_group_spec(rng, num_features=12)
             C = spec.coupling(12)
-            dense = C.toarray()
+            dense = C.matrix.toarray()
             beta = rng.standard_normal(12)
             np.testing.assert_allclose(
                 C.apply_transpose(C.apply(beta)),
@@ -296,6 +302,11 @@ class TestJsonRoundTrip:
     def test_weights_of_the_wrong_length_fail(self, weights):
         doc = '{"type": "group", "gamma": 1.0, "groups": [[1, 2], [2, 3]], "weights": %s}' % weights
         with pytest.raises(StructureError, match="same length"):
+            penalty_from_json(doc)
+
+    @pytest.mark.parametrize("doc, field", MALFORMED_PENALTY_JSON, ids=MALFORMED_PENALTY_IDS)
+    def test_malformed_document_names_the_field(self, doc, field):
+        with pytest.raises(StructureError, match=field):
             penalty_from_json(doc)
 
 
@@ -544,7 +555,7 @@ def graph_specs(draw):
 
 
 def sigma_max(coupling):
-    dense = coupling.toarray()
+    dense = coupling.matrix.toarray()
     return float(np.linalg.svd(dense, compute_uv=False)[0]) if dense.size else 0.0
 
 

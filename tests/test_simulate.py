@@ -6,6 +6,8 @@ import pytest
 from smoothprox import (
     GraphSimSpec,
     OverlapSimSpec,
+    Problem,
+    SquaredLoss,
     gen_graph_instance,
     gen_overlap_instance,
     overlap_groups,
@@ -18,11 +20,18 @@ class TestOverlapInstance:
     def test_default_dimensions(self):
         spec = OverlapSimSpec()
         assert spec.num_features == 910
-        data, penalty, beta = gen_overlap_instance(spec)
-        assert data.X.shape == (1000, 910)
-        assert data.y.shape == (1000,)
+        problem, penalty, beta = gen_overlap_instance(spec)
+        assert problem.X.shape == (1000, 910)
+        assert problem.y.shape == (1000,)
         assert beta.shape == (910,)
         assert len(penalty.groups) == 10
+
+    def test_returns_a_least_squares_problem(self):
+        problem, penalty, _ = gen_overlap_instance(OverlapSimSpec(num_groups=2, seed=0))
+        assert isinstance(problem, Problem)
+        assert problem.penalty is penalty
+        assert "loss" not in vars(problem)  # built on first use, as for any problem
+        assert isinstance(problem.loss, SquaredLoss)
 
     def test_group_layout(self):
         groups = overlap_groups(OverlapSimSpec())
@@ -49,8 +58,8 @@ class TestOverlapInstance:
         assert not np.array_equal(d1.X, d3.X)
 
     def test_noise_added(self):
-        data, _, beta = gen_overlap_instance(OverlapSimSpec(num_groups=2, seed=0))
-        residual = data.y - data.X @ beta
+        problem, _, beta = gen_overlap_instance(OverlapSimSpec(num_groups=2, seed=0))
+        residual = problem.y - problem.X @ beta
         assert residual.std() == pytest.approx(1.0, abs=0.1)
 
     def test_invalid_overlap(self):

@@ -13,6 +13,7 @@ from smoothprox.smoothing import DEFAULT_MU
 from conftest import (
     alpha_star,
     central_difference_gradient,
+    penalty_value,
     random_graph_spec,
     random_group_spec,
 )
@@ -115,7 +116,7 @@ class TestSmoothValue:
             mu = float(rng.uniform(1e-4, 1.0))
             C = spec.coupling(J)
             beta = rng.standard_normal(J) * rng.uniform(0.1, 5.0)
-            exact = spec.value(beta)
+            exact = penalty_value(spec, beta)
             smooth = C.smoothed_values(beta, mu)[1]
             assert smooth <= exact + 1e-10
             assert smooth >= exact - mu * C.dual_bound - 1e-10
@@ -186,7 +187,7 @@ class TestCouplingNorms:
         spec = GraphPenaltySpec(num_nodes=2, edges=((0, 1, 1.0),), gamma=1.0)
         bound = spec.coupling().norm_bound
         assert bound == pytest.approx(np.sqrt(2.0))
-        exact = np.linalg.svd(spec.coupling().toarray(), compute_uv=False)[0]
+        exact = np.linalg.svd(spec.coupling().matrix.toarray(), compute_uv=False)[0]
         assert bound == pytest.approx(exact, rel=1e-12)
 
     def test_graph_weighted_degrees(self):
@@ -258,7 +259,7 @@ def test_kernels_match_their_definitions(kind, num_inputs, rng):
     coupling = spec.coupling(J)
     beta = rng.standard_normal((num_inputs, J) if num_inputs else J)
     beta[..., 0] = 0.0
-    C = coupling.toarray()
+    C = coupling.matrix.toarray()
     Z = C @ np.atleast_2d(beta).T  # rows x inputs
     blocks = [(a, b, k) for a, b in _dual_blocks(coupling) for k in range(Z.shape[1])]
     norms = [float(np.linalg.norm(Z[a:b, k])) for a, b, k in blocks]
@@ -275,7 +276,7 @@ def test_kernels_match_their_definitions(kind, num_inputs, rng):
     np.testing.assert_allclose(gradient, (C.T @ alpha).T, rtol=1e-12, atol=1e-14)
     assert gradient.shape == beta.shape
     f0, f_mu = coupling.smoothed_values(beta, mu)
-    assert f0 == pytest.approx(spec.value(beta), rel=1e-13, abs=1e-300)
+    assert f0 == pytest.approx(penalty_value(spec, beta), rel=1e-13, abs=1e-300)
     assert f0 == pytest.approx(sum(norms), rel=1e-13, abs=1e-300)
     assert f_mu == pytest.approx(huber, rel=1e-13, abs=1e-300)
     if kind == "empty":

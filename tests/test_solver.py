@@ -25,6 +25,7 @@ from smoothprox import (
     solve_multivariate,
     total_lipschitz,
 )
+from conftest import loss_gradient, loss_value, penalty_value
 
 
 class TestSoftThreshold:
@@ -296,7 +297,7 @@ class TestFistaStep:
         y = rng.standard_normal(5)
         prob = Problem.least_squares(X, y, precompute=False)
         L = prob.loss.lipschitz()
-        lam = L * (np.abs(prob.loss.gradient(np.zeros(3)) / L).max() + 1.0)
+        lam = L * (np.abs(loss_gradient(prob.loss, np.zeros(3)) / L).max() + 1.0)
         beta, _ = solve(prob, SolverConfig(lam, max_iter=1, rel_tol=0.0))
         assert (beta == 0.0).all()
 
@@ -364,11 +365,11 @@ class TestSolve:
         beta, _ = solve(
             prob, SolverConfig(lam=lam, mu=mu, rel_tol=1e-14, max_iter=200000)
         )
-        g = prob.loss.gradient(beta) + spec.coupling(6).smoothed_gradient(beta, mu)
+        g = loss_gradient(prob.loss, beta) + spec.coupling(6).smoothed_gradient(beta, mu)
         residual = np.where(
             beta != 0.0, g + lam * np.sign(beta), g - np.clip(g, -lam, lam)
         )
-        bound = 1e-3 * (1.0 + np.linalg.norm(prob.loss.gradient(beta)))
+        bound = 1e-3 * (1.0 + np.linalg.norm(loss_gradient(prob.loss, beta)))
         assert np.linalg.norm(residual) < bound
 
     def test_non_finite_objective_raises(self):
@@ -501,6 +502,19 @@ class TestRegularizationPathConfig:
         with pytest.raises(ValueError, match="at least one lambda is required"):
             regularization_path(prob, [], SolverConfig())
 
+    @pytest.mark.parametrize("lambdas", [[True], ["2", "1"], [2.0, None]], ids=["bool", "strings", "none"])
+    def test_lambdas_must_be_real(self, lambdas):
+        """Each lambda is checked as ``SolverConfig`` checks ``lam``, not passed through float()."""
+        prob = Problem.least_squares(np.eye(2), np.ones(2))
+        with pytest.raises(ValueError, match="lambda must be a real number"):
+            regularization_path(prob, lambdas, SolverConfig())
+
+    def test_ints_and_numpy_reals_are_lambdas(self):
+        prob = Problem.least_squares(np.eye(2), np.ones(2))
+        results = regularization_path(prob, [2, np.float64(0.5), np.float32(0.25)], SolverConfig(max_iter=2))
+        assert [lam for lam, _, _ in results] == [2.0, 0.5, 0.25]
+        assert all(type(lam) is float for lam, _, _ in results)
+
     def test_every_field_reaches_every_solve(self, rng):
         X = rng.standard_normal((20, 4))
         spec = GraphPenaltySpec(num_nodes=4, edges=((0, 1, 0.8), (1, 2, -0.5), (2, 3, 0.3)), gamma=1.0)
@@ -602,7 +616,7 @@ class TestFinalObjective:
 
     @staticmethod
     def exact(problem, spec, beta, lam=0.5):
-        return problem.loss.value(beta) + lam * float(np.abs(beta).sum()) + spec.value(beta)
+        return loss_value(problem.loss, beta) + lam * float(np.abs(beta).sum()) + penalty_value(spec, beta)
 
     @pytest.mark.parametrize(
         "run",
