@@ -165,12 +165,11 @@ def _cmd_simulate(args):
 def _cmd_bench(args):
     import time
 
-    from .fobos import FobosConfig, default_c, solve_fobos
+    from .fobos import FobosConfig, solve_fobos
     from .solver import solve
 
     def fobos(problem):
-        c = default_c(*problem.X.shape, *problem.y.shape[1:])
-        return solve_fobos(problem, FobosConfig(lam=args.lam, c=c, max_iter=args.max_iter,
+        return solve_fobos(problem, FobosConfig(lam=args.lam, max_iter=args.max_iter,
                                                 rel_tol=args.rel_tol))
 
     runs = {"proxgrad": lambda problem: solve(problem, _config(args, args.lam)), "fobos": fobos}

@@ -22,14 +22,13 @@ from .solver import Problem, SolverError, Trace, _check_loop_fields, _initial_be
 @dataclass
 class FobosConfig:
     lam: float = 0.0
-    c: float = 0.1  # step scale; step_t = c / sqrt(t), t starting at 1
+    c: float | None = None  # step scale, step_t = c / sqrt(t) from t = 1; None: default_c
     max_iter: int = 20000
     rel_tol: float = 1e-6
-    record_trace: bool = True
 
     def __post_init__(self):
         _check_loop_fields(self)
-        if not 0.0 < _real(self.c, "c", ValueError) < math.inf:
+        if self.c is not None and not 0.0 < _real(self.c, "c", ValueError) < math.inf:
             raise ValueError("step scale c must be positive and finite")
 
 
@@ -47,13 +46,16 @@ def solve_fobos(problem: Problem, config: FobosConfig, beta0=None):
     ``beta_best`` is the iterate with the best objective seen, since the
     plain iterates do not decrease monotonically; it is the start when no
     iterate improves on it, and ``trace.final_objective`` is its objective
-    either way.  The objective at an
+    either way.  The step scale is ``config.c``, or ``default_c`` of the
+    problem's shape (N, J, and K for an N x K response) when that is None;
+    the trace header records the one used.  The objective at an
     iterate and the step direction from it share one loss product and one
     ``C beta``; the penalty's subgradient is ``C^T u``, ``u`` the blockwise
     unit direction of ``C beta`` (``CouplingMatrix.value_and_subgradient``).
     """
     beta = _initial_beta(problem, beta0)
     lam = config.lam
+    c = default_c(*problem.X.shape, *problem.y.shape[1:]) if config.c is None else config.c
     loss = problem.loss
     coupling = problem.coupling
 
@@ -70,7 +72,7 @@ def solve_fobos(problem: Problem, config: FobosConfig, beta0=None):
     trace = Trace(
         header={
             "method": "fobos",
-            "c": config.c,
+            "c": c,
             "lam": lam,
             "max_iter": config.max_iter,
             "rel_tol": config.rel_tol,
@@ -83,7 +85,7 @@ def solve_fobos(problem: Problem, config: FobosConfig, beta0=None):
     start = time.perf_counter()
     status = "max_iter"
     for t in range(1, config.max_iter + 1):
-        step = config.c / np.sqrt(t)
+        step = c / np.sqrt(t)
         if not np.isfinite(direction).all():
             raise SolverError(f"non-finite subgradient at iteration {t}")
         direction *= step  # the step is built in the direction's buffer
@@ -93,8 +95,7 @@ def solve_fobos(problem: Problem, config: FobosConfig, beta0=None):
             raise SolverError(f"non-finite objective at iteration {t}")
         if f < best_f:
             best_f, best_beta = f, beta
-        if config.record_trace:
-            trace.record(t, f, best_f, time.perf_counter() - start)
+        trace.record(f, best_f, time.perf_counter() - start)
         if f_prev is not None:
             if abs(f - f_prev) / max(1.0, abs(f_prev)) < config.rel_tol:
                 status = "converged"

@@ -1,9 +1,9 @@
 """Smooth convex losses: value, gradient and gradient-Lipschitz constants.
 
-Squared-error and logistic losses over a fixed ``(X, y)``.  When the number of
-features is moderate the Gram matrix X^T X (and X^T y) is precomputed so the
-per-iteration cost of a solver is independent of the sample size; otherwise
-gradients stream through X.
+Squared-error and logistic losses over a fixed ``(X, y)``.  The squared loss
+precomputes the Gram matrix X^T X (and X^T y) when its shape makes the Gram
+the cheaper product, so the per-iteration cost of a solver is independent of
+the sample size; otherwise gradients stream through X.
 """
 
 from __future__ import annotations
@@ -18,8 +18,14 @@ from scipy.special import expit
 
 from .penalties import StructureError
 
-#: Precompute X^T X automatically up to this many features.
+#: ``SquaredLoss`` precomputes X^T X for an N x J design iff J is at most
+#: PRECOMPUTE_MAX_FEATURES and at most PRECOMPUTE_MAX_FEATURES_PER_SAMPLE * N.
+#: A Gram product reads J^2 numbers, a pass through X and back 2 N J, so past
+#: J = 2N streaming reads less.  Per product, gradient and value at N = 100,
+#: 400 and 1000 (README, "Gram or streaming"), the Gram was 1.03x to 3.5x
+#: faster up to J = 2N, and 1.1x to 1.8x slower at J = 4N.
 PRECOMPUTE_MAX_FEATURES = 4096
+PRECOMPUTE_MAX_FEATURES_PER_SAMPLE = 2
 
 
 def _checked_arrays(X, y):
@@ -161,16 +167,17 @@ class SquaredLoss(_ProductLoss):
     """g(beta) = 0.5 * ||y - X beta||^2 with gradient X^T (X beta - y).
 
     The product is ``X^T X beta`` with the Gram precompute, ``X beta``
-    without.  The response may be an N x K matrix, with J x K iterates; the
-    J x K arrays (Gram products, gradients, ``X^T Y``) are Fortran-ordered.
+    without; ``precompute`` says which, and follows from the shape of X (see
+    ``PRECOMPUTE_MAX_FEATURES``).  The response may be an N x K matrix, with
+    J x K iterates; the J x K arrays (Gram products, gradients, ``X^T Y``)
+    are Fortran-ordered.
     """
 
-    def __init__(self, X, y, precompute=None):
+    def __init__(self, X, y):
         super().__init__(X, y)
         X, y = self.X, self.y
-        if precompute is None:
-            precompute = X.shape[1] <= PRECOMPUTE_MAX_FEATURES
-        self.precompute = bool(precompute)
+        N, J = X.shape
+        self.precompute = J <= min(PRECOMPUTE_MAX_FEATURES, PRECOMPUTE_MAX_FEATURES_PER_SAMPLE * N)
         if self.precompute:
             # numpy forms X^T X exactly symmetric, so this is the same matrix,
             # F-ordered: dsymv copies a C-ordered one before reading it

@@ -86,6 +86,8 @@ class GroupPenaltySpec:
                 raise StructureError("empty group")
             if any(i < 0 for i in g):
                 raise StructureError("negative group index")
+            if len(set(g)) != len(g):
+                raise StructureError("a group lists an index more than once")
         if not all(0.0 < w < math.inf for w in weights):
             raise StructureError("group weights must be positive and finite")
         if not 0.0 <= self.gamma < math.inf:
@@ -397,14 +399,27 @@ def _json_list(value, what, length=None):
     raise StructureError(f"{what} must be a list{items}, got {value!r}")
 
 
+#: The fields a penalty JSON document of each type may carry.
+_JSON_FIELDS = {
+    "group": {"type", "gamma", "groups", "weights"},
+    "graph": {"type", "gamma", "num_nodes", "edges"},
+}
+
+
 def penalty_from_json(text: str):
     """The spec in a JSON document.  A document of the wrong shape (not an
-    object, a missing field, a field that is not a list where one is due, an
-    edge that is not ``[m, l, r]``) raises StructureError naming the field."""
+    object, an unknown type, a missing or unknown field, a field that is not
+    a list where one is due, an edge that is not ``[m, l, r]``) raises
+    StructureError naming the field."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise StructureError(f"penalty JSON must be an object, got {type(doc).__name__}")
     kind = doc.get("type")
+    if not (isinstance(kind, str) and kind in _JSON_FIELDS):
+        raise StructureError(f"unknown penalty type {kind!r} in JSON document")
+    unknown = ", ".join(repr(key) for key in sorted(set(doc) - _JSON_FIELDS[kind]))
+    if unknown:
+        raise StructureError(f"{kind} penalty JSON has unknown fields: {unknown}")
     try:
         if kind == "group":
             groups = tuple(
@@ -414,14 +429,10 @@ def penalty_from_json(text: str):
             weights = doc.get("weights")  # absent or null: unit weights; [] fails the length check
             weights = [1.0] * len(groups) if weights is None else _json_list(weights, "weights")
             return GroupPenaltySpec(groups=groups, weights=tuple(weights), gamma=doc["gamma"])
-        if kind == "graph":
-            edges = []
-            for edge in _json_list(doc["edges"], "edges"):
-                m, l, r = _json_list(edge, "each edge", 3)
-                edges.append((_index(m, "edge node") - 1, _index(l, "edge node") - 1, r))
-            return GraphPenaltySpec(
-                num_nodes=doc["num_nodes"], edges=tuple(edges), gamma=doc["gamma"]
-            )
+        edges = []
+        for edge in _json_list(doc["edges"], "edges"):
+            m, l, r = _json_list(edge, "each edge", 3)
+            edges.append((_index(m, "edge node") - 1, _index(l, "edge node") - 1, r))
+        return GraphPenaltySpec(num_nodes=doc["num_nodes"], edges=tuple(edges), gamma=doc["gamma"])
     except KeyError as exc:  # only the document's fields are looked up by key
         raise StructureError(f"penalty JSON has no {exc.args[0]!r} field") from None
-    raise StructureError(f"unknown penalty type {kind!r} in JSON document")

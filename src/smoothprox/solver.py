@@ -13,7 +13,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -68,8 +68,8 @@ class Problem:
         return coupling if coupling.nnz else None
 
     @classmethod
-    def least_squares(cls, X, y, penalty=None, precompute=None):
-        return cls(X, y, penalty, partial(SquaredLoss, precompute=precompute))
+    def least_squares(cls, X, y, penalty=None):
+        return cls(X, y, penalty, SquaredLoss)
 
     @classmethod
     def logistic(cls, X, y, penalty=None):
@@ -98,7 +98,6 @@ class SolverConfig:
     mu: float | None = None  # explicit smoothness override
     max_iter: int = 20000
     rel_tol: float = 1e-6
-    record_trace: bool = True
 
     def __post_init__(self):
         _check_loop_fields(self)
@@ -112,10 +111,10 @@ class SolverConfig:
 
 @dataclass
 class Trace:
-    """Per-iteration objective records plus a terminal status."""
+    """Per-iteration objective records plus a terminal status.  Every
+    iteration is recorded: entry i of each list is iteration i + 1."""
 
     header: dict = field(default_factory=dict)
-    iterations: list = field(default_factory=list)
     objectives: list = field(default_factory=list)
     smoothed_objectives: list = field(default_factory=list)
     elapsed: list = field(default_factory=list)
@@ -123,21 +122,19 @@ class Trace:
     final_nnz: int | None = None  # the nnz and exact objective of the returned beta
     final_objective: float | None = None
 
-    def record(self, t, f, f_smooth, elapsed_s):
-        self.iterations.append(t)
+    def record(self, f, f_smooth, elapsed_s):
         self.objectives.append(f)
         self.smoothed_objectives.append(f_smooth)
         self.elapsed.append(elapsed_s)
 
     def __len__(self):
-        return len(self.iterations)
+        return len(self.objectives)
 
     def write_jsonl(self, path):
         """The header, one line per recorded iteration, then the final status."""
         lines = [{"header": self.header}]
-        for t, f, fs, el in zip(
-            self.iterations, self.objectives, self.smoothed_objectives, self.elapsed
-        ):
+        records = zip(self.objectives, self.smoothed_objectives, self.elapsed)
+        for t, (f, fs, el) in enumerate(records, start=1):
             lines.append({"t": t, "f": f, "f_smooth": fs, "elapsed_s": el})
         lines.append(
             {"status": self.status, "nnz": self.final_nnz, "objective": self.final_objective}
@@ -238,8 +235,7 @@ def _fista(loss, coupling, config, beta):
         f = loss_l1 + f0
         if not math.isfinite(f):
             raise SolverError(f"non-finite objective at iteration {t + 1}")
-        if config.record_trace:
-            trace.record(t + 1, f, loss_l1 + f_mu, time.perf_counter() - start)
+        trace.record(f, loss_l1 + f_mu, time.perf_counter() - start)
         if f_prev is not None and abs(f - f_prev) / max(1.0, abs(f_prev)) < config.rel_tol:
             status = "converged"
             break

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from smoothprox import GraphPenaltySpec, GroupPenaltySpec, StructureError
+from smoothprox import GraphPenaltySpec, GroupPenaltySpec, StructureError, losses
 
 
 #: Penalty documents of the wrong shape, each with the field its error names.
@@ -12,8 +14,15 @@ MALFORMED_PENALTY_JSON = [
     ('[{"type": "group", "gamma": 1.0, "groups": [[1, 2]]}]', "must be an object"),
     ('{"type": "group", "gamma": 1.0, "groups": [1, 2]}', "each group must be a list"),
     ('{"type": "graph", "gamma": 1.0, "edges": []}', "'num_nodes'"),
+    ('{"type": "group", "gamma": 1.0, "groups": [[1, 2]], "weigths": [5]}', "unknown fields: 'weigths'"),
+    ('{"type": "graph", "gamma": 1.0, "num_nodes": 2, "edges": [], "groups": [[1, 2]]}', "unknown fields: 'groups'"),
+    ('{"type": "group", "gamma": 1.0, "groups": [[1, 1]]}', "lists an index more than once"),
+    ('{"type": ["group"], "gamma": 1.0, "groups": [[1, 2]]}', "unknown penalty type"),
 ]
-MALFORMED_PENALTY_IDS = ["no-groups", "weights-number", "edge-pair", "top-level-list", "group-number", "no-num-nodes"]
+MALFORMED_PENALTY_IDS = [
+    "no-groups", "weights-number", "edge-pair", "top-level-list", "group-number", "no-num-nodes",
+    "misspelled-weights", "graph-with-groups", "repeated-index", "type-list",
+]
 
 
 def random_group_spec(rng, num_features, max_groups=4, unit_weights=False):
@@ -69,6 +78,15 @@ def penalty_value(spec, beta):
         for m, l, r in spec.edges:
             total += abs(r) * float(np.abs(beta[..., m] - np.sign(r) * beta[..., l]).sum())
     return spec.gamma * total
+
+
+def force_gram(monkeypatch, gram):
+    """Make each ``SquaredLoss`` built from here on use the Gram (``gram``
+    true) or stream through X (false), whatever the shape of X."""
+    if gram:
+        monkeypatch.setattr(losses, "PRECOMPUTE_MAX_FEATURES_PER_SAMPLE", math.inf)
+    else:
+        monkeypatch.setattr(losses, "PRECOMPUTE_MAX_FEATURES", 0)
 
 
 def loss_value(loss, beta):

@@ -230,8 +230,7 @@ def test_06_convergence_ordering():
     lam = 2.0
     beta_ref, _ = spx.solve(
         prob,
-        spx.SolverConfig(lam=lam, mu=1e-4, rel_tol=1e-12, max_iter=1000000,
-                         record_trace=False),
+        spx.SolverConfig(lam=lam, mu=1e-4, rel_tol=1e-12, max_iter=1000000),
     )
     target = 1.001 * _objective(prob, pen, lam, beta_ref)
 
@@ -241,8 +240,7 @@ def test_06_convergence_ordering():
     it_p = int(np.argmax(obj_p <= target)) + 1 if hit_p else np.inf
     time_p = tr_p.elapsed[it_p - 1] if hit_p else np.inf
 
-    c = spx.default_c(*prob.X.shape)
-    _, tr_f = spx.solve_fobos(prob, spx.FobosConfig(lam=lam, c=c, rel_tol=1e-12))
+    _, tr_f = spx.solve_fobos(prob, spx.FobosConfig(lam=lam, rel_tol=1e-12))
     obj_f = np.array(tr_f.objectives)
     hit_f = (obj_f <= target).any()
     it_f = int(np.argmax(obj_f <= target)) + 1 if hit_f else np.inf

@@ -98,7 +98,7 @@ class TestSolveFobos:
         beta_prox, _ = solve(prob, SolverConfig(lam=lam, rel_tol=1e-12))
         beta_sub, _ = solve_fobos(
             prob,
-            FobosConfig(lam=lam, c=default_c(40, 6), max_iter=200000, rel_tol=0.0),
+            FobosConfig(lam=lam, max_iter=200000, rel_tol=0.0),
         )
         f = lambda b: loss_value(prob.loss, b) + lam * np.abs(b).sum()
         assert f(beta_sub) <= f(beta_prox) * (1.0 + 1e-3)
@@ -110,7 +110,7 @@ class TestSolveFobos:
         spec = GroupPenaltySpec.with_unit_weights(((0, 1, 2, 3), (4, 5, 6, 7)), 1.0)
         prob = Problem.least_squares(X, y, spec)
         _, trace = solve_fobos(
-            prob, FobosConfig(lam=0.3, c=default_c(30, 8), max_iter=2000, rel_tol=0.0)
+            prob, FobosConfig(lam=0.3, max_iter=2000, rel_tol=0.0)
         )
         best = np.array(trace.smoothed_objectives)  # carries best-so-far
         assert (np.diff(best) <= 0.0).all()
@@ -122,6 +122,16 @@ class TestSolveFobos:
         _, trace = solve_fobos(prob, FobosConfig(lam=0.1, c=0.05, max_iter=50))
         assert trace.header["c"] == 0.05
         assert trace.header["f_smooth_field"] == "best_objective"
+
+    @pytest.mark.parametrize("K", [None, 3], ids=["vector", "matrix"])
+    def test_step_scale_defaults_to_the_shape(self, rng, K):
+        y = rng.standard_normal(12 if K is None else (12, K))
+        prob = Problem.least_squares(rng.standard_normal((12, 5)), y)
+        c = default_c(12, 5) if K is None else default_c(12, 5, K)
+        beta, trace = solve_fobos(prob, FobosConfig(lam=0.1, max_iter=20))
+        assert trace.header["c"] == c
+        explicit, _ = solve_fobos(prob, FobosConfig(lam=0.1, c=c, max_iter=20))
+        np.testing.assert_array_equal(beta, explicit)
 
     def test_graph_penalty_decreases_objective(self, rng):
         X = rng.standard_normal((40, 5))
@@ -135,7 +145,7 @@ class TestSolveFobos:
         prob = Problem.least_squares(X, y, spec)
         lam = 0.2
         beta, trace = solve_fobos(
-            prob, FobosConfig(lam=lam, c=default_c(40, 5), max_iter=20000, rel_tol=0.0)
+            prob, FobosConfig(lam=lam, max_iter=20000, rel_tol=0.0)
         )
         f = lambda b: (
             loss_value(prob.loss, b) + lam * np.abs(b).sum() + penalty_value(spec, b)

@@ -17,7 +17,7 @@ from smoothprox import (
     solve_multivariate,
 )
 from smoothprox import losses
-from conftest import penalty_value, smoothed_value
+from conftest import force_gram, penalty_value, smoothed_value
 
 STEPS = 40
 
@@ -107,21 +107,21 @@ def assert_matches_reference(run, X, Y, spec, lam, logistic=False):
 
 
 @pytest.mark.parametrize("kind", sorted(SPECS))
-@pytest.mark.parametrize("precompute", [True, False], ids=["gram", "streaming"])
-def test_vector_squared_loss_matches_reference(rng, kind, precompute):
+@pytest.mark.parametrize("gram", [True, False], ids=["gram", "streaming"])
+def test_vector_squared_loss_matches_reference(rng, monkeypatch, kind, gram):
+    force_gram(monkeypatch, gram)
     X = rng.standard_normal((30, 6))
     y = X @ rng.standard_normal(6) + 0.1 * rng.standard_normal(30)
     spec = SPECS[kind]()
-    problem = Problem.least_squares(X, y, spec, precompute=precompute)
+    problem = Problem.least_squares(X, y, spec)
     config = lambda steps: SolverConfig(lam=0.4, mu=0.05, max_iter=steps, rel_tol=1e-300)
     assert_matches_reference(lambda steps: solve(problem, config(steps)), X, y, spec, 0.4)
 
 
 @pytest.mark.parametrize("kind", sorted(SPECS))
-@pytest.mark.parametrize("precompute", [True, False], ids=["gram", "streaming"])
-def test_matrix_squared_loss_matches_reference(rng, monkeypatch, kind, precompute):
-    if not precompute:
-        monkeypatch.setattr(losses, "PRECOMPUTE_MAX_FEATURES", 0)
+@pytest.mark.parametrize("gram", [True, False], ids=["gram", "streaming"])
+def test_matrix_squared_loss_matches_reference(rng, monkeypatch, kind, gram):
+    force_gram(monkeypatch, gram)
     X = rng.standard_normal((30, 5))
     Y = X @ rng.standard_normal((5, 6)) + 0.1 * rng.standard_normal((30, 6))
     spec = SPECS[kind]()

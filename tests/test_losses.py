@@ -15,7 +15,7 @@ from smoothprox import (
 from smoothprox.losses import gram_lipschitz
 from smoothprox.losses import power_iteration
 from smoothprox.simulate import OverlapSimSpec, gen_overlap_instance
-from conftest import central_difference_gradient, loss_gradient, loss_value
+from conftest import central_difference_gradient, force_gram, loss_gradient, loss_value
 
 
 def _with_nan(a):
@@ -43,16 +43,18 @@ class TestInputChecks:
 
 
 class TestSquaredLoss:
-    def test_identity_design(self):
-        loss = SquaredLoss(np.eye(2), np.array([1.0, 0.0]), precompute=False)
+    def test_identity_design(self, monkeypatch):
+        force_gram(monkeypatch, False)
+        loss = SquaredLoss(np.eye(2), np.array([1.0, 0.0]))
         value, grad = loss_value(loss, np.zeros(2)), loss_gradient(loss, np.zeros(2))
         assert value == pytest.approx(0.5)
         np.testing.assert_allclose(grad, [-1.0, 0.0])
 
-    def test_exact_fit(self, rng):
+    def test_exact_fit(self, rng, monkeypatch):
+        force_gram(monkeypatch, False)
         X = rng.standard_normal((6, 3))
         beta = rng.standard_normal(3)
-        loss = SquaredLoss(X, X @ beta, precompute=False)
+        loss = SquaredLoss(X, X @ beta)
         value, grad = loss_value(loss, beta), loss_gradient(loss, beta)
         assert value == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(grad, np.zeros(3), atol=1e-10)
@@ -64,11 +66,23 @@ class TestSquaredLoss:
         fd = central_difference_gradient(lambda b: loss_value(loss, b), beta, 1e-6)
         np.testing.assert_allclose(loss_gradient(loss, beta), fd, rtol=1e-6)
 
-    def test_precompute_matches_streaming(self, rng):
+    @pytest.mark.parametrize("N, J, gram", [
+        (100, 200, True), (100, 201, False), (2100, 4097, False), (400, 3200, False),
+    ])
+    def test_gram_follows_the_shape(self, N, J, gram):
+        """The Gram is built iff J <= 4096 and J <= 2 N: past J = 2 N, or past
+        4096 features whatever N is, the products stream through X."""
+        X = np.broadcast_to(1.0, (N, J))  # no N x J copy: streaming reads X as it is
+        assert SquaredLoss(X, np.ones(N)).precompute is gram
+
+    def test_precompute_matches_streaming(self, rng, monkeypatch):
         X = rng.standard_normal((15, 6))
         y = rng.standard_normal(15)
-        pre = SquaredLoss(X, y, precompute=True)
-        direct = SquaredLoss(X, y, precompute=False)
+        force_gram(monkeypatch, True)
+        pre = SquaredLoss(X, y)
+        force_gram(monkeypatch, False)
+        direct = SquaredLoss(X, y)
+        assert pre.precompute and not direct.precompute
         for _ in range(5):
             beta = rng.standard_normal(6)
             np.testing.assert_allclose(
@@ -176,13 +190,14 @@ class TestGramLipschitz:
         # the minimum-l1 lasso solution splits the fit 1 = beta_0 - beta_1
         assert beta[0] - beta[1] == pytest.approx(1.0 - 0.1 / 5.25, rel=1e-6)
 
-    @pytest.mark.parametrize("precompute", [True, False], ids=["gram", "streaming"])
-    def test_all_ones_start_on_a_smaller_eigenvector(self, precompute):
+    @pytest.mark.parametrize("gram", [True, False], ids=["gram", "streaming"])
+    def test_all_ones_start_on_a_smaller_eigenvector(self, monkeypatch, gram):
         # X^T X = [[2, -1], [-1, 2]]: the all-ones vector is its eigenvector
         # of eigenvalue 1, the top one (3) is along (1, -1)
         X = np.array([[1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
         assert gram_lipschitz(X) == pytest.approx(3.0, rel=1e-12)
-        loss = SquaredLoss(X, np.ones(3), precompute=precompute)
+        force_gram(monkeypatch, gram)
+        loss = SquaredLoss(X, np.ones(3))
         assert loss.lipschitz() == pytest.approx(3.0, rel=1e-12)
 
     def test_top_eigenvector_orthogonal_to_ones(self):
@@ -223,16 +238,21 @@ class TestHalfGramProduct:
     """The vector Gram product reads one triangle of an F-ordered Gram in
     place; J x K iterates keep the general product."""
 
+    @pytest.fixture(autouse=True)
+    def gram(self, monkeypatch):
+        force_gram(monkeypatch, True)
+
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_gram_is_fortran_ordered(self, rng, order):
         X = np.asarray(rng.standard_normal((30, 8)), order=order)
-        loss = SquaredLoss(X, rng.standard_normal(30), precompute=True)
+        loss = SquaredLoss(X, rng.standard_normal(30))
         assert loss._XtX.flags.f_contiguous
 
     def test_vector_product_does_not_copy_gram(self, rng):
         J = 600
         X = rng.standard_normal((50, J))
-        loss = SquaredLoss(X, rng.standard_normal(50), precompute=True)
+        loss = SquaredLoss(X, rng.standard_normal(50))
+        assert loss.precompute  # J = 12 N streams by default
         v = rng.standard_normal(J)
         tracemalloc.start()
         try:
@@ -245,7 +265,7 @@ class TestHalfGramProduct:
     @pytest.mark.parametrize("shape", [(7,), (7, 3)], ids=["vector", "matrix"])
     def test_product_matches_two_passes(self, rng, shape):
         X = rng.standard_normal((20, 7))
-        loss = SquaredLoss(X, rng.standard_normal(20), precompute=True)
+        loss = SquaredLoss(X, rng.standard_normal(20))
         beta = rng.standard_normal(shape)
         expected = X.T @ (X @ beta)
         got = loss.product(beta)
@@ -255,12 +275,12 @@ class TestHalfGramProduct:
     @pytest.mark.parametrize("seed", range(4))
     def test_gram_lipschitz_matches_two_pass(self, seed):
         X = np.random.default_rng(seed).standard_normal((40, 15))
-        loss = SquaredLoss(X, np.zeros(40), precompute=True)
+        loss = SquaredLoss(X, np.zeros(40))
         assert loss.lipschitz() == pytest.approx(gram_lipschitz(X), rel=1e-12)
 
     def test_gram_lipschitz_all_ones_start_in_null_space(self):
         X = np.array([[1.0, -1.0], [2.0, -2.0], [0.5, -0.5]])
-        loss = SquaredLoss(X, np.ones(3), precompute=True)
+        loss = SquaredLoss(X, np.ones(3))
         assert loss.lipschitz() == pytest.approx(gram_lipschitz(X), rel=1e-12)
         assert loss.lipschitz() == pytest.approx(10.5, rel=1e-12)
 
@@ -301,9 +321,10 @@ class TestPowerIteration:
         assert expected * (1 - 1e-6) <= est.value <= expected * (1 + 1e-10)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_overlap_design_product_count(self, seed):
+    def test_overlap_design_product_count(self, seed, monkeypatch):
+        force_gram(monkeypatch, True)
         problem, _, _ = gen_overlap_instance(OverlapSimSpec(seed=seed, gamma=2.0))
-        loss = SquaredLoss(problem.X, problem.y, precompute=True)
+        loss = SquaredLoss(problem.X, problem.y)
         gram_product, products = loss._gram_vector_product, []
 
         def counted_product(v):

@@ -11,7 +11,6 @@ from smoothprox import (
     Problem,
     SolverConfig,
     StructureError,
-    default_c,
     regularization_path,
     select_mu,
     solve,
@@ -201,7 +200,7 @@ class TestMatrixResponse:
         prob = toy_problem(rng, k=3, spec=spec)
         problem = Problem.least_squares(prob.X, prob.Y, spec)
         lam = 0.2
-        B, trace = solve_fobos(problem, FobosConfig(lam=lam, c=default_c(25, 4, 3), max_iter=3000))
+        B, trace = solve_fobos(problem, FobosConfig(lam=lam, max_iter=3000))
         assert B.shape == (4, 3)
         f = lambda b: loss_value(problem.loss, b) + lam * np.abs(b).sum() + penalty_value(spec, b)
         assert f(B) < f(np.zeros((4, 3)))
@@ -254,7 +253,7 @@ class TestMultiProblemIsAProblem:
     def test_fobos_runs_to_max_iter(self, rng):
         spec = GroupPenaltySpec.with_unit_weights(((0, 1), (1, 2)), 1.0)
         prob = toy_problem(rng, k=3, spec=spec)
-        config = FobosConfig(lam=0.2, c=default_c(25, 4, 3), max_iter=50, rel_tol=0.0)
+        config = FobosConfig(lam=0.2, max_iter=50, rel_tol=0.0)
         B, trace = solve_fobos(prob, config)
         assert B.shape == (4, 3)
         assert trace.status == "max_iter" and len(trace) == 50

@@ -63,6 +63,12 @@ class TestGroupCoupling:
         with pytest.raises(StructureError):
             GroupPenaltySpec(groups=((),), weights=(1.0,), gamma=1.0)
 
+    def test_repeated_index_rejected(self):
+        # C would carry column 0 twice in the block: sqrt(2) at beta = (1, 0),
+        # where ||beta_g|| is 1
+        with pytest.raises(StructureError, match="lists an index more than once"):
+            GroupPenaltySpec(((0, 0),), (1.0,), 1.0)
+
     def test_nnz_equals_total_group_size(self, rng):
         for _ in range(20):
             spec = random_group_spec(rng, num_features=8)

@@ -25,7 +25,7 @@ from smoothprox import (
     solve_multivariate,
     total_lipschitz,
 )
-from conftest import loss_gradient, loss_value, penalty_value
+from conftest import force_gram, loss_gradient, loss_value, penalty_value
 
 
 class TestSoftThreshold:
@@ -263,8 +263,8 @@ class TestSolverConfigChecks:
     ], ids=lambda v: getattr(v, "__name__", v))
     def test_numbers_must_be_real(self, make, field, value):
         """A bool is not read as 1 and a string does not fail in a comparison;
-        None stays allowed for the optional ``mu`` and ``epsilon``."""
-        if value is None and field in ("mu", "epsilon"):
+        None stays allowed for the optional ``mu``, ``epsilon`` and ``c``."""
+        if value is None and field in ("mu", "epsilon", "c"):
             make(**{field: value})
             return
         with pytest.raises(ValueError, match=f"{field} must be a real number"):
@@ -292,19 +292,21 @@ class TestSolverConfigChecks:
 
 
 class TestFistaStep:
-    def test_full_shrinkage(self, rng):
+    def test_full_shrinkage(self, rng, monkeypatch):
+        force_gram(monkeypatch, False)
         X = rng.standard_normal((5, 3))
         y = rng.standard_normal(5)
-        prob = Problem.least_squares(X, y, precompute=False)
+        prob = Problem.least_squares(X, y)
         L = prob.loss.lipschitz()
         lam = L * (np.abs(loss_gradient(prob.loss, np.zeros(3)) / L).max() + 1.0)
         beta, _ = solve(prob, SolverConfig(lam, max_iter=1, rel_tol=0.0))
         assert (beta == 0.0).all()
 
-    def test_matches_reference_lasso_step_for_step(self, rng):
+    def test_matches_reference_lasso_step_for_step(self, rng, monkeypatch):
+        force_gram(monkeypatch, False)
         X = rng.standard_normal((20, 6))
         y = rng.standard_normal(20)
-        prob = Problem.least_squares(X, y, precompute=False)
+        prob = Problem.least_squares(X, y)
         L = prob.loss.lipschitz()
         lam = 0.3
         reference = reference_lasso_fista(X, y, lam, L, 200)
@@ -519,14 +521,13 @@ class TestRegularizationPathConfig:
         X = rng.standard_normal((20, 4))
         spec = GraphPenaltySpec(num_nodes=4, edges=((0, 1, 0.8), (1, 2, -0.5), (2, 3, 0.3)), gamma=1.0)
         prob = Problem.least_squares(X, rng.standard_normal(20), spec)
-        config = SolverConfig(mu=1e-2, max_iter=7, rel_tol=1e-300, record_trace=False)
+        config = SolverConfig(mu=1e-2, max_iter=7, rel_tol=1e-300)
         results = regularization_path(prob, [2.0, 1.0, 0.5], config)
         _, single = solve(prob, SolverConfig(lam=2.0, mu=1e-2, max_iter=1))
         for lam, _, trace in results:
             assert trace.header["lam"] == lam
             assert trace.header["max_iter"] == 7 and trace.header["mu"] == 1e-2
             assert trace.header["L"] == single.header["L"]
-            assert len(trace) == 0  # record_trace=False
             assert trace.status == "max_iter"
 
 
@@ -563,14 +564,15 @@ class TestMatrixLayout:
         spec = GraphPenaltySpec(num_nodes=3, edges=((0, 1, 0.8), (1, 2, -0.5)), gamma=1.0)
         return Problem.least_squares(rng.standard_normal((20, 6)), rng.standard_normal((20, 3)), spec)
 
-    @pytest.mark.parametrize("precompute", [None, False], ids=["gram", "streaming"])
+    @pytest.mark.parametrize("gram", [True, False], ids=["gram", "streaming"])
     @pytest.mark.parametrize("run", [
         lambda p, b0: solve(p, SolverConfig(lam=0.1, mu=1e-2, max_iter=20), b0),
         lambda p, b0: solve_fobos(p, FobosConfig(lam=0.1, max_iter=20), b0),
     ], ids=["solve", "solve_fobos"])
     @pytest.mark.parametrize("start", [None, "C", "F"])
-    def test_returned_coefficients_are_fortran_ordered(self, problem, run, start, precompute):
-        problem = Problem.least_squares(problem.X, problem.y, problem.penalty, precompute)
+    def test_returned_coefficients_are_fortran_ordered(self, problem, run, start, gram, monkeypatch):
+        force_gram(monkeypatch, gram)
+        problem = Problem.least_squares(problem.X, problem.y, problem.penalty)
         beta0 = None if start is None else np.full((6, 3), 0.01, order=start)
         B, _ = run(problem, beta0)
         assert B.shape == (6, 3) and B.flags.f_contiguous
@@ -622,10 +624,9 @@ class TestFinalObjective:
         "run",
         [
             lambda p: solve(p, SolverConfig(lam=0.5, mu=1e-3, max_iter=50)),
-            lambda p: solve(p, SolverConfig(lam=0.5, mu=1e-3, max_iter=50, record_trace=False)),
-            lambda p: solve_fobos(p, FobosConfig(lam=0.5, c=default_c(40, 6), max_iter=50)),
+            lambda p: solve_fobos(p, FobosConfig(lam=0.5, max_iter=50)),
         ],
-        ids=["solve", "solve-untraced", "fobos"],
+        ids=["solve", "fobos"],
     )
     def test_equals_objective_of_returned_coefficients(self, group_problem, run):
         problem, spec = group_problem
