@@ -111,21 +111,45 @@ class SolverConfig:
 
 @dataclass
 class Trace:
-    """Per-iteration objective records plus a terminal status.  Every
-    iteration is recorded: entry i of each list is iteration i + 1."""
+    """The record of one run and the stopping rule that SPG and FOBOS share.
+    Every iteration is recorded: entry i of each list is iteration i + 1, and
+    ``elapsed`` counts from the making of the trace."""
 
     header: dict = field(default_factory=dict)
+    rel_tol: float = 0.0  # 0 never stops
     objectives: list = field(default_factory=list)
     smoothed_objectives: list = field(default_factory=list)
     elapsed: list = field(default_factory=list)
     status: str = "running"
     final_nnz: int | None = None  # the nnz and exact objective of the returned beta
     final_objective: float | None = None
+    start: float = field(default_factory=time.perf_counter, init=False, repr=False)
 
-    def record(self, f, f_smooth, elapsed_s):
+    def record(self, f, f_second) -> bool:
+        """Append an iteration's exact objective ``f``, its second value (the
+        smoothed objective; for FOBOS, the best so far) and the time; return
+        whether to stop.  A non-finite ``f`` raises ``SolverError``."""
+        if not math.isfinite(f):
+            raise SolverError(f"non-finite objective at iteration {len(self) + 1}")
         self.objectives.append(f)
-        self.smoothed_objectives.append(f_smooth)
-        self.elapsed.append(elapsed_s)
+        self.smoothed_objectives.append(f_second)
+        self.elapsed.append(time.perf_counter() - self.start)
+        return self._converged()
+
+    def _converged(self) -> bool:
+        """``|f - f_prev| / max(1, |f_prev|) < rel_tol`` on the last two objectives."""
+        if len(self) < 2:
+            return False
+        f_prev, f = self.objectives[-2:]
+        return abs(f - f_prev) / max(1.0, abs(f_prev)) < self.rel_tol
+
+    def finish(self, beta, f):
+        """Write the status (``converged`` when the last record met the rule,
+        else ``max_iter``) and the nnz and exact objective ``f`` of ``beta``,
+        the coefficients the run returns."""
+        self.status = "converged" if self._converged() else "max_iter"
+        self.final_nnz = int(np.count_nonzero(beta))
+        self.final_objective = f
 
     def __len__(self):
         return len(self.objectives)
@@ -203,19 +227,15 @@ def _fista(loss, coupling, config, beta):
     if L <= 0:
         raise SolverError("non-positive Lipschitz constant; nothing to optimize")
     lam = config.lam
+    beta_prev = w = beta
+    theta = 1.0
+    p = p_w = loss.product(beta)  # the loss products at beta and at w
     trace = Trace(header={
         "mu": mu, "epsilon": config.epsilon, "L_loss": L_loss, "L": L, "D": D,
         "norm_C": norm_C, "lam": lam,
         "max_iter": config.max_iter, "rel_tol": config.rel_tol, "shape": list(beta.shape),
-    })
-
-    beta_prev = w = beta
-    theta = 1.0
-    p = p_w = loss.product(beta)  # the loss products at beta and at w
-    f_prev = None
-    start = time.perf_counter()
-    status = "max_iter"
-    for t in range(config.max_iter):
+    }, rel_tol=config.rel_tol)
+    for t in range(1, config.max_iter + 1):
         grad = loss.gradient_from(p_w)
         if coupling is not None:
             grad += coupling.smoothed_gradient(w, mu)
@@ -223,7 +243,7 @@ def _fista(loss, coupling, config, beta):
             raise SolverError(f"non-finite gradient at iteration {t}")
         grad /= L
         beta = soft_threshold(np.subtract(w, grad, out=grad), lam / L)
-        theta_next = 2.0 / (t + 3.0)
+        theta_next = 2.0 / (t + 2.0)
         momentum = (1.0 - theta) / theta * theta_next
         w = _extrapolate(beta, beta_prev, momentum)
         beta_prev, theta = beta, theta_next
@@ -233,16 +253,9 @@ def _fista(loss, coupling, config, beta):
         loss_l1 = loss.value_from(beta, p) + lam * float(np.abs(beta).sum())
         f0, f_mu = coupling.smoothed_values(beta, mu) if coupling is not None else (0.0, 0.0)
         f = loss_l1 + f0
-        if not math.isfinite(f):
-            raise SolverError(f"non-finite objective at iteration {t + 1}")
-        trace.record(f, loss_l1 + f_mu, time.perf_counter() - start)
-        if f_prev is not None and abs(f - f_prev) / max(1.0, abs(f_prev)) < config.rel_tol:
-            status = "converged"
+        if trace.record(f, loss_l1 + f_mu):
             break
-        f_prev = f
-    trace.status = status
-    trace.final_nnz = int(np.count_nonzero(beta))
-    trace.final_objective = f
+    trace.finish(beta, f)
     return beta, trace
 
 

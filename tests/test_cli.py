@@ -439,14 +439,15 @@ def test_empty_design_matrix_is_an_error(toy_instance, capsys):
 
 def test_summary_reports_the_returned_coefficients():
     """FOBOS with steps that diverge returns its zero start: the summary gives
-    that point's objective, not the best recorded iterate's."""
+    that point's objective, not the best recorded iterate's.  X and y are
+    scaled up 30x, so the step from the problem's shape overshoots."""
     rng = np.random.default_rng(0)
     X = rng.standard_normal((40, 6))
     y = X @ np.array([1.0, 1.0, 0.0, 0.0, -1.0, 0.0]) + rng.standard_normal(40)
     spec = GroupPenaltySpec.with_unit_weights(((0, 1, 2), (2, 3, 4, 5)), 1.0)
-    problem = smoothprox.Problem.least_squares(X, y, spec)
+    problem = smoothprox.Problem.least_squares(30.0 * X, 30.0 * y, spec)
     beta, trace = smoothprox.solve_fobos(
-        problem, smoothprox.FobosConfig(lam=0.5, c=10.0, max_iter=20, rel_tol=0.0))
+        problem, smoothprox.FobosConfig(lam=0.5, max_iter=20, rel_tol=0.0))
     summary = _summary(trace)
     assert summary == {"iterations": 20, "objective": trace.final_objective, "nnz": 0,
                        "status": "max_iter"}

@@ -9,12 +9,12 @@ from smoothprox import (
     GroupPenaltySpec,
     Problem,
     SolverConfig,
+    SolverError,
     StructureError,
-    default_c,
     solve,
     solve_fobos,
 )
-from conftest import loss_value, penalty_value, random_graph_spec, random_group_spec
+from conftest import loss_gradient, loss_value, penalty_value, random_graph_spec, random_group_spec
 
 
 def subgradient(spec, beta):
@@ -25,16 +25,28 @@ def subgradient(spec, beta):
 
 
 class TestDefaultC:
-    def test_univariate(self):
-        assert default_c(1000, 910) == pytest.approx(0.1 / np.sqrt(910000.0))
-        assert default_c(1000, 910) == pytest.approx(1.0483e-4, rel=1e-4)
+    """The step scale ``solve_fobos`` takes from the problem's shape and
+    records in the trace header: ``0.1 / sqrt(N J)``, or ``0.1 / sqrt(N J K)``
+    for an N x K response."""
 
-    def test_multivariate(self):
-        assert default_c(100, 30, 10) == pytest.approx(0.1 / np.sqrt(30000.0))
+    @staticmethod
+    def header_c(rng, N, J, K=None):
+        y = rng.standard_normal(N if K is None else (N, K))
+        prob = Problem.least_squares(rng.standard_normal((N, J)), y)
+        return solve_fobos(prob, FobosConfig(lam=0.1, max_iter=1))[1].header["c"]
+
+    def test_univariate(self, rng):
+        c = self.header_c(rng, 1000, 910)
+        assert c == pytest.approx(0.1 / np.sqrt(910000.0))
+        assert c == pytest.approx(1.0483e-4, rel=1e-4)
+
+    def test_multivariate(self, rng):
+        assert self.header_c(rng, 100, 30, 10) == pytest.approx(0.1 / np.sqrt(30000.0))
 
     def test_invalid(self):
+        """A problem with no samples has no step scale: it is not made."""
         with pytest.raises(ValueError):
-            default_c(0, 10)
+            Problem.least_squares(np.zeros((0, 10)), np.zeros(0))
 
 
 class TestPenaltySubgradient:
@@ -119,19 +131,31 @@ class TestSolveFobos:
 
     def test_step_scale_recorded_in_header(self, rng):
         prob = Problem.least_squares(np.eye(3), np.array([1.0, 0.0, -1.0]))
-        _, trace = solve_fobos(prob, FobosConfig(lam=0.1, c=0.05, max_iter=50))
-        assert trace.header["c"] == 0.05
+        _, trace = solve_fobos(prob, FobosConfig(lam=0.1, max_iter=50))
+        assert trace.header["c"] == 0.1 / np.sqrt(9)
         assert trace.header["f_smooth_field"] == "best_objective"
 
     @pytest.mark.parametrize("K", [None, 3], ids=["vector", "matrix"])
     def test_step_scale_defaults_to_the_shape(self, rng, K):
+        """The header's ``c`` is the scale of the first step from zero, whose
+        objective is the first recorded: ``beta_1 = soft_threshold(-c g(0),
+        c lam)``, g the loss gradient."""
         y = rng.standard_normal(12 if K is None else (12, K))
         prob = Problem.least_squares(rng.standard_normal((12, 5)), y)
-        c = default_c(12, 5) if K is None else default_c(12, 5, K)
-        beta, trace = solve_fobos(prob, FobosConfig(lam=0.1, max_iter=20))
+        c = 0.1 / np.sqrt(12 * 5 * (K or 1))
+        _, trace = solve_fobos(prob, FobosConfig(lam=0.1, max_iter=1))
         assert trace.header["c"] == c
-        explicit, _ = solve_fobos(prob, FobosConfig(lam=0.1, c=c, max_iter=20))
-        np.testing.assert_array_equal(beta, explicit)
+        step = -c * loss_gradient(prob.loss, np.zeros(prob.coef_shape))
+        first = np.sign(step) * np.maximum(np.abs(step) - c * 0.1, 0.0)
+        expected = loss_value(prob.loss, first) + 0.1 * np.abs(first).sum()
+        assert trace.objectives == [pytest.approx(expected, rel=1e-12)]
+
+    def test_non_finite_objective_raises(self):
+        """The first step from zero is finite, but the objective there
+        overflows: ``|y|`` is near the float range, so its square is not."""
+        prob = Problem.least_squares(np.eye(2), np.array([1e170, 1.0]))
+        with pytest.raises(SolverError, match="^non-finite objective at iteration 1$"):
+            solve_fobos(prob, FobosConfig(max_iter=5))
 
     def test_graph_penalty_decreases_objective(self, rng):
         X = rng.standard_normal((40, 5))
@@ -152,10 +176,6 @@ class TestSolveFobos:
         )
         assert f(beta) < f(np.zeros(5))
         assert f(beta) == pytest.approx(trace.smoothed_objectives[-1])
-
-    def test_invalid_step_scale(self):
-        with pytest.raises(ValueError):
-            FobosConfig(lam=0.1, c=0.0)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError, match="lam must be non-negative"):
@@ -178,11 +198,6 @@ class TestSolveFobos:
     def test_non_finite_rel_tol_rejected(self, value):
         with pytest.raises(ValueError, match="rel_tol must be non-negative and finite"):
             FobosConfig(rel_tol=value)
-
-    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
-    def test_step_scale_must_be_positive_and_finite(self, value):
-        with pytest.raises(ValueError, match="step scale c must be positive and finite"):
-            FobosConfig(c=value)
 
 
 class TestInputChecks:

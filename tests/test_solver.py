@@ -15,7 +15,7 @@ from smoothprox import (
     SolverConfig,
     SolverError,
     StructureError,
-    default_c,
+    Trace,
     iteration_bound,
     regularization_path,
     select_mu,
@@ -107,12 +107,9 @@ def reference_lasso_fista(X, y, lam, L, num_steps):
     lambda: soft_threshold([1.0, -2.0], math.nan),
     lambda: total_lipschitz(1.0, 1.0, math.nan),
     lambda: iteration_bound(1.0, math.nan, 1.0, 1.0, 1.0),
-    lambda: default_c(math.nan, 10),
-    lambda: default_c(10, math.nan),
-    lambda: default_c(10, 10, math.nan),
     lambda: GroupPenaltySpec.with_unit_weights(((0,),), 1.0).coupling(1).smoothed_values([1.0], math.nan),
 ], ids=["select_mu-epsilon", "select_mu-D", "soft_threshold", "total_lipschitz",
-        "iteration_bound", "default_c-N", "default_c-J", "default_c-K", "smoothed_values-mu"])
+        "iteration_bound", "smoothed_values-mu"])
 def test_numeric_helpers_reject_nan(call):
     with pytest.raises(ValueError):
         call()
@@ -259,22 +256,21 @@ class TestSolverConfigChecks:
     @pytest.mark.parametrize("value", [True, "1", None, [1.0]], ids=["bool", "str", "none", "list"])
     @pytest.mark.parametrize("make, field", [
         (SolverConfig, "lam"), (SolverConfig, "rel_tol"), (SolverConfig, "mu"),
-        (SolverConfig, "epsilon"), (FobosConfig, "lam"), (FobosConfig, "rel_tol"), (FobosConfig, "c"),
+        (SolverConfig, "epsilon"), (FobosConfig, "lam"), (FobosConfig, "rel_tol"),
     ], ids=lambda v: getattr(v, "__name__", v))
     def test_numbers_must_be_real(self, make, field, value):
         """A bool is not read as 1 and a string does not fail in a comparison;
-        None stays allowed for the optional ``mu``, ``epsilon`` and ``c``."""
-        if value is None and field in ("mu", "epsilon", "c"):
+        None stays allowed for the optional ``mu`` and ``epsilon``."""
+        if value is None and field in ("mu", "epsilon"):
             make(**{field: value})
             return
         with pytest.raises(ValueError, match=f"{field} must be a real number"):
             make(**{field: value})
 
     @pytest.mark.parametrize("value", [1, 0.5, np.float32(0.5), np.int64(1)], ids=["int", "float", "float32", "int64"])
-    @pytest.mark.parametrize("field", ["lam", "rel_tol", "mu", "c"])
+    @pytest.mark.parametrize("field", ["lam", "rel_tol", "mu"])
     def test_ints_and_numpy_reals_accepted(self, field, value):
-        make = FobosConfig if field == "c" else SolverConfig
-        assert getattr(make(**{field: value}), field) == value
+        assert getattr(SolverConfig(**{field: value}), field) == value
 
     @pytest.mark.parametrize("call", [
         lambda: select_mu(True, 1.0), lambda: select_mu("1e-3", 1.0), lambda: select_mu(1e-3, True),
@@ -634,10 +630,12 @@ class TestFinalObjective:
         assert trace.final_objective == pytest.approx(self.exact(problem, spec, beta), rel=1e-10)
 
     def test_fobos_start_that_stays_best(self, group_problem):
-        """Steps of scale 10 diverge, so FOBOS returns its zero start; the best
-        recorded objective is far above the start's."""
+        """On a design scaled up 30x the step from the problem's shape
+        overshoots and the iterates diverge, so FOBOS returns its zero start;
+        the best recorded objective is far above the start's."""
         problem, spec = group_problem
-        beta, trace = solve_fobos(problem, FobosConfig(lam=0.5, c=10.0, max_iter=20, rel_tol=0.0))
+        problem = Problem.least_squares(30.0 * problem.X, 30.0 * problem.y, spec)
+        beta, trace = solve_fobos(problem, FobosConfig(lam=0.5, max_iter=20, rel_tol=0.0))
         assert not beta.any()
         assert min(trace.objectives) > 1e3 * self.exact(problem, spec, beta)
         assert trace.final_objective == pytest.approx(self.exact(problem, spec, beta), rel=1e-10)
@@ -649,3 +647,62 @@ class TestFinalObjective:
         trace.write_jsonl(path)
         last = json.loads(path.read_text().splitlines()[-1])
         assert last == {"status": "max_iter", "nnz": trace.final_nnz, "objective": trace.final_objective}
+
+
+class TestStoppingRule:
+    """``Trace`` holds the one stopping rule of both solvers: a run stops at
+    the first iteration t >= 2 with ``|f_t - f_{t-1}| / max(1, |f_{t-1}|) <
+    rel_tol``, status ``converged``, or after ``max_iter``, status
+    ``max_iter``.  Each run is checked against its own recorded objectives,
+    never against another process's, whose graph objectives may differ in
+    the last bit."""
+
+    RUNS = {
+        "solve": lambda p, rel_tol, max_iter: solve(
+            p, SolverConfig(lam=0.1, mu=1e-2, rel_tol=rel_tol, max_iter=max_iter)),
+        "solve_fobos": lambda p, rel_tol, max_iter: solve_fobos(
+            p, FobosConfig(lam=0.1, rel_tol=rel_tol, max_iter=max_iter)),
+    }
+
+    @pytest.mark.parametrize("rel_tol, max_iter, status", [
+        (1e-4, 20000, "converged"), (1e-6, 20000, "converged"), (1e-6, 15, "max_iter"), (0.0, 40, "max_iter"),
+    ])
+    @pytest.mark.parametrize("K", [None, 3], ids=["vector", "matrix"])
+    @pytest.mark.parametrize("method", sorted(RUNS))
+    def test_stop_follows_from_the_recorded_objectives(self, rng, method, K, rel_tol, max_iter, status):
+        X = rng.standard_normal((30, 6))
+        y = rng.standard_normal(30 if K is None else (30, K))
+        spec = GraphPenaltySpec(num_nodes=6 if K is None else K, edges=((0, 1, 0.8), (1, 2, -0.5)), gamma=1.0)
+        _, trace = self.RUNS[method](Problem.least_squares(X, y, spec), rel_tol, max_iter)
+        f = trace.objectives
+        met = [t for t in range(2, len(f) + 1) if abs(f[t - 1] - f[t - 2]) / max(1.0, abs(f[t - 2])) < rel_tol]
+        assert trace.status == status
+        assert trace.header["rel_tol"] == rel_tol
+        assert len(trace) == len(trace.smoothed_objectives) == len(trace.elapsed)
+        if status == "converged":
+            assert met == [len(trace)]
+        else:
+            assert met == [] and len(trace) == max_iter
+
+    def test_record_and_finish(self):
+        trace = Trace(header={"rel_tol": 0.1}, rel_tol=0.1)
+        assert trace.record(10.0, 9.0) is False
+        assert trace.record(12.0, 9.0) is False  # 0.2 relative
+        assert trace.record(12.6, 9.0) is True  # 0.05 relative
+        trace.finish(np.array([0.0, 2.0, -1.0]), 12.6)
+        assert (trace.status, trace.final_nnz, trace.final_objective) == ("converged", 2, 12.6)
+        assert trace.objectives == [10.0, 12.0, 12.6] and trace.smoothed_objectives == [9.0] * 3
+        assert trace.elapsed == sorted(trace.elapsed) and trace.elapsed[0] >= 0.0
+        with pytest.raises(SolverError, match=r"^non-finite objective at iteration 4$"):
+            trace.record(math.nan, 9.0)
+
+    @pytest.mark.parametrize("method, message", [
+        ("solve", "non-finite gradient at iteration 1"),
+        ("solve_fobos", "non-finite subgradient at iteration 1"),
+    ])
+    def test_errors_number_iterations_from_one(self, method, message):
+        """Every ``SolverError`` names the iteration being computed, counted
+        from 1 as the trace's ``t`` is: here the first step overflows."""
+        prob = Problem.least_squares(np.eye(2) * 1e200, np.array([1e200, 0.0]))
+        with pytest.warns(RuntimeWarning), pytest.raises(SolverError, match=f"^{message}$"):
+            self.RUNS[method](prob, 1e-6, 10)
