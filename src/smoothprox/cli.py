@@ -107,9 +107,8 @@ def _build_parser():
     p.add_argument("--seed", type=int, help="override the spec's seed")
     p.add_argument("--out-dir", required=True)
 
-    p = sub.add_parser("bench", parents=[loop], help="compare methods on a simulated instance")
+    p = sub.add_parser("bench", parents=[loop], help="run proxgrad, then fobos, on a simulated instance")
     p.add_argument("--instance", required=True, help="directory written by simulate")
-    p.add_argument("--methods", default="proxgrad,fobos")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--report", required=True, help="output report JSON")
 
@@ -173,21 +172,15 @@ def _cmd_bench(args):
                                                 rel_tol=args.rel_tol))
 
     runs = {"proxgrad": lambda problem: solve(problem, _config(args, args.lam)), "fobos": fobos}
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if not methods:
-        raise ValueError(f"--methods {args.methods!r} names no method")
-    for method in methods:
-        if method not in runs:
-            raise ValueError(f"unknown method {method!r}")
 
     inst = Path(args.instance)
     problem = _load_problem(inst / "X.csv", inst / "y.csv", inst / "penalty.json", args.gamma)
     meta = json.loads((inst / "meta.json").read_text()) if (inst / "meta.json").exists() else {}
     report = {"instance": str(inst), "meta": meta, "lambda": args.lam,
               "gamma": problem.penalty.gamma, "methods": []}
-    for method in methods:
+    for method, run in runs.items():
         start = time.perf_counter()
-        _, trace = runs[method](problem)
+        _, trace = run(problem)
         report["methods"].append(
             {"name": method, "wall_time_s": time.perf_counter() - start, **_summary(trace)}
         )

@@ -1,13 +1,12 @@
 """The multi-output names: ``MultiProblem`` is a least-squares ``Problem``
 whose response must be an N x K matrix ``Y``, and ``solve_multivariate`` is
-``solve`` with the start named ``B0``.  README ("Multi-output problems")
-gives the formulation.
+``solve``.  README ("Multi-output problems") gives the formulation.
 """
 
 import numpy as np
 
 from .penalties import StructureError
-from .solver import Problem, SolverConfig, solve
+from .solver import Problem, solve
 
 
 class MultiProblem(Problem):
@@ -23,6 +22,4 @@ class MultiProblem(Problem):
         return self.y
 
 
-def solve_multivariate(problem: MultiProblem, config: SolverConfig, B0=None):
-    """``solve`` on the multi-output problem; returns ``(B, trace)``, B J x K."""
-    return solve(problem, config, B0)
+solve_multivariate = solve

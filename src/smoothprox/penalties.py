@@ -350,7 +350,9 @@ class CouplingMatrix:
         a graph, with d_j the tau^2-weighted degree of node j."""
         if self.nnz == 0:
             return 0.0
-        m = self.matrix  # read through its arrays: it may be a stand-in
+        # The compressed arrays are read as rows, so on a CSC matrix this
+        # bounds ||C^T||, which equals ||C||.
+        m = self.matrix
         row_nnz = np.diff(m.indptr).max()
         col_sq = np.bincount(m.indices, weights=np.square(m.data), minlength=self.cols).max()
         return float(np.sqrt(row_nnz * col_sq))

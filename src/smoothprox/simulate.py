@@ -8,7 +8,8 @@ Two experiment designs are reproduced:
 * block-correlated multi-output regression: planted block supports with a
   constant signal, AR(1)-correlated Gaussian inputs (a stand-in for the
   linkage disequilibrium of genotype data), and a fusion graph obtained by
-  thresholding the empirical output correlation matrix.
+  thresholding the empirical output correlation matrix.  Its spec sets only
+  the sizes, ``rho``, ``gamma`` and the seed; the rest of the design is fixed.
 
 All randomness flows through ``numpy.random.default_rng`` (PCG64), so a
 fixed seed reproduces instances bit-for-bit.
@@ -104,12 +105,7 @@ class GraphSimSpec:
     num_features: int = 30
     num_samples: int = 100
     block_sizes: tuple = (3, 3, 4)
-    frac_within: float = 0.10  # inputs relevant to one output block
-    frac_two: float = 0.05  # inputs relevant to two consecutive blocks
-    frac_three: float = 0.01  # inputs relevant to three consecutive blocks
-    signal: float = 0.8
     rho: float = 0.3
-    input_corr: float = 0.9  # AR(1) correlation between adjacent inputs
     gamma: float = 1.0
     seed: int = 0
 
@@ -119,27 +115,29 @@ class GraphSimSpec:
             raise ValueError(f"block_sizes must be integers, got {self.block_sizes!r}")
         if sum(self.block_sizes) != self.num_outputs:
             raise ValueError("block sizes must sum to the number of outputs")
-        if not (0 < self.rho < 1):
-            raise ValueError("rho must be in (0, 1)")
-        if not (0 <= self.input_corr < 1):
-            raise ValueError("input_corr must be in [0, 1)")
-        for f in (self.frac_within, self.frac_two, self.frac_three):
-            if not (0 <= f <= 1):
-                raise ValueError("association fractions must be in [0, 1]")
+        if not (0 < self.rho <= 1):
+            raise ValueError(f"rho must be in (0, 1], got {self.rho!r}")
+
+
+# the graph design's fixed numbers (see gen_graph_instance)
+_FRAC_ONE_BLOCK, _FRAC_TWO_BLOCKS, _FRAC_THREE_BLOCKS = 0.10, 0.05, 0.01
+_SIGNAL = 0.8
+_INPUT_CORR = 0.9
 
 
 def _pick(rng, J, fraction):
-    count = max(1, int(round(fraction * J))) if fraction > 0 else 0
-    return rng.choice(J, size=count, replace=False) if count else np.array([], dtype=int)
+    """``max(1, round(fraction * J))`` distinct inputs."""
+    return rng.choice(J, size=max(1, int(round(fraction * J))), replace=False)
 
 
 def gen_graph_instance(spec: GraphSimSpec):
     """Returns ``(MultiProblem, true_B, GraphPenaltySpec)``.
 
-    Output blocks share planted input supports (plus weaker supports spanning
-    two and three consecutive blocks), giving the outputs a block-structured
-    correlation matrix; the fusion graph is the empirical correlation graph
-    thresholded at ``rho``.
+    Output blocks share planted input supports (10% of the inputs each, plus
+    5% spanning two and 1% spanning three consecutive blocks, all with
+    coefficient 0.8), giving the outputs a block-structured correlation
+    matrix; adjacent inputs correlate at 0.9.  The fusion graph is the
+    empirical correlation graph thresholded at ``rho``.
     """
     rng = np.random.default_rng(spec.seed)
     J, K, N = spec.num_features, spec.num_outputs, spec.num_samples
@@ -147,18 +145,18 @@ def gen_graph_instance(spec: GraphSimSpec):
     bounds = np.concatenate(([0], np.cumsum(spec.block_sizes)))
     blocks = [np.arange(bounds[i], bounds[i + 1]) for i in range(len(spec.block_sizes))]
     for block in blocks:
-        B[np.ix_(_pick(rng, J, spec.frac_within), block)] = spec.signal
+        B[np.ix_(_pick(rng, J, _FRAC_ONE_BLOCK), block)] = _SIGNAL
     for i in range(len(blocks) - 1):
         span = np.concatenate(blocks[i : i + 2])
-        B[np.ix_(_pick(rng, J, spec.frac_two), span)] = spec.signal
+        B[np.ix_(_pick(rng, J, _FRAC_TWO_BLOCKS), span)] = _SIGNAL
     for i in range(len(blocks) - 2):
         span = np.concatenate(blocks[i : i + 3])
-        B[np.ix_(_pick(rng, J, spec.frac_three), span)] = spec.signal
+        B[np.ix_(_pick(rng, J, _FRAC_THREE_BLOCKS), span)] = _SIGNAL
 
     E = rng.standard_normal((N, J))
     X = np.empty((N, J))
     X[:, 0] = E[:, 0]
-    ar = spec.input_corr
+    ar = _INPUT_CORR
     for j in range(1, J):
         X[:, j] = ar * X[:, j - 1] + np.sqrt(1.0 - ar * ar) * E[:, j]
     Y = X @ B + rng.standard_normal((N, K))

@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 import smoothprox
-import smoothprox.solver
 from smoothprox import GroupPenaltySpec, penalty_to_json
-from smoothprox.cli import _build_parser, _summary, cli_main
+from smoothprox.cli import _build_parser, _summary, cli_main, main
 from conftest import MALFORMED_PENALTY_IDS, MALFORMED_PENALTY_JSON, loss_value, penalty_value
 
 
@@ -194,13 +193,6 @@ class TestBenchCommand:
         out = capsys.readouterr().out
         assert "proxgrad:" in out and "fobos:" in out
 
-    def test_unknown_method_fails(self, tmp_path):
-        rc = cli_main(
-            ["bench", "--instance", str(tmp_path), "--lambda", "1.0",
-             "--methods", "nope", "--report", str(tmp_path / "r.json")]
-        )
-        assert rc == 1
-
 
 class TestPathCommand:
     def test_writes_one_file_per_lambda(self, toy_instance):
@@ -258,6 +250,16 @@ def test_threads_set_before_numpy_loads(tmp_path):
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.split()[-4:] == ["0", "True", "2", "2"]
+
+
+def test_console_entry_point_exits_with_the_return_code(tmp_path, monkeypatch, capsys):
+    missing = str(tmp_path / "missing.csv")
+    monkeypatch.setattr(sys, "argv", ["smoothprox", "solve", "--x", missing, "--y", missing,
+                                      "--lambda", "1.0", "--out", str(tmp_path / "beta.csv")])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_path_without_lambdas_fails_cleanly(toy_instance, capsys):
@@ -335,15 +337,6 @@ class TestMultiOutputInstances:
         assert (tmp_path / "B.csv").read_bytes() == (tmp_path / "B_free.csv").read_bytes()
 
 
-@pytest.fixture
-def overlap_instance(tmp_path):
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps({"num_groups": 2, "num_samples": 40}))
-    inst = tmp_path / "inst"
-    assert cli_main(["simulate", "overlap", "--spec", str(spec_path), "--out-dir", str(inst)]) == 0
-    return inst
-
-
 def test_every_subcommand_keeps_its_flags_and_defaults():
     """Each option string of each subcommand, with its default and whether it
     is required."""
@@ -363,8 +356,8 @@ def test_every_subcommand_keeps_its_flags_and_defaults():
                   "--loss": ("squared", False), "--out": (None, True), "--trace": (None, False)},
         "simulate": {"kind": (None, True), "--spec": (None, False), "--seed": (None, False),
                      "--out-dir": (None, True)},
-        "bench": {**loop, "--instance": (None, True), "--methods": ("proxgrad,fobos", False),
-                  "--lambda": (None, True), "--report": (None, True)},
+        "bench": {**loop, "--instance": (None, True), "--lambda": (None, True),
+                  "--report": (None, True)},
         "path": {**data, **loop, "--lambdas": (None, True), "--out-dir": (None, True)},
     }
 
@@ -382,14 +375,21 @@ def test_threads_below_one_is_a_usage_error(value, tmp_path, monkeypatch):
     assert [os.environ[var] for var in variables] == ["3"] * 4
 
 
-@pytest.mark.parametrize("doc", ['{"bogus": 1}', '{"num_groups": "3"}', "[1]",
-                                 '{"num_samples": 2.5, "num_groups": 2}', '{"seed": "a"}'],
-                         ids=["unknown-key", "wrong-type", "not-an-object",
-                              "non-integer-count", "non-integer-seed"])
-def test_simulate_bad_spec_is_an_error(doc, tmp_path, capsys):
+# the graph design's shares of relevant inputs, signal and input correlation
+# are fixed numbers, not spec keys
+REMOVED_GRAPH_KEYS = ("frac_within", "frac_two", "frac_three", "signal", "input_corr")
+
+
+@pytest.mark.parametrize("kind, doc", [
+    ("overlap", '{"bogus": 1}'), ("overlap", '{"num_groups": "3"}'), ("overlap", "[1]"),
+    ("overlap", '{"num_samples": 2.5, "num_groups": 2}'), ("overlap", '{"seed": "a"}'),
+    *(("graph", json.dumps({key: 0.5})) for key in REMOVED_GRAPH_KEYS),
+], ids=["unknown-key", "wrong-type", "not-an-object", "non-integer-count", "non-integer-seed",
+        *(f"graph-{key}" for key in REMOVED_GRAPH_KEYS)])
+def test_simulate_bad_spec_is_an_error(kind, doc, tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(doc)
-    rc = cli_main(["simulate", "overlap", "--spec", str(spec_path), "--out-dir", str(tmp_path / "inst")])
+    rc = cli_main(["simulate", kind, "--spec", str(spec_path), "--out-dir", str(tmp_path / "inst")])
     assert rc == 1
     assert f"error: spec {spec_path}:" in capsys.readouterr().err
 
@@ -406,26 +406,6 @@ def test_malformed_penalty_is_an_error(doc, field, toy_instance, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
     assert not (toy_instance / "beta.csv").exists()
-
-
-def test_bench_checks_methods_before_solving(overlap_instance, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(smoothprox.solver, "solve", lambda *args, **kwargs: pytest.fail("solve ran"))
-    report = tmp_path / "report.json"
-    rc = cli_main(["bench", "--instance", str(overlap_instance), "--lambda", "1.0",
-                   "--methods", "proxgrad,nope", "--report", str(report)])
-    assert rc == 1
-    assert "error: unknown method 'nope'" in capsys.readouterr().err
-    assert not report.exists()
-
-
-@pytest.mark.parametrize("methods", ["", " , "], ids=["empty", "commas"])
-def test_bench_without_methods_is_an_error(methods, graph_instance, tmp_path, capsys):
-    report = tmp_path / "report.json"
-    rc = cli_main(["bench", "--instance", str(graph_instance), "--lambda", "1.0",
-                   "--methods", methods, "--report", str(report)])
-    assert rc == 1
-    assert "error: --methods" in capsys.readouterr().err
-    assert not report.exists()
 
 
 def test_empty_design_matrix_is_an_error(toy_instance, capsys):

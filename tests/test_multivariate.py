@@ -137,6 +137,9 @@ class TestSmoothedMatrixPenalty:
 
 
 class TestSolveMultivariate:
+    def test_is_solve(self):
+        assert solve_multivariate is solve
+
     def test_unpenalized_matches_columnwise_lasso(self, rng):
         prob = toy_problem(rng, k=3)
         lam = 0.3
@@ -178,7 +181,7 @@ class TestSolveMultivariate:
     def test_bad_warm_start_shape(self, rng):
         prob = toy_problem(rng, k=3)
         with pytest.raises(StructureError):
-            solve_multivariate(prob, SolverConfig(lam=0.1), B0=np.zeros((2, 2)))
+            solve_multivariate(prob, SolverConfig(lam=0.1), np.zeros((2, 2)))
 
 
 class TestMatrixResponse:

@@ -69,6 +69,14 @@ class TestGroupCoupling:
         with pytest.raises(StructureError, match="lists an index more than once"):
             GroupPenaltySpec(((0, 0),), (1.0,), 1.0)
 
+    @pytest.mark.parametrize("groups, weights, message", [
+        ((), (), "at least one group is required"),
+        (((0, -1),), (1.0,), "negative group index"),
+    ], ids=["no-groups", "negative-index"])
+    def test_malformed_groups_rejected(self, groups, weights, message):
+        with pytest.raises(StructureError, match=message):
+            GroupPenaltySpec(groups, weights, 1.0)
+
     def test_nnz_equals_total_group_size(self, rng):
         for _ in range(20):
             spec = random_group_spec(rng, num_features=8)
@@ -111,6 +119,15 @@ class TestGraphCoupling:
             GraphPenaltySpec(
                 num_nodes=3, edges=((0, 1, 1.0), (0, 1, 0.5)), gamma=1.0
             )
+
+    @pytest.mark.parametrize("num_nodes, edges, message", [
+        (0, (), "num_nodes must be positive"),
+        (3, ((2, 1, 0.5),), r"edge \(2, 1\) out of range or not ordered"),
+        (3, ((1, 3, 0.5),), r"edge \(1, 3\) out of range or not ordered"),
+    ], ids=["no-nodes", "unordered-edge", "edge-past-last-node"])
+    def test_malformed_graph_rejected(self, num_nodes, edges, message):
+        with pytest.raises(StructureError, match=message):
+            GraphPenaltySpec(num_nodes=num_nodes, edges=edges, gamma=1.0)
 
     def test_nnz_at_most_two_per_edge(self, rng):
         for _ in range(20):
@@ -292,6 +309,10 @@ class TestJsonRoundTrip:
             num_nodes=4, edges=((0, 1, 0.7), (2, 3, -0.4)), gamma=1.5
         )
         assert penalty_from_json(penalty_to_json(spec)) == spec
+
+    def test_unknown_spec_type_rejected(self):
+        with pytest.raises(StructureError, match="unknown penalty spec type object"):
+            penalty_to_json(object())
 
     def test_indices_are_one_based_on_disk(self):
         import json
@@ -505,6 +526,8 @@ class TestGatherForm:
         beta = np.array([1.0, 10.0, 100.0])
         np.testing.assert_array_equal(C.apply(beta), dense @ beta)
         np.testing.assert_array_equal(C.apply_transpose(beta), dense.T @ beta)
+        # the bound reads the CSC arrays as rows, so it bounds ||C^T|| = ||C||
+        assert C.norm_bound >= np.linalg.norm(dense, 2)
 
     @pytest.mark.parametrize("matrix", [
         sp.csr_matrix((0, 4)),

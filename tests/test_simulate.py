@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -66,6 +67,10 @@ class TestOverlapInstance:
         with pytest.raises(ValueError):
             OverlapSimSpec(group_size=10, overlap=10)
 
+    def test_no_groups(self):
+        with pytest.raises(ValueError, match="num_groups must be positive"):
+            OverlapSimSpec(num_groups=0)
+
 
 class TestGraphInstance:
     def test_default_dimensions(self):
@@ -109,6 +114,27 @@ class TestGraphInstance:
     def test_block_size_mismatch(self):
         with pytest.raises(ValueError):
             GraphSimSpec(block_sizes=(5, 6))
+
+    def test_fractional_block_size(self):
+        with pytest.raises(ValueError, match="block_sizes must be integers"):
+            GraphSimSpec(block_sizes=(3, 3, 4.0))
+
+    @pytest.mark.parametrize("rho", [0.0, -0.5, 1.5], ids=["zero", "negative", "above-one"])
+    def test_rho_must_be_in_the_half_open_unit_interval(self, rho):
+        with pytest.raises(ValueError, match=r"rho must be in \(0, 1\]"):
+            GraphSimSpec(rho=rho)
+
+    def test_rho_one_keeps_only_perfect_correlations(self):
+        """The spec accepts every rho ``threshold_correlation_graph`` accepts."""
+        prob, _, penalty = gen_graph_instance(GraphSimSpec(rho=1.0))
+        assert penalty.num_nodes == prob.Y.shape[1]
+        assert all(abs(r) >= 1.0 for _, _, r in penalty.edges)
+
+    def test_fields_are_sizes_threshold_gamma_and_seed(self):
+        """The shares of relevant inputs, the signal and the input correlation
+        are fixed numbers of the design, not settings."""
+        assert [f.name for f in dataclasses.fields(GraphSimSpec)] == [
+            "num_outputs", "num_features", "num_samples", "block_sizes", "rho", "gamma", "seed"]
 
 
 class TestThresholdCorrelationGraph:
@@ -159,6 +185,16 @@ class TestThresholdCorrelationGraph:
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             threshold_correlation_graph(np.ones((1, 3)), 0.3)
+
+    def test_one_output_is_a_node_without_edges(self, rng):
+        penalty = threshold_correlation_graph(rng.standard_normal((20, 1)), 0.3)
+        assert (penalty.num_nodes, penalty.edges) == (1, ())
+
+    def test_nan_response_is_degenerate(self, rng):
+        Y = rng.standard_normal((20, 3))
+        Y[4, 1] = math.nan
+        with pytest.raises(ValueError, match="degenerate correlation matrix"):
+            threshold_correlation_graph(Y, 0.3)
 
     @pytest.mark.parametrize("rho", [math.nan, 1.5, -0.5, 0.0, math.inf, True, "0.5", None],
                              ids=["nan", "above-one", "negative", "zero", "inf", "bool", "str", "none"])

@@ -223,6 +223,13 @@ class TestPowerIteration:
         est = spectral_norm_power_iteration(spec.coupling())
         assert est.value == pytest.approx(np.sqrt(3.0), rel=1e-6)
 
+    def test_zero_coupling(self):
+        """A graph whose only edge has r = 0 stores no entries; its norm is 0."""
+        C = GraphPenaltySpec(num_nodes=2, edges=((0, 1, 0.0),), gamma=1.0).coupling()
+        assert (C.rows, C.nnz) == (1, 0)
+        est = spectral_norm_power_iteration(C)
+        assert (est.value, est.converged) == (0.0, True)
+
     def test_nonconvergence_flagged(self):
         spec = GroupPenaltySpec.with_unit_weights(((0, 1), (1, 2)), 1.0)
         est = spectral_norm_power_iteration(spec.coupling(3), tol=0.0, max_iter=3)

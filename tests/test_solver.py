@@ -245,6 +245,10 @@ class TestSolverConfigChecks:
         with pytest.raises(ValueError, match="epsilon must be positive and finite"):
             SolverConfig(epsilon=value)
 
+    def test_epsilon_and_mu_together(self):
+        with pytest.raises(ValueError, match="give either epsilon or mu, not both"):
+            SolverConfig(epsilon=1e-3, mu=1e-3)
+
     @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"], ids=["fraction", "float", "bool", "str"])
     @pytest.mark.parametrize("make", [SolverConfig, FobosConfig])
     def test_max_iter_must_be_an_integer(self, make, value):
@@ -376,6 +380,11 @@ class TestSolve:
         prob = Problem.least_squares(X, y)
         with pytest.raises(SolverError):
             solve(prob, SolverConfig(lam=0.0, max_iter=10))
+
+    def test_zero_design_without_penalty_has_nothing_to_optimize(self):
+        prob = Problem.least_squares(np.zeros((5, 3)), np.ones(5))
+        with pytest.raises(SolverError, match="non-positive Lipschitz constant"):
+            solve(prob, SolverConfig(lam=0.1))
 
     def test_trace_jsonl_round_trip(self, rng, tmp_path):
         prob = Problem.least_squares(np.eye(3), np.array([1.0, -2.0, 0.5]))
