@@ -56,6 +56,15 @@ def _real(value, what, error=StructureError) -> float:
     raise error(f"{what} must be a real number, got {value!r}")
 
 
+def _tiling(sizes, total, what) -> None:
+    """Raise StructureError naming ``what`` unless ``sizes`` are integers
+    (not bools or floats), each at least 1, that sum to ``total``."""
+    if not all(isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in sizes):
+        raise StructureError(f"{what} must be integers, got {sizes!r}")
+    if min(sizes, default=1) < 1 or sum(sizes) != total:
+        raise StructureError(f"{what} must each be at least 1 and sum to {total}, got {sizes!r}")
+
+
 @dataclass(frozen=True)
 class GroupPenaltySpec:
     """Overlapping group lasso penalty specification.
@@ -112,18 +121,11 @@ class GroupPenaltySpec:
         column ``i``.
         """
         self.validate_against(num_features)
+        sizes = tuple(len(g) for g in self.groups)
         cols = np.concatenate([np.asarray(g, dtype=np.int64) for g in self.groups])
-        vals = np.concatenate(
-            [np.full(len(g), self.gamma * w) for g, w in zip(self.groups, self.weights)]
-        )
-        rows = np.arange(cols.size, dtype=np.int64)
-        matrix = sp.csr_matrix((vals, (rows, cols)), shape=(cols.size, num_features))
-        blocks = []
-        start = 0
-        for g in self.groups:
-            blocks.append((start, start + len(g)))
-            start += len(g)
-        return CouplingMatrix(matrix=matrix, row_blocks=tuple(blocks))
+        vals = np.repeat(self.gamma * np.array(self.weights), sizes)
+        matrix = sp.csr_matrix((vals, cols, np.arange(cols.size + 1)), (cols.size, num_features))
+        return CouplingMatrix(matrix=matrix, block_sizes=sizes)
 
 
 @dataclass(frozen=True)
@@ -190,7 +192,7 @@ class GraphPenaltySpec:
         matrix = sp.csr_matrix(
             (vals, (rows, cols)), shape=(len(self.edges), self.num_nodes)
         )
-        return CouplingMatrix(matrix=matrix, row_blocks=None)
+        return CouplingMatrix(matrix=matrix)
 
 
 @dataclass(frozen=True)
@@ -198,11 +200,11 @@ class CouplingMatrix:
     """Sparse coupling matrix C with optional per-group row blocks.
 
     For group penalties each row holds a single non-zero ``gamma * w_g`` and
-    ``row_blocks`` partitions the rows into per-group blocks (given as
-    ``(start, stop)`` offsets in group order).  For graph penalties each row
-    is a signed, weighted difference over one edge (two non-zeros, or an
-    all-zero row when ``r = 0``, retained to keep rows aligned with the edge
-    list).
+    ``block_sizes`` holds the row count of each consecutive row block, one
+    per group in group order (integers of at least 1 summing to the rows).
+    ``None``, one row per block, is the graph's l-inf box: each row is a
+    signed, weighted difference over one edge (two non-zeros, or an all-zero
+    row when ``r = 0``, retained to keep rows aligned with the edge list).
 
     ``apply`` and ``apply_transpose`` are the only products with C.  When
     every row of C stores exactly one entry (every group C), a 1-d iterate
@@ -232,7 +234,7 @@ class CouplingMatrix:
     """
 
     matrix: sp.csr_matrix
-    row_blocks: tuple | None = None
+    block_sizes: tuple | None = None
 
     def __post_init__(self):
         m = self.matrix
@@ -247,9 +249,11 @@ class CouplingMatrix:
         object.__setattr__(
             self, "_gather", (m.indices.astype(np.intp), m.data) if one_per_row else None
         )
-        blocks = self.row_blocks or ()
-        object.__setattr__(self, "_starts", np.array([a for a, _ in blocks], dtype=np.int64))
-        object.__setattr__(self, "_sizes", np.array([b - a for a, b in blocks], dtype=np.int64))
+        if self.block_sizes is not None:
+            _tiling(self.block_sizes, rows, "block_sizes")
+        sizes = np.array(self.block_sizes or (), dtype=np.int64)
+        object.__setattr__(self, "_starts", np.cumsum(sizes) - sizes)
+        object.__setattr__(self, "_sizes", sizes)
 
     def apply(self, beta) -> np.ndarray:
         """``C beta``, or ``C B^T`` for a J x K matrix (one column per input)."""
@@ -275,13 +279,13 @@ class CouplingMatrix:
         """l2 norm of each row block of ``z = C beta`` along axis 0 (of each
         row when there are no blocks); the exact penalty is their sum.
         ``out=z`` overwrites z instead of allocating a copy of it."""
-        if self.row_blocks is None:
+        if self.block_sizes is None:
             return np.abs(z, out=out)
         return np.sqrt(np.add.reduceat(np.square(z, out=out), self._starts, axis=0))
 
     def divide_blocks(self, z, norms) -> np.ndarray:
         """Divide each row block of ``z`` by its entry of ``norms``, in place."""
-        z /= norms if self.row_blocks is None else norms.repeat(self._sizes, axis=0)
+        z /= norms if self.block_sizes is None else norms.repeat(self._sizes, axis=0)
         return z
 
     def smoothed_values(self, beta, mu):
@@ -296,7 +300,7 @@ class CouplingMatrix:
         if not mu > 0:
             raise ValueError("mu must be positive")
         n = self.apply(beta)
-        blocks = self.row_blocks is not None
+        blocks = self.block_sizes is not None
         if blocks:
             n = self.block_norms(n, out=n)
         n = n.reshape(-1)
@@ -319,7 +323,7 @@ class CouplingMatrix:
         if not mu > 0:
             raise ValueError("mu must be positive")
         z = self.apply(beta)
-        if self.row_blocks is None:
+        if self.block_sizes is None:
             g = self.apply_transpose(np.clip(z, np.array(-mu), np.array(mu), out=z))
             g /= mu
             return g
@@ -340,7 +344,7 @@ class CouplingMatrix:
     def dual_bound(self) -> float:
         """``D = max_{alpha in Q} ||alpha||^2 / 2``: half the number of unit
         balls in Q, one per row block (per row when there are no blocks)."""
-        return (self.rows if self.row_blocks is None else len(self.row_blocks)) / 2.0
+        return (self.rows if self.block_sizes is None else len(self.block_sizes)) / 2.0
 
     @property
     def norm_bound(self) -> float:

@@ -11,6 +11,11 @@ Two experiment designs are reproduced:
   thresholding the empirical output correlation matrix.  Its spec sets only
   the sizes, ``rho``, ``gamma`` and the seed; the rest of the design is fixed.
 
+A spec checks every field by name when it is built: its type, each count
+against its least value (two samples for the correlation graph; a seed of
+0 or more), the graph's ``block_sizes`` as a tiling of its outputs (the
+check ``CouplingMatrix`` makes of its row blocks), and ``rho`` in (0, 1].
+
 All randomness flows through ``numpy.random.default_rng`` (PCG64), so a
 fixed seed reproduces instances bit-for-bit.
 """
@@ -25,7 +30,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .multivariate import MultiProblem
-from .penalties import GraphPenaltySpec, GroupPenaltySpec
+from .penalties import GraphPenaltySpec, GroupPenaltySpec, _tiling
 from .solver import Problem
 
 
@@ -37,17 +42,19 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
-def _check_field_types(spec) -> None:
-    """Raise ValueError unless each ``int`` field of ``spec`` holds an integer
-    and each ``float`` field a finite real number (a bool is neither).  The
-    field types are the annotation strings, as this module postpones them."""
+def _check_fields(spec, **minimums) -> None:
+    """Raise ValueError naming the field unless each ``int`` field of ``spec``
+    holds an integer and each ``float`` field a finite real number (a bool is
+    neither), and each field named in ``minimums`` is at least its minimum.
+    The field types are the annotation strings, as this module postpones them."""
     checks = {"int": (_is_int, "an integer"), "float": (_is_real, "a finite real number")}
     for f in fields(spec):
-        if f.type in checks:
-            ok, kind = checks[f.type]
-            value = getattr(spec, f.name)
-            if not ok(value):
-                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
+        value, low = getattr(spec, f.name), minimums.get(f.name)
+        if f.type in checks and not checks[f.type][0](value):
+            raise ValueError(f"{f.name} must be {checks[f.type][1]}, got {value!r}")
+        if low is not None and value < low:
+            least = {0: "non-negative", 1: "positive"}.get(low, f"at least {low}")
+            raise ValueError(f"{f.name} must be {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -60,9 +67,7 @@ class OverlapSimSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _check_field_types(self)
-        if self.num_groups < 1:
-            raise ValueError("num_groups must be positive")
+        _check_fields(self, num_groups=1, num_samples=1, seed=0)
         if not (0 < self.overlap < self.group_size):
             raise ValueError("overlap must be between 1 and group_size - 1")
 
@@ -110,11 +115,8 @@ class GraphSimSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _check_field_types(self)
-        if not all(_is_int(b) for b in self.block_sizes):
-            raise ValueError(f"block_sizes must be integers, got {self.block_sizes!r}")
-        if sum(self.block_sizes) != self.num_outputs:
-            raise ValueError("block sizes must sum to the number of outputs")
+        _check_fields(self, num_outputs=1, num_features=1, num_samples=2, seed=0)
+        _tiling(self.block_sizes, self.num_outputs, "block_sizes")
         if not (0 < self.rho <= 1):
             raise ValueError(f"rho must be in (0, 1], got {self.rho!r}")
 
@@ -142,8 +144,7 @@ def gen_graph_instance(spec: GraphSimSpec):
     rng = np.random.default_rng(spec.seed)
     J, K, N = spec.num_features, spec.num_outputs, spec.num_samples
     B = np.zeros((J, K))
-    bounds = np.concatenate(([0], np.cumsum(spec.block_sizes)))
-    blocks = [np.arange(bounds[i], bounds[i + 1]) for i in range(len(spec.block_sizes))]
+    blocks = np.split(np.arange(K), np.cumsum(spec.block_sizes)[:-1])
     for block in blocks:
         B[np.ix_(_pick(rng, J, _FRAC_ONE_BLOCK), block)] = _SIGNAL
     for i in range(len(blocks) - 1):
@@ -176,8 +177,7 @@ def threshold_correlation_graph(Y, rho, gamma=1.0) -> GraphPenaltySpec:
     if Y.ndim != 2 or Y.shape[0] < 2:
         raise ValueError("Y must be 2-d with at least two samples")
     K = Y.shape[1]
-    stds = Y.std(axis=0)
-    constant = stds == 0.0
+    constant = Y.std(axis=0) == 0.0
     if constant.any():
         warnings.warn(
             f"excluding {int(constant.sum())} constant output column(s) from "
@@ -185,19 +185,11 @@ def threshold_correlation_graph(Y, rho, gamma=1.0) -> GraphPenaltySpec:
             RuntimeWarning,
         )
     with np.errstate(invalid="ignore", divide="ignore"):
-        corr = np.corrcoef(Y, rowvar=False)
-    if K == 1:
-        return GraphPenaltySpec(num_nodes=1, edges=(), gamma=gamma)
+        corr = np.atleast_2d(np.corrcoef(Y, rowvar=False))  # a 0-d array for K = 1
     if not np.isfinite(corr[~constant][:, ~constant]).all():
         raise ValueError("degenerate correlation matrix")
-    edges = []
-    for m in range(K):
-        if constant[m]:
-            continue
-        for l in range(m + 1, K):
-            if constant[l]:
-                continue
-            r = float(corr[m, l])
-            if abs(r) >= rho:
-                edges.append((m, l, r))
+    m, l = np.triu_indices(K, 1)  # the pairs m < l, in row order
+    r = corr[m, l]
+    keep = ~(constant[m] | constant[l]) & (np.abs(r) >= rho)
+    edges = zip(m[keep].tolist(), l[keep].tolist(), r[keep].tolist())
     return GraphPenaltySpec(num_nodes=K, edges=tuple(edges), gamma=gamma)

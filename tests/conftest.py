@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -100,12 +101,19 @@ def loss_gradient(loss, beta):
     return loss.gradient_from(loss.product(np.asarray(beta, dtype=float)))
 
 
+def block_bounds(coupling):
+    """The ``(start, stop)`` rows of each row block of C, in row order: from
+    ``block_sizes``, or one row per block when that is None."""
+    bounds = list(itertools.accumulate(coupling.block_sizes or (1,) * coupling.rows, initial=0))
+    return tuple(zip(bounds, bounds[1:]))
+
+
 def alpha_star(coupling, beta, mu):
     """The maximizer of the smoothed dual at beta, by its definition: each row
     block of ``C beta / mu`` (of each column of ``C B^T / mu`` for a J x K
     beta) projected onto the unit l2 ball."""
     alpha = coupling.matrix @ np.asarray(beta, dtype=float).T / mu
-    for a, b in coupling.row_blocks or [(e, e + 1) for e in range(coupling.rows)]:
+    for a, b in block_bounds(coupling):
         alpha[a:b] /= np.maximum(1.0, np.linalg.norm(alpha[a:b], axis=0))
     return alpha
 

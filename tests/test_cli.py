@@ -384,8 +384,15 @@ REMOVED_GRAPH_KEYS = ("frac_within", "frac_two", "frac_three", "signal", "input_
     ("overlap", '{"bogus": 1}'), ("overlap", '{"num_groups": "3"}'), ("overlap", "[1]"),
     ("overlap", '{"num_samples": 2.5, "num_groups": 2}'), ("overlap", '{"seed": "a"}'),
     *(("graph", json.dumps({key: 0.5})) for key in REMOVED_GRAPH_KEYS),
+    ("overlap", '{"num_samples": -1}'), ("overlap", '{"num_samples": 0}'), ("overlap", '{"seed": -1}'),
+    ("graph", '{"block_sizes": [12, -2]}'), ("graph", '{"block_sizes": [0, 10]}'),
+    ("graph", '{"num_features": 0}'), ("graph", '{"num_samples": -3}'), ("graph", '{"num_samples": 1}'),
+    ("graph", '{"seed": -1}'),
 ], ids=["unknown-key", "wrong-type", "not-an-object", "non-integer-count", "non-integer-seed",
-        *(f"graph-{key}" for key in REMOVED_GRAPH_KEYS)])
+        *(f"graph-{key}" for key in REMOVED_GRAPH_KEYS),
+        "negative-samples", "no-samples", "negative-seed",
+        "graph-negative-block", "graph-empty-block", "graph-no-features", "graph-negative-samples",
+        "graph-one-sample", "graph-negative-seed"])
 def test_simulate_bad_spec_is_an_error(kind, doc, tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(doc)

@@ -17,7 +17,7 @@ from smoothprox import (
     solve_multivariate,
 )
 from smoothprox import losses
-from conftest import force_gram, penalty_value, smoothed_value
+from conftest import block_bounds, force_gram, penalty_value, smoothed_value
 
 STEPS = 40
 
@@ -46,7 +46,7 @@ def reference_spg(X, Y, spec, mu, L, lam, steps, logistic=False):
     matrix = Y.ndim == 2
     K = Y.shape[1] if matrix else X.shape[1]
     C = spec.coupling(K).matrix.toarray()
-    blocks = spec.coupling(K).row_blocks or [(e, e + 1) for e in range(C.shape[0])]
+    blocks = block_bounds(spec.coupling(K))
 
     def alpha(B):
         Z = C @ (B.T if matrix else B) / mu

@@ -17,7 +17,7 @@ from smoothprox import (
     solve_fobos,
     solve_multivariate,
 )
-from conftest import alpha_star, central_difference_gradient, loss_value, penalty_value
+from conftest import alpha_star, block_bounds, central_difference_gradient, loss_value, penalty_value
 
 
 def toy_problem(rng, n=25, j=4, k=3, spec=None):
@@ -79,7 +79,7 @@ class TestSmoothedMatrixPenalty:
         prob = toy_problem(rng, k=3, spec=spec)
         C = prob.penalty.coupling(prob.Y.shape[1])
         A = alpha_star(C, rng.standard_normal((4, 3)) * 3, 0.3)
-        for a, b in C.row_blocks:
+        for a, b in block_bounds(C):
             assert (np.linalg.norm(A[a:b], axis=0) <= 1.0 + 1e-12).all()
 
     def test_graph_alpha_clipped(self, rng):

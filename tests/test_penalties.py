@@ -24,6 +24,7 @@ from smoothprox import (
 from conftest import (
     MALFORMED_PENALTY_IDS,
     MALFORMED_PENALTY_JSON,
+    block_bounds,
     penalty_value,
     random_graph_spec,
     random_group_spec,
@@ -40,7 +41,7 @@ class TestGroupCoupling:
         expected = np.array([[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
         np.testing.assert_array_equal(C.matrix.toarray(), expected)
         assert C.nnz == 4
-        assert C.row_blocks == ((0, 2), (2, 4))
+        assert C.block_sizes == (2, 2)
 
     def test_single_element_group_scales_by_gamma_weight(self):
         spec = GroupPenaltySpec(groups=((0,),), weights=(2.0,), gamma=3.0)
@@ -54,6 +55,32 @@ class TestGroupCoupling:
         C = spec.coupling(910)
         assert (C.rows, C.cols) == (1000, 910)
         assert C.nnz == 1000
+
+    def test_matches_a_coo_built_reference(self, rng):
+        """C's CSR arrays equal, dtype and bits, those scipy builds from the
+        COO triplets: row (i, g) holds ``gamma * w_g`` in column i, rows in
+        group order."""
+        for _ in range(40):
+            J = int(rng.integers(1, 12))
+            spec = random_group_spec(rng, num_features=J, max_groups=5)
+            cols = np.concatenate([np.asarray(g, dtype=np.int64) for g in spec.groups])
+            vals = np.concatenate(
+                [np.full(len(g), spec.gamma * w) for g, w in zip(spec.groups, spec.weights)]
+            )
+            reference = sp.csr_matrix((vals, (np.arange(cols.size), cols)), shape=(cols.size, J))
+            C = spec.coupling(J)
+            assert C.block_sizes == tuple(len(g) for g in spec.groups)
+            for name in ("data", "indices", "indptr"):
+                got, want = getattr(C.matrix, name), getattr(reference, name)
+                assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), name
+
+    @pytest.mark.parametrize("sizes", [(2, 1), (2, 0, 2), (2, -1, 3), (2.0, 2.0), (True, 3)],
+                             ids=["short", "zero", "negative", "float", "bool"])
+    def test_block_sizes_must_tile_the_rows(self, sizes):
+        """Sizes that do not cover the rows once each, or are not integers,
+        are an error: the kernels would read them as some other partition."""
+        with pytest.raises(StructureError, match="block_sizes must"):
+            CouplingMatrix(sp.csr_matrix(np.eye(4)), block_sizes=sizes)
 
     def test_index_out_of_range(self):
         with pytest.raises(StructureError):
@@ -183,7 +210,7 @@ class TestPenaltyValues:
             beta = rng.standard_normal(4)
             z = C.apply(beta)
             best = sum(
-                np.linalg.norm(z[a:b]) for a, b in C.row_blocks
+                np.linalg.norm(z[a:b]) for a, b in block_bounds(C)
             )
             assert penalty_value(spec, beta) == pytest.approx(best, rel=1e-10)
 
@@ -451,7 +478,7 @@ class TestGatherForm:
             self.assert_close(C.apply_transpose(alpha), M.T @ alpha)
 
             z = M @ beta
-            blocks = [z[a:b] for a, b in C.row_blocks]
+            blocks = [z[a:b] for a, b in block_bounds(C)]
             norms = np.array([np.sqrt(np.sum(zg**2)) for zg in blocks])
             alpha_star = np.concatenate([zg / max(n, mu) for zg, n in zip(blocks, norms)])
             f0, f_mu = C.smoothed_values(beta, mu)

@@ -195,6 +195,8 @@ class TestThresholdCorrelationGraph:
         Y[4, 1] = math.nan
         with pytest.raises(ValueError, match="degenerate correlation matrix"):
             threshold_correlation_graph(Y, 0.3)
+        with pytest.raises(ValueError, match="degenerate correlation matrix"):
+            threshold_correlation_graph(Y[:, 1:2], 0.3)
 
     @pytest.mark.parametrize("rho", [math.nan, 1.5, -0.5, 0.0, math.inf, True, "0.5", None],
                              ids=["nan", "above-one", "negative", "zero", "inf", "bool", "str", "none"])

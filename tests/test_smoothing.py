@@ -12,6 +12,7 @@ from smoothprox import (
 from smoothprox.smoothing import DEFAULT_MU
 from conftest import (
     alpha_star,
+    block_bounds,
     central_difference_gradient,
     penalty_value,
     random_graph_spec,
@@ -88,7 +89,7 @@ class TestAlphaStar:
             gspec = random_group_spec(rng, num_features=6)
             C = gspec.coupling(6)
             alpha = alpha_star(C, rng.standard_normal(6) * 3, 0.3)
-            for a, b in C.row_blocks:
+            for a, b in block_bounds(C):
                 assert np.linalg.norm(alpha[a:b]) <= 1.0 + 1e-12
             hspec = random_graph_spec(rng, num_nodes=6)
             alpha = alpha_star(hspec.coupling(), rng.standard_normal(6) * 3, 0.3)
@@ -248,11 +249,6 @@ def _coupling_case(kind, rng):
     return GraphPenaltySpec(4, (), 1.0), 4  # "empty": a 0 x 4 coupling
 
 
-def _dual_blocks(coupling):
-    """The row blocks of Q's unit balls: the groups, or one per row."""
-    return coupling.row_blocks or tuple((e, e + 1) for e in range(coupling.rows))
-
-
 @pytest.mark.parametrize("num_inputs", [0, 3], ids=["vector", "matrix"])
 @pytest.mark.parametrize("kind", ["group", "graph", "graph-zero-edge", "empty"])
 def test_kernels_match_their_definitions(kind, num_inputs, rng):
@@ -268,7 +264,7 @@ def test_kernels_match_their_definitions(kind, num_inputs, rng):
     beta[..., 0] = 0.0
     C = coupling.matrix.toarray()
     Z = C @ np.atleast_2d(beta).T  # rows x inputs
-    blocks = [(a, b, k) for a, b in _dual_blocks(coupling) for k in range(Z.shape[1])]
+    blocks = [(a, b, k) for a, b in block_bounds(coupling) for k in range(Z.shape[1])]
     norms = [float(np.linalg.norm(Z[a:b, k])) for a, b, k in blocks]
     mu = float(np.median(norms)) if norms else 0.4
     alpha = np.zeros_like(Z)
