@@ -69,13 +69,6 @@ def _config(args, lam, epsilon=None):
                         max_iter=args.max_iter, rel_tol=args.rel_tol)
 
 
-def _summary(trace):
-    """What a run reports: its iterations and status, and the exact objective
-    and nnz of the coefficients it returns."""
-    return {"iterations": len(trace), "objective": trace.final_objective,
-            "nnz": trace.final_nnz, "status": trace.status}
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="smoothprox",
@@ -126,7 +119,7 @@ def _cmd_solve(args):
     _save_matrix(args.out, coef)
     if args.trace:
         trace.write_jsonl(args.trace)
-    s = _summary(trace)
+    s = trace.summary()
     print(f"status={s['status']} iterations={s['iterations']} "
           f"objective={s['objective']:.12g} nnz={s['nnz']}")
     return 0
@@ -182,7 +175,7 @@ def _cmd_bench(args):
         start = time.perf_counter()
         _, trace = run(problem)
         report["methods"].append(
-            {"name": method, "wall_time_s": time.perf_counter() - start, **_summary(trace)}
+            {"name": method, "wall_time_s": time.perf_counter() - start, **trace.summary()}
         )
     Path(args.report).write_text(json.dumps(report, indent=2, sort_keys=True))
     for entry in report["methods"]:
@@ -204,7 +197,7 @@ def _cmd_path(args):
     summary = []
     for i, (lam, beta, trace) in enumerate(results):
         _save_matrix(out / f"beta_{i:03d}.csv", beta)
-        summary.append({"index": i, "lambda": lam, **_summary(trace)})
+        summary.append({"index": i, "lambda": lam, **trace.summary()})
     (out / "path.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
     print(f"wrote {len(results)} solutions to {out}")
     return 0

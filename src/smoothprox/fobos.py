@@ -28,12 +28,12 @@ class FobosConfig:
         _check_loop_fields(self)
 
 
-def solve_fobos(problem: Problem, config: FobosConfig, beta0=None):
-    """Run the subgradient baseline; returns ``(beta_best, trace)``.
+def solve_fobos(problem: Problem, config: FobosConfig):
+    """Run the subgradient baseline from zero; returns ``(beta_best, trace)``.
 
     ``beta_best`` is the iterate with the best objective seen, since the
-    plain iterates do not decrease monotonically; it is the start when no
-    iterate improves on it, and ``trace.final_objective`` is its objective
+    plain iterates do not decrease monotonically; it is the zero start when
+    no iterate improves on it, and ``trace.final_objective`` is its objective
     either way.  The step at iteration t is ``c / sqrt(t)`` with
     ``c = 0.1 / sqrt(N J)``, or ``0.1 / sqrt(N J K)`` for an N x K response;
     the trace header records it.  The objective at an
@@ -41,7 +41,7 @@ def solve_fobos(problem: Problem, config: FobosConfig, beta0=None):
     ``C beta``; the penalty's subgradient is ``C^T u``, ``u`` the blockwise
     unit direction of ``C beta`` (``CouplingMatrix.value_and_subgradient``).
     """
-    beta = _initial_beta(problem, beta0)
+    beta = _initial_beta(problem, None)
     lam = config.lam
     c = 0.1 / np.sqrt(problem.X.shape[0] * beta.size)
     loss = problem.loss
@@ -62,7 +62,7 @@ def solve_fobos(problem: Problem, config: FobosConfig, beta0=None):
     trace = Trace(header={
         "method": "fobos", "c": c, "lam": lam, "max_iter": config.max_iter,
         "rel_tol": config.rel_tol, "f_smooth_field": "best_objective",
-    }, rel_tol=config.rel_tol)
+    })
     for t in range(1, config.max_iter + 1):
         step = c / np.sqrt(t)
         if not np.isfinite(direction).all():

@@ -67,7 +67,7 @@ class OverlapSimSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _check_fields(self, num_groups=1, num_samples=1, seed=0)
+        _check_fields(self, num_groups=1, num_samples=1, gamma=0, seed=0)
         if not (0 < self.overlap < self.group_size):
             raise ValueError("overlap must be between 1 and group_size - 1")
 
@@ -115,7 +115,7 @@ class GraphSimSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _check_fields(self, num_outputs=1, num_features=1, num_samples=2, seed=0)
+        _check_fields(self, num_outputs=1, num_features=1, num_samples=2, gamma=0, seed=0)
         _tiling(self.block_sizes, self.num_outputs, "block_sizes")
         if not (0 < self.rho <= 1):
             raise ValueError(f"rho must be in (0, 1], got {self.rho!r}")

@@ -18,10 +18,6 @@ import numpy as np
 from .losses import SpectralEstimate, power_iteration
 from .penalties import CouplingMatrix, _real
 
-#: Lower clamp on the smoothness parameter; avoids 1/mu blow-ups when a tiny
-#: target accuracy is combined with a small dual-domain bound.
-MU_FLOOR = 1e-12
-
 #: Smoothness parameter used when no target accuracy is supplied.
 DEFAULT_MU = 1e-4
 
@@ -30,7 +26,9 @@ def select_mu(epsilon=None, D=None) -> float:
     """Smoothness parameter for a target accuracy: mu = epsilon / (2 D).
 
     With no target accuracy, returns the fixed default of 1e-4.  A bool or a
-    non-number is a ValueError.
+    non-number is a ValueError, and so is an ``epsilon / (2 D)`` that
+    underflows to 0, as no positive float is then small enough to keep the
+    smoothing bias ``mu D`` within ``epsilon / 2``.
     """
     if epsilon is None:
         return DEFAULT_MU
@@ -38,7 +36,10 @@ def select_mu(epsilon=None, D=None) -> float:
         raise ValueError("epsilon must be positive")
     if D is None or not _real(D, "D", ValueError) > 0:
         raise ValueError("D must be positive")
-    return max(epsilon / (2.0 * D), MU_FLOOR)
+    mu = epsilon / (2.0 * D)
+    if mu == 0.0:
+        raise ValueError(f"epsilon / (2 D) underflows to 0 at epsilon={epsilon!r}, D={D!r}")
+    return mu
 
 
 def spectral_norm_power_iteration(

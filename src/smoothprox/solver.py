@@ -111,18 +111,18 @@ class SolverConfig:
 
 @dataclass
 class Trace:
-    """The record of one run and the stopping rule that SPG and FOBOS share.
-    Every iteration is recorded: entry i of each list is iteration i + 1, and
-    ``elapsed`` counts from the making of the trace."""
+    """The record of one run and the stopping rule that SPG and FOBOS share,
+    made from the run's ``header``, whose ``rel_tol`` the rule reads (0 never
+    stops).  Every iteration is recorded: entry i of each list is iteration
+    i + 1, and ``elapsed`` counts from the making of the trace."""
 
-    header: dict = field(default_factory=dict)
-    rel_tol: float = 0.0  # 0 never stops
-    objectives: list = field(default_factory=list)
-    smoothed_objectives: list = field(default_factory=list)
-    elapsed: list = field(default_factory=list)
-    status: str = "running"
-    final_nnz: int | None = None  # the nnz and exact objective of the returned beta
-    final_objective: float | None = None
+    header: dict
+    objectives: list = field(default_factory=list, init=False)
+    smoothed_objectives: list = field(default_factory=list, init=False)
+    elapsed: list = field(default_factory=list, init=False)
+    status: str = field(default="running", init=False)
+    final_nnz: int | None = field(default=None, init=False)  # the nnz and exact objective of the returned beta
+    final_objective: float | None = field(default=None, init=False)
     start: float = field(default_factory=time.perf_counter, init=False, repr=False)
 
     def record(self, f, f_second) -> bool:
@@ -141,7 +141,7 @@ class Trace:
         if len(self) < 2:
             return False
         f_prev, f = self.objectives[-2:]
-        return abs(f - f_prev) / max(1.0, abs(f_prev)) < self.rel_tol
+        return abs(f - f_prev) / max(1.0, abs(f_prev)) < self.header["rel_tol"]
 
     def finish(self, beta, f):
         """Write the status (``converged`` when the last record met the rule,
@@ -151,18 +151,22 @@ class Trace:
         self.final_nnz = int(np.count_nonzero(beta))
         self.final_objective = f
 
+    def summary(self) -> dict:
+        """What a run reports: its iterations and status, and the exact
+        objective and nnz of the coefficients it returns."""
+        return {"iterations": len(self), "objective": self.final_objective,
+                "nnz": self.final_nnz, "status": self.status}
+
     def __len__(self):
         return len(self.objectives)
 
     def write_jsonl(self, path):
-        """The header, one line per recorded iteration, then the final status."""
+        """The header, one line per recorded iteration, then the summary."""
         lines = [{"header": self.header}]
         records = zip(self.objectives, self.smoothed_objectives, self.elapsed)
         for t, (f, fs, el) in enumerate(records, start=1):
             lines.append({"t": t, "f": f, "f_smooth": fs, "elapsed_s": el})
-        lines.append(
-            {"status": self.status, "nnz": self.final_nnz, "objective": self.final_objective}
-        )
+        lines.append(self.summary())
         with open(path, "w") as fh:
             fh.writelines(json.dumps(line) + "\n" for line in lines)
 
@@ -202,10 +206,12 @@ def iteration_bound(dist0, epsilon, loss_lipschitz, dual_bound, coupling_norm_va
     return float(np.sqrt(4.0 * dist0**2 / epsilon * inner))
 
 
-def _fista(loss, coupling, config, beta):
-    """The smoothing proximal gradient loop, for a 1-d beta or a J x K matrix
-    whose rows each carry one copy of the penalty with coupling matrix
-    ``coupling`` (None for no penalty).
+def solve(problem: Problem, config: SolverConfig, beta0=None):
+    """Run the smoothing proximal gradient method on a ``Problem`` from
+    ``beta0`` (zeros when None).  Returns ``(beta, trace)``, beta J x K for
+    an N x K response, each row carrying one copy of the penalty.  Stops when
+    the relative change of the exact objective drops below ``rel_tol`` or
+    ``max_iter`` is reached.
 
     Each iteration makes one loss product, at the new iterate; the product at
     the momentum point ``w = beta + m (beta - beta_prev)`` is the same
@@ -214,8 +220,10 @@ def _fista(loss, coupling, config, beta):
     ``C beta``; the smoothed gradient at ``w`` costs ``C w`` and ``C^T alpha``.
     The gradient step ``w - grad / L`` is built in the gradient's own buffer
     (``gradient_from`` returns a new array), and ``w`` and its product are
-    formed with no temporaries.  Returns ``(beta, trace)``.
+    formed with no temporaries.
     """
+    loss, coupling = problem.loss, problem.coupling
+    beta = _initial_beta(problem, beta0)
     mu = D = norm_C = None
     L_loss = L = loss.lipschitz()
     if coupling is not None:
@@ -234,7 +242,7 @@ def _fista(loss, coupling, config, beta):
         "mu": mu, "epsilon": config.epsilon, "L_loss": L_loss, "L": L, "D": D,
         "norm_C": norm_C, "lam": lam,
         "max_iter": config.max_iter, "rel_tol": config.rel_tol, "shape": list(beta.shape),
-    }, rel_tol=config.rel_tol)
+    })
     for t in range(1, config.max_iter + 1):
         grad = loss.gradient_from(p_w)
         if coupling is not None:
@@ -265,16 +273,6 @@ def _extrapolate(x, x_prev, m) -> np.ndarray:
     out *= m
     out += x
     return out
-
-
-def solve(problem: Problem, config: SolverConfig, beta0=None):
-    """Run the smoothing proximal gradient method on a ``Problem``.
-
-    Returns ``(beta, trace)``, beta J x K for an N x K response.  Stops when
-    the relative change of the exact objective drops below ``rel_tol`` or
-    ``max_iter`` is reached.
-    """
-    return _fista(problem.loss, problem.coupling, config, _initial_beta(problem, beta0))
 
 
 def _initial_beta(problem, beta0) -> np.ndarray:

@@ -10,7 +10,7 @@ import pytest
 
 import smoothprox
 from smoothprox import GroupPenaltySpec, penalty_to_json
-from smoothprox.cli import _build_parser, _summary, cli_main, main
+from smoothprox.cli import _build_parser, cli_main, main
 from conftest import MALFORMED_PENALTY_IDS, MALFORMED_PENALTY_JSON, loss_value, penalty_value
 
 
@@ -67,6 +67,23 @@ class TestSolveCommand:
         lines = trace_path.read_text().splitlines()
         assert json.loads(lines[0])["header"]["mu"] == 1e-4
         assert json.loads(lines[-1])["status"] == "converged"
+
+    def test_trace_ends_with_the_run_summary(self, toy_instance, capsys):
+        """The last line of a trace file is the summary ``solve`` prints; its
+        ``iterations`` counts the iteration lines between header and summary."""
+        trace_path = toy_instance / "trace.jsonl"
+        rc = cli_main(["solve", "--x", str(toy_instance / "X.csv"), "--y", str(toy_instance / "y.csv"),
+                       "--penalty", str(toy_instance / "penalty.json"), "--lambda", "0.1",
+                       "--max-iter", "7", "--rel-tol", "0", "--out", str(toy_instance / "beta.csv"),
+                       "--trace", str(trace_path)])
+        assert rc == 0
+        lines = [json.loads(line) for line in trace_path.read_text().splitlines()]
+        last, iterations = lines[-1], lines[1:-1]
+        assert set(last) == {"iterations", "objective", "nnz", "status"}
+        assert last["iterations"] == len(iterations) == 7
+        assert [line["t"] for line in iterations] == list(range(1, 8))
+        assert (f"status=max_iter iterations=7 objective={last['objective']:.12g} nnz={last['nnz']}"
+                in capsys.readouterr().out)
 
     def test_multioutput_inferred_from_y_shape(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -387,18 +404,19 @@ REMOVED_GRAPH_KEYS = ("frac_within", "frac_two", "frac_three", "signal", "input_
     ("overlap", '{"num_samples": -1}'), ("overlap", '{"num_samples": 0}'), ("overlap", '{"seed": -1}'),
     ("graph", '{"block_sizes": [12, -2]}'), ("graph", '{"block_sizes": [0, 10]}'),
     ("graph", '{"num_features": 0}'), ("graph", '{"num_samples": -3}'), ("graph", '{"num_samples": 1}'),
-    ("graph", '{"seed": -1}'),
+    ("graph", '{"seed": -1}'), ("overlap", '{"gamma": -1}'), ("graph", '{"gamma": -1}'),
 ], ids=["unknown-key", "wrong-type", "not-an-object", "non-integer-count", "non-integer-seed",
         *(f"graph-{key}" for key in REMOVED_GRAPH_KEYS),
         "negative-samples", "no-samples", "negative-seed",
         "graph-negative-block", "graph-empty-block", "graph-no-features", "graph-negative-samples",
-        "graph-one-sample", "graph-negative-seed"])
+        "graph-one-sample", "graph-negative-seed", "negative-gamma", "graph-negative-gamma"])
 def test_simulate_bad_spec_is_an_error(kind, doc, tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(doc)
     rc = cli_main(["simulate", kind, "--spec", str(spec_path), "--out-dir", str(tmp_path / "inst")])
     assert rc == 1
     assert f"error: spec {spec_path}:" in capsys.readouterr().err
+    assert not (tmp_path / "inst").exists()
 
 
 @pytest.mark.parametrize("doc, field", MALFORMED_PENALTY_JSON, ids=MALFORMED_PENALTY_IDS)
@@ -435,7 +453,7 @@ def test_summary_reports_the_returned_coefficients():
     problem = smoothprox.Problem.least_squares(30.0 * X, 30.0 * y, spec)
     beta, trace = smoothprox.solve_fobos(
         problem, smoothprox.FobosConfig(lam=0.5, max_iter=20, rel_tol=0.0))
-    summary = _summary(trace)
+    summary = trace.summary()
     assert summary == {"iterations": 20, "objective": trace.final_objective, "nnz": 0,
                        "status": "max_iter"}
     assert summary["objective"] == pytest.approx(

@@ -201,12 +201,6 @@ class TestSolveFobos:
 
 
 class TestInputChecks:
-    @pytest.mark.parametrize("length", [3, 8])
-    def test_beta0_shape_checked(self, rng, length):
-        prob = Problem.least_squares(rng.standard_normal((12, 5)), rng.standard_normal(12))
-        with pytest.raises(ValueError, match=r"beta0 has shape \(%d,\), expected \(5,\)" % length):
-            solve_fobos(prob, FobosConfig(max_iter=3), beta0=np.zeros(length))
-
     @pytest.mark.parametrize("num_nodes", [3, 7])
     @pytest.mark.parametrize("run", [
         lambda prob: solve(prob, SolverConfig(mu=1e-2, max_iter=3)),

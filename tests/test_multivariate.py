@@ -180,7 +180,7 @@ class TestSolveMultivariate:
 
     def test_bad_warm_start_shape(self, rng):
         prob = toy_problem(rng, k=3)
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError, match=r"^beta0 has shape \(2, 2\), expected \(4, 3\)$"):
             solve_multivariate(prob, SolverConfig(lam=0.1), np.zeros((2, 2)))
 
 

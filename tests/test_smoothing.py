@@ -53,6 +53,15 @@ class TestSelectMu:
     def test_default(self):
         assert select_mu() == DEFAULT_MU == 1e-4
 
+    def test_no_lower_clamp(self):
+        """The paper's multi-output design has D = 200 * 435 / 2: a tiny
+        epsilon gets its own mu, below 1e-12, not a clamped one."""
+        assert select_mu(1e-8, 43500.0) == 1e-8 / 87000.0
+
+    def test_underflow_is_an_error(self):
+        with pytest.raises(ValueError, match="underflows to 0"):
+            select_mu(5e-324, 1.0)
+
     def test_invalid(self):
         with pytest.raises(ValueError):
             select_mu(-1.0, 5.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -9,6 +10,7 @@ from smoothprox import (
     CouplingMatrix,
     FobosConfig,
     GraphPenaltySpec,
+    GraphSimSpec,
     GroupPenaltySpec,
     MultiProblem,
     Problem,
@@ -16,6 +18,7 @@ from smoothprox import (
     SolverError,
     StructureError,
     Trace,
+    gen_graph_instance,
     iteration_bound,
     regularization_path,
     select_mu,
@@ -436,6 +439,19 @@ class TestSolve:
         assert trace.header["D"] == D
         assert trace.header["mu"] == select_mu(epsilon, D)
 
+    def test_tiny_epsilon_keeps_its_mu(self):
+        """On the paper's multi-output design (K=30, J=200, 435 edges at seed
+        0) D = 200 * 435 / 2, so ``epsilon = 1e-8`` asks for a mu near 1e-13;
+        the header records exactly ``epsilon / (2 D)``, not a clamped mu
+        whose bias ``mu D`` would exceed epsilon."""
+        spec = GraphSimSpec(num_outputs=30, num_features=200, num_samples=200,
+                            block_sizes=(10, 10, 10), rho=0.5, gamma=5.0, seed=0)
+        problem, _, penalty = gen_graph_instance(spec)
+        _, trace = solve(Problem.least_squares(problem.X, problem.y, penalty),
+                         SolverConfig(lam=1.0, epsilon=1e-8, max_iter=1))
+        assert trace.header["D"] == 200 * 435 / 2
+        assert trace.header["mu"] == 1e-8 / (2 * trace.header["D"])
+
     def test_lasso_with_all_ones_eigenvector(self):
         # X^T X = [[2, -1], [-1, 2]]: a step from its all-ones eigenvalue (1)
         # instead of the top one (3) makes FISTA diverge
@@ -571,15 +587,15 @@ class TestMatrixLayout:
 
     @pytest.mark.parametrize("gram", [True, False], ids=["gram", "streaming"])
     @pytest.mark.parametrize("run", [
-        lambda p, b0: solve(p, SolverConfig(lam=0.1, mu=1e-2, max_iter=20), b0),
-        lambda p, b0: solve_fobos(p, FobosConfig(lam=0.1, max_iter=20), b0),
-    ], ids=["solve", "solve_fobos"])
-    @pytest.mark.parametrize("start", [None, "C", "F"])
-    def test_returned_coefficients_are_fortran_ordered(self, problem, run, start, gram, monkeypatch):
+        lambda p: solve(p, SolverConfig(lam=0.1, mu=1e-2, max_iter=20)),
+        lambda p: solve(p, SolverConfig(lam=0.1, mu=1e-2, max_iter=20), np.full((6, 3), 0.01, order="C")),
+        lambda p: solve(p, SolverConfig(lam=0.1, mu=1e-2, max_iter=20), np.full((6, 3), 0.01, order="F")),
+        lambda p: solve_fobos(p, FobosConfig(lam=0.1, max_iter=20)),  # from zeros: it takes no start
+    ], ids=["None-solve", "C-solve", "F-solve", "None-solve_fobos"])
+    def test_returned_coefficients_are_fortran_ordered(self, problem, run, gram, monkeypatch):
         force_gram(monkeypatch, gram)
         problem = Problem.least_squares(problem.X, problem.y, problem.penalty)
-        beta0 = None if start is None else np.full((6, 3), 0.01, order=start)
-        B, _ = run(problem, beta0)
+        B, _ = run(problem)
         assert B.shape == (6, 3) and B.flags.f_contiguous
 
     def test_every_iterate_and_gradient_is_fortran_ordered(self, problem, monkeypatch):
@@ -655,7 +671,8 @@ class TestFinalObjective:
         path = tmp_path / "trace.jsonl"
         trace.write_jsonl(path)
         last = json.loads(path.read_text().splitlines()[-1])
-        assert last == {"status": "max_iter", "nnz": trace.final_nnz, "objective": trace.final_objective}
+        assert last == trace.summary() == {"iterations": 5, "objective": trace.final_objective,
+                                           "nnz": trace.final_nnz, "status": "max_iter"}
 
 
 class TestStoppingRule:
@@ -694,16 +711,22 @@ class TestStoppingRule:
             assert met == [] and len(trace) == max_iter
 
     def test_record_and_finish(self):
-        trace = Trace(header={"rel_tol": 0.1}, rel_tol=0.1)
+        trace = Trace(header={"rel_tol": 0.1})
         assert trace.record(10.0, 9.0) is False
         assert trace.record(12.0, 9.0) is False  # 0.2 relative
         assert trace.record(12.6, 9.0) is True  # 0.05 relative
         trace.finish(np.array([0.0, 2.0, -1.0]), 12.6)
         assert (trace.status, trace.final_nnz, trace.final_objective) == ("converged", 2, 12.6)
+        assert trace.summary() == {"iterations": 3, "objective": 12.6, "nnz": 2, "status": "converged"}
         assert trace.objectives == [10.0, 12.0, 12.6] and trace.smoothed_objectives == [9.0] * 3
         assert trace.elapsed == sorted(trace.elapsed) and trace.elapsed[0] >= 0.0
         with pytest.raises(SolverError, match=r"^non-finite objective at iteration 4$"):
             trace.record(math.nan, 9.0)
+
+    def test_header_is_the_only_setting(self):
+        """A run's trace is made from its header alone; the stopping rule reads
+        the header's ``rel_tol`` and the run writes everything else."""
+        assert [f.name for f in dataclasses.fields(Trace) if f.init] == ["header"]
 
     @pytest.mark.parametrize("method, message", [
         ("solve", "non-finite gradient at iteration 1"),
