@@ -3,7 +3,9 @@
 Squared-error and logistic losses over a fixed ``(X, y)``.  The squared loss
 precomputes the Gram matrix X^T X (and X^T y) when its shape makes the Gram
 the cheaper product, so the per-iteration cost of a solver is independent of
-the sample size; otherwise gradients stream through X.
+the sample size; otherwise gradients stream through X.  From
+``GRAM_FLOAT32_MIN_FEATURES`` features a vector response's Gram is stored in
+float32, one triangle of it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import warnings
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.blas import dsymv
+from scipy.linalg.blas import dsymv, ssymv
 from scipy.linalg.lapack import dstebz
 from scipy.special import expit
 
@@ -26,6 +28,19 @@ from .penalties import StructureError
 #: faster up to J = 2N, and 1.1x to 1.8x slower at J = 4N.
 PRECOMPUTE_MAX_FEATURES = 4096
 PRECOMPUTE_MAX_FEATURES_PER_SAMPLE = 2
+
+#: A vector response's Gram with at least this many features is stored in
+#: float32 (its lower triangle), and read by ``ssymv``, unless its diagonal
+#: leaves float32's normal range.  A vector product, with its casts, took
+#: 16.6 against 25.2 us for ``dsymv`` at J = 512, 89.5 against 158.9 us at
+#: J = 910, but 9.7 against 10.6 us at J = 384 (README, "Gram or
+#: streaming").  The solvers update the product by the step
+#: (``SquaredLoss.next_product``), so its rounding scales with the step.
+GRAM_FLOAT32_MIN_FEATURES = 512
+
+#: The float32 Gram is built this many columns at a time, each block in
+#: float64 and then rounded, so set-up holds no float64 J x J array.
+GRAM_BLOCK_COLUMNS = 128
 
 
 def _checked_arrays(X, y):
@@ -156,38 +171,84 @@ class _ProductLoss:
     product at a linear combination of iterates from theirs, without another
     pass.  Making one checks the shapes and rejects NaN and inf in X and y."""
 
+    #: the dtype of the stored Gram, "float64" or "float32"; None when the
+    #: products stream through X
+    gram = None
+
     def __init__(self, X, y):
         self.X, self.y = X, y = _checked_arrays(X, y)
         if not (np.isfinite(X).all() and np.isfinite(y).all()):
             raise ValueError("non-finite entries in dataset")
         self._lipschitz = None
 
+    def next_product(self, p, beta, beta_prev) -> np.ndarray:
+        """``product(beta)``, given ``p = product(beta_prev)``."""
+        return self.product(beta)
+
+    def value(self, beta) -> float:
+        """Loss value at beta, in float64 through X."""
+        return self.value_from(beta, self.X @ beta)
+
+
+def _float32_lower_gram(X):
+    """The lower triangle of X^T X in a Fortran-ordered float32 J x J array,
+    formed ``GRAM_BLOCK_COLUMNS`` columns at a time in float64 and rounded.
+    Above the diagonal blocks it holds zeros, which ``ssymv`` does not read.
+
+    None when a diagonal entry is inf or subnormal in float32: the diagonal
+    bounds every entry (Cauchy-Schwarz), so the rest is then in range too."""
+    J = X.shape[1]
+    gram = np.zeros((J, J), dtype=np.float32, order="F")
+    with np.errstate(over="ignore"):  # an inf is caught below
+        for j0 in range(0, J, GRAM_BLOCK_COLUMNS):
+            j1 = min(j0 + GRAM_BLOCK_COLUMNS, J)
+            # X[:, j0:]^T X[:, j0:j1] formed as a transpose, so it is F-ordered
+            # like the buffer: 1.2x faster to form and round than a C-ordered one
+            gram[j0:, j0:j1] = (X[:, j0:j1].T @ X[:, j0:]).T
+    diag = np.diagonal(gram)
+    if np.isfinite(diag).all() and not ((diag > 0) & (diag < np.finfo(np.float32).tiny)).any():
+        return gram
+    return None
+
 
 class SquaredLoss(_ProductLoss):
     """g(beta) = 0.5 * ||y - X beta||^2 with gradient X^T (X beta - y).
 
     The product is ``X^T X beta`` with the Gram precompute, ``X beta``
-    without; ``precompute`` says which, and follows from the shape of X (see
-    ``PRECOMPUTE_MAX_FEATURES``).  The response may be an N x K matrix, with
-    J x K iterates; the J x K arrays (Gram products, gradients, ``X^T Y``)
-    are Fortran-ordered.
+    without; ``precompute`` says which, and ``gram`` the Gram's dtype.  Both
+    follow from the shapes of X and y (see ``PRECOMPUTE_MAX_FEATURES`` and
+    ``GRAM_FLOAT32_MIN_FEATURES``).  The response may be an N x K matrix,
+    with J x K iterates; the J x K arrays (Gram products, gradients,
+    ``X^T Y``) are Fortran-ordered.
     """
 
     def __init__(self, X, y):
         super().__init__(X, y)
         X, y = self.X, self.y
         N, J = X.shape
-        self.precompute = J <= min(PRECOMPUTE_MAX_FEATURES, PRECOMPUTE_MAX_FEATURES_PER_SAMPLE * N)
-        if self.precompute:
+        if J > min(PRECOMPUTE_MAX_FEATURES, PRECOMPUTE_MAX_FEATURES_PER_SAMPLE * N):
+            return
+        gram = _float32_lower_gram(X) if y.ndim == 1 and J >= GRAM_FLOAT32_MIN_FEATURES else None
+        if gram is not None:
+            self.gram, self._XtX = "float32", gram
+        else:
             # numpy forms X^T X exactly symmetric, so this is the same matrix,
             # F-ordered: dsymv copies a C-ordered one before reading it
-            self._XtX = (X.T @ X).T
-            self._Xty = np.asfortranarray(X.T @ y)
-            self._yty = float(np.vdot(y, y))
+            self.gram, self._XtX = "float64", (X.T @ X).T
+        self._Xty = np.asfortranarray(X.T @ y)
+        self._yty = float(np.vdot(y, y))
+
+    @property
+    def precompute(self) -> bool:
+        return self.gram is not None
 
     def product(self, beta) -> np.ndarray:
         if not self.precompute:
             return self.X @ beta
+        if self.gram == "float32":
+            # through X in float64: the float32 Gram would round all of beta,
+            # an error that ``next_product`` would carry through a solve
+            return self.X.T @ (self.X @ beta)
         if beta.ndim == 1:
             return self._gram_vector_product(beta)
         # G B as (B^T G)^T, G symmetric: the same bits, Fortran-ordered, and
@@ -195,8 +256,29 @@ class SquaredLoss(_ProductLoss):
         return (beta.T @ self._XtX).T
 
     def _gram_vector_product(self, v) -> np.ndarray:
-        """``X^T X v`` for a 1-d v, read off one triangle of the Gram."""
+        """``X^T X v`` for a 1-d v, read off one triangle of the Gram.  On a
+        float32 Gram, v is rounded to float32 and the product returned in
+        float64."""
+        if self.gram == "float32":
+            return ssymv(1.0, self._XtX, v, lower=1).astype(float)
         return dsymv(1.0, self._XtX, v)
+
+    def next_product(self, p, beta, beta_prev) -> np.ndarray:
+        """``product(beta)``, given ``p = product(beta_prev)``.  On a float32
+        Gram it is ``p + G (beta - beta_prev)``, so the rounding error scales
+        with the step, not with beta: a float32 product taken afresh would
+        put about 1e-5 relative noise into every recorded objective, above
+        the change the stopping rule looks for."""
+        if self.gram != "float32":
+            return self.product(beta)
+        out = self._gram_vector_product(beta - beta_prev)
+        out += p
+        return out
+
+    def value(self, beta) -> float:
+        """Loss value at beta, in float64 through X whatever the Gram."""
+        r = self.X @ beta - self.y
+        return 0.5 * _inner(r, r)
 
     def value_from(self, beta, p) -> float:
         """Loss value at beta, given ``p = product(beta)``."""
@@ -213,7 +295,8 @@ class SquaredLoss(_ProductLoss):
     def lipschitz(self) -> float:
         if self._lipschitz is None and self.precompute:
             self._lipschitz = _gram_eigenvalue(
-                self._gram_vector_product, self.X.shape[1], lambda: np.trace(self._XtX)
+                self._gram_vector_product, self.X.shape[1],
+                lambda: np.trace(self._XtX, dtype=float),
             )
         elif self._lipschitz is None:
             self._lipschitz = gram_lipschitz(self.X)

@@ -213,14 +213,19 @@ def solve(problem: Problem, config: SolverConfig, beta0=None):
     the relative change of the exact objective drops below ``rel_tol`` or
     ``max_iter`` is reached.
 
-    Each iteration makes one loss product, at the new iterate; the product at
-    the momentum point ``w = beta + m (beta - beta_prev)`` is the same
-    combination of the last two products.  The loss value, the exact penalty
+    Each iteration makes one loss product, at the new iterate (on a float32
+    Gram, as the last product plus the Gram times the step:
+    ``SquaredLoss.next_product``); the product at the momentum point
+    ``w = beta + m (beta - beta_prev)`` is the same combination of the last
+    two products.  The loss value, the exact penalty
     and the smoothed penalty at the new iterate come from that product and one
     ``C beta``; the smoothed gradient at ``w`` costs ``C w`` and ``C^T alpha``.
     The gradient step ``w - grad / L`` is built in the gradient's own buffer
     (``gradient_from`` returns a new array), and ``w`` and its product are
-    formed with no temporaries.
+    formed with no temporaries.  The recorded objectives read the loss off
+    the products; ``trace.final_objective`` reads it once more through X, in
+    float64, so it is the exact objective of the returned beta even when the
+    Gram is float32.
     """
     loss, coupling = problem.loss, problem.coupling
     beta = _initial_beta(problem, beta0)
@@ -240,7 +245,7 @@ def solve(problem: Problem, config: SolverConfig, beta0=None):
     p = p_w = loss.product(beta)  # the loss products at beta and at w
     trace = Trace(header={
         "mu": mu, "epsilon": config.epsilon, "L_loss": L_loss, "L": L, "D": D,
-        "norm_C": norm_C, "lam": lam,
+        "norm_C": norm_C, "lam": lam, "gram": loss.gram,
         "max_iter": config.max_iter, "rel_tol": config.rel_tol, "shape": list(beta.shape),
     })
     for t in range(1, config.max_iter + 1):
@@ -254,16 +259,16 @@ def solve(problem: Problem, config: SolverConfig, beta0=None):
         theta_next = 2.0 / (t + 2.0)
         momentum = (1.0 - theta) / theta * theta_next
         w = _extrapolate(beta, beta_prev, momentum)
-        beta_prev, theta = beta, theta_next
-        p_next = loss.product(beta)
+        p_next = loss.next_product(p, beta, beta_prev)
         p_w = _extrapolate(p_next, p, momentum)
-        p = p_next
-        loss_l1 = loss.value_from(beta, p) + lam * float(np.abs(beta).sum())
+        beta_prev, p, theta = beta, p_next, theta_next
+        l1 = lam * float(np.abs(beta).sum())
+        loss_l1 = loss.value_from(beta, p) + l1
         f0, f_mu = coupling.smoothed_values(beta, mu) if coupling is not None else (0.0, 0.0)
         f = loss_l1 + f0
         if trace.record(f, loss_l1 + f_mu):
             break
-    trace.finish(beta, f)
+    trace.finish(beta, loss.value(beta) + l1 + f0)
     return beta, trace
 
 
