@@ -90,19 +90,13 @@ def power_iteration(matvec, J, tol, max_iter) -> SpectralEstimate:
     after k products is at most ``1.648 sqrt(J) exp(-sqrt(eps) (2k - 1))``
     (Kuczynski & Wozniakowski, 1992).
 
-    Starts: a seeded Gaussian, then all-ones, then alternating signs.  When the
-    recurrence breaks down (the Krylov space is invariant, as when the start
-    is in the null space) it goes on from the next start as a decoupled block
-    of ``T_k``; once all three are used up the estimate is exact.  A product
-    that is not finite ends the run, unconverged.
+    The start is a seeded Gaussian, which has a component along the top
+    eigenvector with probability 1, so when the recurrence breaks down (the
+    Krylov space is invariant) the estimate is exact and is returned at once.
+    A product that is not finite ends the run, unconverged.
     """
-    starts = [
-        np.random.default_rng(0).standard_normal(J),
-        np.ones(J),
-        (-1.0) ** np.arange(J),
-    ]
     diag, offdiag = np.empty(max_iter), np.empty(max_iter)  # of T_k
-    v = starts.pop(0)
+    v = np.random.default_rng(0).standard_normal(J)
     v /= np.linalg.norm(v)
     v_prev, b = v, 0.0
     theta = last = np.nan
@@ -118,17 +112,11 @@ def power_iteration(matvec, J, tol, max_iter) -> SpectralEstimate:
         diag[k - 1] = a
         # the top eigenvalue of T_k by bisection (dstebz), range by index
         theta = a if k == 1 else dstebz(diag[:k], offdiag[:k - 1], 2, 0.0, 0.0, k, k, 0.0, "E")[1][0]
-        if k >= min_products and abs(theta - last) < tol * abs(theta):
+        if b == 0.0 or (k >= min_products and abs(theta - last) < tol * abs(theta)):
             return SpectralEstimate(float(theta), k, True)
         last = theta
         offdiag[k - 1] = b
-        if b == 0.0:
-            if not starts:
-                return SpectralEstimate(float(theta), k, True)
-            w = starts.pop(0)
-            w /= np.linalg.norm(w)
-        else:
-            w /= b
+        w /= b
         v_prev, v = v, w
     return SpectralEstimate(float(theta), max_iter, False)
 

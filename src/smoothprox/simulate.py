@@ -115,7 +115,7 @@ class GraphSimSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _check_fields(self, num_outputs=1, num_features=1, num_samples=2, gamma=0, seed=0)
+        _check_fields(self, num_outputs=2, num_features=1, num_samples=2, gamma=0, seed=0)
         _tiling(self.block_sizes, self.num_outputs, "block_sizes")
         if not (0 < self.rho <= 1):
             raise ValueError(f"rho must be in (0, 1], got {self.rho!r}")

@@ -51,8 +51,6 @@ def spectral_norm_power_iteration(
     unless the eigenvalue's relative change falls below ``tol`` within
     ``max_iter`` steps.  Like the eigenvalue, it approaches sigma_max from
     below."""
-    if coupling.rows == 0 or coupling.nnz == 0:
-        return SpectralEstimate(0.0, 0, True)
     est = power_iteration(
         lambda v: coupling.apply_transpose(coupling.apply(v)), coupling.cols, tol, max_iter
     )

@@ -180,15 +180,20 @@ class TestSimulateCommand:
         assert doc["type"] == "graph"
 
 
+@pytest.fixture
+def small_overlap_instance(tmp_path):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"num_groups": 2, "num_samples": 40}))
+    inst = tmp_path / "inst"
+    assert cli_main(
+        ["simulate", "overlap", "--spec", str(spec_path), "--out-dir", str(inst)]
+    ) == 0
+    return inst
+
+
 class TestBenchCommand:
-    def test_two_method_report(self, tmp_path, capsys):
-        spec = {"num_groups": 2, "num_samples": 40}
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(spec))
-        inst = tmp_path / "inst"
-        assert cli_main(
-            ["simulate", "overlap", "--spec", str(spec_path), "--out-dir", str(inst)]
-        ) == 0
+    def test_two_method_report(self, small_overlap_instance, tmp_path, capsys):
+        inst = small_overlap_instance
         report_path = tmp_path / "report.json"
         rc = cli_main(
             [
@@ -209,6 +214,26 @@ class TestBenchCommand:
             assert np.isfinite(m["objective"])
         out = capsys.readouterr().out
         assert "proxgrad:" in out and "fobos:" in out
+
+    def test_shared_setup_is_outside_both_runs(self, small_overlap_instance, tmp_path,
+                                               monkeypatch):
+        """The loss and C are built before the first timed run, so proxgrad's
+        wall time does not carry the set-up FOBOS then reuses."""
+        import smoothprox.solver
+
+        solve, built = smoothprox.solver.solve, []
+
+        def checked_solve(problem, config):
+            built.append({"loss", "coupling"} <= set(problem.__dict__))
+            return solve(problem, config)
+
+        monkeypatch.setattr(smoothprox.solver, "solve", checked_solve)
+        report_path = tmp_path / "report.json"
+        assert cli_main(["bench", "--instance", str(small_overlap_instance), "--lambda", "1.0",
+                         "--max-iter", "20", "--report", str(report_path)]) == 0
+        assert built == [True]
+        setup_s = json.loads(report_path.read_text())["setup_s"]
+        assert np.isfinite(setup_s) and setup_s >= 0
 
 
 class TestPathCommand:

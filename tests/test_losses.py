@@ -295,8 +295,23 @@ class TestPowerIteration:
 
     def test_zero_operator(self):
         est = power_iteration(lambda v: 0.0 * v, 4, tol=1e-6, max_iter=10)
-        # every start vanishes: all three are tried, then 0 is exact
-        assert est == (0.0, 3, True)
+        # the start vanishes at the first product, a breakdown: 0 is exact
+        assert est == (0.0, 1, True)
+
+    def test_invariant_after_one_product(self):
+        # 2 I maps the start onto itself, so the Krylov space is invariant
+        # after one product and its Ritz value is exact
+        est = power_iteration(lambda v: 2.0 * v, 5, tol=1e-6, max_iter=10)
+        assert est == (2.0, 1, True)
+
+    def test_start_along_the_top_eigenvector(self):
+        # m is the seeded Gaussian start itself, so the first product already
+        # gives the top eigenvalue ||m||^2 of the rank-one m m^T
+        m = np.random.default_rng(0).standard_normal(5)
+        first = power_iteration(lambda v: m * (m @ v), 5, tol=1e-6, max_iter=1)
+        assert first.value == pytest.approx(m @ m, rel=1e-14)
+        est = power_iteration(lambda v: m * (m @ v), 5, tol=1e-6, max_iter=1000)
+        assert est.converged and est.value == pytest.approx(m @ m, rel=1e-14)
 
     def test_nonconvergence_flagged(self):
         d = np.array([1.0, 0.999])

@@ -115,6 +115,12 @@ class TestGraphInstance:
         with pytest.raises(ValueError):
             GraphSimSpec(block_sizes=(5, 6))
 
+    def test_one_output_is_an_error(self):
+        # a one-output correlation graph has no edges, and its N x 1 response
+        # would read back from CSV as a vector
+        with pytest.raises(ValueError, match="num_outputs must be at least 2, got 1"):
+            GraphSimSpec(num_outputs=1, block_sizes=(1,))
+
     def test_fractional_block_size(self):
         with pytest.raises(ValueError, match="block_sizes must be integers"):
             GraphSimSpec(block_sizes=(3, 3, 4.0))

@@ -233,10 +233,14 @@ class TestPowerIteration:
         est = spectral_norm_power_iteration(spec.coupling())
         assert est.value == pytest.approx(np.sqrt(3.0), rel=1e-6)
 
-    def test_zero_coupling(self):
-        """A graph whose only edge has r = 0 stores no entries; its norm is 0."""
-        C = GraphPenaltySpec(num_nodes=2, edges=((0, 1, 0.0),), gamma=1.0).coupling()
-        assert (C.rows, C.nnz) == (1, 0)
+    @pytest.mark.parametrize("C, rows", [
+        (GraphPenaltySpec(num_nodes=2, edges=((0, 1, 0.0),), gamma=1.0).coupling(), 1),
+        (CouplingMatrix(sp.csr_matrix((0, 4))), 0),
+    ], ids=["zero-edge", "no-rows"])
+    def test_zero_coupling(self, C, rows):
+        """A graph whose only edge has r = 0 stores no entries, and a C with no
+        rows has none to store; the norm is 0."""
+        assert (C.rows, C.nnz) == (rows, 0)
         est = spectral_norm_power_iteration(C)
         assert (est.value, est.converged) == (0.0, True)
 
