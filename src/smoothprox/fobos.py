@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import Problem, SolverError, Trace, _check_loop_fields, _initial_beta, soft_threshold
+from .penalties import _check_fields
+from .solver import Problem, SolverError, Trace, _initial_beta, soft_threshold
 
 
 @dataclass
@@ -25,7 +26,7 @@ class FobosConfig:
     rel_tol: float = 1e-6
 
     def __post_init__(self):
-        _check_loop_fields(self)
+        _check_fields(self, lam=0, max_iter=1, rel_tol=0)
 
 
 def solve_fobos(problem: Problem, config: FobosConfig):

@@ -21,7 +21,7 @@ import json
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -56,10 +56,42 @@ def _real(value, what, error=StructureError) -> float:
     raise error(f"{what} must be a real number, got {value!r}")
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer: a bool or a float is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_fields(record, error=ValueError, **least) -> None:
+    """Check the number fields of the settings dataclass ``record``, whose
+    annotations are strings: an ``int`` holds an integer and a ``float`` a
+    finite real number, each at least ``least[field]`` when given, and a
+    ``float | None`` None or a finite real above 0 (a bool is no number, and
+    NaN fails every bound).  Floats are stored back as Python floats.  The
+    first field that fails raises ``error("<field> must be <rule>, got <value>")``."""
+    for f in fields(record):
+        value, low, ok = getattr(record, f.name), least.get(f.name), True
+        at_least = {0: "non-negative", 1: "positive"}.get(low, f"at least {low}")
+        if f.type == "int":
+            if not _is_int(value):
+                raise error(f"{f.name} must be an integer, got {value!r}")
+            ok, rule = low is None or value >= low, at_least
+        elif f.type == "float" or (f.type == "float | None" and value is not None):
+            x = _real(value, f.name, error)
+            object.__setattr__(record, f.name, x)
+            if f.type != "float":
+                ok, rule = 0.0 < x < math.inf, "positive and finite"
+            elif low is None:
+                ok, rule = math.isfinite(x), "finite"
+            else:
+                ok, rule = low <= x < math.inf, f"{at_least} and finite"
+        if not ok:
+            raise error(f"{f.name} must be {rule}, got {value!r}")
+
+
 def _tiling(sizes, total, what) -> None:
     """Raise StructureError naming ``what`` unless ``sizes`` are integers
     (not bools or floats), each at least 1, that sum to ``total``."""
-    if not all(isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in sizes):
+    if not all(_is_int(s) for s in sizes):
         raise StructureError(f"{what} must be integers, got {sizes!r}")
     if min(sizes, default=1) < 1 or sum(sizes) != total:
         raise StructureError(f"{what} must each be at least 1 and sum to {total}, got {sizes!r}")
@@ -85,7 +117,7 @@ class GroupPenaltySpec:
         weights = tuple(w if type(w) is float else _real(w, "group weight") for w in self.weights)
         object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "gamma", _real(self.gamma, "gamma"))
+        _check_fields(self, StructureError, gamma=0)
         if len(groups) == 0:
             raise StructureError("at least one group is required")
         if len(weights) != len(groups):
@@ -99,8 +131,6 @@ class GroupPenaltySpec:
                 raise StructureError("a group lists an index more than once")
         if not all(0.0 < w < math.inf for w in weights):
             raise StructureError("group weights must be positive and finite")
-        if not 0.0 <= self.gamma < math.inf:
-            raise StructureError("gamma must be non-negative and finite")
 
     @classmethod
     def with_unit_weights(cls, groups, gamma):
@@ -152,9 +182,7 @@ class GraphPenaltySpec:
         )
         object.__setattr__(self, "num_nodes", _index(self.num_nodes, "num_nodes"))
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "gamma", _real(self.gamma, "gamma"))
-        if self.num_nodes < 1:
-            raise StructureError("num_nodes must be positive")
+        _check_fields(self, StructureError, num_nodes=1, gamma=0)
         seen = set()
         for m, l, r in edges:
             if m == l:
@@ -166,8 +194,6 @@ class GraphPenaltySpec:
             seen.add((m, l))
             if not -math.inf < r < math.inf:
                 raise StructureError(f"edge ({m}, {l}) has a non-finite correlation")
-        if not 0.0 <= self.gamma < math.inf:
-            raise StructureError("gamma must be non-negative and finite")
 
     def validate_against(self, num_features):
         if num_features != self.num_nodes:

@@ -11,10 +11,9 @@ Two experiment designs are reproduced:
   thresholding the empirical output correlation matrix.  Its spec sets only
   the sizes, ``rho``, ``gamma`` and the seed; the rest of the design is fixed.
 
-A spec checks every field by name when it is built: its type, each count
-against its least value (two samples for the correlation graph; a seed of
-0 or more), the graph's ``block_sizes`` as a tiling of its outputs (the
-check ``CouplingMatrix`` makes of its row blocks), and ``rho`` in (0, 1].
+A spec checks its number fields by ``penalties._check_fields`` when it is
+built, the graph's ``block_sizes`` as a tiling of its outputs, and ``rho``
+in (0, 1].
 
 All randomness flows through ``numpy.random.default_rng`` (PCG64), so a
 fixed seed reproduces instances bit-for-bit.
@@ -22,39 +21,15 @@ fixed seed reproduces instances bit-for-bit.
 
 from __future__ import annotations
 
-import math
 import numbers
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .multivariate import MultiProblem
-from .penalties import GraphPenaltySpec, GroupPenaltySpec, _tiling
+from .penalties import GraphPenaltySpec, GroupPenaltySpec, _check_fields, _tiling
 from .solver import Problem
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-
-
-def _check_fields(spec, **minimums) -> None:
-    """Raise ValueError naming the field unless each ``int`` field of ``spec``
-    holds an integer and each ``float`` field a finite real number (a bool is
-    neither), and each field named in ``minimums`` is at least its minimum.
-    The field types are the annotation strings, as this module postpones them."""
-    checks = {"int": (_is_int, "an integer"), "float": (_is_real, "a finite real number")}
-    for f in fields(spec):
-        value, low = getattr(spec, f.name), minimums.get(f.name)
-        if f.type in checks and not checks[f.type][0](value):
-            raise ValueError(f"{f.name} must be {checks[f.type][1]}, got {value!r}")
-        if low is not None and value < low:
-            least = {0: "non-negative", 1: "positive"}.get(low, f"at least {low}")
-            raise ValueError(f"{f.name} must be {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -69,7 +44,7 @@ class OverlapSimSpec:
     def __post_init__(self):
         _check_fields(self, num_groups=1, num_samples=1, gamma=0, seed=0)
         if not (0 < self.overlap < self.group_size):
-            raise ValueError("overlap must be between 1 and group_size - 1")
+            raise ValueError(f"overlap must be between 1 and group_size - 1, got {self.overlap!r}")
 
     @property
     def num_features(self):
@@ -171,7 +146,7 @@ def threshold_correlation_graph(Y, rho, gamma=1.0) -> GraphPenaltySpec:
     Constant columns have undefined correlations and are excluded with a
     warning.  ``rho`` must be a real number in (0, 1].
     """
-    if not (_is_real(rho) and 0 < rho <= 1):
+    if not (isinstance(rho, numbers.Real) and not isinstance(rho, bool) and 0 < rho <= 1):
         raise ValueError(f"rho must be a real number in (0, 1], got {rho!r}")
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[0] < 2:

@@ -13,6 +13,8 @@ accuracy and estimates ``||C||``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .losses import SpectralEstimate, power_iteration
@@ -25,17 +27,17 @@ DEFAULT_MU = 1e-4
 def select_mu(epsilon=None, D=None) -> float:
     """Smoothness parameter for a target accuracy: mu = epsilon / (2 D).
 
-    With no target accuracy, returns the fixed default of 1e-4.  A bool or a
-    non-number is a ValueError, and so is an ``epsilon / (2 D)`` that
+    With no target accuracy, returns the fixed default of 1e-4.  An
+    ``epsilon`` or ``D`` that is not a positive, finite real number (a bool
+    is not one) is a ValueError, and so is an ``epsilon / (2 D)`` that
     underflows to 0, as no positive float is then small enough to keep the
     smoothing bias ``mu D`` within ``epsilon / 2``.
     """
     if epsilon is None:
         return DEFAULT_MU
-    if not _real(epsilon, "epsilon", ValueError) > 0:
-        raise ValueError("epsilon must be positive")
-    if D is None or not _real(D, "D", ValueError) > 0:
-        raise ValueError("D must be positive")
+    for name, value in (("epsilon", epsilon), ("D", D)):
+        if not 0.0 < _real(value, name, ValueError) < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
     mu = epsilon / (2.0 * D)
     if mu == 0.0:
         raise ValueError(f"epsilon / (2 D) underflows to 0 at epsilon={epsilon!r}, D={D!r}")

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .losses import LogisticLoss, SquaredLoss, _checked_arrays
-from .penalties import GraphPenaltySpec, GroupPenaltySpec, StructureError, _real
+from .penalties import GraphPenaltySpec, GroupPenaltySpec, StructureError, _check_fields, _real
 from .smoothing import select_mu
 
 
@@ -76,21 +76,6 @@ class Problem:
         return cls(X, y, penalty, LogisticLoss)
 
 
-def _check_loop_fields(config) -> None:
-    """Check the fields every solver loop's config has: finite ``lam >= 0``,
-    an integer ``max_iter >= 1`` (not a bool) and finite ``rel_tol >= 0`` (0
-    never stops on the change).  Each test is written so that NaN fails it,
-    and a bool or a non-number fails ``_real``."""
-    if not 0.0 <= _real(config.lam, "lam", ValueError) < math.inf:
-        raise ValueError("lam must be non-negative and finite")
-    if isinstance(config.max_iter, bool) or not isinstance(config.max_iter, (int, np.integer)):
-        raise ValueError(f"max_iter must be an integer, got {config.max_iter!r}")
-    if not config.max_iter >= 1:
-        raise ValueError("max_iter must be at least 1")
-    if not 0.0 <= _real(config.rel_tol, "rel_tol", ValueError) < math.inf:
-        raise ValueError("rel_tol must be non-negative and finite")
-
-
 @dataclass
 class SolverConfig:
     lam: float = 0.0
@@ -100,13 +85,9 @@ class SolverConfig:
     rel_tol: float = 1e-6
 
     def __post_init__(self):
-        _check_loop_fields(self)
+        _check_fields(self, lam=0, max_iter=1, rel_tol=0)
         if self.epsilon is not None and self.mu is not None:
             raise ValueError("give either epsilon or mu, not both")
-        for name in ("epsilon", "mu"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 < _real(value, name, ValueError) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass
@@ -237,6 +218,11 @@ def solve(problem: Problem, config: SolverConfig, beta0=None):
         mu = select_mu(config.epsilon, D) if config.mu is None else config.mu
         norm_C = coupling.norm_bound
         L = total_lipschitz(L_loss, norm_C, mu)
+        # every step grad / L would be 0, and the first two objectives would
+        # tie; an infinite L_loss is left to the gradient's finiteness check
+        if math.isinf(L) and math.isfinite(L_loss):
+            raise SolverError(f"the Lipschitz constant L_loss + ||C||^2 / mu overflows at "
+                              f"||C||={norm_C!r}, mu={mu!r}")
     if L <= 0:
         raise SolverError("non-positive Lipschitz constant; nothing to optimize")
     lam = config.lam

@@ -151,6 +151,21 @@ class TestSolveCommand:
         assert rc == 1
         assert "error: gamma must be non-negative and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--mu", "1e-310"], ["--epsilon", "1e-320"]], ids=["mu", "epsilon"])
+    def test_overflowing_lipschitz_constant_exits_nonzero(self, flag, tmp_path, capsys):
+        """A subnormal mu makes ``L`` infinite; the run once printed
+        ``status=converged iterations=2`` at the zero start and exited 0."""
+        spec_path, inst = tmp_path / "spec.json", tmp_path / "inst"
+        spec_path.write_text(json.dumps({"num_groups": 3, "group_size": 12, "overlap": 2, "num_samples": 50}))
+        assert cli_main(["simulate", "overlap", "--seed", "0", "--spec", str(spec_path),
+                         "--out-dir", str(inst)]) == 0
+        rc = cli_main(["solve", "--x", str(inst / "X.csv"), "--y", str(inst / "y.csv"),
+                       "--penalty", str(inst / "penalty.json"), "--lambda", "1", *flag,
+                       "--out", str(tmp_path / "beta.csv")])
+        captured = capsys.readouterr()
+        assert rc == 1 and "status=" not in captured.out
+        assert "error: the Lipschitz constant L_loss + ||C||^2 / mu overflows" in captured.err
+
 
 class TestSimulateCommand:
     def test_overlap_outputs_and_determinism(self, tmp_path):

@@ -182,7 +182,7 @@ class TestSolveFobos:
             FobosConfig(lam=-1.0)
 
     def test_zero_max_iter_rejected(self):
-        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        with pytest.raises(ValueError, match="max_iter must be positive"):
             FobosConfig(max_iter=0)
 
     def test_negative_rel_tol_rejected(self):

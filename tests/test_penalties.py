@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -11,7 +12,9 @@ from smoothprox import (
     CouplingMatrix,
     FobosConfig,
     GraphPenaltySpec,
+    GraphSimSpec,
     GroupPenaltySpec,
+    OverlapSimSpec,
     Problem,
     SolverConfig,
     StructureError,
@@ -453,6 +456,47 @@ class TestRealNumbers:
     def test_json_ints_are_floats(self):
         doc = '{"type": "graph", "gamma": 2, "num_nodes": 2, "edges": [[1, 2, 1]]}'
         assert penalty_from_json(doc) == GraphPenaltySpec(num_nodes=2, edges=((0, 1, 1.0),), gamma=2.0)
+
+
+#: Every settings record, the keyword arguments of a valid one, and its error class.
+SETTINGS_RECORDS = [
+    (SolverConfig, {}, ValueError),
+    (FobosConfig, {}, ValueError),
+    (OverlapSimSpec, {}, ValueError),
+    (GraphSimSpec, {}, ValueError),
+    (GroupPenaltySpec, {"groups": ((0, 1),), "weights": (1.0,), "gamma": 1.0}, StructureError),
+    (GraphPenaltySpec, {"num_nodes": 2, "edges": ((0, 1, 0.5),), "gamma": 1.0}, StructureError),
+]
+
+
+def number_fields(*kinds):
+    """A ``(make, kwargs, error, field)`` case for each field of each record
+    whose annotation is one of ``kinds``, alone or with ``| None``."""
+    return [
+        pytest.param(make, kwargs, error, f.name, id=f"{make.__name__}-{f.name}")
+        for make, kwargs, error in SETTINGS_RECORDS
+        for f in dataclasses.fields(make)
+        if f.type.split(" | ")[0] in kinds
+    ]
+
+
+class TestSettingsFields:
+    """One check covers every number field of every settings record, so a
+    field added later is covered here with no new test."""
+
+    @pytest.mark.parametrize("value", [True, "1", math.nan], ids=["bool", "str", "nan"])
+    @pytest.mark.parametrize("make, kwargs, error, field", number_fields("int", "float"))
+    def test_bools_strings_and_nan_are_rejected(self, make, kwargs, error, field, value):
+        with pytest.raises(error) as info:
+            make(**{**kwargs, field: value})
+        assert type(info.value) is error
+        assert f"{field} must be " in str(info.value) and f", got {value!r}" in str(info.value)
+
+    @pytest.mark.parametrize("value", [1, np.float32(0.5)], ids=["int", "float32"])
+    @pytest.mark.parametrize("make, kwargs, error, field", number_fields("float"))
+    def test_reals_are_stored_as_floats(self, make, kwargs, error, field, value):
+        stored = getattr(make(**{**kwargs, field: value}), field)
+        assert type(stored) is float and stored == value
 
 
 class TestGatherForm:

@@ -13,12 +13,14 @@ from smoothprox import (
     GraphSimSpec,
     GroupPenaltySpec,
     MultiProblem,
+    OverlapSimSpec,
     Problem,
     SolverConfig,
     SolverError,
     StructureError,
     Trace,
     gen_graph_instance,
+    gen_overlap_instance,
     iteration_bound,
     regularization_path,
     select_mu,
@@ -286,6 +288,17 @@ class TestSolverConfigChecks:
         with pytest.raises(ValueError, match="must be a real number"):
             call()
 
+    @pytest.mark.parametrize("epsilon, D, message", [
+        (math.inf, 1.0, "epsilon must be positive and finite, got inf"),
+        (math.nan, 1.0, "epsilon must be positive and finite, got nan"),
+        (1e-3, math.inf, "D must be positive and finite, got inf"),
+    ], ids=["epsilon-inf", "epsilon-nan", "D-inf"])
+    def test_select_mu_rejects_non_finite(self, epsilon, D, message):
+        """An infinite epsilon once gave mu = inf, and an infinite D the
+        misleading "underflows to 0"."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            select_mu(epsilon, D)
+
     @pytest.mark.parametrize("make", [SolverConfig, FobosConfig])
     def test_numpy_integer_max_iter_runs(self, rng, make):
         config = make(lam=0.1, max_iter=np.int64(3), rel_tol=0.0)
@@ -388,6 +401,17 @@ class TestSolve:
         prob = Problem.least_squares(np.zeros((5, 3)), np.ones(5))
         with pytest.raises(SolverError, match="non-positive Lipschitz constant"):
             solve(prob, SolverConfig(lam=0.1))
+
+    @pytest.mark.parametrize("config", [SolverConfig(lam=1.0, mu=1e-310), SolverConfig(lam=1.0, epsilon=1e-320)],
+                             ids=["subnormal-mu", "subnormal-epsilon"])
+    def test_overflowing_lipschitz_constant_is_an_error(self, config):
+        """``||C||^2 / mu`` overflows at a subnormal mu (``select_mu`` gives
+        one from a subnormal epsilon): every step would be ``grad / inf = 0``,
+        and the run reported ``converged`` at iteration 2 from zero."""
+        problem, _, _ = gen_overlap_instance(
+            OverlapSimSpec(num_groups=3, group_size=12, overlap=2, num_samples=50))
+        with pytest.raises(SolverError, match=r"overflows at .*\|\|C\|\|=.*, mu="):
+            solve(problem, config)
 
     def test_trace_jsonl_round_trip(self, rng, tmp_path):
         prob = Problem.least_squares(np.eye(3), np.array([1.0, -2.0, 0.5]))
