@@ -121,31 +121,6 @@ def power_iteration(matvec, J, tol, max_iter) -> SpectralEstimate:
     return SpectralEstimate(float(theta), max_iter, False)
 
 
-def _gram_eigenvalue(matvec, J, frobenius_sq, tol=1e-6, max_iter=1000) -> float:
-    """Largest eigenvalue of X^T X (``matvec(v) = X^T X v``), or, with a
-    warning if it has not converged, the always valid bound
-    ``frobenius_sq() = ||X||_F^2``."""
-    est = power_iteration(matvec, J, tol, max_iter)
-    if est.converged:
-        return est.value
-    warnings.warn(
-        "Lanczos iteration for the gradient Lipschitz constant did not "
-        "converge; using the Frobenius upper bound",
-        RuntimeWarning,
-    )
-    return float(frobenius_sq())
-
-
-def gram_lipschitz(X, tol=1e-6, max_iter=1000) -> float:
-    """Largest eigenvalue of X^T X by ``power_iteration`` through X (two
-    passes per product; 30-41 products on the paper's overlap design at
-    seeds 0-7), or the squared Frobenius norm if it has not converged."""
-    X = np.asarray(X, dtype=float)
-    return _gram_eigenvalue(
-        lambda v: X.T @ (X @ v), X.shape[1], lambda: np.einsum("ij,ij->", X, X), tol, max_iter
-    )
-
-
 def _inner(a, b) -> float:
     """``sum(a * b)`` over two arrays of one shape.  ``np.vdot`` reads both
     in C order, so it copies F-ordered J x K arrays; their transposes are
@@ -163,11 +138,20 @@ class _ProductLoss:
     #: products stream through X
     gram = None
 
+    #: the gradient's Lipschitz constant over lambda_max(X^T X)
+    curvature = 1.0
+
+    #: how ``lipschitz()`` found lambda_max(X^T X): "lanczos" or, by the
+    #: fallback, "frobenius"; None before its first call
+    lipschitz_source = _lipschitz = None
+
     def __init__(self, X, y):
         self.X, self.y = X, y = _checked_arrays(X, y)
         if not (np.isfinite(X).all() and np.isfinite(y).all()):
             raise ValueError("non-finite entries in dataset")
-        self._lipschitz = None
+
+    def product(self, beta) -> np.ndarray:
+        return self.X @ beta
 
     def next_product(self, p, beta, beta_prev) -> np.ndarray:
         """``product(beta)``, given ``p = product(beta_prev)``."""
@@ -176,6 +160,25 @@ class _ProductLoss:
     def value(self, beta) -> float:
         """Loss value at beta, in float64 through X."""
         return self.value_from(beta, self.X @ beta)
+
+    def lipschitz(self) -> float:
+        """``curvature`` times the largest eigenvalue of X^T X, computed once
+        by ``power_iteration`` on the stored Gram or else through X (30-41
+        products on the paper's overlap design at seeds 0-7), or, with a
+        warning if that has not converged, by the bound trace(X^T X)."""
+        if self._lipschitz is None:
+            X = self.X
+            matvec = (lambda v: X.T @ (X @ v)) if self.gram is None else self._gram_vector_product
+            est = power_iteration(matvec, X.shape[1], 1e-6, 1000)
+            value, self.lipschitz_source = est.value, "lanczos"
+            if not est.converged:
+                warnings.warn("Lanczos iteration for the gradient Lipschitz constant did not "
+                              "converge; using the Frobenius upper bound", RuntimeWarning)
+                value = float(np.einsum("ij,ij->", X, X) if self.gram is None
+                              else np.trace(self._XtX, dtype=float))
+                self.lipschitz_source = "frobenius"
+            self._lipschitz = self.curvature * value
+        return self._lipschitz
 
 
 def _float32_lower_gram(X):
@@ -203,7 +206,7 @@ class SquaredLoss(_ProductLoss):
     """g(beta) = 0.5 * ||y - X beta||^2 with gradient X^T (X beta - y).
 
     The product is ``X^T X beta`` with the Gram precompute, ``X beta``
-    without; ``precompute`` says which, and ``gram`` the Gram's dtype.  Both
+    without; ``gram`` says which: the Gram's dtype, or None.  Both
     follow from the shapes of X and y (see ``PRECOMPUTE_MAX_FEATURES`` and
     ``GRAM_FLOAT32_MIN_FEATURES``).  The response may be an N x K matrix,
     with J x K iterates; the J x K arrays (Gram products, gradients,
@@ -226,13 +229,9 @@ class SquaredLoss(_ProductLoss):
         self._Xty = np.asfortranarray(X.T @ y)
         self._yty = float(np.vdot(y, y))
 
-    @property
-    def precompute(self) -> bool:
-        return self.gram is not None
-
     def product(self, beta) -> np.ndarray:
-        if not self.precompute:
-            return self.X @ beta
+        if self.gram is None:
+            return super().product(beta)
         if self.gram == "float32":
             # through X in float64: the float32 Gram would round all of beta,
             # an error that ``next_product`` would carry through a solve
@@ -270,7 +269,7 @@ class SquaredLoss(_ProductLoss):
 
     def value_from(self, beta, p) -> float:
         """Loss value at beta, given ``p = product(beta)``."""
-        if self.precompute:
+        if self.gram is not None:
             return 0.5 * _inner(beta, p) - _inner(beta, self._Xty) + 0.5 * self._yty
         r = p - self.y
         return 0.5 * _inner(r, r)
@@ -278,17 +277,7 @@ class SquaredLoss(_ProductLoss):
     def gradient_from(self, p) -> np.ndarray:
         """Gradient at the point whose product is ``p``."""
         # X^T R as (R^T X)^T: the same bits, and a J x K result is F-ordered
-        return p - self._Xty if self.precompute else ((p - self.y).T @ self.X).T
-
-    def lipschitz(self) -> float:
-        if self._lipschitz is None and self.precompute:
-            self._lipschitz = _gram_eigenvalue(
-                self._gram_vector_product, self.X.shape[1],
-                lambda: np.trace(self._XtX, dtype=float),
-            )
-        elif self._lipschitz is None:
-            self._lipschitz = gram_lipschitz(self.X)
-        return self._lipschitz
+        return p - self._Xty if self.gram is not None else ((p - self.y).T @ self.X).T
 
 
 class LogisticLoss(_ProductLoss):
@@ -298,13 +287,12 @@ class LogisticLoss(_ProductLoss):
     gradient-Lipschitz bound is lambda_max(X^T X) / 4.
     """
 
+    curvature = 0.25
+
     def __init__(self, X, y):
         super().__init__(X, y)
         if not np.all(np.isin(np.unique(self.y), (-1.0, 1.0))):
             raise ValueError("logistic labels must be in {-1, +1}")
-
-    def product(self, beta) -> np.ndarray:
-        return self.X @ beta
 
     def value_from(self, beta, p) -> float:
         """Loss value at beta, given ``p = product(beta) = X beta``."""
@@ -316,9 +304,4 @@ class LogisticLoss(_ProductLoss):
         # -(X^T v) formed as -(v^T X)^T, F-ordered for an N x K v; not
         # -X.T @ v, which would negate a copy of all of X
         return -((y * expit(-(y * p))).T @ self.X).T
-
-    def lipschitz(self) -> float:
-        if self._lipschitz is None:
-            self._lipschitz = 0.25 * gram_lipschitz(self.X)
-        return self._lipschitz
 

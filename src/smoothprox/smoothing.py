@@ -31,7 +31,7 @@ def select_mu(epsilon=None, D=None) -> float:
     ``epsilon`` or ``D`` that is not a positive, finite real number (a bool
     is not one) is a ValueError, and so is an ``epsilon / (2 D)`` that
     underflows to 0, as no positive float is then small enough to keep the
-    smoothing bias ``mu D`` within ``epsilon / 2``.
+    smoothing bias ``mu D`` within ``epsilon / 2``, or that overflows.
     """
     if epsilon is None:
         return DEFAULT_MU
@@ -39,8 +39,9 @@ def select_mu(epsilon=None, D=None) -> float:
         if not 0.0 < _real(value, name, ValueError) < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
     mu = epsilon / (2.0 * D)
-    if mu == 0.0:
-        raise ValueError(f"epsilon / (2 D) underflows to 0 at epsilon={epsilon!r}, D={D!r}")
+    if not 0.0 < mu < math.inf:
+        how = "underflows to 0" if mu == 0.0 else "overflows"
+        raise ValueError(f"epsilon / (2 D) {how} at epsilon={epsilon!r}, D={D!r}")
     return mu
 
 

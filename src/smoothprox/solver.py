@@ -169,22 +169,49 @@ def soft_threshold(v, threshold) -> np.ndarray:
     return np.subtract(v, out, out=out)
 
 
+def _check_non_negative(**values):
+    """A ValueError naming the first value that is not finite and >= 0."""
+    for name, value in values.items():
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
+
+
 def total_lipschitz(loss_lipschitz, coupling_norm_value, mu) -> float:
-    """Gradient Lipschitz constant of the smooth part: L_loss + ||C||^2 / mu."""
+    """Gradient Lipschitz constant of the smooth part: L_loss + ||C||^2 / mu.
+
+    ``L_loss`` and ``||C||`` must be finite and non-negative and mu positive
+    (ValueError).  A sum that overflows is a ``SolverError``: every step
+    ``grad / L`` would be 0."""
     if not mu > 0:
         raise ValueError("mu must be positive")
-    return float(loss_lipschitz) + float(coupling_norm_value) ** 2 / mu
+    _check_non_negative(L_loss=loss_lipschitz, norm_C=coupling_norm_value)
+    try:
+        L = float(loss_lipschitz) + float(coupling_norm_value) ** 2 / mu
+    except OverflowError:  # a float's ** 2 raises where it would overflow
+        L = math.inf
+    if L == math.inf:
+        raise SolverError(f"the Lipschitz constant L_loss + ||C||^2 / mu overflows at "
+                          f"||C||={coupling_norm_value!r}, mu={mu!r}")
+    return L
 
 
 def iteration_bound(dist0, epsilon, loss_lipschitz, dual_bound, coupling_norm_value):
     """Worst-case iteration count to reach accuracy epsilon with mu = eps/(2D):
 
     sqrt( (4 * dist0^2 / eps) * (L_loss + 2 D ||C||^2 / eps) ).
+
+    Its inputs must be finite and non-negative, epsilon positive, and the
+    count finite (ValueError).
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    inner = loss_lipschitz + 2.0 * dual_bound * coupling_norm_value**2 / epsilon
-    return float(np.sqrt(4.0 * dist0**2 / epsilon * inner))
+    _check_non_negative(dist0=dist0, epsilon=epsilon, L_loss=loss_lipschitz, D=dual_bound,
+                        norm_C=coupling_norm_value)
+    inner = loss_lipschitz + 2.0 * dual_bound * coupling_norm_value * coupling_norm_value / epsilon
+    bound = float(np.sqrt(4.0 * dist0 * dist0 / epsilon * inner))
+    if not math.isfinite(bound):
+        raise ValueError("the iteration bound overflows")
+    return bound
 
 
 def solve(problem: Problem, config: SolverConfig, beta0=None):
@@ -218,11 +245,6 @@ def solve(problem: Problem, config: SolverConfig, beta0=None):
         mu = select_mu(config.epsilon, D) if config.mu is None else config.mu
         norm_C = coupling.norm_bound
         L = total_lipschitz(L_loss, norm_C, mu)
-        # every step grad / L would be 0, and the first two objectives would
-        # tie; an infinite L_loss is left to the gradient's finiteness check
-        if math.isinf(L) and math.isfinite(L_loss):
-            raise SolverError(f"the Lipschitz constant L_loss + ||C||^2 / mu overflows at "
-                              f"||C||={norm_C!r}, mu={mu!r}")
     if L <= 0:
         raise SolverError("non-positive Lipschitz constant; nothing to optimize")
     lam = config.lam
@@ -231,7 +253,7 @@ def solve(problem: Problem, config: SolverConfig, beta0=None):
     p = p_w = loss.product(beta)  # the loss products at beta and at w
     trace = Trace(header={
         "mu": mu, "epsilon": config.epsilon, "L_loss": L_loss, "L": L, "D": D,
-        "norm_C": norm_C, "lam": lam, "gram": loss.gram,
+        "norm_C": norm_C, "lam": lam, "gram": loss.gram, "L_loss_source": loss.lipschitz_source,
         "max_iter": config.max_iter, "rel_tol": config.rel_tol, "shape": list(beta.shape),
     })
     for t in range(1, config.max_iter + 1):

@@ -90,6 +90,14 @@ def force_gram(monkeypatch, gram):
         monkeypatch.setattr(losses, "PRECOMPUTE_MAX_FEATURES", 0)
 
 
+def unconverged_lanczos(monkeypatch):
+    """Make ``lipschitz()`` stop its Lanczos run after one product, so on an
+    X^T X with two distinct eigenvalues it takes the Frobenius fallback."""
+    power_iteration = losses.power_iteration
+    monkeypatch.setattr(losses, "power_iteration",
+                        lambda matvec, J, tol, max_iter: power_iteration(matvec, J, tol, 1))
+
+
 def loss_value(loss, beta):
     """The loss at beta, from its product at beta."""
     beta = np.asarray(beta, dtype=float)

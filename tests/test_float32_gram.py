@@ -34,7 +34,7 @@ class TestStorageRule:
         y = rng.standard_normal(J if K is None else (J, K))
         loss = SquaredLoss(X, y)
         assert losses.GRAM_FLOAT32_MIN_FEATURES == 512
-        assert loss.gram == gram and loss.precompute
+        assert loss.gram == gram and loss.gram is not None
         assert loss._XtX.dtype == np.dtype(gram) and loss._XtX.flags.f_contiguous
 
     @pytest.mark.parametrize("scale", [1e20, 1e-21])

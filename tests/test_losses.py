@@ -12,10 +12,17 @@ from smoothprox import (
     SquaredLoss,
     solve,
 )
-from smoothprox.losses import gram_lipschitz
 from smoothprox.losses import power_iteration
 from smoothprox.simulate import OverlapSimSpec, gen_overlap_instance
-from conftest import central_difference_gradient, force_gram, loss_gradient, loss_value
+from conftest import central_difference_gradient, force_gram, loss_gradient, loss_value, unconverged_lanczos
+
+
+def two_pass_lipschitz(monkeypatch, X):
+    """``SquaredLoss.lipschitz()`` with the products streamed through X, two
+    passes each, whatever the shape of X."""
+    with monkeypatch.context() as m:
+        force_gram(m, False)
+        return SquaredLoss(X, np.zeros(X.shape[0])).lipschitz()
 
 
 def _with_nan(a):
@@ -73,7 +80,7 @@ class TestSquaredLoss:
         """The Gram is built iff J <= 4096 and J <= 2 N: past J = 2 N, or past
         4096 features whatever N is, the products stream through X."""
         X = np.broadcast_to(1.0, (N, J))  # no N x J copy: streaming reads X as it is
-        assert SquaredLoss(X, np.ones(N)).precompute is gram
+        assert (SquaredLoss(X, np.ones(N)).gram is not None) is gram
 
     def test_precompute_matches_streaming(self, rng, monkeypatch):
         X = rng.standard_normal((15, 6))
@@ -82,7 +89,7 @@ class TestSquaredLoss:
         pre = SquaredLoss(X, y)
         force_gram(monkeypatch, False)
         direct = SquaredLoss(X, y)
-        assert pre.precompute and not direct.precompute
+        assert pre.gram is not None and direct.gram is None
         for _ in range(5):
             beta = rng.standard_normal(6)
             np.testing.assert_allclose(
@@ -177,12 +184,23 @@ class TestLogisticLipschitz:
             0.25 * SquaredLoss(X, y).lipschitz(), rel=1e-12
         )
 
+    def test_unconverged_fallback_is_a_quarter_of_frobenius(self, rng, monkeypatch):
+        """Unconverged, the logistic constant is a quarter of the bound
+        ``||X||_F^2``, with the squared loss's warning."""
+        X = rng.standard_normal((10, 4))
+        unconverged_lanczos(monkeypatch)
+        loss = LogisticLoss(X, np.where(rng.standard_normal(10) > 0, 1.0, -1.0))
+        with pytest.warns(RuntimeWarning, match="did not converge"):
+            value = loss.lipschitz()
+        assert value == pytest.approx(0.25 * np.sum(X * X), rel=1e-12)
+        assert loss.lipschitz_source == "frobenius"
+
 
 class TestGramLipschitz:
-    def test_all_ones_start_in_null_space(self):
+    def test_all_ones_start_in_null_space(self, monkeypatch):
         # X @ 1 = 0, so the all-ones power-iteration start vanishes at once
         X = np.array([[1.0, -1.0], [2.0, -2.0], [0.5, -0.5]])
-        assert gram_lipschitz(X) == pytest.approx(10.5, rel=1e-9)
+        assert two_pass_lipschitz(monkeypatch, X) == pytest.approx(10.5, rel=1e-9)
         beta, trace = solve(
             Problem.least_squares(X, np.array([1.0, 2.0, 0.5])), SolverConfig(lam=0.1, rel_tol=1e-12)
         )
@@ -195,24 +213,27 @@ class TestGramLipschitz:
         # X^T X = [[2, -1], [-1, 2]]: the all-ones vector is its eigenvector
         # of eigenvalue 1, the top one (3) is along (1, -1)
         X = np.array([[1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-        assert gram_lipschitz(X) == pytest.approx(3.0, rel=1e-12)
+        assert two_pass_lipschitz(monkeypatch, X) == pytest.approx(3.0, rel=1e-12)
         force_gram(monkeypatch, gram)
         loss = SquaredLoss(X, np.ones(3))
         assert loss.lipschitz() == pytest.approx(3.0, rel=1e-12)
 
-    def test_top_eigenvector_orthogonal_to_ones(self):
+    def test_top_eigenvector_orthogonal_to_ones(self, monkeypatch):
         # X = I + 2 u u^T with u = (e_0 - e_1) / sqrt(2): X^T X = I + 8 u u^T
         u = np.zeros(6)
         u[:2] = np.array([1.0, -1.0]) / np.sqrt(2.0)
         X = np.eye(6) + 2.0 * np.outer(u, u)
-        assert gram_lipschitz(X) == pytest.approx(9.0, rel=1e-12)
+        assert two_pass_lipschitz(monkeypatch, X) == pytest.approx(9.0, rel=1e-12)
 
-    def test_unconverged_fallback_does_not_copy_design(self, rng):
+    def test_unconverged_fallback_does_not_copy_design(self, rng, monkeypatch):
         X = rng.standard_normal((2000, 500))
+        force_gram(monkeypatch, False)
+        unconverged_lanczos(monkeypatch)
+        loss = SquaredLoss(X, np.zeros(2000))
         tracemalloc.start()
         try:
             with pytest.warns(RuntimeWarning, match="did not converge"):
-                value = gram_lipschitz(X, max_iter=1)
+                value = loss.lipschitz()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -252,7 +273,7 @@ class TestHalfGramProduct:
         J = 600
         X = rng.standard_normal((50, J))
         loss = SquaredLoss(X, rng.standard_normal(50))
-        assert loss.precompute  # J = 12 N streams by default
+        assert loss.gram is not None  # J = 12 N streams by default
         v = rng.standard_normal(J)
         tracemalloc.start()
         try:
@@ -273,15 +294,15 @@ class TestHalfGramProduct:
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_gram_lipschitz_matches_two_pass(self, seed):
+    def test_gram_lipschitz_matches_two_pass(self, seed, monkeypatch):
         X = np.random.default_rng(seed).standard_normal((40, 15))
         loss = SquaredLoss(X, np.zeros(40))
-        assert loss.lipschitz() == pytest.approx(gram_lipschitz(X), rel=1e-12)
+        assert loss.lipschitz() == pytest.approx(two_pass_lipschitz(monkeypatch, X), rel=1e-12)
 
-    def test_gram_lipschitz_all_ones_start_in_null_space(self):
+    def test_gram_lipschitz_all_ones_start_in_null_space(self, monkeypatch):
         X = np.array([[1.0, -1.0], [2.0, -2.0], [0.5, -0.5]])
         loss = SquaredLoss(X, np.ones(3))
-        assert loss.lipschitz() == pytest.approx(gram_lipschitz(X), rel=1e-12)
+        assert loss.lipschitz() == pytest.approx(two_pass_lipschitz(monkeypatch, X), rel=1e-12)
         assert loss.lipschitz() == pytest.approx(10.5, rel=1e-12)
 
 

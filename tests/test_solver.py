@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import math
@@ -30,7 +31,7 @@ from smoothprox import (
     solve_multivariate,
     total_lipschitz,
 )
-from conftest import force_gram, loss_gradient, loss_value, penalty_value
+from conftest import force_gram, loss_gradient, loss_value, penalty_value, unconverged_lanczos
 
 
 class TestSoftThreshold:
@@ -117,6 +118,28 @@ def reference_lasso_fista(X, y, lam, L, num_steps):
         "iteration_bound", "smoothed_values-mu"])
 def test_numeric_helpers_reject_nan(call):
     with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: select_mu(1e-3, 1e-320), ValueError, r"^epsilon / \(2 D\) overflows at epsilon=0.001, D=1e-320$"),
+    (lambda: total_lipschitz(1.0, 1.0, 1e-310), SolverError,
+     r"^the Lipschitz constant L_loss \+ \|\|C\|\|\^2 / mu overflows at \|\|C\|\|=1.0, mu=1e-310$"),
+    (lambda: total_lipschitz(1.0, 1e200, 1.0), SolverError, r"overflows at \|\|C\|\|=1e\+200, mu=1.0$"),
+    (lambda: total_lipschitz(math.nan, 1.0, 1.0), ValueError, "^L_loss must be non-negative and finite, got nan$"),
+    (lambda: total_lipschitz(math.inf, 1.0, 1.0), ValueError, "^L_loss must be non-negative and finite, got inf$"),
+    (lambda: total_lipschitz(1.0, -2.0, 1.0), ValueError, "^norm_C must be non-negative and finite, got -2.0$"),
+    (lambda: iteration_bound(1.0, 1e-320, 1.0, 1.0, 1.0), ValueError, "^the iteration bound overflows$"),
+    (lambda: iteration_bound(1.0, 1.0, 1.0, 1.0, 1e200), ValueError, "^the iteration bound overflows$"),
+    (lambda: iteration_bound(-1.0, 1.0, 1.0, 1.0, 1.0), ValueError, "^dist0 must be non-negative and finite, got -1.0$"),
+    (lambda: iteration_bound(1.0, 1.0, math.inf, 1.0, 1.0), ValueError, "^L_loss must be non-negative and finite, got inf$"),
+    (lambda: iteration_bound(1.0, 1.0, 1.0, -5.0, 1.0), ValueError, "^D must be non-negative and finite, got -5.0$"),
+], ids=["select_mu-overflow", "total_lipschitz-subnormal-mu", "total_lipschitz-huge-norm", "total_lipschitz-nan",
+        "total_lipschitz-inf", "total_lipschitz-negative", "iteration_bound-subnormal-epsilon",
+        "iteration_bound-huge-norm", "iteration_bound-negative-dist", "iteration_bound-inf", "iteration_bound-negative-D"])
+def test_numeric_helpers_reject_out_of_range(call, error, message):
+    """Each of these returned inf, NaN or a number from a negative norm."""
+    with pytest.raises(error, match=message):
         call()
 
 
@@ -426,6 +449,34 @@ class TestSolve:
         header = lines[0]["header"]
         assert header["L_loss"] == pytest.approx(1.0, rel=1e-12)
         assert header["D"] is None and header["norm_C"] is None
+
+    @pytest.mark.parametrize("converged", [True, False], ids=["lanczos", "frobenius"])
+    @pytest.mark.parametrize("gram", [True, False], ids=["gram", "streaming"])
+    def test_trace_header_L_loss_source(self, rng, monkeypatch, gram, converged):
+        """The header says where ``L_loss`` came from: the Lanczos estimate,
+        or the Frobenius bound when that has not converged."""
+        force_gram(monkeypatch, gram)
+        if not converged:
+            unconverged_lanczos(monkeypatch)
+        X = rng.standard_normal((12, 5))
+        prob = Problem.least_squares(X, rng.standard_normal(12))
+        warns = contextlib.nullcontext() if converged else pytest.warns(RuntimeWarning, match="did not converge")
+        with warns:
+            _, trace = solve(prob, SolverConfig(lam=0.1, max_iter=3))
+        assert trace.header["gram"] == ("float64" if gram else None)
+        assert trace.header["L_loss_source"] == ("lanczos" if converged else "frobenius")
+        if not converged:
+            assert trace.header["L_loss"] == pytest.approx(np.sum(X * X), rel=1e-12)
+
+    def test_infinite_loss_lipschitz_with_a_penalty_fails_at_setup(self):
+        """On X = 1e200 I, X^T X overflows and ``L_loss`` is the infinite
+        Frobenius bound.  Without a penalty the first gradient reports it;
+        with one, ``total_lipschitz`` rejects it before the first iteration."""
+        spec = GroupPenaltySpec.with_unit_weights(((0, 1),), 1.0)
+        prob = Problem.least_squares(np.eye(2) * 1e200, np.array([1e200, 0.0]), spec)
+        with np.errstate(over="ignore"), pytest.warns(RuntimeWarning, match="did not converge"), \
+                pytest.raises(ValueError, match="^L_loss must be non-negative and finite, got inf$"):
+            solve(prob, SolverConfig(lam=1e-6, max_iter=10))
 
     def test_trace_header_penalty_constants(self, rng, tmp_path):
         X = rng.standard_normal((12, 5))
