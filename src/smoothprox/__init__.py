@@ -14,7 +14,7 @@ the package, or ``smoothprox.cli``, does not load numpy: the CLI's
 import importlib
 
 _EXPORTS = {
-    "fobos": ("FobosConfig", "solve_fobos"),
+    "fobos": ("solve_fobos",),
     "losses": ("LogisticLoss", "SquaredLoss"),
     "multivariate": ("MultiProblem", "solve_multivariate"),
     "penalties": (

@@ -157,15 +157,10 @@ def _cmd_simulate(args):
 def _cmd_bench(args):
     import time
 
-    from .fobos import FobosConfig, solve_fobos
+    from .fobos import solve_fobos
     from .solver import solve
 
-    def fobos(problem):
-        return solve_fobos(problem, FobosConfig(lam=args.lam, max_iter=args.max_iter,
-                                                rel_tol=args.rel_tol))
-
-    runs = {"proxgrad": lambda problem: solve(problem, _config(args, args.lam)), "fobos": fobos}
-
+    config = _config(args, args.lam)  # FOBOS reads its lam, max_iter and rel_tol
     inst = Path(args.instance)
     problem = _load_problem(inst / "X.csv", inst / "y.csv", inst / "penalty.json", args.gamma)
     meta = json.loads((inst / "meta.json").read_text()) if (inst / "meta.json").exists() else {}
@@ -176,9 +171,9 @@ def _cmd_bench(args):
     report = {"instance": str(inst), "meta": meta, "lambda": args.lam,
               "gamma": problem.penalty.gamma, "setup_s": time.perf_counter() - start,
               "methods": []}
-    for method, run in runs.items():
+    for method, run in (("proxgrad", solve), ("fobos", solve_fobos)):
         start = time.perf_counter()
-        _, trace = run(problem)
+        _, trace = run(problem, config)
         report["methods"].append(
             {"name": method, "wall_time_s": time.perf_counter() - start, **trace.summary()}
         )

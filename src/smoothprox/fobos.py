@@ -11,26 +11,15 @@ stops by the rule ``solver.Trace`` applies to both solvers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .penalties import _check_fields
-from .solver import Problem, SolverError, Trace, _initial_beta, soft_threshold
+from .solver import Problem, SolverConfig, SolverError, Trace, _initial_beta, soft_threshold
 
 
-@dataclass
-class FobosConfig:
-    lam: float = 0.0
-    max_iter: int = 20000
-    rel_tol: float = 1e-6
-
-    def __post_init__(self):
-        _check_fields(self, lam=0, max_iter=1, rel_tol=0)
-
-
-def solve_fobos(problem: Problem, config: FobosConfig):
+def solve_fobos(problem: Problem, config: SolverConfig):
     """Run the subgradient baseline from zero; returns ``(beta_best, trace)``.
+    It reads ``lam``, ``max_iter`` and ``rel_tol`` from ``config`` and not
+    ``epsilon`` or ``mu``: it steps on the exact penalty, with no smoothing.
 
     ``beta_best`` is the iterate with the best objective seen, since the
     plain iterates do not decrease monotonically; it is the zero start when

@@ -223,7 +223,9 @@ class GraphPenaltySpec:
 
 @dataclass(frozen=True)
 class CouplingMatrix:
-    """Sparse coupling matrix C with optional per-group row blocks.
+    """Sparse coupling matrix C with optional per-group row blocks.  ``matrix``
+    may be in any scipy sparse format; it is kept as a CSR matrix, which the
+    products and ``norm_bound`` read by rows.
 
     For group penalties each row holds a single non-zero ``gamma * w_g`` and
     ``block_sizes`` holds the row count of each consecutive row block, one
@@ -263,15 +265,13 @@ class CouplingMatrix:
     block_sizes: tuple | None = None
 
     def __post_init__(self):
-        m = self.matrix
+        m = sp.csr_matrix(self.matrix)  # no copy of a CSR input
+        object.__setattr__(self, "matrix", m)
         # scipy builds a new CSC matrix (sharing C's arrays) on every ``.T``
         object.__setattr__(self, "_transpose", m.T)
         rows = m.shape[0]
-        # a CSC matrix's indptr walks columns; with no rows, bincount would
-        # return integer zeros
-        one_per_row = (
-            m.format == "csr" and rows > 0 and np.array_equal(m.indptr, np.arange(rows + 1))
-        )
+        # with no rows, bincount would return integer zeros
+        one_per_row = rows > 0 and np.array_equal(m.indptr, np.arange(rows + 1))
         object.__setattr__(
             self, "_gather", (m.indices.astype(np.intp), m.data) if one_per_row else None
         )
@@ -380,8 +380,6 @@ class CouplingMatrix:
         a graph, with d_j the tau^2-weighted degree of node j."""
         if self.nnz == 0:
             return 0.0
-        # The compressed arrays are read as rows, so on a CSC matrix this
-        # bounds ||C^T||, which equals ||C||.
         m = self.matrix
         row_nnz = np.diff(m.indptr).max()
         col_sq = np.bincount(m.indices, weights=np.square(m.data), minlength=self.cols).max()

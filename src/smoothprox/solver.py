@@ -252,9 +252,10 @@ def solve(problem: Problem, config: SolverConfig, beta0=None):
     theta = 1.0
     p = p_w = loss.product(beta)  # the loss products at beta and at w
     trace = Trace(header={
-        "mu": mu, "epsilon": config.epsilon, "L_loss": L_loss, "L": L, "D": D,
-        "norm_C": norm_C, "lam": lam, "gram": loss.gram, "L_loss_source": loss.lipschitz_source,
-        "max_iter": config.max_iter, "rel_tol": config.rel_tol, "shape": list(beta.shape),
+        "method": "proxgrad", "mu": mu, "epsilon": config.epsilon, "L_loss": L_loss, "L": L,
+        "D": D, "norm_C": norm_C, "lam": lam, "gram": loss.gram,
+        "L_loss_source": loss.lipschitz_source, "max_iter": config.max_iter,
+        "rel_tol": config.rel_tol, "shape": list(beta.shape),
     })
     for t in range(1, config.max_iter + 1):
         grad = loss.gradient_from(p_w)

@@ -240,7 +240,7 @@ def test_06_convergence_ordering():
     it_p = int(np.argmax(obj_p <= target)) + 1 if hit_p else np.inf
     time_p = tr_p.elapsed[it_p - 1] if hit_p else np.inf
 
-    _, tr_f = spx.solve_fobos(prob, spx.FobosConfig(lam=lam, rel_tol=1e-12))
+    _, tr_f = spx.solve_fobos(prob, spx.SolverConfig(lam=lam, rel_tol=1e-12))
     obj_f = np.array(tr_f.objectives)
     hit_f = (obj_f <= target).any()
     it_f = int(np.argmax(obj_f <= target)) + 1 if hit_f else np.inf

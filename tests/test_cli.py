@@ -68,6 +68,14 @@ class TestSolveCommand:
         assert json.loads(lines[0])["header"]["mu"] == 1e-4
         assert json.loads(lines[-1])["status"] == "converged"
 
+    def test_trace_header_names_the_method(self, toy_instance):
+        trace_path = toy_instance / "trace.jsonl"
+        assert cli_main(["solve", "--x", str(toy_instance / "X.csv"), "--y", str(toy_instance / "y.csv"),
+                         "--lambda", "0.1", "--mu", "1e-2", "--max-iter", "3",
+                         "--out", str(toy_instance / "beta.csv"), "--trace", str(trace_path)]) == 0
+        header = json.loads(trace_path.read_text().splitlines()[0])["header"]
+        assert header["method"] == "proxgrad"
+
     def test_trace_ends_with_the_run_summary(self, toy_instance, capsys):
         """The last line of a trace file is the summary ``solve`` prints; its
         ``iterations`` counts the iteration lines between header and summary."""
@@ -249,6 +257,28 @@ class TestBenchCommand:
         assert built == [True]
         setup_s = json.loads(report_path.read_text())["setup_s"]
         assert np.isfinite(setup_s) and setup_s >= 0
+
+
+    def run_bench(self, inst, path, *extra):
+        assert cli_main(["bench", "--instance", str(inst), "--lambda", "1.0", *extra,
+                         "--report", str(path)]) == 0
+        methods = json.loads(path.read_text())["methods"]
+        return {m["name"]: {k: m[k] for k in ("iterations", "objective", "nnz", "status")}
+                for m in methods}
+
+    def test_fobos_ignores_mu(self, small_overlap_instance, tmp_path):
+        """One settings record serves both methods: ``--mu`` sets proxgrad's
+        smoothing and changes no number of FOBOS's run."""
+        plain = self.run_bench(small_overlap_instance, tmp_path / "plain.json", "--max-iter", "50")
+        smoothed = self.run_bench(small_overlap_instance, tmp_path / "mu.json", "--max-iter", "50",
+                                  "--mu", "1e-1")
+        assert smoothed["fobos"] == plain["fobos"]
+        assert smoothed["proxgrad"] != plain["proxgrad"]
+
+    def test_both_methods_read_max_iter_and_rel_tol(self, small_overlap_instance, tmp_path):
+        report = self.run_bench(small_overlap_instance, tmp_path / "report.json",
+                                "--max-iter", "13", "--rel-tol", "0")
+        assert [(m["iterations"], m["status"]) for m in report.values()] == [(13, "max_iter")] * 2
 
 
 class TestPathCommand:
@@ -492,7 +522,7 @@ def test_summary_reports_the_returned_coefficients():
     spec = GroupPenaltySpec.with_unit_weights(((0, 1, 2), (2, 3, 4, 5)), 1.0)
     problem = smoothprox.Problem.least_squares(30.0 * X, 30.0 * y, spec)
     beta, trace = smoothprox.solve_fobos(
-        problem, smoothprox.FobosConfig(lam=0.5, max_iter=20, rel_tol=0.0))
+        problem, smoothprox.SolverConfig(lam=0.5, max_iter=20, rel_tol=0.0))
     summary = trace.summary()
     assert summary == {"iterations": 20, "objective": trace.final_objective, "nnz": 0,
                        "status": "max_iter"}

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from smoothprox import (
-    FobosConfig,
     GroupPenaltySpec,
     LogisticLoss,
     OverlapSimSpec,
@@ -58,14 +57,14 @@ class TestStorageRule:
         X = rng.standard_normal((520, J))
         problem = Problem.least_squares(X, rng.standard_normal(520))
         _, trace = solve(problem, SolverConfig(lam=1.0, max_iter=2))
-        _, fobos_trace = solve_fobos(problem, FobosConfig(lam=1.0, max_iter=2))
+        _, fobos_trace = solve_fobos(problem, SolverConfig(lam=1.0, max_iter=2))
         assert trace.header["gram"] == fobos_trace.header["gram"] == gram
 
     def test_logistic_records_streaming(self, rng):
         X = rng.standard_normal((30, 4))
         problem = Problem.logistic(X, np.where(rng.standard_normal(30) > 0, 1.0, -1.0))
         _, trace = solve(problem, SolverConfig(lam=0.1, max_iter=2))
-        _, fobos_trace = solve_fobos(problem, FobosConfig(lam=0.1, max_iter=2))
+        _, fobos_trace = solve_fobos(problem, SolverConfig(lam=0.1, max_iter=2))
         assert trace.header["gram"] is fobos_trace.header["gram"] is None
 
 
@@ -174,7 +173,7 @@ class TestFinalObjectiveOnFloat32Gram:
         "run",
         [
             lambda p: solve(p, SolverConfig(lam=5.0, mu=1e-3, max_iter=200)),
-            lambda p: solve_fobos(p, FobosConfig(lam=5.0, max_iter=200)),
+            lambda p: solve_fobos(p, SolverConfig(lam=5.0, max_iter=200)),
         ],
         ids=["solve", "fobos"],
     )

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from smoothprox import (
-    FobosConfig,
     GraphPenaltySpec,
     GroupPenaltySpec,
     Problem,
@@ -33,7 +32,7 @@ class TestDefaultC:
     def header_c(rng, N, J, K=None):
         y = rng.standard_normal(N if K is None else (N, K))
         prob = Problem.least_squares(rng.standard_normal((N, J)), y)
-        return solve_fobos(prob, FobosConfig(lam=0.1, max_iter=1))[1].header["c"]
+        return solve_fobos(prob, SolverConfig(lam=0.1, max_iter=1))[1].header["c"]
 
     def test_univariate(self, rng):
         c = self.header_c(rng, 1000, 910)
@@ -110,7 +109,7 @@ class TestSolveFobos:
         beta_prox, _ = solve(prob, SolverConfig(lam=lam, rel_tol=1e-12))
         beta_sub, _ = solve_fobos(
             prob,
-            FobosConfig(lam=lam, max_iter=200000, rel_tol=0.0),
+            SolverConfig(lam=lam, max_iter=200000, rel_tol=0.0),
         )
         f = lambda b: loss_value(prob.loss, b) + lam * np.abs(b).sum()
         assert f(beta_sub) <= f(beta_prox) * (1.0 + 1e-3)
@@ -122,7 +121,7 @@ class TestSolveFobos:
         spec = GroupPenaltySpec.with_unit_weights(((0, 1, 2, 3), (4, 5, 6, 7)), 1.0)
         prob = Problem.least_squares(X, y, spec)
         _, trace = solve_fobos(
-            prob, FobosConfig(lam=0.3, max_iter=2000, rel_tol=0.0)
+            prob, SolverConfig(lam=0.3, max_iter=2000, rel_tol=0.0)
         )
         best = np.array(trace.smoothed_objectives)  # carries best-so-far
         assert (np.diff(best) <= 0.0).all()
@@ -131,7 +130,7 @@ class TestSolveFobos:
 
     def test_step_scale_recorded_in_header(self, rng):
         prob = Problem.least_squares(np.eye(3), np.array([1.0, 0.0, -1.0]))
-        _, trace = solve_fobos(prob, FobosConfig(lam=0.1, max_iter=50))
+        _, trace = solve_fobos(prob, SolverConfig(lam=0.1, max_iter=50))
         assert trace.header["c"] == 0.1 / np.sqrt(9)
         assert trace.header["f_smooth_field"] == "best_objective"
 
@@ -143,19 +142,42 @@ class TestSolveFobos:
         y = rng.standard_normal(12 if K is None else (12, K))
         prob = Problem.least_squares(rng.standard_normal((12, 5)), y)
         c = 0.1 / np.sqrt(12 * 5 * (K or 1))
-        _, trace = solve_fobos(prob, FobosConfig(lam=0.1, max_iter=1))
+        _, trace = solve_fobos(prob, SolverConfig(lam=0.1, max_iter=1))
         assert trace.header["c"] == c
         step = -c * loss_gradient(prob.loss, np.zeros(prob.coef_shape))
         first = np.sign(step) * np.maximum(np.abs(step) - c * 0.1, 0.0)
         expected = loss_value(prob.loss, first) + 0.1 * np.abs(first).sum()
         assert trace.objectives == [pytest.approx(expected, rel=1e-12)]
 
+    @pytest.mark.parametrize("smoothing", [{"mu": 1e-3}, {"epsilon": 1e-3}], ids=["mu", "epsilon"])
+    def test_reads_no_smoothing_field(self, rng, smoothing):
+        """FOBOS steps on the exact penalty: a ``mu`` or an ``epsilon`` in its
+        settings changes no bit of its coefficients or objectives."""
+        spec = GroupPenaltySpec.with_unit_weights(((0, 1, 2), (2, 3, 4)), 1.0)
+        prob = Problem.least_squares(rng.standard_normal((20, 5)), rng.standard_normal(20), spec)
+        self.assert_same_run(prob, smoothing)
+
+    @pytest.mark.parametrize("smoothing", [{"mu": 1e-3}, {"epsilon": 1e-3}], ids=["mu", "epsilon"])
+    def test_reads_no_smoothing_field_on_a_graph_matrix(self, rng, smoothing):
+        """The same on a graph penalty and an N x K response, whose subgradient
+        goes through scipy's products."""
+        spec = GraphPenaltySpec(num_nodes=3, edges=((0, 1, 1.0), (1, 2, -0.5)), gamma=1.0)
+        prob = Problem.least_squares(rng.standard_normal((20, 4)), rng.standard_normal((20, 3)), spec)
+        self.assert_same_run(prob, smoothing)
+
+    @staticmethod
+    def assert_same_run(prob, smoothing):
+        beta, trace = solve_fobos(prob, SolverConfig(lam=0.1, max_iter=30))
+        beta_s, trace_s = solve_fobos(prob, SolverConfig(lam=0.1, max_iter=30, **smoothing))
+        assert beta_s.tobytes() == beta.tobytes()
+        assert trace_s.objectives == trace.objectives
+
     def test_non_finite_objective_raises(self):
         """The first step from zero is finite, but the objective there
         overflows: ``|y|`` is near the float range, so its square is not."""
         prob = Problem.least_squares(np.eye(2), np.array([1e170, 1.0]))
         with pytest.raises(SolverError, match="^non-finite objective at iteration 1$"):
-            solve_fobos(prob, FobosConfig(max_iter=5))
+            solve_fobos(prob, SolverConfig(max_iter=5))
 
     def test_graph_penalty_decreases_objective(self, rng):
         X = rng.standard_normal((40, 5))
@@ -169,7 +191,7 @@ class TestSolveFobos:
         prob = Problem.least_squares(X, y, spec)
         lam = 0.2
         beta, trace = solve_fobos(
-            prob, FobosConfig(lam=lam, max_iter=20000, rel_tol=0.0)
+            prob, SolverConfig(lam=lam, max_iter=20000, rel_tol=0.0)
         )
         f = lambda b: (
             loss_value(prob.loss, b) + lam * np.abs(b).sum() + penalty_value(spec, b)
@@ -179,32 +201,32 @@ class TestSolveFobos:
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError, match="lam must be non-negative"):
-            FobosConfig(lam=-1.0)
+            SolverConfig(lam=-1.0)
 
     def test_zero_max_iter_rejected(self):
         with pytest.raises(ValueError, match="max_iter must be positive"):
-            FobosConfig(max_iter=0)
+            SolverConfig(max_iter=0)
 
     def test_negative_rel_tol_rejected(self):
         with pytest.raises(ValueError, match="rel_tol must be non-negative"):
-            FobosConfig(rel_tol=-1.0)
+            SolverConfig(rel_tol=-1.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_lambda_rejected(self, value):
         with pytest.raises(ValueError, match="lam must be non-negative and finite"):
-            FobosConfig(lam=value)
+            SolverConfig(lam=value)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_rel_tol_rejected(self, value):
         with pytest.raises(ValueError, match="rel_tol must be non-negative and finite"):
-            FobosConfig(rel_tol=value)
+            SolverConfig(rel_tol=value)
 
 
 class TestInputChecks:
     @pytest.mark.parametrize("num_nodes", [3, 7])
     @pytest.mark.parametrize("run", [
         lambda prob: solve(prob, SolverConfig(mu=1e-2, max_iter=3)),
-        lambda prob: solve_fobos(prob, FobosConfig(max_iter=3)),
+        lambda prob: solve_fobos(prob, SolverConfig(max_iter=3)),
     ], ids=["solve", "solve_fobos"])
     def test_graph_node_count_checked_against_features(self, rng, num_nodes, run):
         spec = GraphPenaltySpec(num_nodes=num_nodes, edges=((0, 1, 1.0), (1, 2, -0.5)), gamma=1.0)
@@ -220,7 +242,7 @@ class TestInputChecks:
     ], ids=["graph-gamma0", "group-gamma0", "group", "str", "object"])
     @pytest.mark.parametrize("run", [
         lambda prob: solve(prob, SolverConfig(mu=1e-2, max_iter=3)),
-        lambda prob: solve_fobos(prob, FobosConfig(max_iter=3)),
+        lambda prob: solve_fobos(prob, SolverConfig(max_iter=3)),
     ], ids=["solve", "solve_fobos"])
     def test_penalty_checked_whatever_gamma(self, rng, spec, message, run):
         with pytest.raises(StructureError, match=message):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from smoothprox import (
-    FobosConfig,
     GraphPenaltySpec,
     GroupPenaltySpec,
     MultiProblem,
@@ -203,7 +202,7 @@ class TestMatrixResponse:
         prob = toy_problem(rng, k=3, spec=spec)
         problem = Problem.least_squares(prob.X, prob.Y, spec)
         lam = 0.2
-        B, trace = solve_fobos(problem, FobosConfig(lam=lam, max_iter=3000))
+        B, trace = solve_fobos(problem, SolverConfig(lam=lam, max_iter=3000))
         assert B.shape == (4, 3)
         f = lambda b: loss_value(problem.loss, b) + lam * np.abs(b).sum() + penalty_value(spec, b)
         assert f(B) < f(np.zeros((4, 3)))
@@ -256,7 +255,7 @@ class TestMultiProblemIsAProblem:
     def test_fobos_runs_to_max_iter(self, rng):
         spec = GroupPenaltySpec.with_unit_weights(((0, 1), (1, 2)), 1.0)
         prob = toy_problem(rng, k=3, spec=spec)
-        config = FobosConfig(lam=0.2, max_iter=50, rel_tol=0.0)
+        config = SolverConfig(lam=0.2, max_iter=50, rel_tol=0.0)
         B, trace = solve_fobos(prob, config)
         assert B.shape == (4, 3)
         assert trace.status == "max_iter" and len(trace) == 50

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import smoothprox
@@ -27,3 +28,12 @@ def test_no_module_imports_an_unused_name():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_readme_quick_start_runs():
+    """The README's library example runs as written, so a name it uses that
+    the package no longer has fails here."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from smoothprox import (
     CouplingMatrix,
-    FobosConfig,
     GraphPenaltySpec,
     GraphSimSpec,
     GroupPenaltySpec,
@@ -461,7 +460,6 @@ class TestRealNumbers:
 #: Every settings record, the keyword arguments of a valid one, and its error class.
 SETTINGS_RECORDS = [
     (SolverConfig, {}, ValueError),
-    (FobosConfig, {}, ValueError),
     (OverlapSimSpec, {}, ValueError),
     (GraphSimSpec, {}, ValueError),
     (GroupPenaltySpec, {"groups": ((0, 1),), "weights": (1.0,), "gamma": 1.0}, StructureError),
@@ -574,7 +572,7 @@ class TestGatherForm:
             self.exercise(C, rng.standard_normal(8))
             spectral_norm_power_iteration(C)
             solve(problem, SolverConfig(lam=0.1, mu=1e-2, max_iter=5))
-            solve_fobos(problem, FobosConfig(lam=0.1, max_iter=5))
+            solve_fobos(problem, SolverConfig(lam=0.1, max_iter=5))
         assert calls == []
 
     @pytest.mark.parametrize("case", ["graph-vector", "group-matrix", "graph-matrix"])
@@ -589,16 +587,28 @@ class TestGatherForm:
             self.exercise(C, beta)
         assert "csr_matrix" in calls and "csc_matrix" in calls
 
-    def test_csc_matrix_is_not_read_as_rows(self):
-        """A square CSC matrix with one entry per column has the row pointer a
-        CSR matrix with one entry per row would have."""
+    @pytest.mark.parametrize("make", [
+        sp.csc_matrix, sp.csc_array, sp.coo_matrix, sp.coo_array, sp.lil_matrix, sp.dok_matrix,
+        sp.dia_matrix, sp.bsr_matrix, sp.csr_array,
+    ], ids=["csc", "csc_array", "coo", "coo_array", "lil", "dok", "dia", "bsr", "csr_array"])
+    def test_csc_matrix_is_not_read_as_rows(self, make):
+        """C is kept as CSR whatever its format: a square CSC matrix with one
+        entry per column has the row pointer a CSR matrix with one entry per
+        row would have, BSR's pointer runs over blocks, and COO, LIL, DOK and
+        DIA have no row pointer."""
         dense = np.array([[0.0, 2.0, 0.0], [3.0, 0.0, 0.0], [0.0, 0.0, 5.0]])
-        C = CouplingMatrix(sp.csc_matrix(dense))
+        C = CouplingMatrix(make(dense))
         beta = np.array([1.0, 10.0, 100.0])
         np.testing.assert_array_equal(C.apply(beta), dense @ beta)
         np.testing.assert_array_equal(C.apply_transpose(beta), dense.T @ beta)
-        # the bound reads the CSC arrays as rows, so it bounds ||C^T|| = ||C||
         assert C.norm_bound >= np.linalg.norm(dense, 2)
+
+    def test_csr_input_is_not_copied(self):
+        matrix = sp.csr_matrix(np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]]))
+        C = CouplingMatrix(matrix)
+        assert C.matrix.format == "csr"
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(C.matrix, name), getattr(matrix, name))
 
     @pytest.mark.parametrize("matrix", [
         sp.csr_matrix((0, 4)),

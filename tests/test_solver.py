@@ -9,7 +9,6 @@ import pytest
 import smoothprox.solver
 from smoothprox import (
     CouplingMatrix,
-    FobosConfig,
     GraphPenaltySpec,
     GraphSimSpec,
     GroupPenaltySpec,
@@ -178,7 +177,7 @@ class TestCouplingBuiltOnce:
         with pytest.MonkeyPatch.context() as mp:
             builds = self.count_calls(mp, GroupPenaltySpec, "coupling")
             solve(problem, SolverConfig(lam=0.1, mu=1e-2, max_iter=10))
-            solve_fobos(problem, FobosConfig(lam=0.1, max_iter=10))
+            solve_fobos(problem, SolverConfig(lam=0.1, max_iter=10))
         assert len(builds) == 1
 
     def test_multi_problem_builds_on_first_solve(self, rng):
@@ -263,6 +262,11 @@ class TestSolverConfigChecks:
         with pytest.raises(ValueError, match="rel_tol must be non-negative and finite"):
             SolverConfig(rel_tol=value)
 
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_max_iter(self, value):
+        with pytest.raises(ValueError, match="max_iter must be positive"):
+            SolverConfig(max_iter=value)
+
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
     def test_mu(self, value):
         with pytest.raises(ValueError, match="mu must be positive and finite"):
@@ -278,17 +282,15 @@ class TestSolverConfigChecks:
             SolverConfig(epsilon=1e-3, mu=1e-3)
 
     @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"], ids=["fraction", "float", "bool", "str"])
-    @pytest.mark.parametrize("make", [SolverConfig, FobosConfig])
-    def test_max_iter_must_be_an_integer(self, make, value):
+    def test_max_iter_must_be_an_integer(self, value):
         """A float or a bool passes ``max_iter >= 1`` and would fail only in
         ``range``, at the first solve."""
         with pytest.raises(ValueError, match="max_iter must be an integer"):
-            make(max_iter=value)
+            SolverConfig(max_iter=value)
 
     @pytest.mark.parametrize("value", [True, "1", None, [1.0]], ids=["bool", "str", "none", "list"])
     @pytest.mark.parametrize("make, field", [
-        (SolverConfig, "lam"), (SolverConfig, "rel_tol"), (SolverConfig, "mu"),
-        (SolverConfig, "epsilon"), (FobosConfig, "lam"), (FobosConfig, "rel_tol"),
+        (SolverConfig, "lam"), (SolverConfig, "rel_tol"), (SolverConfig, "mu"), (SolverConfig, "epsilon"),
     ], ids=lambda v: getattr(v, "__name__", v))
     def test_numbers_must_be_real(self, make, field, value):
         """A bool is not read as 1 and a string does not fail in a comparison;
@@ -322,12 +324,28 @@ class TestSolverConfigChecks:
         with pytest.raises(ValueError, match=f"^{message}$"):
             select_mu(epsilon, D)
 
-    @pytest.mark.parametrize("make", [SolverConfig, FobosConfig])
-    def test_numpy_integer_max_iter_runs(self, rng, make):
-        config = make(lam=0.1, max_iter=np.int64(3), rel_tol=0.0)
+    @pytest.mark.parametrize("run", [solve, solve_fobos], ids=lambda run: run.__name__)
+    def test_numpy_integer_max_iter_runs(self, rng, run):
+        config = SolverConfig(lam=0.1, max_iter=np.int64(3), rel_tol=0.0)
         problem = Problem.least_squares(rng.standard_normal((10, 3)), rng.standard_normal(10))
-        _, trace = (solve if make is SolverConfig else solve_fobos)(problem, config)
+        _, trace = run(problem, config)
         assert len(trace) == 3
+
+    @pytest.mark.parametrize("field, value", [("lam", 0.5), ("max_iter", 7), ("rel_tol", 1e-3)],
+                             ids=["lam", "max_iter", "rel_tol"])
+    @pytest.mark.parametrize("run", [solve, solve_fobos], ids=lambda run: run.__name__)
+    def test_both_solvers_read_the_shared_fields(self, rng, run, field, value):
+        """SPG and FOBOS take one settings record: each reads ``lam``,
+        ``max_iter`` and ``rel_tol`` from it, records the value it read in the
+        trace header, and runs differently when the value changes."""
+        spec = GroupPenaltySpec.with_unit_weights(((0, 1, 2), (2, 3, 4)), 1.0)
+        problem = Problem.least_squares(rng.standard_normal((20, 5)), rng.standard_normal(20), spec)
+        config = SolverConfig(lam=0.1, mu=1e-2, max_iter=40, rel_tol=0.0)
+        _, trace = run(problem, config)
+        _, changed = run(problem, dataclasses.replace(config, **{field: value}))
+        assert trace.header[field] == getattr(config, field)
+        assert changed.header[field] == value
+        assert changed.objectives != trace.objectives
 
 
 class TestFistaStep:
@@ -449,6 +467,18 @@ class TestSolve:
         header = lines[0]["header"]
         assert header["L_loss"] == pytest.approx(1.0, rel=1e-12)
         assert header["D"] is None and header["norm_C"] is None
+
+    @pytest.mark.parametrize("run, method", [
+        (lambda p, c: solve(p, c)[1], "proxgrad"),
+        (lambda p, c: solve_fobos(p, c)[1], "fobos"),
+        (lambda p, c: regularization_path(p, [0.2, 0.1], c)[-1][2], "proxgrad"),
+    ], ids=["solve", "solve_fobos", "regularization_path"])
+    def test_trace_header_names_the_method(self, rng, run, method):
+        """A trace names the solver that made it, by the name ``smoothprox
+        bench`` reports."""
+        problem = Problem.least_squares(rng.standard_normal((12, 3)), rng.standard_normal((12, 2)))
+        trace = run(problem, SolverConfig(lam=0.1, mu=1e-2, max_iter=3))
+        assert trace.header["method"] == method
 
     @pytest.mark.parametrize("converged", [True, False], ids=["lanczos", "frobenius"])
     @pytest.mark.parametrize("gram", [True, False], ids=["gram", "streaming"])
@@ -665,7 +695,7 @@ class TestMatrixLayout:
         lambda p: solve(p, SolverConfig(lam=0.1, mu=1e-2, max_iter=20)),
         lambda p: solve(p, SolverConfig(lam=0.1, mu=1e-2, max_iter=20), np.full((6, 3), 0.01, order="C")),
         lambda p: solve(p, SolverConfig(lam=0.1, mu=1e-2, max_iter=20), np.full((6, 3), 0.01, order="F")),
-        lambda p: solve_fobos(p, FobosConfig(lam=0.1, max_iter=20)),  # from zeros: it takes no start
+        lambda p: solve_fobos(p, SolverConfig(lam=0.1, max_iter=20)),  # from zeros: it takes no start
     ], ids=["None-solve", "C-solve", "F-solve", "None-solve_fobos"])
     def test_returned_coefficients_are_fortran_ordered(self, problem, run, gram, monkeypatch):
         force_gram(monkeypatch, gram)
@@ -720,7 +750,7 @@ class TestFinalObjective:
         "run",
         [
             lambda p: solve(p, SolverConfig(lam=0.5, mu=1e-3, max_iter=50)),
-            lambda p: solve_fobos(p, FobosConfig(lam=0.5, max_iter=50)),
+            lambda p: solve_fobos(p, SolverConfig(lam=0.5, max_iter=50)),
         ],
         ids=["solve", "fobos"],
     )
@@ -735,7 +765,7 @@ class TestFinalObjective:
         the best recorded objective is far above the start's."""
         problem, spec = group_problem
         problem = Problem.least_squares(30.0 * problem.X, 30.0 * problem.y, spec)
-        beta, trace = solve_fobos(problem, FobosConfig(lam=0.5, max_iter=20, rel_tol=0.0))
+        beta, trace = solve_fobos(problem, SolverConfig(lam=0.5, max_iter=20, rel_tol=0.0))
         assert not beta.any()
         assert min(trace.objectives) > 1e3 * self.exact(problem, spec, beta)
         assert trace.final_objective == pytest.approx(self.exact(problem, spec, beta), rel=1e-10)
@@ -762,7 +792,7 @@ class TestStoppingRule:
         "solve": lambda p, rel_tol, max_iter: solve(
             p, SolverConfig(lam=0.1, mu=1e-2, rel_tol=rel_tol, max_iter=max_iter)),
         "solve_fobos": lambda p, rel_tol, max_iter: solve_fobos(
-            p, FobosConfig(lam=0.1, rel_tol=rel_tol, max_iter=max_iter)),
+            p, SolverConfig(lam=0.1, rel_tol=rel_tol, max_iter=max_iter)),
     }
 
     @pytest.mark.parametrize("rel_tol, max_iter, status", [
@@ -779,6 +809,7 @@ class TestStoppingRule:
         met = [t for t in range(2, len(f) + 1) if abs(f[t - 1] - f[t - 2]) / max(1.0, abs(f[t - 2])) < rel_tol]
         assert trace.status == status
         assert trace.header["rel_tol"] == rel_tol
+        assert trace.header["method"] == {"solve": "proxgrad", "solve_fobos": "fobos"}[method]
         assert len(trace) == len(trace.smoothed_objectives) == len(trace.elapsed)
         if status == "converged":
             assert met == [len(trace)]
