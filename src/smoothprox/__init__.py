@@ -34,10 +34,6 @@ _EXPORTS = {
         "overlap_true_beta",
         "threshold_correlation_graph",
     ),
-    "smoothing": (
-        "select_mu",
-        "spectral_norm_power_iteration",
-    ),
     "solver": (
         "Problem",
         "SolverConfig",
@@ -45,6 +41,7 @@ _EXPORTS = {
         "Trace",
         "iteration_bound",
         "regularization_path",
+        "select_mu",
         "soft_threshold",
         "solve",
         "total_lipschitz",

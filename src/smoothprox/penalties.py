@@ -11,8 +11,9 @@ Both can be written as ``max_{alpha in Q} alpha^T C beta`` for a sparse
 coupling matrix ``C``.  Each spec checks its structure and builds its own
 ``C``; ``CouplingMatrix`` computes everything the solvers need from ``C``:
 the exact value and a subgradient, the smoothed value and gradient at a
-given ``mu``, ``D`` and a bound on ``||C||``.  All indices are
-0-based in memory; the JSON file format uses 1-based indices.
+given ``mu``, ``D``, and ``||C||`` (a Lanczos estimate and an upper bound).
+All indices are 0-based in memory; the JSON file format uses 1-based
+indices.
 """
 
 from __future__ import annotations
@@ -221,7 +222,7 @@ class GraphPenaltySpec:
         return CouplingMatrix(matrix=matrix)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # a scipy field: couplings compare and hash by identity
 class CouplingMatrix:
     """Sparse coupling matrix C with optional per-group row blocks.  ``matrix``
     may be in any scipy sparse format; it is kept as a CSR matrix, which the
@@ -384,6 +385,19 @@ class CouplingMatrix:
         row_nnz = np.diff(m.indptr).max()
         col_sq = np.bincount(m.indices, weights=np.square(m.data), minlength=self.cols).max()
         return float(np.sqrt(row_nnz * col_sq))
+
+    def spectral_norm(self, tol=1e-8, max_iter=5000):
+        """``||C||``, the largest singular value of C: the square root of the
+        largest eigenvalue of C^T C by the Lanczos iteration of
+        ``losses.power_iteration`` (one ``C`` and one ``C^T`` product per
+        step, two vectors kept), as a ``SpectralEstimate`` flagged as
+        approximate unless the eigenvalue's relative change falls below
+        ``tol`` within ``max_iter`` steps.  Like the eigenvalue, it approaches
+        sigma_max from below; ``norm_bound`` bounds it from above."""
+        from .losses import power_iteration  # losses imports this module
+
+        est = power_iteration(lambda v: self.apply_transpose(self.apply(v)), self.cols, tol, max_iter)
+        return est._replace(value=float(np.sqrt(est.value)))
 
     @property
     def rows(self):

@@ -4,7 +4,9 @@ Minimizes ``f(beta) = g(beta) + Omega(beta) + lam * ||beta||_1`` by running
 FISTA on the smoothed surrogate ``g + f_mu + lam * ||.||_1``: a gradient step
 on the smooth part followed by entrywise soft-thresholding, with momentum
 weights ``theta_t = 2 / (t + 2)``.  The reported and stopping objective is
-the exact ``f``, not the surrogate.
+the exact ``f``, not the surrogate.  The paper's three step-size formulas
+live here: ``select_mu`` (``mu = epsilon / (2 D)``), ``total_lipschitz``
+(``L = L_loss + ||C||^2 / mu``) and ``iteration_bound``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ import numpy as np
 
 from .losses import LogisticLoss, SquaredLoss, _checked_arrays
 from .penalties import GraphPenaltySpec, GroupPenaltySpec, StructureError, _check_fields, _real
-from .smoothing import select_mu
+
+#: Smoothness parameter used when no target accuracy is supplied.
+DEFAULT_MU = 1e-4
 
 
 class SolverError(RuntimeError):
@@ -176,6 +180,27 @@ def _check_non_negative(**values):
             raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
 
 
+def select_mu(epsilon=None, D=None) -> float:
+    """Smoothness parameter for a target accuracy: mu = epsilon / (2 D).
+
+    With no target accuracy, returns the fixed default of 1e-4.  An
+    ``epsilon`` or ``D`` that is not a positive, finite real number (a bool
+    is not one) is a ValueError, and so is an ``epsilon / (2 D)`` that
+    underflows to 0, as no positive float is then small enough to keep the
+    smoothing bias ``mu D`` within ``epsilon / 2``, or that overflows.
+    """
+    if epsilon is None:
+        return DEFAULT_MU
+    for name, value in (("epsilon", epsilon), ("D", D)):
+        if not 0.0 < _real(value, name, ValueError) < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    mu = epsilon / (2.0 * D)
+    if not 0.0 < mu < math.inf:
+        how = "underflows to 0" if mu == 0.0 else "overflows"
+        raise ValueError(f"epsilon / (2 D) {how} at epsilon={epsilon!r}, D={D!r}")
+    return mu
+
+
 def total_lipschitz(loss_lipschitz, coupling_norm_value, mu) -> float:
     """Gradient Lipschitz constant of the smooth part: L_loss + ||C||^2 / mu.
 
@@ -247,6 +272,8 @@ def solve(problem: Problem, config: SolverConfig, beta0=None):
         L = total_lipschitz(L_loss, norm_C, mu)
     if L <= 0:
         raise SolverError("non-positive Lipschitz constant; nothing to optimize")
+    if not L < math.inf:  # every step grad / L would be 0 (or NaN)
+        raise SolverError(f"non-finite Lipschitz constant L={L!r}")
     lam = config.lam
     beta_prev = w = beta
     theta = 1.0

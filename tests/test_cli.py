@@ -125,8 +125,9 @@ class TestSolveCommand:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
     def test_solver_error_exits_nonzero(self, tmp_path, capsys):
-        """Entries whose squares overflow give a non-finite gradient at the
-        first iteration: an error message and exit code 1, not a traceback."""
+        """Entries whose squares overflow give an infinite Lipschitz constant,
+        rejected before the first iteration: an error message and exit code
+        1, not a traceback."""
         X = np.full((4, 3), 1e200)
         X[0, 0] = 2e200
         write_csv(tmp_path / "X.csv", X)
@@ -142,7 +143,7 @@ class TestSolveCommand:
                 ]
             )
         assert rc == 1
-        assert "error: non-finite gradient" in capsys.readouterr().err
+        assert "error: non-finite Lipschitz constant" in capsys.readouterr().err
 
     def test_nan_gamma_exits_nonzero(self, toy_instance, capsys):
         rc = cli_main(

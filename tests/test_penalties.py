@@ -21,7 +21,6 @@ from smoothprox import (
     penalty_to_json,
     solve,
     solve_fobos,
-    spectral_norm_power_iteration,
 )
 from conftest import (
     MALFORMED_PENALTY_IDS,
@@ -233,6 +232,15 @@ class TestPenaltyValues:
 
 
 class TestCouplingApply:
+    def test_couplings_compare_by_identity(self):
+        """Two couplings over equal matrices are different objects; ``==``
+        once raised on the scipy field and ``hash`` on the unhashable one."""
+        C = CouplingMatrix(sp.csr_matrix(np.eye(3)))
+        other = CouplingMatrix(sp.csr_matrix(np.eye(3)))
+        assert C == C and C != other
+        assert hash(C) == hash(C)
+        assert len({C, C, other}) == 2 and other not in {C}
+
     def test_scalar(self):
         spec = GroupPenaltySpec(groups=((0,),), weights=(2.0,), gamma=3.0)
         C = spec.coupling(1)
@@ -570,7 +578,7 @@ class TestGatherForm:
         with pytest.MonkeyPatch.context() as mp:
             calls = self.count_sparse_products(mp)
             self.exercise(C, rng.standard_normal(8))
-            spectral_norm_power_iteration(C)
+            C.spectral_norm()
             solve(problem, SolverConfig(lam=0.1, mu=1e-2, max_iter=5))
             solve_fobos(problem, SolverConfig(lam=0.1, max_iter=5))
         assert calls == []

@@ -7,9 +7,8 @@ from smoothprox import (
     GraphPenaltySpec,
     GroupPenaltySpec,
     select_mu,
-    spectral_norm_power_iteration,
 )
-from smoothprox.smoothing import DEFAULT_MU
+from smoothprox.solver import DEFAULT_MU
 from conftest import (
     alpha_star,
     block_bounds,
@@ -189,7 +188,7 @@ class TestCouplingNorms:
     def test_group_matches_power_iteration(self, rng):
         for _ in range(20):
             spec = random_group_spec(rng, num_features=8)
-            est = spectral_norm_power_iteration(spec.coupling(8))
+            est = spec.coupling(8).spectral_norm()
             assert est.converged
             assert spec.coupling(8).norm_bound == pytest.approx(est.value, rel=1e-6)
 
@@ -216,21 +215,21 @@ class TestCouplingNorms:
     def test_graph_bound_dominates_power_iteration(self, rng):
         for _ in range(20):
             spec = random_graph_spec(rng, num_nodes=7)
-            est = spectral_norm_power_iteration(spec.coupling())
+            est = spec.coupling().spectral_norm()
             assert spec.coupling().norm_bound >= est.value - 1e-6
 
 
 class TestPowerIteration:
     def test_scalar(self):
         spec = GroupPenaltySpec(groups=((0,),), weights=(2.0,), gamma=3.0)
-        est = spectral_norm_power_iteration(spec.coupling(1))
+        est = spec.coupling(1).spectral_norm()
         assert est.value == pytest.approx(6.0)
 
     def test_chain_graph(self):
         spec = GraphPenaltySpec(
             num_nodes=3, edges=((0, 1, 1.0), (1, 2, 1.0)), gamma=1.0
         )
-        est = spectral_norm_power_iteration(spec.coupling())
+        est = spec.coupling().spectral_norm()
         assert est.value == pytest.approx(np.sqrt(3.0), rel=1e-6)
 
     @pytest.mark.parametrize("C, rows", [
@@ -241,12 +240,12 @@ class TestPowerIteration:
         """A graph whose only edge has r = 0 stores no entries, and a C with no
         rows has none to store; the norm is 0."""
         assert (C.rows, C.nnz) == (rows, 0)
-        est = spectral_norm_power_iteration(C)
+        est = C.spectral_norm()
         assert (est.value, est.converged) == (0.0, True)
 
     def test_nonconvergence_flagged(self):
         spec = GroupPenaltySpec.with_unit_weights(((0, 1), (1, 2)), 1.0)
-        est = spectral_norm_power_iteration(spec.coupling(3), tol=0.0, max_iter=3)
+        est = spec.coupling(3).spectral_norm(tol=0.0, max_iter=3)
         assert not est.converged
 
 

@@ -435,12 +435,24 @@ class TestSolve:
         X = np.eye(2) * 1e200
         y = np.array([1e200, 0.0])
         prob = Problem.least_squares(X, y)
-        with pytest.raises(SolverError):
+        with pytest.warns(RuntimeWarning), pytest.raises(SolverError):
             solve(prob, SolverConfig(lam=0.0, max_iter=10))
 
     def test_zero_design_without_penalty_has_nothing_to_optimize(self):
         prob = Problem.least_squares(np.zeros((5, 3)), np.ones(5))
         with pytest.raises(SolverError, match="non-positive Lipschitz constant"):
+            solve(prob, SolverConfig(lam=0.1))
+
+    @pytest.mark.parametrize("make", [Problem.least_squares, Problem.logistic], ids=["least_squares", "logistic"])
+    def test_infinite_lipschitz_constant_without_a_penalty_is_an_error(self, make):
+        """On a design scaled by 1e200 ``L_loss`` overflows to inf; without a
+        penalty every step was ``grad / inf = 0``, and the run reported
+        ``converged`` at iteration 2 from zero.  It now fails before the
+        first iteration."""
+        X = 1e200 * np.random.default_rng(0).standard_normal((2, 5))
+        prob = make(X, np.array([1.0, -1.0]) if make is Problem.logistic else np.ones(2))
+        with pytest.warns(RuntimeWarning), \
+                pytest.raises(SolverError, match=r"^non-finite Lipschitz constant L=inf$"):
             solve(prob, SolverConfig(lam=0.1))
 
     @pytest.mark.parametrize("config", [SolverConfig(lam=1.0, mu=1e-310), SolverConfig(lam=1.0, epsilon=1e-320)],
@@ -500,8 +512,8 @@ class TestSolve:
 
     def test_infinite_loss_lipschitz_with_a_penalty_fails_at_setup(self):
         """On X = 1e200 I, X^T X overflows and ``L_loss`` is the infinite
-        Frobenius bound.  Without a penalty the first gradient reports it;
-        with one, ``total_lipschitz`` rejects it before the first iteration."""
+        Frobenius bound.  With a penalty ``total_lipschitz`` rejects it before
+        the first iteration (without one, ``solve`` does)."""
         spec = GroupPenaltySpec.with_unit_weights(((0, 1),), 1.0)
         prob = Problem.least_squares(np.eye(2) * 1e200, np.array([1e200, 0.0]), spec)
         with np.errstate(over="ignore"), pytest.warns(RuntimeWarning, match="did not converge"), \
@@ -840,7 +852,8 @@ class TestStoppingRule:
     ])
     def test_errors_number_iterations_from_one(self, method, message):
         """Every ``SolverError`` names the iteration being computed, counted
-        from 1 as the trace's ``t`` is: here the first step overflows."""
-        prob = Problem.least_squares(np.eye(2) * 1e200, np.array([1e200, 0.0]))
+        from 1 as the trace's ``t`` is: here ``L_loss = 1e308`` is finite but
+        ``X^T y`` overflows, so the first step does."""
+        prob = Problem.least_squares(np.array([[1e154]]), np.array([1e200]))
         with pytest.warns(RuntimeWarning), pytest.raises(SolverError, match=f"^{message}$"):
             self.RUNS[method](prob, 1e-6, 10)
