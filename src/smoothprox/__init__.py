@@ -16,7 +16,6 @@ import importlib
 _EXPORTS = {
     "fobos": ("solve_fobos",),
     "losses": ("LogisticLoss", "SquaredLoss"),
-    "multivariate": ("MultiProblem", "solve_multivariate"),
     "penalties": (
         "CouplingMatrix",
         "GraphPenaltySpec",

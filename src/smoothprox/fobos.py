@@ -53,7 +53,7 @@ def solve_fobos(problem: Problem, config: SolverConfig):
     best_beta = beta  # no iterate is written after it is made
     trace = Trace(header={
         "method": "fobos", "c": c, "lam": lam, "gram": loss.gram, "max_iter": config.max_iter,
-        "rel_tol": config.rel_tol, "f_smooth_field": "best_objective",
+        "rel_tol": config.rel_tol, "shape": list(beta.shape), "f_smooth_field": "best_objective",
     })
     for t in range(1, config.max_iter + 1):
         step = c / np.sqrt(t)

@@ -154,7 +154,9 @@ class GroupPenaltySpec:
         self.validate_against(num_features)
         sizes = tuple(len(g) for g in self.groups)
         cols = np.concatenate([np.asarray(g, dtype=np.int64) for g in self.groups])
-        vals = np.repeat(self.gamma * np.array(self.weights), sizes)
+        # Python floats: an overflowing product is inf with no numpy warning,
+        # and CouplingMatrix rejects it
+        vals = np.repeat([self.gamma * w for w in self.weights], sizes)
         matrix = sp.csr_matrix((vals, cols, np.arange(cols.size + 1)), (cols.size, num_features))
         return CouplingMatrix(matrix=matrix, block_sizes=sizes)
 
@@ -215,7 +217,7 @@ class GraphPenaltySpec:
                 continue
             rows.extend((e, e))
             cols.extend((m, l))
-            vals.extend((self.gamma * tau, -self.gamma * np.sign(r) * tau))
+            vals.extend((self.gamma * tau, -self.gamma * math.copysign(1.0, r) * tau))
         matrix = sp.csr_matrix(
             (vals, (rows, cols)), shape=(len(self.edges), self.num_nodes)
         )
@@ -234,6 +236,7 @@ class CouplingMatrix:
     ``None``, one row per block, is the graph's l-inf box: each row is a
     signed, weighted difference over one edge (two non-zeros, or an all-zero
     row when ``r = 0``, retained to keep rows aligned with the edge list).
+    Every entry must be finite.
 
     ``apply`` and ``apply_transpose`` are the only products with C.  When
     every row of C stores exactly one entry (every group C), a 1-d iterate
@@ -267,6 +270,10 @@ class CouplingMatrix:
 
     def __post_init__(self):
         m = sp.csr_matrix(self.matrix)  # no copy of a CSR input
+        if not np.isfinite(m.data).all():
+            raise StructureError(
+                "C has a non-finite entry: a penalty's gamma times a group weight or an edge's |r| overflows"
+            )
         object.__setattr__(self, "matrix", m)
         # scipy builds a new CSC matrix (sharing C's arrays) on every ``.T``
         object.__setattr__(self, "_transpose", m.T)

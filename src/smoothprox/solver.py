@@ -80,7 +80,7 @@ class Problem:
         return cls(X, y, penalty, LogisticLoss)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     lam: float = 0.0
     epsilon: float | None = None  # target accuracy; sets mu = epsilon / (2 D)

@@ -303,9 +303,7 @@ def test_08_multivariate_reduction():
             tuple((j,) for j in range(J)), 1.0
         )
         config = spx.SolverConfig(lam=0.3, mu=1e-3, rel_tol=1e-12)
-        B, _ = spx.solve_multivariate(
-            spx.MultiProblem(X, y.reshape(-1, 1), spec), config
-        )
+        B, _ = spx.solve(spx.Problem.least_squares(X, y.reshape(-1, 1), spec), config)
         beta, _ = spx.solve(spx.Problem.least_squares(X, y, vec_spec), config)
         ok &= np.abs(B[:, 0] - beta).max() <= 1e-12
 
@@ -346,12 +344,8 @@ def test_09_fewer_false_positives():
             spx.GraphSimSpec(seed=seed, gamma=5.0)
         )
         config = spx.SolverConfig(lam=5.0, mu=1e-3, rel_tol=1e-9, max_iter=8000)
-        B_fused, _ = spx.solve_multivariate(
-            spx.MultiProblem(prob.X, prob.Y, pen), config
-        )
-        B_lasso, _ = spx.solve_multivariate(
-            spx.MultiProblem(prob.X, prob.Y, None), config
-        )
+        B_fused, _ = spx.solve(spx.Problem.least_squares(prob.X, prob.y, pen), config)
+        B_lasso, _ = spx.solve(spx.Problem.least_squares(prob.X, prob.y, None), config)
         if fp_at_full_tp(B_fused, B_true) < fp_at_full_tp(B_lasso, B_true):
             wins += 1
     _report("09 fewer-false-positives", wins >= 8)

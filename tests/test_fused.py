@@ -10,11 +10,9 @@ from smoothprox import (
     GraphPenaltySpec,
     GroupPenaltySpec,
     LogisticLoss,
-    MultiProblem,
     Problem,
     SolverConfig,
     solve,
-    solve_multivariate,
 )
 from smoothprox import losses
 from conftest import block_bounds, force_gram, penalty_value, smoothed_value
@@ -125,9 +123,9 @@ def test_matrix_squared_loss_matches_reference(rng, monkeypatch, kind, gram):
     X = rng.standard_normal((30, 5))
     Y = X @ rng.standard_normal((5, 6)) + 0.1 * rng.standard_normal((30, 6))
     spec = SPECS[kind]()
-    problem = MultiProblem(X, Y, spec)
+    problem = Problem.least_squares(X, Y, spec)
     config = lambda steps: SolverConfig(lam=0.4, mu=0.05, max_iter=steps, rel_tol=1e-300)
-    assert_matches_reference(lambda steps: solve_multivariate(problem, config(steps)), X, Y, spec, 0.4)
+    assert_matches_reference(lambda steps: solve(problem, config(steps)), X, Y, spec, 0.4)
 
 
 @pytest.mark.parametrize("kind", sorted(SPECS))
@@ -144,7 +142,7 @@ def test_logistic_loss_matches_reference(rng, kind):
 def test_one_loss_product_per_iteration(rng, matrix):
     X = rng.standard_normal((30, 6))
     if matrix:
-        problem = MultiProblem(X, rng.standard_normal((30, 6)), graph_spec())
+        problem = Problem.least_squares(X, rng.standard_normal((30, 6)), graph_spec())
     else:
         problem = Problem.least_squares(X, rng.standard_normal(30), group_spec())
     calls = []
@@ -157,7 +155,7 @@ def test_one_loss_product_per_iteration(rng, matrix):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(losses.SquaredLoss, "product", counted)
         config = SolverConfig(lam=0.1, mu=0.05, max_iter=25, rel_tol=1e-300)
-        _, trace = solve_multivariate(problem, config) if matrix else solve(problem, config)
+        _, trace = solve(problem, config)
     # one product for the starting point, then one per iteration
     assert len(calls) == len(trace) + 1 == 26
 

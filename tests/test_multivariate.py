@@ -6,7 +6,6 @@ import pytest
 from smoothprox import (
     GraphPenaltySpec,
     GroupPenaltySpec,
-    MultiProblem,
     Problem,
     SolverConfig,
     StructureError,
@@ -14,7 +13,6 @@ from smoothprox import (
     select_mu,
     solve,
     solve_fobos,
-    solve_multivariate,
 )
 from conftest import alpha_star, block_bounds, central_difference_gradient, loss_value, penalty_value
 
@@ -23,25 +21,25 @@ def toy_problem(rng, n=25, j=4, k=3, spec=None):
     X = rng.standard_normal((n, j))
     B = rng.standard_normal((j, k))
     Y = X @ B + 0.1 * rng.standard_normal((n, k))
-    return MultiProblem(X, Y, spec)
+    return Problem.least_squares(X, Y, spec)
 
 
-class TestMultiProblem:
+class TestMatrixProblem:
     def test_shape_validation(self):
         with pytest.raises(StructureError):
-            MultiProblem(np.ones((3, 2)), np.ones((4, 2)))
+            Problem.least_squares(np.ones((3, 2)), np.ones((4, 2)))
 
     def test_penalty_dimension_checked_against_outputs(self):
         spec = GraphPenaltySpec(num_nodes=5, edges=((0, 1, 1.0),), gamma=1.0)
         with pytest.raises(StructureError):
-            MultiProblem(np.ones((3, 2)), np.ones((3, 2)), spec)
+            Problem.least_squares(np.ones((3, 2)), np.ones((3, 2)), spec)
 
 
 class TestMultiPenaltyValue:
     def test_group_rows_sum_norms(self):
         # one group over both outputs; rows (3,4) and (0,0)
         spec = GroupPenaltySpec.with_unit_weights(((0, 1),), 1.0)
-        prob = MultiProblem(np.ones((3, 2)), np.ones((3, 2)), spec)
+        prob = Problem.least_squares(np.ones((3, 2)), np.ones((3, 2)), spec)
         assert penalty_value(spec, [[3.0, 4.0], [0.0, 0.0]]) == pytest.approx(5.0)
 
     def test_zero_matrix(self, rng):
@@ -51,13 +49,13 @@ class TestMultiPenaltyValue:
 
     def test_graph_sums_row_differences(self):
         spec = GraphPenaltySpec(num_nodes=2, edges=((0, 1, 1.0),), gamma=1.0)
-        prob = MultiProblem(np.ones((3, 2)), np.ones((3, 2)), spec)
+        prob = Problem.least_squares(np.ones((3, 2)), np.ones((3, 2)), spec)
         B = np.array([[1.0, 3.0], [2.0, 2.0]])
         assert penalty_value(spec, B) == pytest.approx(2.0)
 
     def test_single_output_reduces_to_vector_penalty(self, rng):
         spec = GroupPenaltySpec.with_unit_weights(((0,),), 1.5)
-        prob = MultiProblem(
+        prob = Problem.least_squares(
             rng.standard_normal((5, 3)), rng.standard_normal((5, 1)), spec
         )
         B = rng.standard_normal((3, 1))
@@ -76,7 +74,7 @@ class TestSmoothedMatrixPenalty:
     def test_alpha_feasible(self, rng):
         spec = GroupPenaltySpec.with_unit_weights(((0, 1), (1, 2)), 1.0)
         prob = toy_problem(rng, k=3, spec=spec)
-        C = prob.penalty.coupling(prob.Y.shape[1])
+        C = prob.penalty.coupling(prob.y.shape[1])
         A = alpha_star(C, rng.standard_normal((4, 3)) * 3, 0.3)
         for a, b in block_bounds(C):
             assert (np.linalg.norm(A[a:b], axis=0) <= 1.0 + 1e-12).all()
@@ -86,7 +84,7 @@ class TestSmoothedMatrixPenalty:
             num_nodes=3, edges=((0, 1, 1.0), (1, 2, 1.0)), gamma=1.0
         )
         prob = toy_problem(rng, k=3, spec=spec)
-        A = alpha_star(prob.penalty.coupling(prob.Y.shape[1]), rng.standard_normal((4, 3)) * 5, 0.2)
+        A = alpha_star(prob.penalty.coupling(prob.y.shape[1]), rng.standard_normal((4, 3)) * 5, 0.2)
         assert (np.abs(A) <= 1.0 + 1e-12).all()
 
     def test_sandwich_bound(self, rng):
@@ -136,16 +134,13 @@ class TestSmoothedMatrixPenalty:
 
 
 class TestSolveMultivariate:
-    def test_is_solve(self):
-        assert solve_multivariate is solve
-
     def test_unpenalized_matches_columnwise_lasso(self, rng):
         prob = toy_problem(rng, k=3)
         lam = 0.3
-        B, trace = solve_multivariate(prob, SolverConfig(lam=lam, rel_tol=1e-12))
+        B, trace = solve(prob, SolverConfig(lam=lam, rel_tol=1e-12))
         assert trace.status == "converged"
         for k in range(3):
-            col_prob = Problem.least_squares(prob.X, prob.Y[:, k])
+            col_prob = Problem.least_squares(prob.X, prob.y[:, k])
             beta, _ = solve(col_prob, SolverConfig(lam=lam, rel_tol=1e-12))
             np.testing.assert_allclose(B[:, k], beta, atol=1e-6)
 
@@ -153,9 +148,9 @@ class TestSolveMultivariate:
         spec = GroupPenaltySpec.with_unit_weights(((0,),), 1.0)
         X = rng.standard_normal((20, 5))
         y = rng.standard_normal(20)
-        prob = MultiProblem(X, y.reshape(-1, 1), spec)
+        prob = Problem.least_squares(X, y.reshape(-1, 1), spec)
         config = SolverConfig(lam=0.2, mu=1e-3, rel_tol=1e-12)
-        B, _ = solve_multivariate(prob, config)
+        B, _ = solve(prob, config)
         vec_spec = GroupPenaltySpec.with_unit_weights(
             tuple((j,) for j in range(5)), 1.0
         )
@@ -167,20 +162,20 @@ class TestSolveMultivariate:
         bcol = rng.standard_normal(4)
         Y = np.column_stack([X @ bcol, X @ bcol]) + 0.01 * rng.standard_normal((60, 2))
         spec = GraphPenaltySpec(num_nodes=2, edges=((0, 1, 1.0),), gamma=20.0)
-        prob = MultiProblem(X, Y, spec)
-        B, _ = solve_multivariate(prob, SolverConfig(lam=0.0, mu=1e-5, rel_tol=1e-12))
+        prob = Problem.least_squares(X, Y, spec)
+        B, _ = solve(prob, SolverConfig(lam=0.0, mu=1e-5, rel_tol=1e-12))
         np.testing.assert_allclose(B[:, 0], B[:, 1], atol=1e-3)
 
     def test_exact_zero_entries(self, rng):
         spec = GroupPenaltySpec.with_unit_weights(((0, 1, 2),), 1.0)
         prob = toy_problem(rng, k=3, spec=spec)
-        B, _ = solve_multivariate(prob, SolverConfig(lam=3.0, mu=1e-4))
+        B, _ = solve(prob, SolverConfig(lam=3.0, mu=1e-4))
         assert np.count_nonzero(B) < B.size
 
     def test_bad_warm_start_shape(self, rng):
         prob = toy_problem(rng, k=3)
         with pytest.raises(StructureError, match=r"^beta0 has shape \(2, 2\), expected \(4, 3\)$"):
-            solve_multivariate(prob, SolverConfig(lam=0.1), np.zeros((2, 2)))
+            solve(prob, SolverConfig(lam=0.1), np.zeros((2, 2)))
 
 
 class TestMatrixResponse:
@@ -189,18 +184,16 @@ class TestMatrixResponse:
 
     def test_regularization_path(self, rng):
         spec = GraphPenaltySpec(num_nodes=3, edges=((0, 1, 0.8), (1, 2, -0.5)), gamma=1.0)
-        prob = toy_problem(rng, k=3, spec=spec)
-        problem = Problem.least_squares(prob.X, prob.Y, spec)
+        problem = toy_problem(rng, k=3, spec=spec)
         config = SolverConfig(mu=1e-3, rel_tol=1e-8)
         results = regularization_path(problem, [2.0, 1.0, 0.5], config)
         assert [beta.shape for _, beta, _ in results] == [(4, 3)] * 3
-        B, _ = solve_multivariate(prob, replace(config, lam=2.0))
+        B, _ = solve(problem, replace(config, lam=2.0))
         np.testing.assert_array_equal(results[0][1], B)
 
     def test_fobos(self, rng):
         spec = GroupPenaltySpec.with_unit_weights(((0, 1), (1, 2)), 1.0)
-        prob = toy_problem(rng, k=3, spec=spec)
-        problem = Problem.least_squares(prob.X, prob.Y, spec)
+        problem = toy_problem(rng, k=3, spec=spec)
         lam = 0.2
         B, trace = solve_fobos(problem, SolverConfig(lam=lam, max_iter=3000))
         assert B.shape == (4, 3)
@@ -229,28 +222,10 @@ class TestMatrixResponse:
 
     def test_non_finite_response_rejected_before_iterating(self, rng):
         prob = toy_problem(rng, k=3)
-        Y = prob.Y.copy()
+        Y = prob.y.copy()
         Y[2, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            solve_multivariate(MultiProblem(prob.X, Y), SolverConfig(lam=0.1))
-
-
-class TestMultiProblemIsAProblem:
-    """A ``MultiProblem`` goes to every solver entry point as it is."""
-
-    def test_loss_built_once_on_first_use(self, rng):
-        prob = toy_problem(rng)
-        assert "loss" not in vars(prob)
-        assert prob.loss is prob.loss
-
-    def test_regularization_path(self, rng):
-        spec = GraphPenaltySpec(num_nodes=3, edges=((0, 1, 0.8), (1, 2, -0.5)), gamma=1.0)
-        prob = toy_problem(rng, k=3, spec=spec)
-        config = SolverConfig(mu=1e-3, rel_tol=1e-8)
-        results = regularization_path(prob, [2.0, 1.0, 0.5], config)
-        assert [beta.shape for _, beta, _ in results] == [(4, 3)] * 3
-        B, _ = solve_multivariate(prob, replace(config, lam=2.0))
-        np.testing.assert_array_equal(results[0][1], B)
+            solve(Problem.least_squares(prob.X, Y), SolverConfig(lam=0.1))
 
     def test_fobos_runs_to_max_iter(self, rng):
         spec = GroupPenaltySpec.with_unit_weights(((0, 1), (1, 2)), 1.0)

@@ -3,6 +3,9 @@ import importlib
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import smoothprox
 
 
@@ -44,7 +47,21 @@ def test_harness_submodules_import_and_smoothing_is_empty():
     """The benchmark harness imports these submodules by name until ROADMAP
     item 3(b) drops ``multivariate`` and ``smoothing`` from its list, so each
     must still import; ``smoothing`` is kept only for that and defines no
-    public name."""
+    public name.  The harness builds its multi-output problem as
+    ``multivariate.MultiProblem``, reads its response as ``.Y`` and solves it
+    with ``multivariate.solve_multivariate``; neither name is in the
+    package's namespace."""
     modules = {name: importlib.import_module(f"smoothprox.{name}") for name in
                ("cli", "fobos", "losses", "multivariate", "penalties", "simulate", "smoothing", "solver")}
     assert [name for name in vars(modules["smoothing"]) if not name.startswith("_")] == []
+    multivariate = modules["multivariate"]
+    rng = np.random.default_rng(0)
+    X, Y = rng.standard_normal((6, 3)), rng.standard_normal((6, 2))
+    spec = smoothprox.GraphPenaltySpec(2, ((0, 1, 0.5),), 1.0)
+    problem = multivariate.MultiProblem(X, Y, spec)
+    assert problem.Y is problem.y
+    with pytest.raises(smoothprox.StructureError, match="expected a 2-d"):
+        multivariate.MultiProblem(X, Y[:, 0], spec)
+    assert multivariate.solve_multivariate is smoothprox.solve
+    for name in ("MultiProblem", "solve_multivariate"):
+        assert name not in smoothprox.__all__ and not hasattr(smoothprox, name)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -326,6 +327,19 @@ class TestNonFiniteNumbers:
     def test_graph_edge_correlation(self, value):
         with pytest.raises(StructureError, match="non-finite correlation"):
             GraphPenaltySpec(num_nodes=3, edges=((0, 1, 1.0), (1, 2, value)), gamma=1.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: GroupPenaltySpec(((0, 1),), (1e300,), 1e300).coupling(2),
+        lambda: GraphPenaltySpec(2, ((0, 1, 1e300),), 1e300).coupling(2),
+        lambda: CouplingMatrix(sp.csr_matrix(np.array([[1.0, math.inf], [math.nan, 0.0]]))),
+    ], ids=["group", "graph", "hand-made"])
+    def test_coupling_entry(self, make):
+        """Finite numbers whose product overflows: C is rejected with no
+        numpy overflow warning first."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StructureError, match="non-finite entry"):
+                make()
 
     @pytest.mark.parametrize("doc", [
         '{"type": "group", "gamma": NaN, "groups": [[1, 2]]}',

@@ -76,7 +76,7 @@ class TestGraphInstance:
     def test_default_dimensions(self):
         prob, B, penalty = gen_graph_instance(GraphSimSpec())
         assert prob.X.shape == (100, 30)
-        assert prob.Y.shape == (100, 10)
+        assert prob.y.shape == (100, 10)
         assert B.shape == (30, 10)
         assert penalty.num_nodes == 10
 
@@ -107,7 +107,7 @@ class TestGraphInstance:
         p1, B1, g1 = gen_graph_instance(GraphSimSpec(seed=3))
         p2, B2, g2 = gen_graph_instance(GraphSimSpec(seed=3))
         np.testing.assert_array_equal(p1.X, p2.X)
-        np.testing.assert_array_equal(p1.Y, p2.Y)
+        np.testing.assert_array_equal(p1.y, p2.y)
         np.testing.assert_array_equal(B1, B2)
         assert g1 == g2
 
@@ -133,7 +133,7 @@ class TestGraphInstance:
     def test_rho_one_keeps_only_perfect_correlations(self):
         """The spec accepts every rho ``threshold_correlation_graph`` accepts."""
         prob, _, penalty = gen_graph_instance(GraphSimSpec(rho=1.0))
-        assert penalty.num_nodes == prob.Y.shape[1]
+        assert penalty.num_nodes == prob.y.shape[1]
         assert all(abs(r) >= 1.0 for _, _, r in penalty.edges)
 
     def test_fields_are_sizes_threshold_gamma_and_seed(self):

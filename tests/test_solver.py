@@ -12,7 +12,6 @@ from smoothprox import (
     GraphPenaltySpec,
     GraphSimSpec,
     GroupPenaltySpec,
-    MultiProblem,
     OverlapSimSpec,
     Problem,
     SolverConfig,
@@ -27,7 +26,6 @@ from smoothprox import (
     soft_threshold,
     solve,
     solve_fobos,
-    solve_multivariate,
     total_lipschitz,
 )
 from conftest import force_gram, loss_gradient, loss_value, penalty_value, unconverged_lanczos
@@ -184,10 +182,10 @@ class TestCouplingBuiltOnce:
         spec = GraphPenaltySpec(num_nodes=3, edges=((0, 1, 0.8), (1, 2, -0.5)), gamma=1.0)
         with pytest.MonkeyPatch.context() as mp:
             builds = self.count_calls(mp, GraphPenaltySpec, "coupling")
-            problem = MultiProblem(rng.standard_normal((20, 4)), rng.standard_normal((20, 3)), spec)
+            problem = Problem.least_squares(rng.standard_normal((20, 4)), rng.standard_normal((20, 3)), spec)
             assert builds == []
-            solve_multivariate(problem, SolverConfig(lam=0.1, mu=1e-2, max_iter=10))
-            solve_multivariate(problem, SolverConfig(lam=0.2, mu=1e-2, max_iter=10))
+            solve(problem, SolverConfig(lam=0.1, mu=1e-2, max_iter=10))
+            solve(problem, SolverConfig(lam=0.2, mu=1e-2, max_iter=10))
         assert len(builds) == 1
 
     @pytest.mark.parametrize("max_iter", [5, 25])
@@ -239,13 +237,9 @@ class TestProblem:
 
     def test_problems_compare_by_identity(self, rng):
         X, Y = rng.standard_normal((6, 3)), rng.standard_normal((6, 2))
-        problem = MultiProblem(X, Y)
-        assert problem == problem and problem != MultiProblem(X, Y)
+        problem = Problem.least_squares(X, Y)
+        assert problem == problem and problem != Problem.least_squares(X, Y)
         assert len({problem, problem}) == 1
-
-    def test_multi_problem_rejects_a_vector_response(self, rng):
-        with pytest.raises(StructureError, match="expected a 2-d"):
-            MultiProblem(rng.standard_normal((6, 3)), rng.standard_normal(6))
 
 
 class TestSolverConfigChecks:
@@ -280,6 +274,14 @@ class TestSolverConfigChecks:
     def test_epsilon_and_mu_together(self):
         with pytest.raises(ValueError, match="give either epsilon or mu, not both"):
             SolverConfig(epsilon=1e-3, mu=1e-3)
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SolverConfig)])
+    def test_fields_cannot_be_assigned(self, field):
+        """The checks above run when a config is made; an assignment would
+        skip them."""
+        config = SolverConfig(lam=0.1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, field, getattr(config, field))
 
     @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"], ids=["fraction", "float", "bool", "str"])
     def test_max_iter_must_be_an_integer(self, value):
@@ -491,6 +493,7 @@ class TestSolve:
         problem = Problem.least_squares(rng.standard_normal((12, 3)), rng.standard_normal((12, 2)))
         trace = run(problem, SolverConfig(lam=0.1, mu=1e-2, max_iter=3))
         assert trace.header["method"] == method
+        assert trace.header["shape"] == [3, 2]
 
     @pytest.mark.parametrize("converged", [True, False], ids=["lanczos", "frobenius"])
     @pytest.mark.parametrize("gram", [True, False], ids=["gram", "streaming"])
