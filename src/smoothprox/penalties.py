@@ -62,31 +62,35 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _finite(value, name, error=ValueError, sign=None) -> float:
+    """``value`` as a float if it is a real number (not a bool or a string),
+    finite and, by ``sign``, "non-negative" or "positive"; else
+    ``error("<name> must be <rule>, got <value>")``.  NaN fails every rule."""
+    x = _real(value, name, error)
+    ok = x > 0.0 if sign == "positive" else x >= 0.0 if sign else x > -math.inf
+    if not (ok and x < math.inf):
+        raise error(f"{name} must be {sign + ' and ' if sign else ''}finite, got {value!r}")
+    return x
+
+
 def _check_fields(record, error=ValueError, **least) -> None:
     """Check the number fields of the settings dataclass ``record``, whose
-    annotations are strings: an ``int`` holds an integer and a ``float`` a
-    finite real number, each at least ``least[field]`` when given, and a
-    ``float | None`` None or a finite real above 0 (a bool is no number, and
-    NaN fails every bound).  Floats are stored back as Python floats.  The
-    first field that fails raises ``error("<field> must be <rule>, got <value>")``."""
+    annotations are strings: an ``int`` holds an integer, at least
+    ``least[field]`` when given; a ``float`` passes ``_finite``, non-negative
+    when it has a least (0 for every float), and a ``float | None`` is None or
+    positive.  Floats are stored back as Python floats.  The first field that
+    fails raises ``error("<field> must be <rule>, got <value>")``."""
     for f in fields(record):
-        value, low, ok = getattr(record, f.name), least.get(f.name), True
-        at_least = {0: "non-negative", 1: "positive"}.get(low, f"at least {low}")
+        value, low = getattr(record, f.name), least.get(f.name)
         if f.type == "int":
             if not _is_int(value):
                 raise error(f"{f.name} must be an integer, got {value!r}")
-            ok, rule = low is None or value >= low, at_least
+            if low is not None and value < low:
+                rule = {0: "non-negative", 1: "positive"}.get(low, f"at least {low}")
+                raise error(f"{f.name} must be {rule}, got {value!r}")
         elif f.type == "float" or (f.type == "float | None" and value is not None):
-            x = _real(value, f.name, error)
-            object.__setattr__(record, f.name, x)
-            if f.type != "float":
-                ok, rule = 0.0 < x < math.inf, "positive and finite"
-            elif low is None:
-                ok, rule = math.isfinite(x), "finite"
-            else:
-                ok, rule = low <= x < math.inf, f"{at_least} and finite"
-        if not ok:
-            raise error(f"{f.name} must be {rule}, got {value!r}")
+            sign = "positive" if f.type != "float" else None if low is None else "non-negative"
+            object.__setattr__(record, f.name, _finite(value, f.name, error, sign))
 
 
 def _tiling(sizes, total, what) -> None:
@@ -135,7 +139,8 @@ class GroupPenaltySpec:
 
     @classmethod
     def with_unit_weights(cls, groups, gamma):
-        return cls(tuple(groups), (1.0,) * len(tuple(groups)), gamma)
+        groups = tuple(groups)  # any iterable, a generator too
+        return cls(groups, (1.0,) * len(groups), gamma)
 
     def validate_against(self, num_features):
         for g in self.groups:
@@ -393,17 +398,17 @@ class CouplingMatrix:
         col_sq = np.bincount(m.indices, weights=np.square(m.data), minlength=self.cols).max()
         return float(np.sqrt(row_nnz * col_sq))
 
-    def spectral_norm(self, tol=1e-8, max_iter=5000):
+    def spectral_norm(self):
         """``||C||``, the largest singular value of C: the square root of the
         largest eigenvalue of C^T C by the Lanczos iteration of
         ``losses.power_iteration`` (one ``C`` and one ``C^T`` product per
         step, two vectors kept), as a ``SpectralEstimate`` flagged as
         approximate unless the eigenvalue's relative change falls below
-        ``tol`` within ``max_iter`` steps.  Like the eigenvalue, it approaches
+        1e-8 within 5000 steps.  Like the eigenvalue, it approaches
         sigma_max from below; ``norm_bound`` bounds it from above."""
         from .losses import power_iteration  # losses imports this module
 
-        est = power_iteration(lambda v: self.apply_transpose(self.apply(v)), self.cols, tol, max_iter)
+        est = power_iteration(lambda v: self.apply_transpose(self.apply(v)), self.cols, 1e-8, 5000)
         return est._replace(value=float(np.sqrt(est.value)))
 
     @property

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .losses import LogisticLoss, SquaredLoss, _checked_arrays
-from .penalties import GraphPenaltySpec, GroupPenaltySpec, StructureError, _check_fields, _real
+from .penalties import GraphPenaltySpec, GroupPenaltySpec, StructureError, _check_fields, _finite
 
 #: Smoothness parameter used when no target accuracy is supplied.
 DEFAULT_MU = 1e-4
@@ -173,13 +173,6 @@ def soft_threshold(v, threshold) -> np.ndarray:
     return np.subtract(v, out, out=out)
 
 
-def _check_non_negative(**values):
-    """A ValueError naming the first value that is not finite and >= 0."""
-    for name, value in values.items():
-        if not 0.0 <= value < math.inf:
-            raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
-
-
 def select_mu(epsilon=None, D=None) -> float:
     """Smoothness parameter for a target accuracy: mu = epsilon / (2 D).
 
@@ -191,10 +184,7 @@ def select_mu(epsilon=None, D=None) -> float:
     """
     if epsilon is None:
         return DEFAULT_MU
-    for name, value in (("epsilon", epsilon), ("D", D)):
-        if not 0.0 < _real(value, name, ValueError) < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    mu = epsilon / (2.0 * D)
+    mu = _finite(epsilon, "epsilon", sign="positive") / (2.0 * _finite(D, "D", sign="positive"))
     if not 0.0 < mu < math.inf:
         how = "underflows to 0" if mu == 0.0 else "overflows"
         raise ValueError(f"epsilon / (2 D) {how} at epsilon={epsilon!r}, D={D!r}")
@@ -204,19 +194,19 @@ def select_mu(epsilon=None, D=None) -> float:
 def total_lipschitz(loss_lipschitz, coupling_norm_value, mu) -> float:
     """Gradient Lipschitz constant of the smooth part: L_loss + ||C||^2 / mu.
 
-    ``L_loss`` and ``||C||`` must be finite and non-negative and mu positive
-    (ValueError).  A sum that overflows is a ``SolverError``: every step
-    ``grad / L`` would be 0."""
-    if not mu > 0:
-        raise ValueError("mu must be positive")
-    _check_non_negative(L_loss=loss_lipschitz, norm_C=coupling_norm_value)
+    ``L_loss`` and ``||C||`` must be non-negative and finite and mu positive
+    and finite (ValueError).  A sum that overflows is a ``SolverError``: every
+    step ``grad / L`` would be 0."""
+    L_loss = _finite(loss_lipschitz, "L_loss", sign="non-negative")
+    norm_C = _finite(coupling_norm_value, "norm_C", sign="non-negative")
+    mu = _finite(mu, "mu", sign="positive")
     try:
-        L = float(loss_lipschitz) + float(coupling_norm_value) ** 2 / mu
+        L = L_loss + norm_C ** 2 / mu
     except OverflowError:  # a float's ** 2 raises where it would overflow
         L = math.inf
     if L == math.inf:
         raise SolverError(f"the Lipschitz constant L_loss + ||C||^2 / mu overflows at "
-                          f"||C||={coupling_norm_value!r}, mu={mu!r}")
+                          f"||C||={norm_C!r}, mu={mu!r}")
     return L
 
 
@@ -225,14 +215,13 @@ def iteration_bound(dist0, epsilon, loss_lipschitz, dual_bound, coupling_norm_va
 
     sqrt( (4 * dist0^2 / eps) * (L_loss + 2 D ||C||^2 / eps) ).
 
-    Its inputs must be finite and non-negative, epsilon positive, and the
+    Its inputs must be non-negative and finite, epsilon positive, and the
     count finite (ValueError).
     """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    _check_non_negative(dist0=dist0, epsilon=epsilon, L_loss=loss_lipschitz, D=dual_bound,
-                        norm_C=coupling_norm_value)
-    inner = loss_lipschitz + 2.0 * dual_bound * coupling_norm_value * coupling_norm_value / epsilon
+    epsilon = _finite(epsilon, "epsilon", sign="positive")
+    dist0, L_loss, D, norm_C = (_finite(x, name, sign="non-negative") for x, name in (
+        (dist0, "dist0"), (loss_lipschitz, "L_loss"), (dual_bound, "D"), (coupling_norm_value, "norm_C")))
+    inner = L_loss + 2.0 * D * norm_C * norm_C / epsilon
     bound = float(np.sqrt(4.0 * dist0 * dist0 / epsilon * inner))
     if not math.isfinite(bound):
         raise ValueError("the iteration bound overflows")
@@ -260,8 +249,8 @@ def solve(problem: Problem, config: SolverConfig, beta0=None):
     float64, so it is the exact objective of the returned beta even when the
     Gram is float32.
     """
-    loss, coupling = problem.loss, problem.coupling
     beta = _initial_beta(problem, beta0)
+    loss, coupling = problem.loss, problem.coupling
     mu = D = norm_C = None
     L_loss = L = loss.lipschitz()
     if coupling is not None:
@@ -318,13 +307,16 @@ def _extrapolate(x, x_prev, m) -> np.ndarray:
 
 def _initial_beta(problem, beta0) -> np.ndarray:
     """A Fortran-ordered copy of the starting point ``beta0``, zeros of the
-    problem's ``coef_shape`` when it is None.  The loops keep that layout: a
-    J x K iterate, its Gram products and its gradients are all F-ordered, so
-    ``C B^T`` and BLAS read them in place."""
+    problem's ``coef_shape`` when it is None; a given start must be finite
+    (ValueError).  The loops keep that layout: a J x K iterate, its Gram
+    products and its gradients are all F-ordered, so ``C B^T`` and BLAS read
+    them in place."""
     shape = problem.coef_shape
     beta = np.zeros(shape, order="F") if beta0 is None else np.array(beta0, dtype=float, order="F")
     if beta.shape != shape:
         raise StructureError(f"beta0 has shape {beta.shape}, expected {shape}")
+    if beta0 is not None and not np.isfinite(beta).all():
+        raise ValueError("beta0 must be finite")
     return beta
 
 
@@ -334,7 +326,7 @@ def regularization_path(problem: Problem, lambdas, config: SolverConfig):
     Returns a list of ``(lam, beta, trace)``; each solve starts from the
     previous solution, and all share the problem's coupling matrix.
     """
-    lambdas = [_real(l, "lambda", ValueError) for l in lambdas]
+    lambdas = [_finite(l, "lambda", sign="non-negative") for l in lambdas]
     if not lambdas:
         raise ValueError("at least one lambda is required")
     if any(b >= a for a, b in zip(lambdas, lambdas[1:])):

@@ -91,8 +91,9 @@ def force_gram(monkeypatch, gram):
 
 
 def unconverged_lanczos(monkeypatch):
-    """Make ``lipschitz()`` stop its Lanczos run after one product, so on an
-    X^T X with two distinct eigenvalues it takes the Frobenius fallback."""
+    """Make every Lanczos run stop after one product, unconverged on an
+    operator with two distinct eigenvalues: ``lipschitz()`` then takes the
+    Frobenius fallback, and ``spectral_norm()`` flags its estimate."""
     power_iteration = losses.power_iteration
     monkeypatch.setattr(losses, "power_iteration",
                         lambda matvec, J, tol, max_iter: power_iteration(matvec, J, tol, 1))

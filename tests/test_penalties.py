@@ -58,6 +58,10 @@ class TestGroupCoupling:
         assert (C.rows, C.cols) == (1000, 910)
         assert C.nnz == 1000
 
+    def test_unit_weights_read_any_iterable_once(self):
+        spec = GroupPenaltySpec.with_unit_weights(((i, i + 1) for i in range(3)), 1.0)
+        assert (spec.groups, spec.weights) == (((0, 1), (1, 2), (2, 3)), (1.0, 1.0, 1.0))
+
     def test_matches_a_coo_built_reference(self, rng):
         """C's CSR arrays equal, dtype and bits, those scipy builds from the
         COO triplets: row (i, g) holds ``gamma * w_g`` in column i, rows in

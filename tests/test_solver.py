@@ -1,7 +1,10 @@
 import contextlib
 import dataclasses
+import inspect
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -138,6 +141,72 @@ def test_numeric_helpers_reject_out_of_range(call, error, message):
     """Each of these returned inf, NaN or a number from a negative norm."""
     with pytest.raises(error, match=message):
         call()
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("solve ran before every lambda was checked")
+
+
+def _number_arguments():
+    """One ``call(value)`` for each number a caller gives the step-size
+    formulas and ``regularization_path``: ``value`` in that place, valid
+    numbers in the others."""
+    for formula in (select_mu, total_lipschitz, iteration_bound):
+        names = list(inspect.signature(formula).parameters)
+        for i, name in enumerate(names):
+            yield pytest.param(lambda v, f=formula, i=i, n=len(names): f(*[1.0] * i, v, *[1.0] * (n - i - 1)),
+                               id=f"{formula.__name__}-{name}")
+    problem = Problem.least_squares(np.eye(2), np.ones(2))
+    yield pytest.param(lambda v: regularization_path(problem, [4.0, v], SolverConfig()), id="regularization_path")
+
+
+@pytest.mark.parametrize("value", [True, "1"], ids=["bool", "str"])
+@pytest.mark.parametrize("call", _number_arguments())
+def test_caller_numbers_must_be_real(monkeypatch, call, value):
+    """Each number is checked by the settings records' rule: a bool is not
+    read as 1 and a string fails with the rule's message, not a TypeError."""
+    monkeypatch.setattr(smoothprox.solver, "solve", _no_solve)
+    with pytest.raises(ValueError, match=re.escape(f"must be a real number, got {value!r}")):
+        call(value)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: total_lipschitz(1.0, 1.0, math.inf), "mu must be positive and finite, got inf"),
+    (lambda: iteration_bound(1.0, math.inf, 1.0, 1.0, 1.0), "epsilon must be positive and finite, got inf"),
+], ids=["total_lipschitz-mu", "iteration_bound-epsilon"])
+def test_infinite_smoothing_rejected(call, message):
+    """An infinite mu gave L = L_loss, the unsmoothed penalty's constant."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+def test_path_checks_every_lambda_before_solving(monkeypatch, bad):
+    """A bad lambda used to fail only when its own solve began, after the
+    solves before it."""
+    monkeypatch.setattr(smoothprox.solver, "solve", _no_solve)
+    problem = Problem.least_squares(np.eye(2), np.ones(2))
+    with pytest.raises(ValueError, match=f"^lambda must be non-negative and finite, got {bad!r}$"):
+        regularization_path(problem, [4.0, bad], SolverConfig())
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("K", [None, 4], ids=["group", "graph-matrix"])
+def test_non_finite_start_rejected(rng, K, bad):
+    """A NaN start failed only at the first gradient, after the set-up, and
+    an infinite one warned in C's block division first."""
+    if K is None:
+        y, spec = rng.standard_normal(20), GroupPenaltySpec.with_unit_weights(((0, 1), (1, 2)), 1.0)
+    else:
+        y = rng.standard_normal((20, K))
+        spec = GraphPenaltySpec(num_nodes=K, edges=((0, 1, 0.8), (1, 2, -0.5), (2, 3, 0.3)), gamma=1.0)
+    problem = Problem.least_squares(rng.standard_normal((20, 3)), y, spec)
+    beta0 = np.zeros(problem.coef_shape)
+    beta0.flat[1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^beta0 must be finite$"):
+            solve(problem, SolverConfig(lam=0.1), beta0)
 
 
 class TestCouplingBuiltOnce:
