@@ -165,13 +165,18 @@ class _ProductLoss:
         """``curvature`` times the largest eigenvalue of X^T X, computed once
         by ``power_iteration`` on the stored Gram or else through X (30-41
         products on the paper's overlap design at seeds 0-7), or, with a
-        warning if that has not converged, by the bound trace(X^T X)."""
+        warning if that has not converged, by the bound trace(X^T X).  A
+        product that overflows from the start gives inf, with no warning, for
+        ``solve`` to reject: the trace bound would overflow too."""
         if self._lipschitz is None:
             X = self.X
             matvec = (lambda v: X.T @ (X @ v)) if self.gram is None else self._gram_vector_product
-            est = power_iteration(matvec, X.shape[1], 1e-6, 1000)
+            with np.errstate(over="ignore", invalid="ignore"):  # ends the iteration unconverged
+                est = power_iteration(matvec, X.shape[1], 1e-6, 1000)
             value, self.lipschitz_source = est.value, "lanczos"
-            if not est.converged:
+            if not np.isfinite(value):
+                value = np.inf
+            elif not est.converged:
                 warnings.warn("Lanczos iteration for the gradient Lipschitz constant did not "
                               "converge; using the Frobenius upper bound", RuntimeWarning)
                 value = float(np.einsum("ij,ij->", X, X) if self.gram is None

@@ -1,8 +1,10 @@
 import argparse
 import json
 import os
+import pickle
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 
 import smoothprox
 from smoothprox import GroupPenaltySpec, penalty_to_json
-from smoothprox.cli import _build_parser, cli_main, main
+from smoothprox.cli import _build_parser, _load_matrix, cli_main, main
 from conftest import MALFORMED_PENALTY_IDS, MALFORMED_PENALTY_JSON, loss_value, penalty_value
 
 
@@ -188,11 +190,16 @@ class TestSimulateCommand:
                  "--seed", "5", "--out-dir", str(d)]
             )
             assert rc == 0
-        for name in ("X.csv", "y.csv", "beta_true.csv", "penalty.json", "meta.json"):
+        for name in ("X.csv", "y.csv", "beta_true.csv", "penalty.json", "meta.json", "X.npy", "y.npy"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
         meta = json.loads((d1 / "meta.json").read_text())
         assert meta["seed"] == 5 and meta["kind"] == "overlap"
         assert np.loadtxt(d1 / "X.csv", delimiter=",").shape == (30, 190)
+        # the binaries hold the CSVs' numbers, bit for bit, a vector as one column
+        for stem in ("X", "y"):
+            parsed = np.loadtxt(d1 / f"{stem}.csv", delimiter=",", ndmin=2)
+            assert np.load(d1 / f"{stem}.npy").tobytes() == parsed.tobytes()
+            assert np.load(d1 / f"{stem}.npy").shape == parsed.shape
 
     def test_graph_outputs(self, tmp_path):
         d = tmp_path / "g"
@@ -280,6 +287,89 @@ class TestBenchCommand:
         report = self.run_bench(small_overlap_instance, tmp_path / "report.json",
                                 "--max-iter", "13", "--rel-tol", "0")
         assert [(m["iterations"], m["status"]) for m in report.values()] == [(13, "max_iter")] * 2
+
+    def test_binary_and_csv_instances_give_one_report(self, small_overlap_instance, tmp_path):
+        """``bench`` reads the ``.npy`` files ``simulate`` writes, and the
+        CSVs of an instance that has none, to the same numbers."""
+        inst = small_overlap_instance
+        binary = self.run_bench(inst, tmp_path / "binary.json", "--max-iter", "50")
+        (inst / "X.npy").unlink()
+        (inst / "y.npy").unlink()
+        assert self.run_bench(inst, tmp_path / "csv.json", "--max-iter", "50") == binary
+
+    def test_csv_edited_after_simulate_wins(self, small_overlap_instance, tmp_path):
+        """A CSV newer than its ``.npy`` is read: the binary holds stale data."""
+        inst = small_overlap_instance
+        original = self.run_bench(inst, tmp_path / "original.json", "--max-iter", "50")
+        X = np.loadtxt(inst / "X.csv", delimiter=",", ndmin=2)
+        write_csv(inst / "X.csv", 2.0 * X)
+        npy_time = (inst / "X.npy").stat().st_mtime_ns
+        os.utime(inst / "X.csv", ns=(npy_time + 10**9, npy_time + 10**9))
+        edited = self.run_bench(inst, tmp_path / "edited.json", "--max-iter", "50")
+        (inst / "X.npy").unlink()
+        assert edited == self.run_bench(inst, tmp_path / "csv.json", "--max-iter", "50")
+        assert edited["proxgrad"]["objective"] != original["proxgrad"]["objective"]
+
+
+class TestBinaryMatrices:
+    def solve(self, x, y, out, *extra):
+        assert cli_main(["solve", "--x", str(x), "--y", str(y), "--lambda", "1.0",
+                         "--max-iter", "50", *extra, "--out", str(out)]) == 0
+
+    def test_solve_reads_npy_as_its_csv(self, small_overlap_instance, tmp_path, capsys):
+        inst = small_overlap_instance
+        penalty = ["--penalty", str(inst / "penalty.json")]
+        self.solve(inst / "X.npy", inst / "y.npy", tmp_path / "binary.csv", *penalty)
+        binary = capsys.readouterr().out
+        self.solve(inst / "X.csv", inst / "y.csv", tmp_path / "text.csv", *penalty)
+        assert capsys.readouterr().out == binary
+        assert (tmp_path / "binary.csv").read_bytes() == (tmp_path / "text.csv").read_bytes()
+
+    def test_out_npy_round_trips(self, small_overlap_instance, tmp_path):
+        """``--out beta.npy`` holds the CSV's numbers, a vector as one column,
+        and reads back as the same matrix."""
+        inst = small_overlap_instance
+        for out in ("beta.npy", "beta.csv"):
+            self.solve(inst / "X.csv", inst / "y.csv", tmp_path / out)
+        text = np.loadtxt(tmp_path / "beta.csv", delimiter=",", ndmin=2)
+        assert np.load(tmp_path / "beta.npy").tobytes() == text.tobytes()
+        assert _load_matrix(tmp_path / "beta.npy").shape == text.shape == (190, 1)
+
+    def test_graph_instance_gives_matrix_coefficients(self, graph_instance, tmp_path):
+        """The graph instance's ``y.npy`` is N x K, so the coefficients are J x K."""
+        assert np.load(graph_instance / "y.npy").shape == (100, 10)
+        self.solve(graph_instance / "X.npy", graph_instance / "y.npy", tmp_path / "B.npy",
+                   "--penalty", str(graph_instance / "penalty.json"))
+        self.solve(graph_instance / "X.csv", graph_instance / "y.csv", tmp_path / "B.csv",
+                   "--penalty", str(graph_instance / "penalty.json"))
+        B = np.load(tmp_path / "B.npy")
+        assert B.shape == (30, 10)
+        assert np.array_equal(B, np.loadtxt(tmp_path / "B.csv", delimiter=","))
+
+    def test_one_dimensional_npy_is_a_column(self, toy_instance, tmp_path):
+        y = np.loadtxt(toy_instance / "y.csv", delimiter=",")
+        np.save(tmp_path / "y.npy", y)
+        assert _load_matrix(tmp_path / "y.npy").tobytes() == y.tobytes()
+        assert _load_matrix(tmp_path / "y.npy").shape == (20, 1)
+
+    @pytest.mark.parametrize("write", [
+        lambda path: np.save(path, np.array([[1.0], [{}]], dtype=object), allow_pickle=True),
+        lambda path: path.write_bytes(pickle.dumps([[1.0], [2.0]])),
+        lambda path: np.save(path, np.ones((20, 4)) + 1j),
+        lambda path: np.save(path, np.full((20, 4), "1.0")),
+        lambda path: np.save(path, np.ones((20, 4), dtype=bool)),
+    ], ids=["object", "pickled", "complex", "string", "bool"])
+    def test_npy_of_no_real_numbers_is_an_error(self, write, toy_instance, tmp_path, capsys):
+        """An error line and exit code 1: no traceback, no ComplexWarning from
+        a cast that drops the imaginary part, no unpickling."""
+        write(tmp_path / "X.npy")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli_main(["solve", "--x", str(tmp_path / "X.npy"), "--y", str(toy_instance / "y.csv"),
+                           "--lambda", "0.1", "--out", str(tmp_path / "beta.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'X.npy'}: ")
+        assert not (tmp_path / "beta.csv").exists()
 
 
 class TestPathCommand:

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -183,6 +184,19 @@ class TestLogisticLipschitz:
         assert LogisticLoss(X, y).lipschitz() == pytest.approx(
             0.25 * SquaredLoss(X, y).lipschitz(), rel=1e-12
         )
+
+    def test_overflowing_product_is_inf_without_a_warning(self, rng):
+        """The streamed ``X^T (X v)`` overflows on a design scaled by 1e200:
+        the constant is inf, with no numpy overflow warning and no Frobenius
+        fallback, and a finite design keeps its bits."""
+        X, y = rng.standard_normal((2, 5)), np.array([1.0, -1.0])
+        finite = LogisticLoss(X, y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = LogisticLoss(1e200 * X, y)
+            assert huge.lipschitz() == np.inf and huge.lipschitz_source == "lanczos"
+            value = finite.lipschitz()
+        assert value == 0.25 * power_iteration(lambda v: X.T @ (X @ v), 5, 1e-6, 1000).value
 
     def test_unconverged_fallback_is_a_quarter_of_frobenius(self, rng, monkeypatch):
         """Unconverged, the logistic constant is a quarter of the bound

@@ -519,12 +519,15 @@ class TestSolve:
         """On a design scaled by 1e200 ``L_loss`` overflows to inf; without a
         penalty every step was ``grad / inf = 0``, and the run reported
         ``converged`` at iteration 2 from zero.  It now fails before the
-        first iteration."""
+        first iteration, with no numpy overflow or Lanczos warning before the
+        error (both once printed above it)."""
         X = 1e200 * np.random.default_rng(0).standard_normal((2, 5))
         prob = make(X, np.array([1.0, -1.0]) if make is Problem.logistic else np.ones(2))
-        with pytest.warns(RuntimeWarning), \
-                pytest.raises(SolverError, match=r"^non-finite Lipschitz constant L=inf$"):
-            solve(prob, SolverConfig(lam=0.1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match=r"^non-finite Lipschitz constant L=inf$"):
+                solve(prob, SolverConfig(lam=0.1))
+        assert prob.loss.lipschitz_source == "lanczos"
 
     @pytest.mark.parametrize("config", [SolverConfig(lam=1.0, mu=1e-310), SolverConfig(lam=1.0, epsilon=1e-320)],
                              ids=["subnormal-mu", "subnormal-epsilon"])
@@ -583,14 +586,17 @@ class TestSolve:
             assert trace.header["L_loss"] == pytest.approx(np.sum(X * X), rel=1e-12)
 
     def test_infinite_loss_lipschitz_with_a_penalty_fails_at_setup(self):
-        """On X = 1e200 I, X^T X overflows and ``L_loss`` is the infinite
-        Frobenius bound.  With a penalty ``total_lipschitz`` rejects it before
-        the first iteration (without one, ``solve`` does)."""
+        """On X = 1e200 I, X^T X overflows and ``L_loss`` is inf, with no
+        "did not converge" warning and no Frobenius fallback, which overflows
+        too.  With a penalty ``total_lipschitz`` rejects it before the first
+        iteration (without one, ``solve`` does)."""
         spec = GroupPenaltySpec.with_unit_weights(((0, 1),), 1.0)
         prob = Problem.least_squares(np.eye(2) * 1e200, np.array([1e200, 0.0]), spec)
-        with np.errstate(over="ignore"), pytest.warns(RuntimeWarning, match="did not converge"), \
-                pytest.raises(ValueError, match="^L_loss must be non-negative and finite, got inf$"):
-            solve(prob, SolverConfig(lam=1e-6, max_iter=10))
+        with np.errstate(over="ignore"), warnings.catch_warnings():  # the Gram overflows when it is formed
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^L_loss must be non-negative and finite, got inf$"):
+                solve(prob, SolverConfig(lam=1e-6, max_iter=10))
+        assert prob.loss.lipschitz_source == "lanczos"
 
     def test_trace_header_penalty_constants(self, rng, tmp_path):
         X = rng.standard_normal((12, 5))
