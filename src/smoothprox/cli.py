@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 
@@ -31,21 +32,29 @@ def _set_threads(n):
 def _load_matrix(path):
     """A C-ordered float matrix from ``path``, a vector as one column: ``.npy``
     by suffix, whose dtype must be a real number (an int or a float), and
-    header-free CSV otherwise."""
+    header-free CSV otherwise.  A file with no numbers is a ValueError
+    naming it."""
     import numpy as np
 
     if Path(path).suffix != ".npy":
-        return np.loadtxt(path, delimiter=",", ndmin=2)
-    with open(path, "rb") as f:
-        try:  # a .npy file only: no pickle, no object array, no .npz archive
-            arr = np.lib.format.read_array(f, allow_pickle=False)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-    if arr.dtype.kind not in "iuf" or arr.ndim not in (1, 2):
-        raise ValueError(f"{path}: a {arr.ndim}-d {arr.dtype} array, "
-                         f"expected a vector or matrix of real numbers")
-    arr = np.ascontiguousarray(arr, dtype=float)
-    return arr.reshape(len(arr), -1)
+        with warnings.catch_warnings():  # an empty file is the error below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            arr = np.loadtxt(path, delimiter=",", ndmin=2)
+    else:
+        with open(path, "rb") as f:
+            try:  # a .npy file only: no pickle, no object array, no .npz archive
+                arr = np.lib.format.read_array(f, allow_pickle=False)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
+        if arr.dtype.kind not in "iuf" or arr.ndim not in (1, 2):
+            raise ValueError(f"{path}: a {arr.ndim}-d {arr.dtype} array, "
+                             f"expected a vector or matrix of real numbers")
+        arr = np.ascontiguousarray(arr, dtype=float)
+        if arr.ndim == 1:
+            arr = arr.reshape(-1, 1)
+    if arr.size == 0:
+        raise ValueError(f"{path}: the file holds no numbers")
+    return arr
 
 
 def _save_matrix(path, arr):

@@ -195,7 +195,7 @@ def _float32_lower_gram(X):
     bounds every entry (Cauchy-Schwarz), so the rest is then in range too."""
     J = X.shape[1]
     gram = np.zeros((J, J), dtype=np.float32, order="F")
-    with np.errstate(over="ignore"):  # an inf is caught below
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN is caught below
         for j0 in range(0, J, GRAM_BLOCK_COLUMNS):
             j1 = min(j0 + GRAM_BLOCK_COLUMNS, J)
             # X[:, j0:]^T X[:, j0:j1] formed as a transpose, so it is F-ordered
@@ -225,14 +225,17 @@ class SquaredLoss(_ProductLoss):
         if J > min(PRECOMPUTE_MAX_FEATURES, PRECOMPUTE_MAX_FEATURES_PER_SAMPLE * N):
             return
         gram = _float32_lower_gram(X) if y.ndim == 1 and J >= GRAM_FLOAT32_MIN_FEATURES else None
-        if gram is not None:
-            self.gram, self._XtX = "float32", gram
-        else:
-            # numpy forms X^T X exactly symmetric, so this is the same matrix,
-            # F-ordered: dsymv copies a C-ordered one before reading it
-            self.gram, self._XtX = "float64", (X.T @ X).T
-        self._Xty = np.asfortranarray(X.T @ y)
-        self._yty = float(np.vdot(y, y))
+        # an X whose X^T X overflows builds it with no warning: ``lipschitz()``
+        # then gives inf, which ``solve`` rejects before the first iteration
+        with np.errstate(over="ignore", invalid="ignore"):
+            if gram is not None:
+                self.gram, self._XtX = "float32", gram
+            else:
+                # numpy forms X^T X exactly symmetric, so this is the same matrix,
+                # F-ordered: dsymv copies a C-ordered one before reading it
+                self.gram, self._XtX = "float64", (X.T @ X).T
+            self._Xty = np.asfortranarray(X.T @ y)
+            self._yty = float(np.vdot(y, y))
 
     def product(self, beta) -> np.ndarray:
         if self.gram is None:

@@ -253,6 +253,8 @@ def solve(problem: Problem, config: SolverConfig, beta0=None):
     loss, coupling = problem.loss, problem.coupling
     mu = D = norm_C = None
     L_loss = L = loss.lipschitz()
+    if not L_loss < math.inf:  # every step grad / L would be 0 (or NaN)
+        raise SolverError(f"non-finite Lipschitz constant L={L_loss!r}")
     if coupling is not None:
         # the dual set holds one copy of Q per row of a J x K beta
         D = (beta.shape[0] if beta.ndim == 2 else 1) * coupling.dual_bound
@@ -261,8 +263,6 @@ def solve(problem: Problem, config: SolverConfig, beta0=None):
         L = total_lipschitz(L_loss, norm_C, mu)
     if L <= 0:
         raise SolverError("non-positive Lipschitz constant; nothing to optimize")
-    if not L < math.inf:  # every step grad / L would be 0 (or NaN)
-        raise SolverError(f"non-finite Lipschitz constant L={L!r}")
     lam = config.lam
     beta_prev = w = beta
     theta = 1.0

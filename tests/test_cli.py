@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 import warnings
@@ -129,12 +130,13 @@ class TestSolveCommand:
     def test_solver_error_exits_nonzero(self, tmp_path, capsys):
         """Entries whose squares overflow give an infinite Lipschitz constant,
         rejected before the first iteration: an error message and exit code
-        1, not a traceback."""
+        1, not a traceback, and no numpy overflow warning before it."""
         X = np.full((4, 3), 1e200)
         X[0, 0] = 2e200
         write_csv(tmp_path / "X.csv", X)
         write_csv(tmp_path / "y.csv", np.ones((4, 1)))
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rc = cli_main(
                 [
                     "solve",
@@ -145,7 +147,7 @@ class TestSolveCommand:
                 ]
             )
         assert rc == 1
-        assert "error: non-finite Lipschitz constant" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: non-finite Lipschitz constant L=inf\n"
 
     def test_nan_gamma_exits_nonzero(self, toy_instance, capsys):
         rc = cli_main(
@@ -175,7 +177,10 @@ class TestSolveCommand:
                        "--out", str(tmp_path / "beta.csv")])
         captured = capsys.readouterr()
         assert rc == 1 and "status=" not in captured.out
-        assert "error: the Lipschitz constant L_loss + ||C||^2 / mu overflows" in captured.err
+        assert re.fullmatch(r"error: the Lipschitz constant L_loss \+ \|\|C\|\|\^2 / mu overflows "
+                            r"at \|\|C\|\|=\S+, mu=\S+\n", captured.err)
+        if flag[0] == "--mu":
+            assert captured.err.endswith(", mu=1e-310\n")
 
 
 class TestSimulateCommand:
@@ -352,14 +357,17 @@ class TestBinaryMatrices:
         assert _load_matrix(tmp_path / "y.npy").tobytes() == y.tobytes()
         assert _load_matrix(tmp_path / "y.npy").shape == (20, 1)
 
-    @pytest.mark.parametrize("write", [
-        lambda path: np.save(path, np.array([[1.0], [{}]], dtype=object), allow_pickle=True),
-        lambda path: path.write_bytes(pickle.dumps([[1.0], [2.0]])),
-        lambda path: np.save(path, np.ones((20, 4)) + 1j),
-        lambda path: np.save(path, np.full((20, 4), "1.0")),
-        lambda path: np.save(path, np.ones((20, 4), dtype=bool)),
+    REAL_NUMBERS = "array, expected a vector or matrix of real numbers"
+
+    @pytest.mark.parametrize("write, message", [
+        (lambda path: np.save(path, np.array([[1.0], [{}]], dtype=object), allow_pickle=True),
+         "Object arrays cannot be loaded when allow_pickle=False"),
+        (lambda path: path.write_bytes(pickle.dumps([[1.0], [2.0]])), "the magic string is not correct"),
+        (lambda path: np.save(path, np.ones((20, 4)) + 1j), f"a 2-d complex128 {REAL_NUMBERS}"),
+        (lambda path: np.save(path, np.full((20, 4), "1.0")), f"a 2-d <U3 {REAL_NUMBERS}"),
+        (lambda path: np.save(path, np.ones((20, 4), dtype=bool)), f"a 2-d bool {REAL_NUMBERS}"),
     ], ids=["object", "pickled", "complex", "string", "bool"])
-    def test_npy_of_no_real_numbers_is_an_error(self, write, toy_instance, tmp_path, capsys):
+    def test_npy_of_no_real_numbers_is_an_error(self, write, message, toy_instance, tmp_path, capsys):
         """An error line and exit code 1: no traceback, no ComplexWarning from
         a cast that drops the imaginary part, no unpickling."""
         write(tmp_path / "X.npy")
@@ -368,7 +376,8 @@ class TestBinaryMatrices:
             rc = cli_main(["solve", "--x", str(tmp_path / "X.npy"), "--y", str(toy_instance / "y.csv"),
                            "--lambda", "0.1", "--out", str(tmp_path / "beta.csv")])
         assert rc == 1
-        assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'X.npy'}: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'X.npy'}: {message}") and err.count("\n") == 1
         assert not (tmp_path / "beta.csv").exists()
 
 
@@ -566,11 +575,13 @@ REMOVED_GRAPH_KEYS = ("frac_within", "frac_two", "frac_three", "signal", "input_
     ("graph", '{"block_sizes": [12, -2]}'), ("graph", '{"block_sizes": [0, 10]}'),
     ("graph", '{"num_features": 0}'), ("graph", '{"num_samples": -3}'), ("graph", '{"num_samples": 1}'),
     ("graph", '{"seed": -1}'), ("overlap", '{"gamma": -1}'), ("graph", '{"gamma": -1}'),
+    ("graph", '{"num_outputs": 1, "block_sizes": [1]}'),
 ], ids=["unknown-key", "wrong-type", "not-an-object", "non-integer-count", "non-integer-seed",
         *(f"graph-{key}" for key in REMOVED_GRAPH_KEYS),
         "negative-samples", "no-samples", "negative-seed",
         "graph-negative-block", "graph-empty-block", "graph-no-features", "graph-negative-samples",
-        "graph-one-sample", "graph-negative-seed", "negative-gamma", "graph-negative-gamma"])
+        "graph-one-sample", "graph-negative-seed", "negative-gamma", "graph-negative-gamma",
+        "graph-one-output"])
 def test_simulate_bad_spec_is_an_error(kind, doc, tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(doc)
@@ -594,13 +605,49 @@ def test_malformed_penalty_is_an_error(doc, field, toy_instance, capsys):
     assert not (toy_instance / "beta.csv").exists()
 
 
-def test_empty_design_matrix_is_an_error(toy_instance, capsys):
-    (toy_instance / "X.csv").write_text("")
-    with pytest.warns(UserWarning, match="no data"):
-        rc = cli_main(["solve", "--x", str(toy_instance / "X.csv"), "--y", str(toy_instance / "y.csv"),
+@pytest.mark.parametrize("name, write", [
+    ("X.csv", lambda path: path.write_text("")),
+    ("X.npy", lambda path: np.save(path, np.zeros(0))),
+    ("X.npy", lambda path: np.save(path, np.zeros((0, 3)))),
+], ids=["csv", "npy-vector", "npy-no-rows"])
+def test_empty_design_matrix_is_an_error(name, write, toy_instance, capsys):
+    """A matrix file with no numbers is one error line that names the file,
+    with no numpy warning before it."""
+    path = toy_instance / name
+    write(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli_main(["solve", "--x", str(path), "--y", str(toy_instance / "y.csv"),
                        "--lambda", "0.1", "--out", str(toy_instance / "beta.csv")])
     assert rc == 1
-    assert "error: X has shape (0, 1)" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {path}: the file holds no numbers\n"
+    assert not (toy_instance / "beta.csv").exists()
+
+
+@pytest.mark.parametrize("command, args, penalty, line", [
+    ("solve", ["--lambda", "1.0", "--max-iter", "0"], None,
+     "error: max_iter must be positive, got 0"),
+    ("solve", ["--lambda", "1.0"],
+     '{"type": "group", "gamma": 1e300, "groups": [[1, 2]], "weights": [1e300]}',
+     "error: C has a non-finite entry: a penalty's gamma times a group weight or an edge's |r| overflows"),
+    ("path", ["--lambdas", "4.0,-1.0"], None,
+     "error: lambda must be non-negative and finite, got -1.0"),
+], ids=["zero-max-iter", "overflowing-penalty", "negative-lambda"])
+def test_run_error_is_one_line(command, args, penalty, line, toy_instance, capsys):
+    """A setting or penalty the library rejects before the first iteration
+    gives exit code 1 and one error line, with no warning and no output."""
+    if penalty is not None:
+        (toy_instance / "penalty.json").write_text(penalty)
+    out = {"solve": ["--out", str(toy_instance / "beta.csv")],
+           "path": ["--out-dir", str(toy_instance / "path")]}[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli_main([command, "--x", str(toy_instance / "X.csv"), "--y", str(toy_instance / "y.csv"),
+                       "--penalty", str(toy_instance / "penalty.json"), *args, *out])
+    assert rc == 1
+    assert capsys.readouterr().err == line + "\n"
+    assert not (toy_instance / "beta.csv").exists()
+    assert not (toy_instance / "path" / "beta_000.csv").exists()
 
 
 def test_summary_reports_the_returned_coefficients():

@@ -3,6 +3,7 @@ costs, and that the solvers' answers and reported objectives stay exact."""
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from smoothprox import (
     OverlapSimSpec,
     Problem,
     SolverConfig,
+    SolverError,
     SquaredLoss,
     gen_overlap_instance,
     losses,
@@ -46,6 +48,17 @@ class TestStorageRule:
         assert problem.loss.gram == "float64"
         _, trace = solve(problem, SolverConfig(lam=1.0, max_iter=5))
         assert math.isfinite(trace.final_objective)
+
+    def test_overflowing_gram_is_an_error_without_a_warning(self, rng):
+        """A design whose X^T X overflows, at a size that tries the float32
+        Gram first: set-up gives no numpy warning (``inf - inf`` makes NaNs
+        there), and ``solve`` raises before the first iteration."""
+        problem = Problem.least_squares(1e200 * rng.standard_normal((600, 520)), rng.standard_normal(600))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match=r"^non-finite Lipschitz constant L=inf$"):
+                solve(problem, SolverConfig(lam=1.0))
+        assert problem.loss.gram == "float64"
 
     def test_streaming_has_no_gram(self, rng):
         X = rng.standard_normal((100, 600))  # J > 2N streams
@@ -142,6 +155,9 @@ class TestOverlapSolves:
         assert problem.loss.gram == "float32"
         _, trace = solve(problem, SolverConfig(lam=2.0, mu=1e-4, rel_tol=1e-12, max_iter=10_000))
         assert trace.status == "converged" and len(trace) < 10_000
+        header = trace.header
+        assert header["shape"] == [910] and header["gram"] == "float32"
+        assert header["L_loss_source"] == "lanczos"
 
     def test_default_solve_matches_float64(self, overlap, monkeypatch):
         problem, penalty = overlap

@@ -506,8 +506,10 @@ class TestSolve:
         X = np.eye(2) * 1e200
         y = np.array([1e200, 0.0])
         prob = Problem.least_squares(X, y)
-        with pytest.warns(RuntimeWarning), pytest.raises(SolverError):
-            solve(prob, SolverConfig(lam=0.0, max_iter=10))
+        with warnings.catch_warnings():  # the Gram overflows, with no numpy warning
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match=r"^non-finite Lipschitz constant L=inf$"):
+                solve(prob, SolverConfig(lam=0.0, max_iter=10))
 
     def test_zero_design_without_penalty_has_nothing_to_optimize(self):
         prob = Problem.least_squares(np.zeros((5, 3)), np.ones(5))
@@ -586,15 +588,16 @@ class TestSolve:
             assert trace.header["L_loss"] == pytest.approx(np.sum(X * X), rel=1e-12)
 
     def test_infinite_loss_lipschitz_with_a_penalty_fails_at_setup(self):
-        """On X = 1e200 I, X^T X overflows and ``L_loss`` is inf, with no
-        "did not converge" warning and no Frobenius fallback, which overflows
-        too.  With a penalty ``total_lipschitz`` rejects it before the first
-        iteration (without one, ``solve`` does)."""
+        """On X = 1e200 I, X^T X overflows when it is formed, with no numpy
+        warning, and ``L_loss`` is inf, with no "did not converge" warning and
+        no Frobenius fallback, which overflows too.  ``solve`` rejects it
+        before the first iteration with the error it gives without a
+        penalty."""
         spec = GroupPenaltySpec.with_unit_weights(((0, 1),), 1.0)
         prob = Problem.least_squares(np.eye(2) * 1e200, np.array([1e200, 0.0]), spec)
-        with np.errstate(over="ignore"), warnings.catch_warnings():  # the Gram overflows when it is formed
+        with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="^L_loss must be non-negative and finite, got inf$"):
+            with pytest.raises(SolverError, match=r"^non-finite Lipschitz constant L=inf$"):
                 solve(prob, SolverConfig(lam=1e-6, max_iter=10))
         assert prob.loss.lipschitz_source == "lanczos"
 
@@ -933,5 +936,7 @@ class TestStoppingRule:
         from 1 as the trace's ``t`` is: here ``L_loss = 1e308`` is finite but
         ``X^T y`` overflows, so the first step does."""
         prob = Problem.least_squares(np.array([[1e154]]), np.array([1e200]))
-        with pytest.warns(RuntimeWarning), pytest.raises(SolverError, match=f"^{message}$"):
-            self.RUNS[method](prob, 1e-6, 10)
+        with warnings.catch_warnings():  # X^T y overflows when it is formed, with no numpy warning
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match=f"^{message}$"):
+                self.RUNS[method](prob, 1e-6, 10)
