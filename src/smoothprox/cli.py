@@ -32,14 +32,17 @@ def _set_threads(n):
 def _load_matrix(path):
     """A C-ordered float matrix from ``path``, a vector as one column: ``.npy``
     by suffix, whose dtype must be a real number (an int or a float), and
-    header-free CSV otherwise.  A file with no numbers is a ValueError
-    naming it."""
+    header-free CSV otherwise.  A file that does not parse, holds no numbers
+    or holds a NaN or an infinity is a ValueError naming it."""
     import numpy as np
 
     if Path(path).suffix != ".npy":
         with warnings.catch_warnings():  # an empty file is the error below
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            arr = np.loadtxt(path, delimiter=",", ndmin=2)
+            try:
+                arr = np.loadtxt(path, delimiter=",", ndmin=2)
+            except ValueError as exc:  # a ragged row or a word; numpy's hint names a numpy argument
+                raise ValueError(f"{path}: {str(exc).split('; use `usecols`')[0]}") from exc
     else:
         with open(path, "rb") as f:
             try:  # a .npy file only: no pickle, no object array, no .npz archive
@@ -54,6 +57,8 @@ def _load_matrix(path):
             arr = arr.reshape(-1, 1)
     if arr.size == 0:
         raise ValueError(f"{path}: the file holds no numbers")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{path}: the file holds a NaN or an infinity")
     return arr
 
 

@@ -8,8 +8,11 @@ reduction, the qualitative sparsity-pattern comparison, and the CLI
 round-trip.
 """
 
+import importlib.util
 import json
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,6 +254,19 @@ def test_06_convergence_ordering():
     _report("06 convergence-ordering", ok)
 
 
+def _reference_module():
+    """``benchmark/reference.py``, the package-independent solver with a
+    certified duality gap, loaded from its file under a private module name,
+    so the benchmark's other modules stay off ``sys.path``."""
+    name = "_smoothprox_benchmark_reference"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, Path(__file__).parents[1] / "benchmark" / "reference.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module  # dataclasses reads the module of the classes it processes
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
 def test_07_iteration_bound():
     rng = np.random.default_rng(42)
     X = rng.standard_normal((60, 20))
@@ -266,15 +282,15 @@ def test_07_iteration_bound():
     D, norm_c = coupling.dual_bound, coupling.norm_bound
     loss_L = prob.loss.lipschitz()
 
-    beta_ref, _ = spx.solve(
-        prob, spx.SolverConfig(lam=lam, mu=1e-8, rel_tol=1e-15, max_iter=500000)
-    )
-    f_star = _objective(prob, spec, lam, beta_ref)
-    d0 = np.linalg.norm(beta_ref)  # beta0 = 0
+    ref = _reference_module()
+    structure = ref.group_structure(spec.groups, [1.0] * len(spec.groups), spec.gamma, 20)
+    best = ref.solve_reference(ref.SquaredObjective(X, y, structure, lam), tol=1e-10)
+    f_star = best.upper
+    d0 = np.linalg.norm(best.beta)  # beta0 = 0
 
     epsilons = (1e-1, 1e-2, 1e-3)
     iters = []
-    ok = True
+    ok = best.certified_gap <= 1e-10
     for eps in epsilons:
         mu = spx.select_mu(eps, D)
         _, tr = spx.solve(

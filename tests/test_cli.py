@@ -605,22 +605,32 @@ def test_malformed_penalty_is_an_error(doc, field, toy_instance, capsys):
     assert not (toy_instance / "beta.csv").exists()
 
 
-@pytest.mark.parametrize("name, write", [
-    ("X.csv", lambda path: path.write_text("")),
-    ("X.npy", lambda path: np.save(path, np.zeros(0))),
-    ("X.npy", lambda path: np.save(path, np.zeros((0, 3)))),
-], ids=["csv", "npy-vector", "npy-no-rows"])
-def test_empty_design_matrix_is_an_error(name, write, toy_instance, capsys):
-    """A matrix file with no numbers is one error line that names the file,
-    with no numpy warning before it."""
+@pytest.mark.parametrize("flag, name, write, message", [
+    ("--x", "X.csv", lambda path: path.write_text(""), "the file holds no numbers"),
+    ("--x", "X.npy", lambda path: np.save(path, np.zeros(0)), "the file holds no numbers"),
+    ("--x", "X.npy", lambda path: np.save(path, np.zeros((0, 3))), "the file holds no numbers"),
+    ("--x", "X.csv", lambda path: path.write_text("1,2\n3\n"), None),
+    ("--x", "X.csv", lambda path: path.write_text("1,2\nnan,4\n"), "the file holds a NaN or an infinity"),
+    ("--y", "y.npy", lambda path: np.save(path, np.array([1.0, np.inf])), "the file holds a NaN or an infinity"),
+], ids=["csv", "npy-vector", "npy-no-rows", "ragged-csv", "nan-in-csv-x", "inf-in-npy-y"])
+def test_bad_matrix_file_is_one_error_line(flag, name, write, message, toy_instance, capsys):
+    """A matrix file with no numbers, a ragged row or a NaN or an infinity is
+    one error line that names the file, with no numpy warning before it.  A
+    ragged row's reason is numpy's wording (``message`` None), which is left
+    unchecked as it may differ between numpy versions."""
     path = toy_instance / name
     write(path)
+    files = {"--x": toy_instance / "X.csv", "--y": toy_instance / "y.csv", flag: path}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rc = cli_main(["solve", "--x", str(path), "--y", str(toy_instance / "y.csv"),
+        rc = cli_main(["solve", "--x", str(files["--x"]), "--y", str(files["--y"]),
                        "--lambda", "0.1", "--out", str(toy_instance / "beta.csv")])
     assert rc == 1
-    assert capsys.readouterr().err == f"error: {path}: the file holds no numbers\n"
+    err = capsys.readouterr().err
+    if message is None:
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert err == f"error: {path}: {message}\n"
     assert not (toy_instance / "beta.csv").exists()
 
 

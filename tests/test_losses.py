@@ -40,10 +40,12 @@ class TestInputChecks:
         "X, y, match",
         [
             (np.ones((3, 2)), np.ones(4), "y has shape"),
+            (np.ones((3, 2)), np.ones((4, 2)), "y has shape"),
             (_with_nan(np.ones((2, 2))), np.ones(2), "non-finite"),
             (np.ones((2, 2)), _with_nan(np.ones(2)), "non-finite"),
+            (np.ones((3, 2)), _with_nan(np.ones((3, 3))), "non-finite"),
         ],
-        ids=["row-mismatch", "non-finite-X", "non-finite-y"],
+        ids=["row-mismatch", "row-mismatch-matrix", "non-finite-X", "non-finite-y", "non-finite-matrix-y"],
     )
     def test_rejected(self, make, X, y, match):
         with pytest.raises(ValueError, match=match):
@@ -58,19 +60,21 @@ class TestSquaredLoss:
         assert value == pytest.approx(0.5)
         np.testing.assert_allclose(grad, [-1.0, 0.0])
 
-    def test_exact_fit(self, rng, monkeypatch):
+    @pytest.mark.parametrize("K", [None, 3], ids=["vector", "matrix"])
+    def test_exact_fit(self, rng, monkeypatch, K):
         force_gram(monkeypatch, False)
         X = rng.standard_normal((6, 3))
-        beta = rng.standard_normal(3)
+        beta = rng.standard_normal(3 if K is None else (3, K))
         loss = SquaredLoss(X, X @ beta)
         value, grad = loss_value(loss, beta), loss_gradient(loss, beta)
         assert value == pytest.approx(0.0, abs=1e-12)
-        np.testing.assert_allclose(grad, np.zeros(3), atol=1e-10)
+        np.testing.assert_allclose(grad, np.zeros_like(beta), atol=1e-10)
 
-    def test_gradient_matches_finite_differences(self, rng):
+    @pytest.mark.parametrize("K", [None, 3], ids=["vector", "matrix"])
+    def test_gradient_matches_finite_differences(self, rng, K):
         X = rng.standard_normal((8, 4))
-        loss = SquaredLoss(X, rng.standard_normal(8))
-        beta = rng.standard_normal(4)
+        loss = SquaredLoss(X, rng.standard_normal(8 if K is None else (8, K)))
+        beta = rng.standard_normal(4 if K is None else (4, K))
         fd = central_difference_gradient(lambda b: loss_value(loss, b), beta, 1e-6)
         np.testing.assert_allclose(loss_gradient(loss, beta), fd, rtol=1e-6)
 
@@ -83,16 +87,17 @@ class TestSquaredLoss:
         X = np.broadcast_to(1.0, (N, J))  # no N x J copy: streaming reads X as it is
         assert (SquaredLoss(X, np.ones(N)).gram is not None) is gram
 
-    def test_precompute_matches_streaming(self, rng, monkeypatch):
+    @pytest.mark.parametrize("K", [None, 3], ids=["vector", "matrix"])
+    def test_precompute_matches_streaming(self, rng, monkeypatch, K):
         X = rng.standard_normal((15, 6))
-        y = rng.standard_normal(15)
+        y = rng.standard_normal(15 if K is None else (15, K))
         force_gram(monkeypatch, True)
         pre = SquaredLoss(X, y)
         force_gram(monkeypatch, False)
         direct = SquaredLoss(X, y)
         assert pre.gram is not None and direct.gram is None
         for _ in range(5):
-            beta = rng.standard_normal(6)
+            beta = rng.standard_normal(6 if K is None else (6, K))
             np.testing.assert_allclose(
                 loss_gradient(pre, beta), loss_gradient(direct, beta), rtol=1e-10
             )
@@ -111,21 +116,24 @@ class TestSquaredLossLipschitz:
         exact = np.linalg.eigvalsh(X.T @ X).max()
         assert SquaredLoss(X, rng.standard_normal(20)).lipschitz() == pytest.approx(exact, rel=1e-5)
 
-    def test_gradient_lipschitz_property(self, rng):
+    @pytest.mark.parametrize("K", [None, 3], ids=["vector", "matrix"])
+    def test_gradient_lipschitz_property(self, rng, K):
+        """The gradient is L-Lipschitz in the l2 norm, the Frobenius norm
+        for J x K iterates."""
         X = rng.standard_normal((12, 5))
-        loss = SquaredLoss(X, rng.standard_normal(12))
+        loss = SquaredLoss(X, rng.standard_normal(12 if K is None else (12, K)))
         L = loss.lipschitz() * (1 + 1e-6)
         for _ in range(20):
-            b1, b2 = rng.standard_normal((2, 5))
+            b1, b2 = rng.standard_normal((2, 5) if K is None else (2, 5, K))
             assert np.linalg.norm(loss_gradient(loss, b1) - loss_gradient(loss, b2)) <= (
                 L * np.linalg.norm(b1 - b2) + 1e-12
             )
 
 
 class TestLogisticLoss:
-    def make_data(self, rng, n=20, j=5):
+    def make_data(self, rng, K=None, n=20, j=5):
         X = rng.standard_normal((n, j))
-        y = np.sign(rng.standard_normal(n))
+        y = np.sign(rng.standard_normal(n if K is None else (n, K)))
         y[y == 0] = 1.0
         return X, y
 
@@ -134,11 +142,13 @@ class TestLogisticLoss:
         with pytest.raises(ValueError):
             LogisticLoss(X, np.array([0.0, 1.0, 1.0, -1.0]))
 
-    def test_symmetric_point(self, rng):
-        X, y = self.make_data(rng)
+    @pytest.mark.parametrize("K", [None, 3], ids=["vector", "matrix"])
+    def test_symmetric_point(self, rng, K):
+        X, y = self.make_data(rng, K)
         loss = LogisticLoss(X, y)
-        value, grad = loss_value(loss, np.zeros(5)), loss_gradient(loss, np.zeros(5))
-        assert value == pytest.approx(X.shape[0] * np.log(2.0))
+        zero = np.zeros(5 if K is None else (5, K))
+        value, grad = loss_value(loss, zero), loss_gradient(loss, zero)
+        assert value == pytest.approx(y.size * np.log(2.0))
         np.testing.assert_allclose(grad, -0.5 * X.T @ y, rtol=1e-12)
 
     def test_separable_limit(self):
@@ -156,16 +166,18 @@ class TestLogisticLoss:
         value = loss_value(LogisticLoss(X, y), np.array([-1000.0]))
         assert np.isfinite(value) and value == pytest.approx(1000.0)
 
-    def test_gradient_matches_finite_differences(self, rng):
-        loss = LogisticLoss(*self.make_data(rng))
-        beta = rng.standard_normal(5)
+    @pytest.mark.parametrize("K", [None, 3], ids=["vector", "matrix"])
+    def test_gradient_matches_finite_differences(self, rng, K):
+        loss = LogisticLoss(*self.make_data(rng, K))
+        beta = rng.standard_normal(5 if K is None else (5, K))
         fd = central_difference_gradient(lambda b: loss_value(loss, b), beta, 1e-6)
         np.testing.assert_allclose(loss_gradient(loss, beta), fd, rtol=1e-5, atol=1e-10)
 
-    def test_convex_midpoint(self, rng):
-        loss = LogisticLoss(*self.make_data(rng))
+    @pytest.mark.parametrize("K", [None, 3], ids=["vector", "matrix"])
+    def test_convex_midpoint(self, rng, K):
+        loss = LogisticLoss(*self.make_data(rng, K))
         for _ in range(10):
-            b1, b2 = rng.standard_normal((2, 5))
+            b1, b2 = rng.standard_normal((2, 5) if K is None else (2, 5, K))
             mid = loss_value(loss, 0.5 * (b1 + b2))
             assert mid <= 0.5 * (loss_value(loss, b1) + loss_value(loss, b2)) + 1e-12
 

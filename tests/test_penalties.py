@@ -26,10 +26,13 @@ from smoothprox import (
 from conftest import (
     MALFORMED_PENALTY_IDS,
     MALFORMED_PENALTY_JSON,
+    alpha_star,
     block_bounds,
+    central_difference_gradient,
     penalty_value,
     random_graph_spec,
     random_group_spec,
+    unconverged_lanczos,
 )
 
 
@@ -198,25 +201,28 @@ class TestPenaltyValues:
         spec = GraphPenaltySpec(num_nodes=2, edges=((0, 1, 1.0),), gamma=1.0)
         assert penalty_value(spec, [2.0, -3.0]) == pytest.approx(5.0)
 
-    def test_graph_value_equals_l1_of_coupling_product(self, rng):
+    @pytest.mark.parametrize("num_inputs", [0, 3], ids=["vector", "matrix"])
+    def test_graph_value_equals_l1_of_coupling_product(self, rng, num_inputs):
         for _ in range(20):
             spec = random_graph_spec(rng, num_nodes=6)
             C = spec.coupling()
-            beta = rng.standard_normal(6)
+            beta = rng.standard_normal((num_inputs, 6) if num_inputs else 6)
             assert penalty_value(spec, beta) == pytest.approx(
                 np.abs(C.apply(beta)).sum(), rel=1e-12
             )
 
-    def test_group_value_is_dual_maximum(self, rng):
-        # max over the product of unit balls, solved exactly per block:
-        # the maximizing alpha_g is beta_g / ||beta_g||
+    @pytest.mark.parametrize("num_inputs", [0, 3], ids=["vector", "matrix"])
+    def test_group_value_is_dual_maximum(self, rng, num_inputs):
+        # max over the product of unit balls, solved exactly per block (and
+        # per column of z for a matrix iterate): the maximizing alpha_g is
+        # beta_g / ||beta_g||
         for _ in range(10):
             spec = random_group_spec(rng, num_features=4, max_groups=3)
             C = spec.coupling(4)
-            beta = rng.standard_normal(4)
+            beta = rng.standard_normal((num_inputs, 4) if num_inputs else 4)
             z = C.apply(beta)
             best = sum(
-                np.linalg.norm(z[a:b]) for a, b in block_bounds(C)
+                np.linalg.norm(z[a:b], axis=0).sum() for a, b in block_bounds(C)
             )
             assert penalty_value(spec, beta) == pytest.approx(best, rel=1e-10)
 
@@ -296,15 +302,16 @@ class TestCouplingApply:
         with pytest.raises(StructureError):
             C.apply_transpose(np.zeros((3, 5)))
 
-    def test_matches_dense_gram_product(self, rng):
+    @pytest.mark.parametrize("num_inputs", [0, 3], ids=["vector", "matrix"])
+    def test_matches_dense_gram_product(self, rng, num_inputs):
         for _ in range(10):
             spec = random_group_spec(rng, num_features=12)
             C = spec.coupling(12)
             dense = C.matrix.toarray()
-            beta = rng.standard_normal(12)
+            beta = rng.standard_normal((num_inputs, 12) if num_inputs else 12)
             np.testing.assert_allclose(
                 C.apply_transpose(C.apply(beta)),
-                dense.T @ (dense @ beta),
+                (dense.T @ (dense @ beta.T)).T,
                 atol=1e-12,
             )
 
@@ -704,6 +711,7 @@ class TestCouplingConstants:
         coupling = spec.coupling(max(max(g) for g in spec.groups) + 1)
         assert coupling.norm_bound == pytest.approx(sigma_max(coupling), rel=1e-10)
         assert coupling.dual_bound == len(spec.groups) / 2
+        assert coupling.spectral_norm().converged
 
     @settings(max_examples=200, deadline=None)
     @given(spec=graph_specs())
@@ -717,9 +725,168 @@ class TestCouplingConstants:
         if all(r == 0.0 for _, _, r in spec.edges):
             assert coupling.norm_bound == 0.0
 
+    @pytest.mark.parametrize("edges, bound", [
+        (((0, 1, 1.0),), math.sqrt(2.0)),
+        (((0, 1, 1.0), (1, 2, -0.5)), math.sqrt(2.5)),
+        (tuple((0, i, 1.0) for i in range(1, 6)), math.sqrt(10.0)),
+    ], ids=["single-edge", "weighted-degrees", "star"])
+    def test_graph_norm_bound_on_known_graphs(self, edges, bound):
+        """``sqrt(2 max_j d_j)``, d_j the r^2-weighted degree of node j; on a
+        single edge it is the spectral norm."""
+        coupling = GraphPenaltySpec(1 + max(l for _, l, _ in edges), edges, 1.0).coupling()
+        assert coupling.norm_bound == pytest.approx(bound, rel=1e-12)
+        if len(edges) == 1:
+            assert coupling.norm_bound == pytest.approx(sigma_max(coupling), rel=1e-12)
+
     @pytest.mark.parametrize("num_features", [3, 7])
     def test_graph_node_count_must_match_features(self, num_features):
         spec = GraphPenaltySpec(num_nodes=5, edges=((0, 1, 1.0),), gamma=1.0)
         with pytest.raises(StructureError, match=f"has 5 nodes, expected {num_features}"):
             spec.coupling(num_features)
         assert spec.coupling(5).rows == 1
+
+
+class TestPowerIteration:
+    @pytest.mark.parametrize("C, value", [
+        (GroupPenaltySpec(groups=((0,),), weights=(2.0,), gamma=3.0).coupling(1), 6.0),
+        (GraphPenaltySpec(num_nodes=3, edges=((0, 1, 1.0), (1, 2, 1.0)), gamma=1.0).coupling(), math.sqrt(3.0)),
+    ], ids=["scalar", "chain-graph"])
+    def test_known_norm(self, C, value):
+        est = C.spectral_norm()
+        assert est.converged
+        assert est.value == pytest.approx(value, rel=1e-6)
+
+    @pytest.mark.parametrize("C, rows", [
+        (GraphPenaltySpec(num_nodes=2, edges=((0, 1, 0.0),), gamma=1.0).coupling(), 1),
+        (CouplingMatrix(sp.csr_matrix((0, 4))), 0),
+    ], ids=["zero-edge", "no-rows"])
+    def test_zero_coupling(self, C, rows):
+        """A graph whose only edge has r = 0 stores no entries, and a C with no
+        rows has none to store; the norm is 0."""
+        assert (C.rows, C.nnz) == (rows, 0)
+        est = C.spectral_norm()
+        assert (est.value, est.converged) == (0.0, True)
+
+    def test_nonconvergence_flagged(self, monkeypatch):
+        unconverged_lanczos(monkeypatch)
+        est = two_group_spec().coupling(3).spectral_norm()
+        assert not est.converged
+
+
+def _coupling_case(kind, rng):
+    """``(spec, J)`` with couplings the kernels branch on: row blocks, one row
+    per edge, an all-zero row (an edge with r = 0), and no rows at all."""
+    if kind == "group":
+        return random_group_spec(rng, 7), 7
+    if kind == "graph":
+        return random_graph_spec(rng, 6), 6
+    if kind == "graph-zero-edge":
+        return GraphPenaltySpec(5, ((0, 1, 0.8), (1, 3, 0.0), (2, 4, -0.5)), 1.3), 5
+    return GraphPenaltySpec(4, (), 1.0), 4  # "empty": a 0 x 4 coupling
+
+
+@pytest.mark.parametrize("num_inputs", [0, 3], ids=["vector", "matrix"])
+@pytest.mark.parametrize("kind", ["group", "graph", "graph-zero-edge", "empty"])
+def test_kernels_match_their_definitions(kind, num_inputs, rng):
+    """``alpha_star`` is the blockwise projection of ``C beta / mu`` onto the
+    unit balls, ``smoothed_gradient`` is ``C^T alpha*``, and
+    ``smoothed_values`` gives the spec's exact value and the Huber sum over
+    block norms, computed here by loops over the blocks from a dense C.  mu is
+    the median block norm, so blocks fall on both sides of the ball's
+    boundary.  At a zero iterate both values and the gradient are exactly 0."""
+    spec, J = _coupling_case(kind, rng)
+    coupling = spec.coupling(J)
+    beta = rng.standard_normal((num_inputs, J) if num_inputs else J)
+    beta[..., 0] = 0.0
+    C = coupling.matrix.toarray()
+    Z = C @ np.atleast_2d(beta).T  # rows x inputs
+    blocks = [(a, b, k) for a, b in block_bounds(coupling) for k in range(Z.shape[1])]
+    norms = [float(np.linalg.norm(Z[a:b, k])) for a, b, k in blocks]
+    mu = float(np.median(norms)) if norms else 0.4
+    alpha = np.zeros_like(Z)
+    huber = 0.0
+    for (a, b, k), n in zip(blocks, norms):
+        alpha[a:b, k] = Z[a:b, k] / mu / max(1.0, n / mu)
+        huber += n * n / (2.0 * mu) if n <= mu else n - mu / 2.0
+    if not num_inputs:
+        alpha = alpha[:, 0]
+    np.testing.assert_allclose(alpha_star(coupling, beta, mu), alpha, rtol=1e-13, atol=1e-15)
+    gradient = coupling.smoothed_gradient(beta, mu)
+    np.testing.assert_allclose(gradient, (C.T @ alpha).T, rtol=1e-12, atol=1e-14)
+    assert gradient.shape == beta.shape
+    f0, f_mu = coupling.smoothed_values(beta, mu)
+    assert f0 == pytest.approx(penalty_value(spec, beta), rel=1e-13, abs=1e-300)
+    assert f0 == pytest.approx(sum(norms), rel=1e-13, abs=1e-300)
+    assert f_mu == pytest.approx(huber, rel=1e-13, abs=1e-300)
+    if kind == "empty":
+        assert (f0, f_mu) == (0.0, 0.0)
+        assert not gradient.any()
+    zero = np.zeros_like(beta)
+    assert coupling.smoothed_values(zero, mu) == (0.0, 0.0)
+    assert not coupling.smoothed_gradient(zero, mu).any()
+
+
+@pytest.mark.parametrize("mu", [0.0, -1.0, np.nan])
+@pytest.mark.parametrize("kernel", ["smoothed_values", "smoothed_gradient"])
+def test_kernels_reject_non_positive_mu(kernel, mu):
+    single_group = GroupPenaltySpec(groups=((0, 1),), weights=(1.0,), gamma=1.0)
+    for coupling in (single_group.coupling(2), GraphPenaltySpec(2, ((0, 1, 1.0),), 1.0).coupling()):
+        with pytest.raises(ValueError):
+            getattr(coupling, kernel)(np.ones(2), mu)
+
+
+@pytest.mark.parametrize("mu", [0.5, 1.0, 5e-324])
+def test_graph_clip_bounds_keep_the_bits(mu):
+    """The graph kernels clip ``C beta`` with 0-d array bounds; that clip has
+    the bits of the clip with float bounds on ties at +-mu, signed zeros,
+    NaN, infinities and subnormals, and so does the gradient built on it."""
+    tie = np.nextafter(mu, np.inf)
+    z = np.array([mu, -mu, tie, -tie, 0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, 3.0])
+    expected = np.clip(z, -mu, mu)
+    assert np.clip(z, np.array(-mu), np.array(mu), out=np.empty_like(z)).tobytes() == expected.tobytes()
+    C = CouplingMatrix(sp.identity(z.size, format="csr"))
+    for beta in (z, np.vstack([z, -z])):  # a 1-d and a 2 x J iterate
+        with np.errstate(invalid="ignore", over="ignore"):
+            reference = C.apply_transpose(np.clip(C.apply(beta), -mu, mu))
+            reference /= mu
+            assert C.smoothed_gradient(beta, mu).tobytes() == reference.tobytes()
+
+
+class TestSmoothedPenalty:
+    @pytest.mark.parametrize("num_inputs", [0, 4], ids=["vector", "matrix"])
+    def test_gradient_matches_finite_differences(self, rng, num_inputs):
+        for _ in range(5):
+            C = random_group_spec(rng, num_features=6).coupling(6)
+            beta = rng.standard_normal((num_inputs, 6) if num_inputs else 6)
+            h = 1e-5 * (1.0 + np.abs(beta).max())
+            fd = central_difference_gradient(lambda b: C.smoothed_values(b, 0.2)[1], beta, h)
+            np.testing.assert_allclose(C.smoothed_gradient(beta, 0.2), fd, rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("num_inputs", [0, 3], ids=["vector", "matrix"])
+    def test_gradient_lipschitz(self, rng, num_inputs):
+        spec = random_group_spec(rng, num_features=6, unit_weights=True)
+        mu = 0.05
+        C = spec.coupling(6)
+        L = C.norm_bound ** 2 / mu
+        for _ in range(20):
+            b1, b2 = rng.standard_normal((2, num_inputs, 6) if num_inputs else (2, 6)) * 2
+            lhs = np.linalg.norm(C.smoothed_gradient(b1, mu) - C.smoothed_gradient(b2, mu))
+            assert lhs <= L * np.linalg.norm(b1 - b2) + 1e-12
+
+    @pytest.mark.parametrize("num_inputs", [0, 3], ids=["vector", "matrix"])
+    def test_monotone_in_mu(self, rng, num_inputs):
+        spec = random_group_spec(rng, num_features=5)
+        beta = rng.standard_normal((num_inputs, 5) if num_inputs else 5)
+        values = [spec.coupling(5).smoothed_values(beta, mu)[1] for mu in (1e-4, 1e-2, 0.1, 1.0)]
+        assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
+
+    def test_single_output_matches_vector_penalty(self, rng):
+        """A J x 1 iterate under the output group {0} carries the vector
+        penalty with one singleton group per input."""
+        mu = 0.1
+        C = GroupPenaltySpec.with_unit_weights(((0,),), 1.0).coupling(1)
+        vec_C = GroupPenaltySpec.with_unit_weights(tuple((j,) for j in range(5)), 1.0).coupling(5)
+        beta = rng.standard_normal(5)
+        B = beta.reshape(5, 1)
+        assert C.smoothed_values(B, mu)[1] == pytest.approx(vec_C.smoothed_values(beta, mu)[1], rel=1e-12)
+        np.testing.assert_allclose(C.smoothed_gradient(B, mu).ravel(), vec_C.smoothed_gradient(beta, mu), atol=1e-14)

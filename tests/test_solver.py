@@ -121,8 +121,21 @@ def test_numeric_helpers_reject_nan(call):
         call()
 
 
+@pytest.mark.parametrize("epsilon, D, mu", [
+    (None, None, 1e-4), (0.01, 5.0, 0.001), (6.0, 3.0, 1.0), (1e-8, 43500.0, 1e-8 / 87000.0),
+], ids=["default", "formula", "epsilon-twice-D", "no-lower-clamp"])
+def test_select_mu(epsilon, D, mu):
+    """``mu = epsilon / (2 D)``, or 1e-4 with no epsilon.  The paper's
+    multi-output design has D = 200 * 435 / 2: a tiny epsilon gets its own
+    mu, below 1e-12, not a clamped one."""
+    assert select_mu(epsilon, D) == mu
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda: select_mu(1e-3, 1e-320), ValueError, r"^epsilon / \(2 D\) overflows at epsilon=0.001, D=1e-320$"),
+    (lambda: select_mu(5e-324, 1.0), ValueError, r"^epsilon / \(2 D\) underflows to 0 at epsilon=5e-324, D=1.0$"),
+    (lambda: select_mu(-1.0, 5.0), ValueError, "^epsilon must be positive and finite, got -1.0$"),
+    (lambda: select_mu(1.0, 0.0), ValueError, "^D must be positive and finite, got 0.0$"),
     (lambda: total_lipschitz(1.0, 1.0, 1e-310), SolverError,
      r"^the Lipschitz constant L_loss \+ \|\|C\|\|\^2 / mu overflows at \|\|C\|\|=1.0, mu=1e-310$"),
     (lambda: total_lipschitz(1.0, 1e200, 1.0), SolverError, r"overflows at \|\|C\|\|=1e\+200, mu=1.0$"),
@@ -134,7 +147,8 @@ def test_numeric_helpers_reject_nan(call):
     (lambda: iteration_bound(-1.0, 1.0, 1.0, 1.0, 1.0), ValueError, "^dist0 must be non-negative and finite, got -1.0$"),
     (lambda: iteration_bound(1.0, 1.0, math.inf, 1.0, 1.0), ValueError, "^L_loss must be non-negative and finite, got inf$"),
     (lambda: iteration_bound(1.0, 1.0, 1.0, -5.0, 1.0), ValueError, "^D must be non-negative and finite, got -5.0$"),
-], ids=["select_mu-overflow", "total_lipschitz-subnormal-mu", "total_lipschitz-huge-norm", "total_lipschitz-nan",
+], ids=["select_mu-overflow", "select_mu-underflow", "select_mu-negative-epsilon", "select_mu-zero-D",
+        "total_lipschitz-subnormal-mu", "total_lipschitz-huge-norm", "total_lipschitz-nan",
         "total_lipschitz-inf", "total_lipschitz-negative", "iteration_bound-subnormal-epsilon",
         "iteration_bound-huge-norm", "iteration_bound-negative-dist", "iteration_bound-inf", "iteration_bound-negative-D"])
 def test_numeric_helpers_reject_out_of_range(call, error, message):
@@ -207,6 +221,15 @@ def test_non_finite_start_rejected(rng, K, bad):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^beta0 must be finite$"):
             solve(problem, SolverConfig(lam=0.1), beta0)
+
+
+@pytest.mark.parametrize("K, shape", [(None, (2,)), (3, (2, 2))], ids=["vector", "matrix"])
+def test_start_of_the_wrong_shape_rejected(rng, K, shape):
+    y = rng.standard_normal(25 if K is None else (25, K))
+    problem = Problem.least_squares(rng.standard_normal((25, 4)), y)
+    message = re.escape(f"beta0 has shape {shape}, expected {problem.coef_shape}")
+    with pytest.raises(StructureError, match=f"^{message}$"):
+        solve(problem, SolverConfig(lam=0.1), np.zeros(shape))
 
 
 class TestCouplingBuiltOnce:
@@ -282,10 +305,15 @@ class TestProblem:
         assert "loss" not in vars(problem)
         assert problem.loss is problem.loss
 
-    def test_group_index_out_of_range_fails_when_made(self, rng):
-        spec = GroupPenaltySpec.with_unit_weights(((0, 1), (1, 5)), 1.0)
-        with pytest.raises(StructureError, match="out of range for 5 features"):
-            Problem.least_squares(rng.standard_normal((12, 5)), rng.standard_normal(12), spec)
+    @pytest.mark.parametrize("y_shape, spec, message", [
+        ((12,), GroupPenaltySpec.with_unit_weights(((0, 1), (1, 5)), 1.0), "out of range for 5 features"),
+        ((12, 2), GraphPenaltySpec(num_nodes=5, edges=((0, 1, 1.0),), gamma=1.0), "has 5 nodes, expected 2"),
+    ], ids=["vector", "matrix"])
+    def test_penalty_out_of_range_fails_when_made(self, rng, y_shape, spec, message):
+        """A penalty is over the features of a vector response and over the
+        outputs of an N x K one."""
+        with pytest.raises(StructureError, match=message):
+            Problem.least_squares(rng.standard_normal((12, 5)), rng.standard_normal(y_shape), spec)
 
     def test_non_finite_X_fails_before_the_first_iteration(self, rng, monkeypatch):
         X = rng.standard_normal((12, 5))
@@ -299,7 +327,8 @@ class TestProblem:
         ((5, 0), (5,), r"X has shape \(5, 0\)"),
         ((0, 3), (0,), r"X has shape \(0, 3\)"),
         ((5, 3), (5, 0), r"y has shape \(5, 0\)"),
-    ], ids=["no-columns", "no-rows", "no-outputs"])
+        ((5, 3), (4, 2), r"y has shape \(4, 2\)"),
+    ], ids=["no-columns", "no-rows", "no-outputs", "row-mismatch-matrix"])
     def test_zero_size_data_rejected(self, x_shape, y_shape, message):
         with pytest.raises(StructureError, match=message):
             Problem.least_squares(np.ones(x_shape), np.ones(y_shape))
@@ -420,13 +449,14 @@ class TestSolverConfigChecks:
 
 
 class TestFistaStep:
-    def test_full_shrinkage(self, rng, monkeypatch):
+    @pytest.mark.parametrize("K", [None, 3], ids=["vector", "matrix"])
+    def test_full_shrinkage(self, rng, monkeypatch, K):
         force_gram(monkeypatch, False)
         X = rng.standard_normal((5, 3))
-        y = rng.standard_normal(5)
+        y = rng.standard_normal(5 if K is None else (5, K))
         prob = Problem.least_squares(X, y)
         L = prob.loss.lipschitz()
-        lam = L * (np.abs(loss_gradient(prob.loss, np.zeros(3)) / L).max() + 1.0)
+        lam = L * (np.abs(loss_gradient(prob.loss, np.zeros(prob.coef_shape)) / L).max() + 1.0)
         beta, _ = solve(prob, SolverConfig(lam, max_iter=1, rel_tol=0.0))
         assert (beta == 0.0).all()
 
@@ -444,36 +474,54 @@ class TestFistaStep:
 
 
 class TestSolve:
-    def test_orthonormal_lasso_closed_form(self):
-        prob = Problem.least_squares(np.eye(2), np.array([3.0, 0.0]))
+    @pytest.mark.parametrize("K", [None, 3], ids=["vector", "matrix"])
+    def test_orthonormal_lasso_closed_form(self, K):
+        """On X = I the solution is y soft-thresholded at lam, entrywise."""
+        y, expected = ([3.0, 0.0], [2.0, 0.0]) if K is None else ([[3.0, -2.0, 0.5], [0.0, 1.5, -4.0]],
+                                                                   [[2.0, -1.0, 0.0], [0.0, 0.5, -3.0]])
+        prob = Problem.least_squares(np.eye(2), np.array(y))
         beta, trace = solve(prob, SolverConfig(lam=1.0, rel_tol=1e-12))
-        np.testing.assert_allclose(beta, [2.0, 0.0], atol=1e-10)
+        np.testing.assert_allclose(beta, expected, atol=1e-10)
         assert trace.status == "converged"
 
-    def test_unregularized_reaches_least_squares(self, rng):
+    # at rel_tol 1e-14 the 30 x 3 solve stops with an entry 1.1e-6 off
+    @pytest.mark.parametrize(("K", "rel_tol"), [(None, 1e-14), (3, 1e-15)], ids=["vector", "matrix"])
+    def test_unregularized_reaches_least_squares(self, rng, K, rel_tol):
         X = rng.standard_normal((30, 5))
-        y = rng.standard_normal(30)
+        y = rng.standard_normal(30 if K is None else (30, K))
         prob = Problem.least_squares(X, y)
-        beta, _ = solve(prob, SolverConfig(lam=0.0, rel_tol=1e-14, max_iter=50000))
+        beta, _ = solve(prob, SolverConfig(lam=0.0, rel_tol=rel_tol, max_iter=50000))
         expected = np.linalg.lstsq(X, y, rcond=None)[0]
         np.testing.assert_allclose(beta, expected, atol=1e-6)
 
-    def test_exact_zero_entries(self, rng):
+    @pytest.mark.parametrize("K", [None, 3], ids=["vector", "matrix"])
+    def test_exact_zero_entries(self, rng, K):
         X = rng.standard_normal((30, 8))
-        y = rng.standard_normal(30)
-        spec = GroupPenaltySpec.with_unit_weights(((0, 1, 2), (3, 4, 5, 6, 7)), 0.5)
-        prob = Problem.least_squares(X, y, spec)
-        beta, _ = solve(prob, SolverConfig(lam=2.0, mu=1e-4))
-        assert np.count_nonzero(beta) < 8
+        if K is None:
+            y, spec = rng.standard_normal(30), GroupPenaltySpec.with_unit_weights(((0, 1, 2), (3, 4, 5, 6, 7)), 0.5)
+        else:
+            y, spec = rng.standard_normal((30, K)), GroupPenaltySpec.with_unit_weights(((0, 1, 2),), 1.0)
+        beta, _ = solve(Problem.least_squares(X, y, spec), SolverConfig(lam=2.0, mu=1e-4))
+        assert np.count_nonzero(beta) < beta.size
         assert (beta[beta == 0.0] == 0.0).all()  # bitwise zeros from the prox
 
-    def test_smoothed_objective_initially_decreases(self, rng):
+    def test_graph_penalty_fuses_output_columns(self, rng):
+        X = rng.standard_normal((60, 4))
+        bcol = rng.standard_normal(4)
+        Y = np.column_stack([X @ bcol, X @ bcol]) + 0.01 * rng.standard_normal((60, 2))
+        spec = GraphPenaltySpec(num_nodes=2, edges=((0, 1, 1.0),), gamma=20.0)
+        B, _ = solve(Problem.least_squares(X, Y, spec), SolverConfig(lam=0.0, mu=1e-5, rel_tol=1e-12))
+        np.testing.assert_allclose(B[:, 0], B[:, 1], atol=1e-3)
+
+    @pytest.mark.parametrize("K", [None, 3], ids=["vector", "matrix"])
+    def test_smoothed_objective_initially_decreases(self, rng, K):
         # accelerated steps ripple near convergence, but the early trace is
-        # a clean descent and the overall trend must be downward
-        X = rng.standard_normal((40, 10))
-        bt = np.zeros(10)
-        bt[:4] = 1.0
-        y = X @ bt + 0.1 * rng.standard_normal(40)
+        # a clean descent and the overall trend must be downward; on an
+        # N x 10 response the groups are over the 10 outputs
+        X = rng.standard_normal((40, 10 if K is None else K))
+        bt = np.zeros(10 if K is None else (K, 10))
+        bt[..., :4] = 1.0
+        y = X @ bt + 0.1 * rng.standard_normal(40 if K is None else (40, 10))
         spec = GroupPenaltySpec.with_unit_weights(
             ((0, 1, 2, 3, 4), (4, 5, 6, 7, 8, 9)), 1.0
         )
@@ -485,9 +533,11 @@ class TestSolve:
         envelope = np.minimum.accumulate(fs)
         assert envelope[-1] == pytest.approx(fs[-1], rel=1e-6)
 
-    def test_subgradient_optimality_certificate(self, rng):
-        X = rng.standard_normal((30, 6))
-        y = rng.standard_normal(30)
+    @pytest.mark.parametrize("K", [None, 3], ids=["vector", "matrix"])
+    def test_subgradient_optimality_certificate(self, rng, K):
+        """On an N x 6 response the groups are over the 6 outputs."""
+        X = rng.standard_normal((30, 6 if K is None else K))
+        y = rng.standard_normal(30 if K is None else (30, 6))
         spec = GroupPenaltySpec.with_unit_weights(((0, 1, 2), (2, 3, 4, 5)), 0.3)
         lam = 0.4
         prob = Problem.least_squares(X, y, spec)
@@ -502,17 +552,19 @@ class TestSolve:
         bound = 1e-3 * (1.0 + np.linalg.norm(loss_gradient(prob.loss, beta)))
         assert np.linalg.norm(residual) < bound
 
-    def test_non_finite_objective_raises(self):
+    @pytest.mark.parametrize("K", [None, 3], ids=["vector", "matrix"])
+    def test_non_finite_objective_raises(self, K):
         X = np.eye(2) * 1e200
-        y = np.array([1e200, 0.0])
+        y = np.array([1e200, 0.0]) if K is None else np.full((2, K), 1e200)
         prob = Problem.least_squares(X, y)
         with warnings.catch_warnings():  # the Gram overflows, with no numpy warning
             warnings.simplefilter("error")
             with pytest.raises(SolverError, match=r"^non-finite Lipschitz constant L=inf$"):
                 solve(prob, SolverConfig(lam=0.0, max_iter=10))
 
-    def test_zero_design_without_penalty_has_nothing_to_optimize(self):
-        prob = Problem.least_squares(np.zeros((5, 3)), np.ones(5))
+    @pytest.mark.parametrize("K", [None, 3], ids=["vector", "matrix"])
+    def test_zero_design_without_penalty_has_nothing_to_optimize(self, K):
+        prob = Problem.least_squares(np.zeros((5, 3)), np.ones(5 if K is None else (5, K)))
         with pytest.raises(SolverError, match="non-positive Lipschitz constant"):
             solve(prob, SolverConfig(lam=0.1))
 
@@ -542,8 +594,10 @@ class TestSolve:
         with pytest.raises(SolverError, match=r"overflows at .*\|\|C\|\|=.*, mu="):
             solve(problem, config)
 
-    def test_trace_jsonl_round_trip(self, rng, tmp_path):
-        prob = Problem.least_squares(np.eye(3), np.array([1.0, -2.0, 0.5]))
+    @pytest.mark.parametrize("K", [None, 3], ids=["vector", "matrix"])
+    def test_trace_jsonl_round_trip(self, rng, tmp_path, K):
+        y = np.array([1.0, -2.0, 0.5])
+        prob = Problem.least_squares(np.eye(3), y if K is None else np.outer(y, np.arange(1.0, K + 1)))
         _, trace = solve(prob, SolverConfig(lam=0.2))
         path = tmp_path / "trace.jsonl"
         trace.write_jsonl(path)
@@ -650,11 +704,13 @@ class TestSolve:
         assert trace.header["D"] == 200 * 435 / 2
         assert trace.header["mu"] == 1e-8 / (2 * trace.header["D"])
 
-    def test_lasso_with_all_ones_eigenvector(self):
+    @pytest.mark.parametrize("K", [None, 3], ids=["vector", "matrix"])
+    def test_lasso_with_all_ones_eigenvector(self, K):
         # X^T X = [[2, -1], [-1, 2]]: a step from its all-ones eigenvalue (1)
         # instead of the top one (3) makes FISTA diverge
         X = np.array([[1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
         y = np.array([1.0, 2.0, 3.0])
+        y = y if K is None else np.outer(y, np.arange(1.0, K + 1))
         _, trace = solve(Problem.least_squares(X, y), SolverConfig(lam=0.0, max_iter=200))
         beta_ls = np.linalg.lstsq(X, y, rcond=None)[0]
         assert trace.status == "converged"
@@ -681,20 +737,26 @@ class TestIterationBound:
 
 
 class TestRegularizationPath:
-    def test_single_lambda_matches_solve(self, rng):
-        X = rng.standard_normal((20, 5))
-        y = rng.standard_normal(20)
-        prob = Problem.least_squares(X, y)
-        config = SolverConfig(lam=0.5)
-        results = regularization_path(prob, [0.5], config)
-        beta_direct, _ = solve(prob, config)
-        np.testing.assert_allclose(results[0][1], beta_direct)
+    @pytest.mark.parametrize("K", [None, 3], ids=["vector", "matrix"])
+    def test_first_lambda_matches_solve(self, rng, K):
+        """Each solution has the problem's coefficient shape, and the first,
+        from a cold start, is the one ``solve`` gives, bit for bit."""
+        spec = GraphPenaltySpec(num_nodes=4 if K is None else K, edges=((0, 1, 0.8), (1, 2, -0.5)), gamma=1.0)
+        y = rng.standard_normal(25 if K is None else (25, K))
+        prob = Problem.least_squares(rng.standard_normal((25, 4)), y, spec)
+        config = SolverConfig(mu=1e-3, rel_tol=1e-8)
+        results = regularization_path(prob, [2.0, 1.0, 0.5], config)
+        assert [beta.shape for _, beta, _ in results] == [prob.coef_shape] * 3
+        beta, _ = solve(prob, dataclasses.replace(config, lam=2.0))
+        np.testing.assert_array_equal(results[0][1], beta)
 
-    def test_warm_start_saves_iterations(self, rng):
-        X = rng.standard_normal((60, 20))
-        bt = np.zeros(20)
-        bt[:5] = 1.0
-        y = X @ bt + 0.1 * rng.standard_normal(60)
+    @pytest.mark.parametrize("K", [None, 3], ids=["vector", "matrix"])
+    def test_warm_start_saves_iterations(self, rng, K):
+        """On an N x 20 response the groups are over the 20 outputs."""
+        X = rng.standard_normal((60, 20 if K is None else K))
+        bt = np.zeros(20 if K is None else (K, 20))
+        bt[..., :5] = 1.0
+        y = X @ bt + 0.1 * rng.standard_normal((60,) + bt.shape[1:])
         spec = GroupPenaltySpec.with_unit_weights(
             tuple(tuple(range(i, i + 5)) for i in range(0, 20, 5)), 1.0
         )
@@ -774,6 +836,30 @@ class TestResponseShape:
         assert trace.header["mu"] is None and trace.header["L"] == trace_free.header["L"]
 
 
+@pytest.mark.parametrize("make, max_iter, rel_tol, atol, rel", [
+    (Problem.least_squares, 150, 0.0, 1e-12, 1e-12), (Problem.least_squares, 20000, 1e-13, 1e-6, 1e-9),
+    (Problem.logistic, 150, 0.0, 1e-12, 1e-12), (Problem.logistic, 20000, 1e-13, 1e-4, 1e-9),
+], ids=["least_squares-step-for-step", "least_squares-converged", "logistic-step-for-step", "logistic-converged"])
+def test_matches_columnwise_solves(rng, make, max_iter, rel_tol, atol, rel):
+    """With no penalty the K columns are K independent problems with the
+    same step: the matrix run takes each column's steps.  Run to the end,
+    each column stops at its own iteration, on a flat stretch where the
+    objectives agree far more closely than the iterates."""
+    X = rng.standard_normal((40, 5))
+    Y = X @ rng.standard_normal((5, 3)) + rng.standard_normal((40, 3))
+    if make == Problem.logistic:
+        Y = np.where(Y > 0, 1.0, -1.0)
+    config = SolverConfig(lam=0.5, max_iter=max_iter, rel_tol=rel_tol)
+    B, trace = solve(make(X, Y), config)
+    columns = [solve(make(X, Y[:, k]), config) for k in range(3)]
+    assert B.shape == (5, 3)
+    assert trace.status == ("max_iter" if max_iter == 150 else "converged")
+    for k, (beta, _) in enumerate(columns):
+        np.testing.assert_allclose(B[:, k], beta, atol=atol)
+    total = sum(col_trace.objectives[-1] for _, col_trace in columns)
+    assert trace.objectives[-1] == pytest.approx(total, rel=rel)
+
+
 class TestMatrixLayout:
     """J x K coefficients are Fortran-ordered, from the start through every
     iterate, so ``C B^T`` and BLAS read them in place."""
@@ -827,11 +913,15 @@ class TestFinalObjective:
     """``trace.final_objective`` is the exact objective of the coefficients a
     solver returns, whichever iterate that is."""
 
-    @pytest.fixture
-    def group_problem(self):
+    @pytest.fixture(params=[None, 4], ids=["vector", "matrix"])
+    def group_problem(self, request):
+        """Six features under the groups, or four under an N x 6 response
+        whose six outputs are under them."""
         rng = np.random.default_rng(0)
-        X = rng.standard_normal((40, 6))
-        y = X @ np.array([1.0, 1.0, 0.0, 0.0, -1.0, 0.0]) + rng.standard_normal(40)
+        K = request.param
+        X = rng.standard_normal((40, 6 if K is None else K))
+        b = np.array([1.0, 1.0, 0.0, 0.0, -1.0, 0.0])
+        y = X @ (b if K is None else np.tile(b, (K, 1))) + rng.standard_normal(40 if K is None else (40, 6))
         spec = GroupPenaltySpec.with_unit_weights(((0, 1, 2), (2, 3, 4, 5)), 1.0)
         return Problem.least_squares(X, y, spec), spec
 
