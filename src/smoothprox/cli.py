@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -42,7 +43,11 @@ def _load_matrix(path):
             try:
                 arr = np.loadtxt(path, delimiter=",", ndmin=2)
             except ValueError as exc:  # a ragged row or a word; numpy's hint names a numpy argument
-                raise ValueError(f"{path}: {str(exc).split('; use `usecols`')[0]}") from exc
+                reason = str(exc).split('; use `usecols`')[0]
+                # numpy counts a word's row from 0 but a ragged row from 1: count both from 1
+                reason = re.sub(r"at row (\d+), column (\d+)\.$",
+                                lambda m: f"at row {int(m[1]) + 1}, column {m[2]}.", reason)
+                raise ValueError(f"{path}: {reason}") from exc
     else:
         with open(path, "rb") as f:
             try:  # a .npy file only: no pickle, no object array, no .npz archive
@@ -239,8 +244,11 @@ def _cmd_bench(args):
 def _cmd_path(args):
     from .solver import regularization_path
 
+    try:
+        lambdas = [float(s) for s in args.lambdas.split(",") if s.strip()]
+    except ValueError as exc:
+        raise ValueError(f"--lambdas must be comma-separated numbers, got {args.lambdas!r}") from exc
     problem = _load_problem(args.x, args.y, args.penalty, args.gamma)
-    lambdas = [float(s) for s in args.lambdas.split(",") if s.strip()]
     results = regularization_path(problem, lambdas, _config(args, 0.0))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -6,24 +6,9 @@ import pytest
 
 from smoothprox import GraphPenaltySpec, GroupPenaltySpec, StructureError, losses
 
-
-#: Penalty documents of the wrong shape, each with the field its error names.
-MALFORMED_PENALTY_JSON = [
-    ('{"type": "group", "gamma": 1.0}', "'groups'"),
-    ('{"type": "group", "gamma": 1.0, "groups": [[1, 2]], "weights": 5}', "weights must be a list"),
-    ('{"type": "graph", "gamma": 1.0, "num_nodes": 2, "edges": [[1, 2]]}', "each edge must be a list of 3"),
-    ('[{"type": "group", "gamma": 1.0, "groups": [[1, 2]]}]', "must be an object"),
-    ('{"type": "group", "gamma": 1.0, "groups": [1, 2]}', "each group must be a list"),
-    ('{"type": "graph", "gamma": 1.0, "edges": []}', "'num_nodes'"),
-    ('{"type": "group", "gamma": 1.0, "groups": [[1, 2]], "weigths": [5]}', "unknown fields: 'weigths'"),
-    ('{"type": "graph", "gamma": 1.0, "num_nodes": 2, "edges": [], "groups": [[1, 2]]}', "unknown fields: 'groups'"),
-    ('{"type": "group", "gamma": 1.0, "groups": [[1, 1]]}', "lists an index more than once"),
-    ('{"type": ["group"], "gamma": 1.0, "groups": [[1, 2]]}', "unknown penalty type"),
-]
-MALFORMED_PENALTY_IDS = [
-    "no-groups", "weights-number", "edge-pair", "top-level-list", "group-number", "no-num-nodes",
-    "misspelled-weights", "graph-with-groups", "repeated-index", "type-list",
-]
+#: Values that are not numbers, each with its id: no number a caller passes
+#: (a settings field, a step-size formula's argument, a lambda) may be one.
+NOT_NUMBERS = [(True, "bool"), (np.True_, "numpy-bool"), ("1", "str"), ([1.0], "list"), (None, "none")]
 
 
 def random_group_spec(rng, num_features, max_groups=4, unit_weights=False):

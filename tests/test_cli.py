@@ -2,7 +2,7 @@ import argparse
 import json
 import os
 import pickle
-import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -14,7 +14,7 @@ import pytest
 import smoothprox
 from smoothprox import GroupPenaltySpec, penalty_to_json
 from smoothprox.cli import _build_parser, _load_matrix, cli_main, main
-from conftest import MALFORMED_PENALTY_IDS, MALFORMED_PENALTY_JSON, loss_value, penalty_value
+from conftest import loss_value, penalty_value
 
 
 def write_csv(path, arr):
@@ -115,72 +115,6 @@ class TestSolveCommand:
         assert rc == 0
         assert np.loadtxt(out, delimiter=",").shape == (3, 2)
 
-    def test_missing_file_exits_nonzero(self, tmp_path, capsys):
-        rc = cli_main(
-            [
-                "solve",
-                "--x", str(tmp_path / "missing.csv"),
-                "--y", str(tmp_path / "missing.csv"),
-                "--lambda", "0.1",
-                "--out", str(tmp_path / "beta.csv"),
-            ]
-        )
-        assert rc == 1
-        assert "error:" in capsys.readouterr().err
-    def test_solver_error_exits_nonzero(self, tmp_path, capsys):
-        """Entries whose squares overflow give an infinite Lipschitz constant,
-        rejected before the first iteration: an error message and exit code
-        1, not a traceback, and no numpy overflow warning before it."""
-        X = np.full((4, 3), 1e200)
-        X[0, 0] = 2e200
-        write_csv(tmp_path / "X.csv", X)
-        write_csv(tmp_path / "y.csv", np.ones((4, 1)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rc = cli_main(
-                [
-                    "solve",
-                    "--x", str(tmp_path / "X.csv"),
-                    "--y", str(tmp_path / "y.csv"),
-                    "--lambda", "0.1",
-                    "--out", str(tmp_path / "beta.csv"),
-                ]
-            )
-        assert rc == 1
-        assert capsys.readouterr().err == "error: non-finite Lipschitz constant L=inf\n"
-
-    def test_nan_gamma_exits_nonzero(self, toy_instance, capsys):
-        rc = cli_main(
-            [
-                "solve",
-                "--x", str(toy_instance / "X.csv"),
-                "--y", str(toy_instance / "y.csv"),
-                "--penalty", str(toy_instance / "penalty.json"),
-                "--gamma", "nan",
-                "--lambda", "0.1",
-                "--out", str(toy_instance / "beta.csv"),
-            ]
-        )
-        assert rc == 1
-        assert "error: gamma must be non-negative and finite" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("flag", [["--mu", "1e-310"], ["--epsilon", "1e-320"]], ids=["mu", "epsilon"])
-    def test_overflowing_lipschitz_constant_exits_nonzero(self, flag, tmp_path, capsys):
-        """A subnormal mu makes ``L`` infinite; the run once printed
-        ``status=converged iterations=2`` at the zero start and exited 0."""
-        spec_path, inst = tmp_path / "spec.json", tmp_path / "inst"
-        spec_path.write_text(json.dumps({"num_groups": 3, "group_size": 12, "overlap": 2, "num_samples": 50}))
-        assert cli_main(["simulate", "overlap", "--seed", "0", "--spec", str(spec_path),
-                         "--out-dir", str(inst)]) == 0
-        rc = cli_main(["solve", "--x", str(inst / "X.csv"), "--y", str(inst / "y.csv"),
-                       "--penalty", str(inst / "penalty.json"), "--lambda", "1", *flag,
-                       "--out", str(tmp_path / "beta.csv")])
-        captured = capsys.readouterr()
-        assert rc == 1 and "status=" not in captured.out
-        assert re.fullmatch(r"error: the Lipschitz constant L_loss \+ \|\|C\|\|\^2 / mu overflows "
-                            r"at \|\|C\|\|=\S+, mu=\S+\n", captured.err)
-        if flag[0] == "--mu":
-            assert captured.err.endswith(", mu=1e-310\n")
 
 
 class TestSimulateCommand:
@@ -357,28 +291,6 @@ class TestBinaryMatrices:
         assert _load_matrix(tmp_path / "y.npy").tobytes() == y.tobytes()
         assert _load_matrix(tmp_path / "y.npy").shape == (20, 1)
 
-    REAL_NUMBERS = "array, expected a vector or matrix of real numbers"
-
-    @pytest.mark.parametrize("write, message", [
-        (lambda path: np.save(path, np.array([[1.0], [{}]], dtype=object), allow_pickle=True),
-         "Object arrays cannot be loaded when allow_pickle=False"),
-        (lambda path: path.write_bytes(pickle.dumps([[1.0], [2.0]])), "the magic string is not correct"),
-        (lambda path: np.save(path, np.ones((20, 4)) + 1j), f"a 2-d complex128 {REAL_NUMBERS}"),
-        (lambda path: np.save(path, np.full((20, 4), "1.0")), f"a 2-d <U3 {REAL_NUMBERS}"),
-        (lambda path: np.save(path, np.ones((20, 4), dtype=bool)), f"a 2-d bool {REAL_NUMBERS}"),
-    ], ids=["object", "pickled", "complex", "string", "bool"])
-    def test_npy_of_no_real_numbers_is_an_error(self, write, message, toy_instance, tmp_path, capsys):
-        """An error line and exit code 1: no traceback, no ComplexWarning from
-        a cast that drops the imaginary part, no unpickling."""
-        write(tmp_path / "X.npy")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rc = cli_main(["solve", "--x", str(tmp_path / "X.npy"), "--y", str(toy_instance / "y.csv"),
-                           "--lambda", "0.1", "--out", str(tmp_path / "beta.csv")])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {tmp_path / 'X.npy'}: {message}") and err.count("\n") == 1
-        assert not (tmp_path / "beta.csv").exists()
 
 
 class TestPathCommand:
@@ -405,17 +317,6 @@ class TestPathCommand:
         # sparsity relaxes as lambda decreases
         assert summary[-1]["nnz"] >= summary[0]["nnz"]
 
-    def test_non_descending_lambdas_fail(self, toy_instance):
-        rc = cli_main(
-            [
-                "path",
-                "--x", str(toy_instance / "X.csv"),
-                "--y", str(toy_instance / "y.csv"),
-                "--lambdas", "1.0,1.0",
-                "--out-dir", str(toy_instance / "p"),
-            ]
-        )
-        assert rc == 1
 
 
 def test_threads_set_before_numpy_loads(tmp_path):
@@ -447,22 +348,6 @@ def test_console_entry_point_exits_with_the_return_code(tmp_path, monkeypatch, c
         main()
     assert exc.value.code == 1
     assert capsys.readouterr().err.startswith("error: ")
-
-
-def test_path_without_lambdas_fails_cleanly(toy_instance, capsys):
-    out = toy_instance / "p"
-    rc = cli_main(
-        [
-            "path",
-            "--x", str(toy_instance / "X.csv"),
-            "--y", str(toy_instance / "y.csv"),
-            "--lambdas", "",
-            "--out-dir", str(out),
-        ]
-    )
-    assert rc == 1
-    assert "error: at least one lambda is required" in capsys.readouterr().err
-    assert not out.exists()
 
 
 @pytest.fixture
@@ -562,104 +447,6 @@ def test_threads_below_one_is_a_usage_error(value, tmp_path, monkeypatch):
     assert [os.environ[var] for var in variables] == ["3"] * 4
 
 
-# the graph design's shares of relevant inputs, signal and input correlation
-# are fixed numbers, not spec keys
-REMOVED_GRAPH_KEYS = ("frac_within", "frac_two", "frac_three", "signal", "input_corr")
-
-
-@pytest.mark.parametrize("kind, doc", [
-    ("overlap", '{"bogus": 1}'), ("overlap", '{"num_groups": "3"}'), ("overlap", "[1]"),
-    ("overlap", '{"num_samples": 2.5, "num_groups": 2}'), ("overlap", '{"seed": "a"}'),
-    *(("graph", json.dumps({key: 0.5})) for key in REMOVED_GRAPH_KEYS),
-    ("overlap", '{"num_samples": -1}'), ("overlap", '{"num_samples": 0}'), ("overlap", '{"seed": -1}'),
-    ("graph", '{"block_sizes": [12, -2]}'), ("graph", '{"block_sizes": [0, 10]}'),
-    ("graph", '{"num_features": 0}'), ("graph", '{"num_samples": -3}'), ("graph", '{"num_samples": 1}'),
-    ("graph", '{"seed": -1}'), ("overlap", '{"gamma": -1}'), ("graph", '{"gamma": -1}'),
-    ("graph", '{"num_outputs": 1, "block_sizes": [1]}'),
-], ids=["unknown-key", "wrong-type", "not-an-object", "non-integer-count", "non-integer-seed",
-        *(f"graph-{key}" for key in REMOVED_GRAPH_KEYS),
-        "negative-samples", "no-samples", "negative-seed",
-        "graph-negative-block", "graph-empty-block", "graph-no-features", "graph-negative-samples",
-        "graph-one-sample", "graph-negative-seed", "negative-gamma", "graph-negative-gamma",
-        "graph-one-output"])
-def test_simulate_bad_spec_is_an_error(kind, doc, tmp_path, capsys):
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(doc)
-    rc = cli_main(["simulate", kind, "--spec", str(spec_path), "--out-dir", str(tmp_path / "inst")])
-    assert rc == 1
-    assert f"error: spec {spec_path}:" in capsys.readouterr().err
-    assert not (tmp_path / "inst").exists()
-
-
-@pytest.mark.parametrize("doc, field", MALFORMED_PENALTY_JSON, ids=MALFORMED_PENALTY_IDS)
-def test_malformed_penalty_is_an_error(doc, field, toy_instance, capsys):
-    """A penalty document of the wrong shape fails with ``error:`` and exit
-    code 1, not a traceback."""
-    (toy_instance / "penalty.json").write_text(doc)
-    rc = cli_main(["solve", "--x", str(toy_instance / "X.csv"), "--y", str(toy_instance / "y.csv"),
-                   "--penalty", str(toy_instance / "penalty.json"), "--lambda", "0.1",
-                   "--out", str(toy_instance / "beta.csv")])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and field in err
-    assert not (toy_instance / "beta.csv").exists()
-
-
-@pytest.mark.parametrize("flag, name, write, message", [
-    ("--x", "X.csv", lambda path: path.write_text(""), "the file holds no numbers"),
-    ("--x", "X.npy", lambda path: np.save(path, np.zeros(0)), "the file holds no numbers"),
-    ("--x", "X.npy", lambda path: np.save(path, np.zeros((0, 3))), "the file holds no numbers"),
-    ("--x", "X.csv", lambda path: path.write_text("1,2\n3\n"), None),
-    ("--x", "X.csv", lambda path: path.write_text("1,2\nnan,4\n"), "the file holds a NaN or an infinity"),
-    ("--y", "y.npy", lambda path: np.save(path, np.array([1.0, np.inf])), "the file holds a NaN or an infinity"),
-], ids=["csv", "npy-vector", "npy-no-rows", "ragged-csv", "nan-in-csv-x", "inf-in-npy-y"])
-def test_bad_matrix_file_is_one_error_line(flag, name, write, message, toy_instance, capsys):
-    """A matrix file with no numbers, a ragged row or a NaN or an infinity is
-    one error line that names the file, with no numpy warning before it.  A
-    ragged row's reason is numpy's wording (``message`` None), which is left
-    unchecked as it may differ between numpy versions."""
-    path = toy_instance / name
-    write(path)
-    files = {"--x": toy_instance / "X.csv", "--y": toy_instance / "y.csv", flag: path}
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rc = cli_main(["solve", "--x", str(files["--x"]), "--y", str(files["--y"]),
-                       "--lambda", "0.1", "--out", str(toy_instance / "beta.csv")])
-    assert rc == 1
-    err = capsys.readouterr().err
-    if message is None:
-        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1 and err.endswith("\n")
-    else:
-        assert err == f"error: {path}: {message}\n"
-    assert not (toy_instance / "beta.csv").exists()
-
-
-@pytest.mark.parametrize("command, args, penalty, line", [
-    ("solve", ["--lambda", "1.0", "--max-iter", "0"], None,
-     "error: max_iter must be positive, got 0"),
-    ("solve", ["--lambda", "1.0"],
-     '{"type": "group", "gamma": 1e300, "groups": [[1, 2]], "weights": [1e300]}',
-     "error: C has a non-finite entry: a penalty's gamma times a group weight or an edge's |r| overflows"),
-    ("path", ["--lambdas", "4.0,-1.0"], None,
-     "error: lambda must be non-negative and finite, got -1.0"),
-], ids=["zero-max-iter", "overflowing-penalty", "negative-lambda"])
-def test_run_error_is_one_line(command, args, penalty, line, toy_instance, capsys):
-    """A setting or penalty the library rejects before the first iteration
-    gives exit code 1 and one error line, with no warning and no output."""
-    if penalty is not None:
-        (toy_instance / "penalty.json").write_text(penalty)
-    out = {"solve": ["--out", str(toy_instance / "beta.csv")],
-           "path": ["--out-dir", str(toy_instance / "path")]}[command]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rc = cli_main([command, "--x", str(toy_instance / "X.csv"), "--y", str(toy_instance / "y.csv"),
-                       "--penalty", str(toy_instance / "penalty.json"), *args, *out])
-    assert rc == 1
-    assert capsys.readouterr().err == line + "\n"
-    assert not (toy_instance / "beta.csv").exists()
-    assert not (toy_instance / "path" / "beta_000.csv").exists()
-
-
 def test_summary_reports_the_returned_coefficients():
     """FOBOS with steps that diverge returns its zero start: the summary gives
     that point's objective, not the best recorded iterate's.  X and y are
@@ -687,15 +474,92 @@ def test_path_entries_carry_the_run_summary(toy_instance):
         assert entry["status"] == "max_iter"
 
 
-@pytest.mark.parametrize("command", ["solve", "path"])
-def test_gamma_without_penalty_is_an_error(command, toy_instance, capsys):
-    """``--gamma`` overrides the penalty spec's gamma; with no ``--penalty``
-    there is none, so it fails rather than being ignored."""
-    out = toy_instance / "out"
-    args = {"solve": ["--lambda", "0.1", "--out", str(out)],
-            "path": ["--lambdas", "0.2,0.1", "--out-dir", str(out)]}[command]
-    rc = cli_main([command, "--x", str(toy_instance / "X.csv"), "--y", str(toy_instance / "y.csv"),
-                   "--gamma", "5", *args])
-    assert rc == 1
-    assert "error: --gamma needs --penalty" in capsys.readouterr().err
-    assert not out.exists()
+SOLVE = "solve --x {d}/X.csv --y {d}/y.csv --lambda 0.1 --out {d}/out"
+PENALIZED = SOLVE + " --penalty {d}/penalty.json"
+X_NPY = SOLVE.replace("X.csv", "X.npy")
+PATH = "path --x {d}/X.csv --y {d}/y.csv --out-dir {d}/out"
+SIMULATE = "simulate overlap --spec {d}/spec.json --out-dir {d}/out"
+REAL_NUMBERS = "array, expected a vector or matrix of real numbers"
+OVERFLOWING_X = "2e200,1e200,1e200\n" + "1e200,1e200,1e200\n" * 3
+
+
+@pytest.mark.parametrize("argv, files, line", [
+    # a file that cannot be read, and each message of ``_load_matrix``
+    ("solve --x {d}/missing.csv --y {d}/missing.csv --lambda 0.1 --out {d}/out", {},
+     "error: {d}/missing.csv not found."),
+    (SOLVE, {"X.csv": ""}, "error: {d}/X.csv: the file holds no numbers"),
+    (X_NPY, {"X.npy": np.zeros(0)}, "error: {d}/X.npy: the file holds no numbers"),
+    (X_NPY, {"X.npy": np.zeros((0, 3))}, "error: {d}/X.npy: the file holds no numbers"),
+    (SOLVE, {"X.csv": "1,2\n3\n"}, "error: {d}/X.csv: ..."),
+    (SOLVE, {"X.csv": "1,a\n3,4\n"}, "error: {d}/X.csv: ...at row 1, column 2."),
+    (SOLVE, {"X.csv": "1,2\nnan,4\n"}, "error: {d}/X.csv: the file holds a NaN or an infinity"),
+    (SOLVE.replace("y.csv", "y.npy"), {"y.npy": np.array([1.0, np.inf])},
+     "error: {d}/y.npy: the file holds a NaN or an infinity"),
+    (X_NPY, {"X.npy": np.array([[1.0], [{}]], dtype=object)},
+     "error: {d}/X.npy: Object arrays cannot be loaded when allow_pickle=False..."),
+    (X_NPY, {"X.npy": pickle.dumps([[1.0], [2.0]])},
+     "error: {d}/X.npy: the magic string is not correct..."),
+    (X_NPY, {"X.npy": np.ones((20, 4)) + 1j}, "error: {d}/X.npy: a 2-d complex128 " + REAL_NUMBERS),
+    (X_NPY, {"X.npy": np.full((20, 4), "1.0")}, "error: {d}/X.npy: a 2-d <U3 " + REAL_NUMBERS),
+    (X_NPY, {"X.npy": np.ones((20, 4), dtype=bool)}, "error: {d}/X.npy: a 2-d bool " + REAL_NUMBERS),
+    # a penalty document, and settings the library rejects before the first iteration
+    (PENALIZED, {"penalty.json": '{"type": "group", "gamma": 1.0}'}, "error: penalty JSON has no 'groups' field"),
+    (PENALIZED + " --gamma nan", {}, "error: gamma must be non-negative and finite, got nan"),
+    (SOLVE + " --gamma 5", {}, "error: --gamma needs --penalty: without a penalty spec it has no effect"),
+    (PATH + " --lambdas 0.2,0.1 --gamma 5", {},
+     "error: --gamma needs --penalty: without a penalty spec it has no effect"),
+    (SOLVE + " --max-iter 0", {}, "error: max_iter must be positive, got 0"),
+    (PENALIZED, {"penalty.json": '{"type": "group", "gamma": 1e300, "groups": [[1, 2]], "weights": [1e300]}'},
+     "error: C has a non-finite entry: a penalty's gamma times a group weight or an edge's |r| overflows"),
+    # each SolverError
+    (SOLVE.replace("X.csv", "big.csv").replace("y.csv", "ones.csv"), {"big.csv": OVERFLOWING_X, "ones.csv": "1\n" * 4},
+     "error: non-finite Lipschitz constant L=inf"),
+    (SOLVE, {"X.csv": "0,0\n" * 20}, "error: non-positive Lipschitz constant; nothing to optimize"),
+    # the toy penalty's groups are disjoint, so its ||C|| is its gamma and its D is 1
+    (PENALIZED + " --mu 1e-310", {},
+     "error: the Lipschitz constant L_loss + ||C||^2 / mu overflows at ||C||=0.5, mu=1e-310"),
+    (PENALIZED + " --epsilon 1e-320", {},
+     "error: the Lipschitz constant L_loss + ||C||^2 / mu overflows at ||C||=0.5, mu=5e-321"),
+    # --lambdas
+    (PATH + " --lambdas ''", {}, "error: at least one lambda is required"),
+    (PATH + " --lambdas 1.0,1.0", {}, "error: lambda sequence must be strictly descending"),
+    (PATH + " --lambdas 4.0,-1.0", {}, "error: lambda must be non-negative and finite, got -1.0"),
+    (PATH + " --lambdas 1,x", {}, "error: --lambdas must be comma-separated numbers, got '1,x'"),
+    # simulate's spec
+    (SIMULATE, {"spec.json": "[1]"}, "error: spec {d}/spec.json: 'list' object is not a mapping"),
+    (SIMULATE, {"spec.json": '{"bogus": 1}'},
+     "error: spec {d}/spec.json: OverlapSimSpec.__init__() got an unexpected keyword argument 'bogus'"),
+    (SIMULATE, {"spec.json": '{"num_samples": -1}'}, "error: spec {d}/spec.json: num_samples must be positive, got -1"),
+], ids=["missing-file", "empty-csv", "empty-npy-vector", "npy-no-rows", "ragged-csv", "word-in-first-row",
+        "nan-in-csv-x", "inf-in-npy-y", "object-npy", "pickled-npy", "complex-npy", "string-npy", "bool-npy",
+        "malformed-penalty", "nan-gamma", "solve-gamma-without-penalty", "path-gamma-without-penalty",
+        "zero-max-iter", "overflowing-penalty", "overflowing-lipschitz-constant", "zero-design",
+        "subnormal-mu", "subnormal-epsilon", "no-lambdas", "non-descending-lambdas", "negative-lambda",
+        "word-in-lambdas", "spec-not-an-object", "spec-unknown-key", "spec-rejected-value"])
+def test_input_error_is_one_line(argv, files, line, toy_instance, capsys):
+    """Every input error reaches ``cli_main`` as exit code 1 and exactly one
+    ``error:`` line on stderr, with no warning and no output before it, and
+    leaves no ``--out`` file or ``--out-dir`` behind.  ``files`` are written
+    into the toy instance first: text as is, bytes raw, an array as ``.npy``.
+    Where numpy words the reason, ``...`` in ``line`` stands for its text,
+    which is left unchecked as it may differ between numpy versions."""
+    for name, content in files.items():
+        path = toy_instance / name
+        if isinstance(content, np.ndarray):
+            np.save(path, content, allow_pickle=True)
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli_main([arg.format(d=toy_instance) for arg in shlex.split(argv)])
+    captured = capsys.readouterr()
+    head, dots, tail = line.format(d=toy_instance).partition("...")
+    assert rc == 1 and captured.out == ""
+    if dots:
+        assert captured.err.startswith(head) and captured.err.endswith(tail + "\n")
+        assert captured.err.count("\n") == 1
+    else:
+        assert captured.err == head + "\n"
+    assert not (toy_instance / "out").exists()

@@ -7,7 +7,6 @@ from smoothprox import (
     Problem,
     SolverConfig,
     SolverError,
-    StructureError,
     solve,
     solve_fobos,
 )
@@ -204,29 +203,3 @@ class TestSolveFobos:
         assert f(beta) < f(np.zeros(prob.coef_shape))
         assert f(beta) == pytest.approx(trace.smoothed_objectives[-1], rel=1e-12)
 
-
-class TestInputChecks:
-    @pytest.mark.parametrize("num_nodes", [3, 7])
-    @pytest.mark.parametrize("run", [
-        lambda prob: solve(prob, SolverConfig(mu=1e-2, max_iter=3)),
-        lambda prob: solve_fobos(prob, SolverConfig(max_iter=3)),
-    ], ids=["solve", "solve_fobos"])
-    def test_graph_node_count_checked_against_features(self, rng, num_nodes, run):
-        spec = GraphPenaltySpec(num_nodes=num_nodes, edges=((0, 1, 1.0), (1, 2, -0.5)), gamma=1.0)
-        with pytest.raises(StructureError, match=f"has {num_nodes} nodes, expected 5"):
-            run(Problem.least_squares(rng.standard_normal((12, 5)), rng.standard_normal(12), spec))
-
-    @pytest.mark.parametrize("spec, message", [
-        (GraphPenaltySpec(num_nodes=7, edges=((0, 1, 1.0),), gamma=0.0), "has 7 nodes, expected 5"),
-        (GroupPenaltySpec.with_unit_weights(((0, 9),), 0.0), "out of range for 5 features"),
-        (GroupPenaltySpec.with_unit_weights(((0, 9),), 1.0), "out of range for 5 features"),
-        ("group", "unknown penalty spec type str"),
-        (object(), "unknown penalty spec type object"),
-    ], ids=["graph-gamma0", "group-gamma0", "group", "str", "object"])
-    @pytest.mark.parametrize("run", [
-        lambda prob: solve(prob, SolverConfig(mu=1e-2, max_iter=3)),
-        lambda prob: solve_fobos(prob, SolverConfig(max_iter=3)),
-    ], ids=["solve", "solve_fobos"])
-    def test_penalty_checked_whatever_gamma(self, rng, spec, message, run):
-        with pytest.raises(StructureError, match=message):
-            run(Problem.least_squares(rng.standard_normal((12, 5)), rng.standard_normal(12), spec))

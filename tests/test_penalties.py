@@ -1,6 +1,8 @@
 import dataclasses
+import importlib
 import itertools
 import math
+import pkgutil
 import warnings
 
 import numpy as np
@@ -9,6 +11,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import smoothprox
 from smoothprox import (
     CouplingMatrix,
     GraphPenaltySpec,
@@ -24,8 +27,7 @@ from smoothprox import (
     solve_fobos,
 )
 from conftest import (
-    MALFORMED_PENALTY_IDS,
-    MALFORMED_PENALTY_JSON,
+    NOT_NUMBERS,
     alpha_star,
     block_bounds,
     central_difference_gradient,
@@ -34,6 +36,25 @@ from conftest import (
     random_group_spec,
     unconverged_lanczos,
 )
+
+
+#: Penalty documents of the wrong shape, each with the field its error names.
+MALFORMED_PENALTY_JSON = [
+    ('{"type": "group", "gamma": 1.0}', "'groups'"),
+    ('{"type": "group", "gamma": 1.0, "groups": [[1, 2]], "weights": 5}', "weights must be a list"),
+    ('{"type": "graph", "gamma": 1.0, "num_nodes": 2, "edges": [[1, 2]]}', "each edge must be a list of 3"),
+    ('[{"type": "group", "gamma": 1.0, "groups": [[1, 2]]}]', "must be an object"),
+    ('{"type": "group", "gamma": 1.0, "groups": [1, 2]}', "each group must be a list"),
+    ('{"type": "graph", "gamma": 1.0, "edges": []}', "'num_nodes'"),
+    ('{"type": "group", "gamma": 1.0, "groups": [[1, 2]], "weigths": [5]}', "unknown fields: 'weigths'"),
+    ('{"type": "graph", "gamma": 1.0, "num_nodes": 2, "edges": [], "groups": [[1, 2]]}', "unknown fields: 'groups'"),
+    ('{"type": "group", "gamma": 1.0, "groups": [[1, 1]]}', "lists an index more than once"),
+    ('{"type": ["group"], "gamma": 1.0, "groups": [[1, 2]]}', "unknown penalty type"),
+]
+MALFORMED_PENALTY_IDS = [
+    "no-groups", "weights-number", "edge-pair", "top-level-list", "group-number", "no-num-nodes",
+    "misspelled-weights", "graph-with-groups", "repeated-index", "type-list",
+]
 
 
 def two_group_spec(gamma=1.0):
@@ -317,22 +338,13 @@ class TestCouplingApply:
 
 
 class TestNonFiniteNumbers:
-    """Each number of a spec must be finite; NaN fails every check."""
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_group_gamma(self, value):
-        with pytest.raises(StructureError, match="gamma"):
-            GroupPenaltySpec.with_unit_weights(((0, 1),), value)
+    """Each weight and edge correlation of a spec, and each entry of C, must
+    be finite; NaN fails every check.  ``gamma`` is in TestSettingsFields."""
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_group_weight(self, value):
         with pytest.raises(StructureError, match="weights"):
             GroupPenaltySpec(groups=((0, 1), (1, 2)), weights=(1.0, value), gamma=1.0)
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_graph_gamma(self, value):
-        with pytest.raises(StructureError, match="gamma"):
-            GraphPenaltySpec(num_nodes=2, edges=((0, 1, 1.0),), gamma=value)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_graph_edge_correlation(self, value):
@@ -450,16 +462,14 @@ class TestIntegerIndices:
 
 
 class TestRealNumbers:
-    """gamma, group weights and edge correlations are real numbers; a bool or
-    a string is an error, not converted.  Ints and numpy reals are floats."""
+    """Group weights and edge correlations are real numbers; a bool or a
+    string is an error, not converted.  Ints and numpy reals are floats."""
 
     @pytest.mark.parametrize("value", [True, np.True_, "5", None, [1.0]], ids=["bool", "numpy-bool", "str", "none", "list"])
     @pytest.mark.parametrize("make, what", [
-        (lambda v: GroupPenaltySpec.with_unit_weights(((0, 1),), v), "gamma"),
         (lambda v: GroupPenaltySpec(groups=((0, 1), (1, 2)), weights=(1.0, v), gamma=1.0), "group weight"),
-        (lambda v: GraphPenaltySpec(num_nodes=2, edges=((0, 1, 1.0),), gamma=v), "gamma"),
         (lambda v: GraphPenaltySpec(num_nodes=3, edges=((0, 1, 1.0), (1, 2, v)), gamma=1.0), "edge correlation"),
-    ], ids=["group-gamma", "group-weight", "graph-gamma", "graph-edge"])
+    ], ids=["group-weight", "graph-edge"])
     def test_must_be_real(self, make, what, value):
         with pytest.raises(StructureError, match=f"{what} must be a real number"):
             make(value)
@@ -499,35 +509,105 @@ SETTINGS_RECORDS = [
     (GraphPenaltySpec, {"num_nodes": 2, "edges": ((0, 1, 0.5),), "gamma": 1.0}, StructureError),
 ]
 
+#: The rule of each number field of each settings record, as README "Library
+#: quick start" states it, and the value just below its lower bound (None
+#: for a field with no bound).
+FIELD_RULES = {
+    (SolverConfig, "lam"): ("non-negative and finite", -5e-324),
+    (SolverConfig, "epsilon"): ("positive and finite", 0.0),
+    (SolverConfig, "mu"): ("positive and finite", 0.0),
+    (SolverConfig, "max_iter"): ("positive", 0),
+    (SolverConfig, "rel_tol"): ("non-negative and finite", -5e-324),
+    (OverlapSimSpec, "num_groups"): ("positive", 0),
+    (OverlapSimSpec, "group_size"): ("an integer", None),
+    (OverlapSimSpec, "overlap"): ("an integer", None),
+    (OverlapSimSpec, "num_samples"): ("positive", 0),
+    (OverlapSimSpec, "gamma"): ("non-negative and finite", -5e-324),
+    (OverlapSimSpec, "seed"): ("non-negative", -1),
+    (GraphSimSpec, "num_outputs"): ("at least 2", 1),
+    (GraphSimSpec, "num_features"): ("positive", 0),
+    (GraphSimSpec, "num_samples"): ("at least 2", 1),
+    (GraphSimSpec, "rho"): ("finite", None),
+    (GraphSimSpec, "gamma"): ("non-negative and finite", -5e-324),
+    (GraphSimSpec, "seed"): ("non-negative", -1),
+    (GroupPenaltySpec, "gamma"): ("non-negative and finite", -5e-324),
+    (GraphPenaltySpec, "num_nodes"): ("positive", 0),
+    (GraphPenaltySpec, "gamma"): ("non-negative and finite", -5e-324),
+}
+
 
 def number_fields(*kinds):
-    """A ``(make, kwargs, error, field)`` case for each field of each record
-    whose annotation is one of ``kinds``, alone or with ``| None``."""
-    return [
-        pytest.param(make, kwargs, error, f.name, id=f"{make.__name__}-{f.name}")
-        for make, kwargs, error in SETTINGS_RECORDS
-        for f in dataclasses.fields(make)
-        if f.type.split(" | ")[0] in kinds
-    ]
+    """A ``(make, kwargs, error, field, kind)`` case for each ``init`` field
+    of each record annotated with one of ``kinds``: ``int``, ``float`` or
+    ``float | None``."""
+    return [pytest.param(make, kwargs, error, f.name, f.type, id=f"{make.__name__}-{f.name}")
+            for make, kwargs, error in SETTINGS_RECORDS
+            for f in dataclasses.fields(make) if f.init and f.type in kinds]
+
+
+def rejected_values():
+    """A ``(make, kwargs, error, field, value, line)`` case for each value a
+    number field rejects, ``line`` its exact error.  An int field rejects a
+    non-number, NaN and a float; a float field a non-number, NaN and an
+    infinity; a field with a bound the value just below it and -1.  Only a
+    field that may be None takes None."""
+    cases = []
+    for case in number_fields("int", "float", "float | None"):
+        make, kwargs, error, field, kind = case.values
+        rule, below = FIELD_RULES[make, field]
+        values = [(v, i) for v, i in NOT_NUMBERS if v is not None or kind != "float | None"]
+        if kind == "int":
+            # a graph's node count, like each index of a penalty spec, reads a
+            # float with no fractional part as its integer (TestIntegerIndices)
+            floats = [(2.5, "fraction")] + ([] if make is GraphPenaltySpec else [(3.0, "integral-float")])
+            values = [(v, i, "an integer") for v, i in [*values, (math.nan, "nan"), *floats]]
+        else:
+            values = [(v, i, "a real number") for v, i in values]
+            values += [(v, i, rule) for v, i in [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")]]
+        if below is not None:
+            values += [(below, "below", rule)] + ([(-1 if kind == "int" else -1.0, "negative", rule)] if below != -1 else [])
+        cases += [pytest.param(make, kwargs, error, field, v, f"{field} must be {reason}, got {v!r}",
+                               id=f"{make.__name__}-{field}-{i}") for v, i, reason in values]
+    return cases
 
 
 class TestSettingsFields:
-    """One check covers every number field of every settings record, so a
-    field added later is covered here with no new test."""
+    """One table covers every number field of every settings record: a field
+    added later gets a row in ``FIELD_RULES``, not a new test."""
 
-    @pytest.mark.parametrize("value", [True, "1", math.nan], ids=["bool", "str", "nan"])
-    @pytest.mark.parametrize("make, kwargs, error, field", number_fields("int", "float"))
-    def test_bools_strings_and_nan_are_rejected(self, make, kwargs, error, field, value):
+    @pytest.mark.parametrize("make, kwargs, error, field, value, line", rejected_values())
+    def test_rejected(self, make, kwargs, error, field, value, line):
         with pytest.raises(error) as info:
             make(**{**kwargs, field: value})
-        assert type(info.value) is error
-        assert f"{field} must be " in str(info.value) and f", got {value!r}" in str(info.value)
+        assert type(info.value) is error and str(info.value) == line
 
-    @pytest.mark.parametrize("value", [1, np.float32(0.5)], ids=["int", "float32"])
-    @pytest.mark.parametrize("make, kwargs, error, field", number_fields("float"))
-    def test_reals_are_stored_as_floats(self, make, kwargs, error, field, value):
+    @pytest.mark.parametrize("value", [1, np.int64(1), np.float32(0.5), 0.5], ids=["int", "int64", "float32", "float"])
+    @pytest.mark.parametrize("make, kwargs, error, field, kind", number_fields("float", "float | None"))
+    def test_reals_are_stored_as_floats(self, make, kwargs, error, field, kind, value):
         stored = getattr(make(**{**kwargs, field: value}), field)
         assert type(stored) is float and stored == value
+
+    @pytest.mark.parametrize("make, kwargs, error, field, kind", number_fields("int", "float | None"))
+    def test_numpy_integers_and_none_are_accepted(self, make, kwargs, error, field, kind):
+        """An int field takes a numpy integer, and ``epsilon`` and ``mu`` None."""
+        value = None if kind == "float | None" else np.int64(getattr(make(**kwargs), field))
+        assert getattr(make(**{**kwargs, field: value}), field) == value
+
+    def test_every_record_and_field_has_a_row(self):
+        """Each dataclass of the package with an ``init`` number field is a
+        settings record, and each of its number fields has a rule here, so a
+        record or field added later cannot miss this table."""
+        def is_number(f):
+            return f.init and f.type.split(" | ")[0] in ("int", "float")
+
+        records = {obj for info in pkgutil.iter_modules(smoothprox.__path__)
+                   for obj in vars(importlib.import_module(f"smoothprox.{info.name}")).values()
+                   if dataclasses.is_dataclass(obj) and isinstance(obj, type)
+                   and any(map(is_number, dataclasses.fields(obj)))}
+        assert records == {make for make, _, _ in SETTINGS_RECORDS}
+        fields = {(make, f.name) for make in records for f in dataclasses.fields(make) if is_number(f)}
+        tested = {(make, field) for make, _, _, field, _ in (c.values for c in number_fields("int", "float", "float | None"))}
+        assert set(FIELD_RULES) == fields == tested
 
 
 class TestGatherForm:

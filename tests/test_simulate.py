@@ -67,10 +67,6 @@ class TestOverlapInstance:
         with pytest.raises(ValueError):
             OverlapSimSpec(group_size=10, overlap=10)
 
-    def test_no_groups(self):
-        with pytest.raises(ValueError, match="num_groups must be positive"):
-            OverlapSimSpec(num_groups=0)
-
 
 class TestGraphInstance:
     def test_default_dimensions(self):
@@ -111,19 +107,14 @@ class TestGraphInstance:
         np.testing.assert_array_equal(B1, B2)
         assert g1 == g2
 
-    def test_block_size_mismatch(self):
-        with pytest.raises(ValueError):
-            GraphSimSpec(block_sizes=(5, 6))
-
-    def test_one_output_is_an_error(self):
-        # a one-output correlation graph has no edges, and its N x 1 response
-        # would read back from CSV as a vector
-        with pytest.raises(ValueError, match="num_outputs must be at least 2, got 1"):
-            GraphSimSpec(num_outputs=1, block_sizes=(1,))
-
-    def test_fractional_block_size(self):
-        with pytest.raises(ValueError, match="block_sizes must be integers"):
-            GraphSimSpec(block_sizes=(3, 3, 4.0))
+    @pytest.mark.parametrize("sizes, rule", [
+        ((5, 6), "each be at least 1 and sum to 10"), ((12, -2), "each be at least 1 and sum to 10"),
+        ((0, 10), "each be at least 1 and sum to 10"), ((3, 3, 4.0), "be integers"),
+    ], ids=["mismatch", "negative-block", "empty-block", "fractional-block"])
+    def test_block_sizes_must_tile_the_outputs(self, sizes, rule):
+        with pytest.raises(ValueError) as info:
+            GraphSimSpec(block_sizes=sizes)
+        assert str(info.value) == f"block_sizes must {rule}, got {sizes!r}"
 
     @pytest.mark.parametrize("rho", [0.0, -0.5, 1.5], ids=["zero", "negative", "above-one"])
     def test_rho_must_be_in_the_half_open_unit_interval(self, rho):
@@ -141,6 +132,9 @@ class TestGraphInstance:
         are fixed numbers of the design, not settings."""
         assert [f.name for f in dataclasses.fields(GraphSimSpec)] == [
             "num_outputs", "num_features", "num_samples", "block_sizes", "rho", "gamma", "seed"]
+        for key in ("frac_within", "frac_two", "frac_three", "signal", "input_corr"):
+            with pytest.raises(TypeError, match=f"^GraphSimSpec.__init__\\(\\) got an unexpected keyword argument '{key}'$"):
+                GraphSimSpec(**{key: 0.5})
 
 
 class TestThresholdCorrelationGraph:
