@@ -38,10 +38,11 @@ def _load_matrix(path):
     import numpy as np
 
     if Path(path).suffix != ".npy":
-        with warnings.catch_warnings():  # an empty file is the error below
+        # open() words a missing file as it does for a .npy, --penalty or --spec
+        with open(path) as f, warnings.catch_warnings():  # an empty file is the error below
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             try:
-                arr = np.loadtxt(path, delimiter=",", ndmin=2)
+                arr = np.loadtxt(f, delimiter=",", ndmin=2)
             except ValueError as exc:  # a ragged row or a word; numpy's hint names a numpy argument
                 reason = str(exc).split('; use `usecols`')[0]
                 # numpy counts a word's row from 0 but a ragged row from 1: count both from 1

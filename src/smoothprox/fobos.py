@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .solver import Problem, SolverConfig, SolverError, Trace, _initial_beta, soft_threshold
+from .solver import Problem, SolverConfig, Trace, _initial_beta, soft_threshold
 
 
 def solve_fobos(problem: Problem, config: SolverConfig):
@@ -55,19 +55,18 @@ def solve_fobos(problem: Problem, config: SolverConfig):
         "method": "fobos", "c": c, "lam": lam, "gram": loss.gram, "max_iter": config.max_iter,
         "rel_tol": config.rel_tol, "shape": list(beta.shape), "f_smooth_field": "best_objective",
     })
-    for t in range(1, config.max_iter + 1):
-        step = c / np.sqrt(t)
-        if not np.isfinite(direction).all():
-            raise SolverError(f"non-finite subgradient at iteration {t}")
-        direction *= step  # the step is built in the direction's buffer
-        beta_prev = beta
-        beta = soft_threshold(np.subtract(beta, direction, out=direction), step * lam)
-        p = loss.next_product(p, beta, beta_prev)
-        f, terms, direction = objective_and_direction(beta, p)
-        if f < best_f:
-            best_f, best_terms, best_beta = f, terms, beta
-        if trace.record(f, best_f):
-            break
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite f is trace.record's error
+        for t in range(1, config.max_iter + 1):
+            step = c / np.sqrt(t)
+            direction *= step  # the step is built in the direction's buffer
+            beta_prev = beta
+            beta = soft_threshold(np.subtract(beta, direction, out=direction), step * lam)
+            p = loss.next_product(p, beta, beta_prev)
+            f, terms, direction = objective_and_direction(beta, p)
+            if f < best_f:
+                best_f, best_terms, best_beta = f, terms, beta
+            if trace.record(f, best_f):
+                break
     l1, value = best_terms
     trace.finish(best_beta, loss.value(best_beta) + l1 + value)
     return best_beta, trace

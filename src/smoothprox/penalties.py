@@ -48,15 +48,6 @@ def _index(value, what) -> int:
     raise StructureError(f"{what} must be an integer, got {value!r}")
 
 
-def _real(value, what, error=StructureError) -> float:
-    """``value`` as a float: an int, a float or a numpy real.  A bool or a
-    non-number (a string) raises ``error``, not converted.  Like ``_index``,
-    the spec constructors' loops call it only when ``type(value) is not float``."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
-    raise error(f"{what} must be a real number, got {value!r}")
-
-
 def _is_int(value) -> bool:
     """Whether ``value`` is an integer: a bool or a float is not."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
@@ -65,8 +56,12 @@ def _is_int(value) -> bool:
 def _finite(value, name, error=ValueError, sign=None) -> float:
     """``value`` as a float if it is a real number (not a bool or a string),
     finite and, by ``sign``, "non-negative" or "positive"; else
-    ``error("<name> must be <rule>, got <value>")``.  NaN fails every rule."""
-    x = _real(value, name, error)
+    ``error("<name> must be <rule>, got <value>")``.  NaN fails every rule.
+    Like ``_index``, the spec constructors' loops call it only when a value
+    is not a float that passes."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise error(f"{name} must be a real number, got {value!r}")
+    x = float(value)
     ok = x > 0.0 if sign == "positive" else x >= 0.0 if sign else x > -math.inf
     if not (ok and x < math.inf):
         raise error(f"{name} must be {sign + ' and ' if sign else ''}finite, got {value!r}")
@@ -78,8 +73,8 @@ def _check_fields(record, error=ValueError, **least) -> None:
     annotations are strings: an ``int`` holds an integer, at least
     ``least[field]`` when given; a ``float`` passes ``_finite``, non-negative
     when it has a least (0 for every float), and a ``float | None`` is None or
-    positive.  Floats are stored back as Python floats.  The first field that
-    fails raises ``error("<field> must be <rule>, got <value>")``."""
+    positive.  Numbers are stored back as Python ints and floats.  The first
+    field that fails raises ``error("<field> must be <rule>, got <value>")``."""
     for f in fields(record):
         value, low = getattr(record, f.name), least.get(f.name)
         if f.type == "int":
@@ -88,6 +83,7 @@ def _check_fields(record, error=ValueError, **least) -> None:
             if low is not None and value < low:
                 rule = {0: "non-negative", 1: "positive"}.get(low, f"at least {low}")
                 raise error(f"{f.name} must be {rule}, got {value!r}")
+            object.__setattr__(record, f.name, int(value))
         elif f.type == "float" or (f.type == "float | None" and value is not None):
             sign = "positive" if f.type != "float" else None if low is None else "non-negative"
             object.__setattr__(record, f.name, _finite(value, f.name, error, sign))
@@ -119,7 +115,8 @@ class GroupPenaltySpec:
         groups = tuple(
             tuple(i if type(i) is int else _index(i, "group index") for i in g) for g in self.groups
         )
-        weights = tuple(w if type(w) is float else _real(w, "group weight") for w in self.weights)
+        weights = tuple(w if type(w) is float and 0.0 < w < math.inf
+                        else _finite(w, "group weight", StructureError, "positive") for w in self.weights)
         object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "weights", weights)
         _check_fields(self, StructureError, gamma=0)
@@ -134,8 +131,6 @@ class GroupPenaltySpec:
                 raise StructureError("negative group index")
             if len(set(g)) != len(g):
                 raise StructureError("a group lists an index more than once")
-        if not all(0.0 < w < math.inf for w in weights):
-            raise StructureError("group weights must be positive and finite")
 
     @classmethod
     def with_unit_weights(cls, groups, gamma):
@@ -184,15 +179,15 @@ class GraphPenaltySpec:
             (
                 m if type(m) is int else _index(m, "edge node"),
                 l if type(l) is int else _index(l, "edge node"),
-                r if type(r) is float else _real(r, "edge correlation"),
+                r if type(r) is float and -math.inf < r < math.inf
+                else _finite(r, f"edge ({m}, {l}) correlation", StructureError),
             )
             for m, l, r in self.edges
         )
-        object.__setattr__(self, "num_nodes", _index(self.num_nodes, "num_nodes"))
         object.__setattr__(self, "edges", edges)
         _check_fields(self, StructureError, num_nodes=1, gamma=0)
         seen = set()
-        for m, l, r in edges:
+        for m, l, _ in edges:
             if m == l:
                 raise StructureError(f"self-loop on node {m}")
             if not (0 <= m < l < self.num_nodes):
@@ -200,8 +195,6 @@ class GraphPenaltySpec:
             if (m, l) in seen:
                 raise StructureError(f"duplicate edge ({m}, {l})")
             seen.add((m, l))
-            if not -math.inf < r < math.inf:
-                raise StructureError(f"edge ({m}, {l}) has a non-finite correlation")
 
     def validate_against(self, num_features):
         if num_features != self.num_nodes:

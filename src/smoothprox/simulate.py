@@ -21,14 +21,13 @@ fixed seed reproduces instances bit-for-bit.
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .multivariate import MultiProblem
-from .penalties import GraphPenaltySpec, GroupPenaltySpec, _check_fields, _tiling
+from .penalties import GraphPenaltySpec, GroupPenaltySpec, _check_fields, _finite, _tiling
 from .solver import Problem
 
 
@@ -146,8 +145,9 @@ def threshold_correlation_graph(Y, rho, gamma=1.0) -> GraphPenaltySpec:
     Constant columns have undefined correlations and are excluded with a
     warning.  ``rho`` must be a real number in (0, 1].
     """
-    if not (isinstance(rho, numbers.Real) and not isinstance(rho, bool) and 0 < rho <= 1):
-        raise ValueError(f"rho must be a real number in (0, 1], got {rho!r}")
+    rho = _finite(rho, "rho")
+    if not 0 < rho <= 1:
+        raise ValueError(f"rho must be in (0, 1], got {rho!r}")
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[0] < 2:
         raise ValueError("Y must be 2-d with at least two samples")

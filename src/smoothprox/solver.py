@@ -273,26 +273,26 @@ def solve(problem: Problem, config: SolverConfig, beta0=None):
         "L_loss_source": loss.lipschitz_source, "max_iter": config.max_iter,
         "rel_tol": config.rel_tol, "shape": list(beta.shape),
     })
-    for t in range(1, config.max_iter + 1):
-        grad = loss.gradient_from(p_w)
-        if coupling is not None:
-            grad += coupling.smoothed_gradient(w, mu)
-        if not np.isfinite(grad).all():
-            raise SolverError(f"non-finite gradient at iteration {t}")
-        grad /= L
-        beta = soft_threshold(np.subtract(w, grad, out=grad), lam / L)
-        theta_next = 2.0 / (t + 2.0)
-        momentum = (1.0 - theta) / theta * theta_next
-        w = _extrapolate(beta, beta_prev, momentum)
-        p_next = loss.next_product(p, beta, beta_prev)
-        p_w = _extrapolate(p_next, p, momentum)
-        beta_prev, p, theta = beta, p_next, theta_next
-        l1 = lam * float(np.abs(beta).sum())
-        loss_l1 = loss.value_from(beta, p) + l1
-        f0, f_mu = coupling.smoothed_values(beta, mu) if coupling is not None else (0.0, 0.0)
-        f = loss_l1 + f0
-        if trace.record(f, loss_l1 + f_mu):
-            break
+    # a NaN or inf in the gradient makes f non-finite in its iteration: trace.record's error
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, config.max_iter + 1):
+            grad = loss.gradient_from(p_w)
+            if coupling is not None:
+                grad += coupling.smoothed_gradient(w, mu)
+            grad /= L
+            beta = soft_threshold(np.subtract(w, grad, out=grad), lam / L)
+            theta_next = 2.0 / (t + 2.0)
+            momentum = (1.0 - theta) / theta * theta_next
+            w = _extrapolate(beta, beta_prev, momentum)
+            p_next = loss.next_product(p, beta, beta_prev)
+            p_w = _extrapolate(p_next, p, momentum)
+            beta_prev, p, theta = beta, p_next, theta_next
+            l1 = lam * float(np.abs(beta).sum())
+            loss_l1 = loss.value_from(beta, p) + l1
+            f0, f_mu = coupling.smoothed_values(beta, mu) if coupling is not None else (0.0, 0.0)
+            f = loss_l1 + f0
+            if trace.record(f, loss_l1 + f_mu):
+                break
     trace.finish(beta, loss.value(beta) + l1 + f0)
     return beta, trace
 

@@ -486,7 +486,7 @@ OVERFLOWING_X = "2e200,1e200,1e200\n" + "1e200,1e200,1e200\n" * 3
 @pytest.mark.parametrize("argv, files, line", [
     # a file that cannot be read, and each message of ``_load_matrix``
     ("solve --x {d}/missing.csv --y {d}/missing.csv --lambda 0.1 --out {d}/out", {},
-     "error: {d}/missing.csv not found."),
+     "error: [Errno 2] No such file or directory: '{d}/missing.csv'"),
     (SOLVE, {"X.csv": ""}, "error: {d}/X.csv: the file holds no numbers"),
     (X_NPY, {"X.npy": np.zeros(0)}, "error: {d}/X.npy: the file holds no numbers"),
     (X_NPY, {"X.npy": np.zeros((0, 3))}, "error: {d}/X.npy: the file holds no numbers"),

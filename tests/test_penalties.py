@@ -338,18 +338,9 @@ class TestCouplingApply:
 
 
 class TestNonFiniteNumbers:
-    """Each weight and edge correlation of a spec, and each entry of C, must
-    be finite; NaN fails every check.  ``gamma`` is in TestSettingsFields."""
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_group_weight(self, value):
-        with pytest.raises(StructureError, match="weights"):
-            GroupPenaltySpec(groups=((0, 1), (1, 2)), weights=(1.0, value), gamma=1.0)
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_graph_edge_correlation(self, value):
-        with pytest.raises(StructureError, match="non-finite correlation"):
-            GraphPenaltySpec(num_nodes=3, edges=((0, 1, 1.0), (1, 2, value)), gamma=1.0)
+    """Each entry of C must be finite.  ``gamma`` is in TestSettingsFields,
+    and each weight and edge correlation in test_solver's
+    ``test_caller_number_rejected``."""
 
     @pytest.mark.parametrize("make", [
         lambda: GroupPenaltySpec(((0, 1),), (1e300,), 1e300).coupling(2),
@@ -413,7 +404,8 @@ class TestJsonRoundTrip:
 
 class TestIntegerIndices:
     """Indices are integers; a fractional number or a bool is an error, not
-    truncated.  A float with no fractional part is the integer it equals."""
+    truncated.  A float with no fractional part is the integer it equals,
+    but a node count, like every count, must be an int."""
 
     @pytest.mark.parametrize("groups", [
         ((0.7, 1.2),), ((0, 2.5),), ((True, 1),), ((0, np.True_),), ((0, math.nan),), ((0, "1"),),
@@ -439,40 +431,35 @@ class TestIntegerIndices:
             GraphPenaltySpec(num_nodes=num_nodes, edges=edges, gamma=1.0)
 
     def test_graph_integral_floats_are_accepted(self):
-        spec = GraphPenaltySpec(num_nodes=3.0, edges=((0.0, 2.0, 0.5),), gamma=1.0)
+        spec = GraphPenaltySpec(num_nodes=3, edges=((0.0, 2.0, 0.5),), gamma=1.0)
         assert (spec.num_nodes, spec.edges) == (3, ((0, 2, 0.5),))
 
     @pytest.mark.parametrize("doc", [
         '{"type": "group", "gamma": 1.0, "groups": [[1.5, 2.9]]}',
         '{"type": "group", "gamma": 1.0, "groups": [[true, 2]]}',
         '{"type": "graph", "gamma": 1.0, "num_nodes": 3.7, "edges": [[1, 2, 0.5]]}',
+        '{"type": "graph", "gamma": 1.0, "num_nodes": 3.0, "edges": [[1, 2, 0.5]]}',
         '{"type": "graph", "gamma": 1.0, "num_nodes": 3, "edges": [[1, 2.6, 0.5]]}',
         '{"type": "graph", "gamma": 1.0, "num_nodes": 3, "edges": [[true, 2, 0.5]]}',
         '{"type": "group", "gamma": 1.0, "groups": [["1", 2]]}',
-    ], ids=["group-fractions", "group-bool", "graph-node-count", "graph-edge", "graph-bool", "group-str"])
+    ], ids=["group-fractions", "group-bool", "graph-node-count", "graph-integral-node-count", "graph-edge",
+            "graph-bool", "group-str"])
     def test_json_indices_must_be_integers(self, doc):
         with pytest.raises(StructureError, match="must be an integer"):
             penalty_from_json(doc)
 
     def test_json_integral_floats_are_accepted(self):
-        doc = '{"type": "graph", "gamma": 1.0, "num_nodes": 3.0, "edges": [[1.0, 3.0, 0.5]]}'
+        doc = '{"type": "graph", "gamma": 1.0, "num_nodes": 3, "edges": [[1.0, 3.0, 0.5]]}'
         assert penalty_from_json(doc) == GraphPenaltySpec(num_nodes=3, edges=((0, 2, 0.5),), gamma=1.0)
         doc = '{"type": "group", "gamma": 1.0, "groups": [[1.0, 2]]}'
         assert penalty_from_json(doc).groups == ((0, 1),)
 
 
 class TestRealNumbers:
-    """Group weights and edge correlations are real numbers; a bool or a
-    string is an error, not converted.  Ints and numpy reals are floats."""
-
-    @pytest.mark.parametrize("value", [True, np.True_, "5", None, [1.0]], ids=["bool", "numpy-bool", "str", "none", "list"])
-    @pytest.mark.parametrize("make, what", [
-        (lambda v: GroupPenaltySpec(groups=((0, 1), (1, 2)), weights=(1.0, v), gamma=1.0), "group weight"),
-        (lambda v: GraphPenaltySpec(num_nodes=3, edges=((0, 1, 1.0), (1, 2, v)), gamma=1.0), "edge correlation"),
-    ], ids=["group-weight", "graph-edge"])
-    def test_must_be_real(self, make, what, value):
-        with pytest.raises(StructureError, match=f"{what} must be a real number"):
-            make(value)
+    """Group weights and edge correlations are real numbers (each value they
+    reject is a row of test_solver's ``test_caller_number_rejected``); in a
+    JSON document too, a bool or a string is an error, not converted.  Ints
+    and numpy reals are floats."""
 
     def test_ints_and_numpy_reals_are_floats(self):
         group = GroupPenaltySpec(groups=((0, 1), (1, 2)), weights=(2, np.float32(0.5)), gamma=np.int64(3))
@@ -487,8 +474,8 @@ class TestRealNumbers:
         ('{"type": "group", "gamma": 1.0, "groups": [[1, 2]], "weights": ["2"]}', "group weight"),
         ('{"type": "group", "gamma": 1.0, "groups": [[1, 2]], "weights": [false]}', "group weight"),
         ('{"type": "graph", "gamma": true, "num_nodes": 2, "edges": [[1, 2, 0.5]]}', "gamma"),
-        ('{"type": "graph", "gamma": 1.0, "num_nodes": 2, "edges": [[1, 2, "0.5"]]}', "edge correlation"),
-        ('{"type": "graph", "gamma": 1.0, "num_nodes": 2, "edges": [[1, 2, true]]}', "edge correlation"),
+        ('{"type": "graph", "gamma": 1.0, "num_nodes": 2, "edges": [[1, 2, "0.5"]]}', r"edge \(0, 1\) correlation"),
+        ('{"type": "graph", "gamma": 1.0, "num_nodes": 2, "edges": [[1, 2, true]]}', r"edge \(0, 1\) correlation"),
     ], ids=["group-gamma-bool", "group-gamma-str", "weight-str", "weight-bool", "graph-gamma-bool",
             "edge-str", "edge-bool"])
     def test_json_numbers_must_be_real(self, doc, what):
@@ -557,10 +544,8 @@ def rejected_values():
         rule, below = FIELD_RULES[make, field]
         values = [(v, i) for v, i in NOT_NUMBERS if v is not None or kind != "float | None"]
         if kind == "int":
-            # a graph's node count, like each index of a penalty spec, reads a
-            # float with no fractional part as its integer (TestIntegerIndices)
-            floats = [(2.5, "fraction")] + ([] if make is GraphPenaltySpec else [(3.0, "integral-float")])
-            values = [(v, i, "an integer") for v, i in [*values, (math.nan, "nan"), *floats]]
+            values = [(v, i, "an integer") for v, i in
+                      [*values, (math.nan, "nan"), (2.5, "fraction"), (3.0, "integral-float")]]
         else:
             values = [(v, i, "a real number") for v, i in values]
             values += [(v, i, rule) for v, i in [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")]]
@@ -589,9 +574,11 @@ class TestSettingsFields:
 
     @pytest.mark.parametrize("make, kwargs, error, field, kind", number_fields("int", "float | None"))
     def test_numpy_integers_and_none_are_accepted(self, make, kwargs, error, field, kind):
-        """An int field takes a numpy integer, and ``epsilon`` and ``mu`` None."""
+        """An int field takes a numpy integer and stores it as an int (so a
+        penalty spec's writes as JSON), and ``epsilon`` and ``mu`` take None."""
         value = None if kind == "float | None" else np.int64(getattr(make(**kwargs), field))
-        assert getattr(make(**{**kwargs, field: value}), field) == value
+        stored = getattr(make(**{**kwargs, field: value}), field)
+        assert stored == value and type(stored) is (int if kind == "int" else type(None))
 
     def test_every_record_and_field_has_a_row(self):
         """Each dataclass of the package with an ``init`` number field is a

@@ -118,8 +118,9 @@ class TestGraphInstance:
 
     @pytest.mark.parametrize("rho", [0.0, -0.5, 1.5], ids=["zero", "negative", "above-one"])
     def test_rho_must_be_in_the_half_open_unit_interval(self, rho):
-        with pytest.raises(ValueError, match=r"rho must be in \(0, 1\]"):
+        with pytest.raises(ValueError) as info:
             GraphSimSpec(rho=rho)
+        assert type(info.value) is ValueError and str(info.value) == f"rho must be in (0, 1], got {rho!r}"
 
     def test_rho_one_keeps_only_perfect_correlations(self):
         """The spec accepts every rho ``threshold_correlation_graph`` accepts."""
@@ -198,11 +199,14 @@ class TestThresholdCorrelationGraph:
         with pytest.raises(ValueError, match="degenerate correlation matrix"):
             threshold_correlation_graph(Y[:, 1:2], 0.3)
 
-    @pytest.mark.parametrize("rho", [math.nan, 1.5, -0.5, 0.0, math.inf, True, "0.5", None],
-                             ids=["nan", "above-one", "negative", "zero", "inf", "bool", "str", "none"])
+    @pytest.mark.parametrize("rho", [1.5, -0.5, 0.0], ids=["above-one", "negative", "zero"])
     def test_rho_must_be_a_real_number_in_unit_interval(self, rng, rho):
-        with pytest.raises(ValueError, match="rho must be a real number in"):
+        """A finite real rho (each value the number rule rejects is a row of
+        test_solver's ``test_caller_number_rejected``) must then lie in
+        (0, 1], with ``GraphSimSpec``'s line."""
+        with pytest.raises(ValueError) as info:
             threshold_correlation_graph(rng.standard_normal((20, 3)), rho)
+        assert type(info.value) is ValueError and str(info.value) == f"rho must be in (0, 1], got {rho!r}"
 
     @pytest.mark.parametrize("rho", [1, 1.0, np.float64(0.5)], ids=["int-one", "one", "numpy"])
     def test_rho_accepts_reals_up_to_one(self, rng, rho):

@@ -29,6 +29,7 @@ from smoothprox import (
     soft_threshold,
     solve,
     solve_fobos,
+    threshold_correlation_graph,
     total_lipschitz,
 )
 from conftest import NOT_NUMBERS, force_gram, loss_gradient, loss_value, penalty_value, unconverged_lanczos
@@ -144,38 +145,50 @@ ARGUMENT_RULES = {"epsilon": ("epsilon", "positive"), "D": ("D", "positive"), "m
 
 
 def _number_arguments():
-    """A ``(call, value, line)`` case for each value each number a caller
-    gives the step-size formulas, or a lambda in each place of
-    ``regularization_path``'s list, rejects: ``call(value)`` puts ``value``
-    there and valid numbers elsewhere, and ``line`` is the exact error.
-    Only ``select_mu``'s epsilon may be None, which gives the default mu."""
+    """A ``(call, value, error, line)`` case for each value each number a
+    caller passes outside a settings record rejects: an argument of the
+    step-size formulas, a lambda in each place of ``regularization_path``'s
+    list, a group weight, an edge correlation and
+    ``threshold_correlation_graph``'s rho (whose range is test_simulate's).
+    ``call(value)`` puts ``value`` there and valid numbers elsewhere, and
+    ``line`` is the exact error.  Only ``select_mu``'s epsilon may be None,
+    which gives the default mu."""
     calls = []
     for formula in (select_mu, total_lipschitz, iteration_bound):
         params = list(inspect.signature(formula).parameters)
         calls += [(lambda v, f=formula, i=i, n=len(params): f(*[1.0] * i, v, *[1.0] * (n - i - 1)),
-                   f"{formula.__name__}-{param}", *ARGUMENT_RULES[param]) for i, param in enumerate(params)]
+                   f"{formula.__name__}-{param}", *ARGUMENT_RULES[param], ValueError)
+                  for i, param in enumerate(params)]
     problem = Problem.least_squares(np.eye(2), np.ones(2))
     calls += [(lambda v, l=lambdas: regularization_path(problem, l(v), SolverConfig()),
-               f"regularization_path-{place}-lambda", "lambda", "non-negative")
+               f"regularization_path-{place}-lambda", "lambda", "non-negative", ValueError)
               for lambdas, place in ((lambda v: [v, 0.5], "first"), (lambda v: [4.0, v], "later"))]
-    for call, call_id, name, rule in calls:
-        below = 0.0 if rule == "positive" else -5e-324
+    calls += [
+        (lambda v: GroupPenaltySpec(((0, 1), (1, 2)), (1.0, v), 1.0),
+         "GroupPenaltySpec-weight", "group weight", "positive", StructureError),
+        (lambda v: GraphPenaltySpec(3, ((0, 1, 1.0), (1, 2, v)), 1.0),
+         "GraphPenaltySpec-correlation", "edge (1, 2) correlation", None, StructureError),
+        (lambda v: threshold_correlation_graph(np.eye(3), v), "threshold_correlation_graph-rho", "rho", None, ValueError),
+    ]
+    for call, call_id, name, rule, error in calls:
         values = [(v, i, "a real number") for v, i in NOT_NUMBERS if v is not None or call_id != "select_mu-epsilon"]
-        values += [(v, i, f"{rule} and finite") for v, i in
-                   [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (below, "below"), (-1.0, "negative")]]
-        yield from (pytest.param(call, v, f"{name} must be {reason}, got {v!r}", id=f"{call_id}-{i}")
+        bounds = [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")]
+        if rule:
+            bounds += [(0.0 if rule == "positive" else -5e-324, "below"), (-1.0, "negative")]
+        values += [(v, i, f"{rule} and finite" if rule else "finite") for v, i in bounds]
+        yield from (pytest.param(call, v, error, f"{name} must be {reason}, got {v!r}", id=f"{call_id}-{i}")
                     for v, i, reason in values)
 
 
-@pytest.mark.parametrize("call, value, line", _number_arguments())
-def test_caller_number_rejected(monkeypatch, call, value, line):
+@pytest.mark.parametrize("call, value, error, line", _number_arguments())
+def test_caller_number_rejected(monkeypatch, call, value, error, line):
     """Each number is checked by the settings records' rule, each lambda
     before any solve: a bool is not read as 1, a string fails with the
     rule's message, not a TypeError, and NaN fails every bound."""
     monkeypatch.setattr(smoothprox.solver, "solve", _no_solve)
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(error) as info:
         call(value)
-    assert type(info.value) is ValueError and str(info.value) == line
+    assert type(info.value) is error and str(info.value) == line
 
 
 @pytest.mark.parametrize("value", [2, np.float64(0.5), np.float32(0.25)], ids=["int", "float64", "float32"])
@@ -921,16 +934,14 @@ class TestStoppingRule:
         the header's ``rel_tol`` and the run writes everything else."""
         assert [f.name for f in dataclasses.fields(Trace) if f.init] == ["header"]
 
-    @pytest.mark.parametrize("method, message", [
-        ("solve", "non-finite gradient at iteration 1"),
-        ("solve_fobos", "non-finite subgradient at iteration 1"),
-    ])
-    def test_errors_number_iterations_from_one(self, method, message):
-        """Every ``SolverError`` names the iteration being computed, counted
-        from 1 as the trace's ``t`` is: here ``L_loss = 1e308`` is finite but
-        ``X^T y`` overflows, so the first step does."""
+    @pytest.mark.parametrize("method", sorted(RUNS))
+    def test_errors_number_iterations_from_one(self, method):
+        """A run fails at the iteration being computed, counted from 1 as the
+        trace's ``t`` is: here ``L_loss = 1e308`` is finite but ``X^T y``
+        overflows, so the first step's gradient, its iterate and its
+        objective do, and ``Trace.record`` raises with no numpy warning."""
         prob = Problem.least_squares(np.array([[1e154]]), np.array([1e200]))
         with warnings.catch_warnings():  # X^T y overflows when it is formed, with no numpy warning
             warnings.simplefilter("error")
-            with pytest.raises(SolverError, match=f"^{message}$"):
+            with pytest.raises(SolverError, match="^non-finite objective at iteration 1$"):
                 self.RUNS[method](prob, 1e-6, 10)
